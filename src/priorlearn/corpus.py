@@ -10,20 +10,26 @@ and a deduplicated set of lowercase tokens. Documents live in a sharded
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import string
+import sys
 import unicodedata
 import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 from urllib.parse import quote, unquote
 
+import numpy as np
+
 __all__ = [
     "Document",
     "Corpus",
+    "TokenIndex",
     "CategoryIndex",
     "IngestError",
     "CorpusFormatError",
@@ -84,6 +90,55 @@ class Document:
     tokens: frozenset[str]
 
 
+@dataclass(frozen=True, eq=False)
+class TokenIndex:
+    """A corpus as compressed rows of token slots, for scoring it all at once.
+
+    ``slot_of`` maps each corpus token to its slot ``1 + token_id``, where
+    token ids follow Python ``str`` order, the order :func:`sorted` gives
+    a token set. Row ``i``, ``slots[offsets[i]:offsets[i + 1]]``, belongs
+    to document ``doc_ids[i]`` (ids ascending) and holds slot 0, which
+    stands for the class prior, then the slots of the document's tokens
+    in ascending order.
+    """
+
+    slot_of: dict[str, int] = field(repr=False)
+    doc_ids: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
+    slots: np.ndarray = field(repr=False)
+
+    @classmethod
+    def build(cls, documents: list[Document]) -> "TokenIndex":
+        """Index ``documents``, given in ascending id order."""
+        vocabulary = sorted(set().union(*(doc.tokens for doc in documents)))
+        slot_of = {token: slot for slot, token in enumerate(vocabulary, 1)}
+        width = len(slot_of) + 1
+        n_docs = len(documents)
+        lengths = np.fromiter((len(doc.tokens) for doc in documents), dtype=np.int64, count=n_docs)
+        token_slots = np.fromiter(
+            map(slot_of.__getitem__, itertools.chain.from_iterable(doc.tokens for doc in documents)),
+            dtype=np.int64,
+            count=int(lengths.sum()),
+        )
+        # one sort of row * width + slot puts each row's prior slot first,
+        # then its token slots ascending
+        rows = np.arange(n_docs, dtype=np.int64)
+        keys = np.concatenate((rows * width, np.repeat(rows, lengths) * width + token_slots))
+        keys.sort()
+        offsets = np.zeros(n_docs + 1, dtype=np.int64)
+        np.cumsum(lengths + 1, out=offsets[1:])
+        return cls(
+            slot_of=slot_of,
+            doc_ids=np.array([doc.id for doc in documents], dtype=np.int64),
+            offsets=offsets,
+            slots=(keys % width).astype(np.int32),
+        )
+
+    def row_of_slot(self) -> np.ndarray:
+        """The row each entry of ``slots`` belongs to."""
+        return np.repeat(np.arange(len(self.doc_ids)), np.diff(self.offsets))
+
+
 @dataclass(frozen=True)
 class Corpus:
     """An immutable collection of documents partitioned into shards.
@@ -130,6 +185,11 @@ class Corpus:
 
     def ids(self) -> list[int]:
         return sorted(self._by_id)
+
+    @cached_property
+    def token_index(self) -> TokenIndex:
+        """The corpus's :class:`TokenIndex`, built on first use and kept."""
+        return TokenIndex.build(list(self))
 
     def shard_of(self, doc_id: int) -> int:
         return doc_id % self.shard_count
@@ -330,7 +390,8 @@ def _ingest_page(
         skipped["below_min_bytes"] += 1
         return
 
-    documents.append(Document(id=doc_id, title=title, tokens=frozenset(tokenize(body))))
+    tokens = frozenset(map(sys.intern, tokenize(body)))  # one str object per distinct token
+    documents.append(Document(id=doc_id, title=title, tokens=tokens))
     for name in page_categories:
         categories.setdefault(name, set()).add(doc_id)
 
@@ -415,7 +476,8 @@ def load_corpus(path: str | Path) -> tuple[Corpus, CategoryIndex]:
                 raise CorpusFormatError(
                     f"corrupt shard {shard_file} at line {lineno}: id {doc_id} belongs elsewhere"
                 )
-            documents.append(Document(id=doc_id, title=title, tokens=frozenset(token_text.split())))
+            tokens = frozenset(map(sys.intern, token_text.split()))  # one str per distinct token
+            documents.append(Document(id=doc_id, title=title, tokens=tokens))
 
     corpus = Corpus.from_documents(documents, shard_count=shard_count)
     if corpus.doc_count != int(manifest["doc_count"]):

@@ -17,14 +17,23 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 from urllib.parse import quote
 
 import numpy as np
 
-from .corpus import CategoryIndex, Corpus
-from .model import BAYES_LAPLACE, CountModel, Hyperparameters, build_counts, score
+from .corpus import CategoryIndex, Corpus, TokenIndex
+from .model import (
+    BAYES_LAPLACE,
+    CountModel,
+    Hyperparameters,
+    build_counts,
+    class_prior,
+    cond_prob,
+    positive_posterior,
+)
 from .search import (
     DEFAULT_GRID,
     Cell,
@@ -33,7 +42,8 @@ from .search import (
     LooEvaluator,
     MemoTable,
     MoveRecord,
-    aggregate_over_seeds,
+    aggregate_over_seeds,  # not called here; perfbench/tracer.py patches this name
+    best_mean_cell,
     cross_seed_mean_scores,
     default_starts,
     multi_start_search,
@@ -158,23 +168,60 @@ def training_model(corpus: Corpus, training: TrainingSet) -> CountModel:
     )
 
 
+def _log_weights(positive: bool, model: CountModel, hp: Hyperparameters, index: TokenIndex) -> np.ndarray:
+    """One class's log term per index slot.
+
+    Slot 0 holds the log class prior and each model feature found in the
+    corpus vocabulary holds its log conditional, both from ``math.log`` as
+    in :func:`~priorlearn.model.score`; every other slot holds ``0.0``.
+    """
+    weights = np.zeros(len(index.slot_of) + 1)
+    weights[0] = math.log(class_prior(positive, model, hp))
+    for token in model.features:
+        slot = index.slot_of.get(token)
+        if slot is not None:
+            weights[slot] = math.log(cond_prob(token, positive, model, hp))
+    return weights
+
+
 def rank_corpus(
     corpus: Corpus,
     model: CountModel,
     hp: Hyperparameters,
     exclude_ids: frozenset[int] | set[int] = frozenset(),
 ) -> RankedPredictions:
-    """Score every corpus document outside ``exclude_ids`` and rank them."""
-    scored = []
-    positives = 0
-    for doc in corpus:
-        if doc.id in exclude_ids:
-            continue
-        posterior = score(doc.tokens, model, hp)
-        scored.append((-posterior.log_odds, doc.id, posterior.p_pos))
-        positives += posterior.p_pos > 0.5
-    scored.sort()
-    entries = tuple((doc_id, p_pos, -neg_lo) for neg_lo, doc_id, p_pos in scored)
+    """Score every corpus document outside ``exclude_ids`` and rank them.
+
+    All documents are scored at once over ``corpus.token_index``. A
+    document's log score per class is the ``bincount`` sum of its row: the
+    log prior, then the log conditional of each token in sorted order. The
+    terms and their order are those of :func:`~priorlearn.model.score`, and
+    the ``+0.0`` of a non-feature token leaves the strictly negative sum
+    unchanged, so ``log_odds`` and ``p_pos`` are bit-identical to it.
+    """
+    index = corpus.token_index
+    rows = index.row_of_slot()
+    log_pos, log_neg = (
+        np.bincount(
+            rows, weights=_log_weights(positive, model, hp, index)[index.slots],
+            minlength=len(index.doc_ids),
+        )
+        for positive in (True, False)
+    )
+    del rows  # one int per slot; not kept past the sums
+    excluded = np.fromiter(exclude_ids, dtype=np.int64, count=len(exclude_ids))
+    keep = ~np.isin(index.doc_ids, excluded)
+    doc_ids, log_pos, log_neg = index.doc_ids[keep], log_pos[keep], log_neg[keep]
+    log_odds = log_pos - log_neg
+    order = np.lexsort((doc_ids, -log_odds))
+    # .tolist() yields Python ints and floats, whose repr the CSV writes
+    entries = tuple(
+        (doc_id, positive_posterior(lp, ln), lo)
+        for doc_id, lp, ln, lo in zip(
+            *(column[order].tolist() for column in (doc_ids, log_pos, log_neg, log_odds))
+        )
+    )
+    positives = sum(p_pos > 0.5 for _, p_pos, _ in entries)
     return RankedPredictions(entries=entries, positives_predicted=positives)
 
 
@@ -226,12 +273,12 @@ def learn_priors(spec: ExperimentSpec) -> PriorSearchResult:
         evaluators.append(evaluator)
         move_logs.append(tuple(moves))
         evaluations += outcome.evaluations
-    cell, mean_ppv = aggregate_over_seeds(memos, evaluators)
     means = cross_seed_mean_scores(memos, evaluators)
+    cell = best_mean_cell(means)
     return PriorSearchResult(
         cell=cell,
         hyperparameters=spec.grid.hyperparameters(cell),
-        mean_ppv=mean_ppv,
+        mean_ppv=means[cell].ppv,
         memos=tuple(memos),
         mean_scores=means,
         evaluations=evaluations,

@@ -32,6 +32,7 @@ __all__ = [
     "build_counts",
     "cond_prob",
     "class_prior",
+    "positive_posterior",
     "score",
     "loo_score",
     "classify",
@@ -47,10 +48,10 @@ class Hyperparameters:
     lambda_pos: float
 
     def __post_init__(self) -> None:
-        if not (self.lambda_neg > 0 and self.lambda_pos > 0):
-            raise ValueError(
-                f"hyperparameters must be positive, got ({self.lambda_neg}, {self.lambda_pos})"
-            )
+        for name in ("lambda_neg", "lambda_pos"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 BAYES_LAPLACE = Hyperparameters(lambda_neg=1.0, lambda_pos=1.0)
@@ -167,11 +168,16 @@ def class_prior(positive: bool, model: CountModel, hp: Hyperparameters) -> float
     return (hp.lambda_neg + model.n_neg) / denom
 
 
-def _posterior_from_logs(log_pos: float, log_neg: float) -> Posterior:
+def positive_posterior(log_pos: float, log_neg: float) -> float:
+    """p(pos) from the two classes' log scores, normalized with max-subtraction."""
     m = max(log_pos, log_neg)
     w_pos = math.exp(log_pos - m)
     w_neg = math.exp(log_neg - m)
-    return Posterior(p_pos=w_pos / (w_pos + w_neg), log_odds=log_pos - log_neg)
+    return w_pos / (w_pos + w_neg)
+
+
+def _posterior_from_logs(log_pos: float, log_neg: float) -> Posterior:
+    return Posterior(p_pos=positive_posterior(log_pos, log_neg), log_odds=log_pos - log_neg)
 
 
 def score(case_tokens: AbstractSet[str], model: CountModel, hp: Hyperparameters) -> Posterior:

@@ -35,6 +35,7 @@ __all__ = [
     "radial_gradient_search",
     "multi_start_search",
     "cross_seed_mean_scores",
+    "best_mean_cell",
     "aggregate_over_seeds",
     "memo_to_csv",
     "moves_to_log",
@@ -360,16 +361,23 @@ def cross_seed_mean_scores(
     return means
 
 
+def best_mean_cell(means: Mapping[Cell, CellScore]) -> Cell:
+    """The cell with the best mean ppv.
+
+    Ties break by mean sensitivity, then by ascending cell coordinates.
+    """
+    return min(means, key=lambda c: (-means[c].ppv, -means[c].sensitivity, c))
+
+
 def aggregate_over_seeds(
     memos: Sequence[MemoTable], evaluators: Sequence[Evaluator]
 ) -> tuple[Cell, float]:
-    """Pick the cell with the best cross-seed mean ppv.
+    """Pick the cell with the best cross-seed mean ppv (see :func:`best_mean_cell`).
 
-    Ties break by mean sensitivity, then by ascending cell coordinates.
     Returns the winning cell and its mean ppv.
     """
     means = cross_seed_mean_scores(memos, evaluators)
-    best_cell = min(means, key=lambda c: (-means[c].ppv, -means[c].sensitivity, c))
+    best_cell = best_mean_cell(means)
     return best_cell, means[best_cell].ppv
 
 

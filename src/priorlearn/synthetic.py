@@ -55,7 +55,7 @@ def make_synthetic_corpus(
     classes perfectly separable. Fully deterministic given ``seed``.
     """
     rng = np.random.default_rng(seed)
-    vocab = np.array([f"w{i:04d}" for i in range(vocab_size)])
+    vocab = [f"w{i:04d}" for i in range(vocab_size)]
     quarter = vocab_size // 4
     pos_weights = _topic_weights(vocab_size, slice(0, quarter), topic_boost)
     neg_weights = _topic_weights(vocab_size, slice(quarter // 2, quarter + quarter // 2), topic_boost)
@@ -64,7 +64,7 @@ def make_synthetic_corpus(
     def draw(weights: np.ndarray, positive: bool) -> frozenset[str]:
         n_tok = int(rng.integers(lo, hi + 1))
         picks = rng.choice(vocab_size, size=n_tok, replace=False, p=weights)
-        tokens = set(vocab[picks])
+        tokens = {vocab[i] for i in picks.tolist()}  # shares one str object per token
         if positive and marker_token is not None:
             tokens.add(marker_token)
         return frozenset(tokens)

@@ -2,14 +2,16 @@
 
 Everything here recomputes results by the most literal route available:
 exact rational arithmetic for posteriors, full retraining for held-out
-folds, dense numpy grids for search surfaces. Nothing imports the code
-paths under test beyond plain data types.
+folds, dense numpy grids for search surfaces, one scalar ``score`` call
+per document for corpus rankings. Nothing imports the code paths under
+test beyond plain data types and the scalar formulas.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
+from priorlearn.model import score
 from priorlearn.search import Cell, CellScore
 
 
@@ -60,6 +62,21 @@ def retrained_loo_posterior(fold, positives, negatives, lam_neg, lam_pos):
         w_pos *= (lam_pos + c_pos) / (lam_pos + n_pos)
         w_neg *= (lam_neg + c_neg) / (lam_neg + n_neg)
     return w_pos / (w_pos + w_neg)
+
+
+def scalar_ranking(corpus, model, hp, exclude_ids=frozenset()):
+    """Rank a corpus one ``score`` call per document.
+
+    Returns ``(doc_id, p_pos, log_odds)`` triples sorted on
+    ``(-log_odds, doc_id)``: descending log odds, ties by ascending id.
+    """
+    rows = []
+    for doc in corpus:
+        if doc.id not in exclude_ids:
+            posterior = score(doc.tokens, model, hp)
+            rows.append((doc.id, posterior.p_pos, posterior.log_odds))
+    rows.sort(key=lambda row: (-row[2], row[0]))
+    return tuple(rows)
 
 
 def tally_counts(positives, negatives):

@@ -52,6 +52,13 @@ class TestHyperparameters:
     def test_grid_extremes_accepted(self):
         Hyperparameters(0.01, 200)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_rejects_non_finite_naming_the_field(self, bad):
+        with pytest.raises(ValueError, match="lambda_neg must be finite"):
+            Hyperparameters(bad, 1.0)
+        with pytest.raises(ValueError, match="lambda_pos must be finite"):
+            Hyperparameters(1.0, bad)
+
 
 class TestBuildCounts:
     def test_basic_example(self):

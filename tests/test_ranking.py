@@ -1,0 +1,159 @@
+"""rank_corpus against the scalar ranking oracle, bit for bit.
+
+The vectorized ranking must give exactly the floats that one ``score``
+call per document gives: equal under ``==``, equal in ``repr`` (the bytes
+the predictions CSV writes), and Python ``float``/``int`` objects, not
+numpy scalars.
+"""
+
+import numpy as np
+import pytest
+
+from oracles import scalar_ranking
+from priorlearn.corpus import Corpus, Document
+from priorlearn.experiment import make_training_set, rank_corpus, training_model
+from priorlearn.model import BAYES_LAPLACE, Hyperparameters, build_counts
+from priorlearn.synthetic import CATEGORY, make_synthetic_corpus
+
+PRIORS = [
+    Hyperparameters(1.0, 1.0),
+    Hyperparameters(14.0, 8.0),
+    Hyperparameters(0.01, 200.0),
+    Hyperparameters(200.0, 0.01),
+]
+
+
+def assert_bit_identical(ranked, expected):
+    assert ranked.entries == expected
+    for got, want in zip(ranked.entries, expected):
+        assert tuple(map(type, got)) == (int, float, float), got
+        assert repr(got) == repr(want)
+    assert ranked.positives_predicted == sum(p_pos > 0.5 for _, p_pos, _ in expected)
+
+
+def _corpus(token_sets, first_id=1):
+    docs = [
+        Document(first_id + i, f"d{first_id + i}", frozenset(tokens))
+        for i, tokens in enumerate(token_sets)
+    ]
+    return Corpus.from_documents(docs, shard_count=3)
+
+
+def _draw(rng, vocab, size):
+    # picks by index: a numpy "U" array of the vocabulary would drop trailing NULs
+    return {vocab[i] for i in rng.choice(len(vocab), size=size, replace=False).tolist()}
+
+
+@pytest.fixture(scope="module")
+def acceptance():
+    """The acceptance run's corpus: 20,200 documents over a 2,000-token vocabulary."""
+    return make_synthetic_corpus(seed=0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_acceptance_corpus_matches_oracle(acceptance, seed):
+    corpus = acceptance.corpus
+    training = make_training_set(corpus, acceptance.categories, CATEGORY, seed)
+    model = training_model(corpus, training)
+    exclude = frozenset(training.positive_ids)
+    for hp in PRIORS:
+        assert_bit_identical(
+            rank_corpus(corpus, model, hp, exclude), scalar_ranking(corpus, model, hp, exclude)
+        )
+
+
+def test_document_without_model_features_scores_its_priors():
+    corpus = _corpus([{"a", "b"}, {"a", "c"}, {"x", "y"}, set(), {"b", "z"}])
+    model = build_counts([corpus.get(1), corpus.get(2)], [corpus.get(5)])
+    ranked = rank_corpus(corpus, model, BAYES_LAPLACE)
+    assert_bit_identical(ranked, scalar_ranking(corpus, model, BAYES_LAPLACE))
+    # documents 3 and 4 hold no feature: same log odds, ascending ids
+    rows = {doc_id: (p_pos, log_odds) for doc_id, p_pos, log_odds in ranked.entries}
+    assert rows[3] == rows[4]
+    assert ranked.doc_ids().index(3) + 1 == ranked.doc_ids().index(4)
+
+
+def test_exclusions_covering_everything_and_absent_ids():
+    corpus = _corpus([{"a"}, {"a", "b"}, {"c"}])
+    model = build_counts([corpus.get(1)], [corpus.get(3)])
+    everything = rank_corpus(corpus, model, BAYES_LAPLACE, frozenset({1, 2, 3, 99}))
+    assert everything.entries == ()
+    assert everything.positives_predicted == 0
+    absent = {2, 99, -5}
+    assert_bit_identical(
+        rank_corpus(corpus, model, BAYES_LAPLACE, absent),
+        scalar_ranking(corpus, model, BAYES_LAPLACE, absent),
+    )
+
+
+def test_model_from_another_corpus():
+    training = _corpus([{"only", "here", "a"}, {"a", "b"}, {"b", "elsewhere"}], first_id=500)
+    model = build_counts([training.get(500), training.get(501)], [training.get(502)])
+    corpus = _corpus([{"a"}, {"b", "c"}, {"c", "d"}, {"a", "b", "z"}])
+    assert not {"only", "here"} & set(corpus.token_index.slot_of)
+    for hp in PRIORS:
+        assert_bit_identical(rank_corpus(corpus, model, hp), scalar_ranking(corpus, model, hp))
+
+
+def test_exact_ties_rank_by_ascending_id():
+    docs = [Document(doc_id, "t", frozenset({"p", "q"})) for doc_id in (40, 7, 23, 11)]
+    docs += [Document(doc_id, "u", frozenset({"q"})) for doc_id in (3, 90)]
+    corpus = Corpus.from_documents(docs)
+    model = build_counts(
+        [Document(1000, "m", frozenset({"p", "q"}))], [Document(1001, "n", frozenset({"q"}))]
+    )
+    ranked = rank_corpus(corpus, model, BAYES_LAPLACE)
+    assert_bit_identical(ranked, scalar_ranking(corpus, model, BAYES_LAPLACE))
+    assert ranked.doc_ids() == [7, 11, 23, 40, 3, 90]
+
+
+def test_non_ascii_tokens_follow_str_order():
+    # code point order differs from UTF-16 order (U+FF5A < U+1F600 only by
+    # code point), from case-folded order, and "a\0" is distinct from "a"
+    # although a numpy "U" array would drop its trailing NUL
+    vocab = [
+        "\uff5a", "\U0001f600", "\u00e9", "e\u0301", "Z", "z",
+        "\u00df", "ss", "a", "a\x00", "\uffff", "\u01c5",
+    ]
+    rng = np.random.default_rng(11)
+    token_sets = [_draw(rng, vocab, int(rng.integers(1, 8))) for _ in range(60)]
+    corpus = _corpus(token_sets)
+    slots = corpus.token_index.slot_of
+    assert list(slots) == sorted(slots)
+    assert "a" in slots and "a\x00" in slots
+    model = build_counts([corpus.get(i) for i in range(1, 21)], [corpus.get(i) for i in range(21, 41)])
+    for hp in PRIORS:
+        assert_bit_identical(rank_corpus(corpus, model, hp), scalar_ranking(corpus, model, hp))
+
+
+def test_random_corpora_match_oracle():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        vocab = [f"t{i}" for i in range(int(rng.integers(1, 40)))]
+        token_sets = [
+            _draw(rng, vocab, int(rng.integers(0, len(vocab) + 1))) for _ in range(int(rng.integers(2, 50)))
+        ]
+        corpus = _corpus(token_sets)
+        n_pos = int(rng.integers(1, len(token_sets)))
+        model = build_counts(
+            [corpus.get(i) for i in range(1, n_pos + 1)],
+            [corpus.get(i) for i in range(n_pos + 1, len(token_sets) + 1)],
+        )
+        hp = Hyperparameters(float(rng.uniform(0.01, 200)), float(rng.uniform(0.01, 200)))
+        exclude = set(rng.choice(len(token_sets) + 5, size=3).tolist())
+        assert_bit_identical(
+            rank_corpus(corpus, model, hp, exclude), scalar_ranking(corpus, model, hp, exclude)
+        )
+
+
+def test_index_built_once_and_reused_across_models():
+    corpus = _corpus([{"a", "b"}, {"b", "c"}, {"c", "d"}, {"a", "d"}, {"e"}])
+    first = build_counts([corpus.get(1)], [corpus.get(3)])
+    second = build_counts([corpus.get(2), corpus.get(4)], [corpus.get(5)])
+    assert_bit_identical(
+        rank_corpus(corpus, first, BAYES_LAPLACE), scalar_ranking(corpus, first, BAYES_LAPLACE)
+    )
+    index = corpus.token_index
+    hp = Hyperparameters(3.0, 0.5)
+    assert_bit_identical(rank_corpus(corpus, second, hp), scalar_ranking(corpus, second, hp))
+    assert corpus.token_index is index
