@@ -13,7 +13,7 @@ import numpy as np
 
 from priorlearn.corpus import Document
 from priorlearn.model import Hyperparameters, build_counts, loo_score
-from priorlearn.search import DEFAULT_GRID, Cell, LooEvaluator, evaluate_priors
+from priorlearn.search import DEFAULT_GRID, Cell, LooEvaluator
 
 rng = np.random.default_rng(0)
 vocab = np.array([f"w{i:02d}" for i in range(40)])
@@ -39,12 +39,17 @@ for fold in (0, 1, 12, 13):
     print(f"  fold {fold:2d} ({label}): p_pos={post.p_pos:.3f} -> {verdict}")
 
 print("\n-- scoring whole grid cells --")
+evaluator = LooEvaluator(model)
 for cell in (Cell(2, 2), Cell(3, 3), Cell(10, 3), Cell(50, 3), Cell(202, 3)):
     lam = DEFAULT_GRID.hyperparameters(cell)
-    cs = evaluate_priors(cell, model)
+    cs = evaluator(cell)
     print(f"  lambda=({lam.lambda_neg:>6}, {lam.lambda_pos}) -> ppv={cs.ppv:.3f} sensitivity={cs.sensitivity:.3f}")
 
-print("\n-- the vectorized evaluator agrees with the per-fold path --")
-fast = LooEvaluator(model)
-cells = [Cell(3, 3), Cell(0, 202), Cell(120, 7)]
-print(all(fast(c) == evaluate_priors(c, model) for c in cells))
+print("\n-- the vectorized evaluator's log odds agree with the per-fold path --")
+worst = 0.0
+for cell in (Cell(3, 3), Cell(0, 202), Cell(120, 7)):
+    hp = DEFAULT_GRID.hyperparameters(cell)
+    for fold, log_odds in enumerate(evaluator.log_odds(cell)):
+        worst = max(worst, abs(log_odds - loo_score(fold, model, hp).log_odds))
+print(f"largest difference over 3 cells x {model.n_folds} folds: {worst:.1e}")
+print(worst < 1e-12)

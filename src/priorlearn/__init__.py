@@ -7,58 +7,4 @@ learned: a memoized hill climb over a discrete grid, scored by
 leave-one-out positive predictive value on the training set.
 """
 
-from .corpus import (
-    CategoryIndex,
-    Corpus,
-    CorpusFormatError,
-    Document,
-    IngestError,
-    ingest_wiki_dump,
-    load_corpus,
-    store_corpus,
-    tokenize,
-)
-from .metrics import ConfusionCounts, PpvProfile, ppv, ppv_at_k, ppv_profile, sensitivity
-from .model import (
-    BAYES_LAPLACE,
-    JEFFREYS,
-    CountModel,
-    Hyperparameters,
-    Posterior,
-    build_counts,
-    class_prior,
-    classify,
-    cond_prob,
-    loo_score,
-    model_manifest,
-    score,
-)
-from .search import (
-    DEFAULT_GRID,
-    Cell,
-    CellScore,
-    Grid,
-    LooEvaluator,
-    MemoTable,
-    SearchOutcome,
-    aggregate_over_seeds,
-    default_starts,
-    evaluate_priors,
-    multi_start_search,
-    radial_gradient_search,
-)
-from .experiment import (
-    ExperimentSpec,
-    RankedPredictions,
-    TrainingSet,
-    export_review_list,
-    learn_priors,
-    make_training_set,
-    rank_corpus,
-    run_baseline,
-    run_study,
-    sample_negatives,
-)
-from .stats import BootstrapCI, bootstrap_ci, outcome_vector, significance_test
-
 __version__ = "0.1.0"

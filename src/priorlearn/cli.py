@@ -193,11 +193,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
     hp = Hyperparameters(lambda_neg=args.lambda_neg, lambda_pos=args.lambda_pos)
-    training = experiment.make_training_set(spec.corpus, spec.categories, spec.category, spec.seeds[0])
-    model = experiment.training_model(spec.corpus, training)
-    ranked = experiment.rank_corpus(
-        spec.corpus, model, hp, exclude_ids=frozenset(training.positive_ids)
-    )
+    model, ranked = experiment.classify_corpus(spec, hp)
     titles = {doc.id: doc.title for doc in spec.corpus}
     out = Path(args.out)
     _write(out / "predictions.csv", experiment.predictions_to_csv(ranked, titles))
@@ -306,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (IngestError, CorpusFormatError, FileNotFoundError, KeyError, ValueError) as exc:
+    except (IngestError, CorpusFormatError, OSError, KeyError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - defensive

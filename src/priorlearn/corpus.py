@@ -144,8 +144,9 @@ class Corpus:
     """An immutable collection of documents partitioned into shards.
 
     Shard assignment is ``id % shard_count`` so the on-disk layout is
-    deterministic and language-neutral. The corpus is safe to share
-    read-only across any number of workers.
+    deterministic and language-neutral. Documents are held in ascending
+    id order. The corpus is safe to share read-only across any number of
+    workers.
     """
 
     shard_count: int
@@ -156,7 +157,7 @@ class Corpus:
         if shard_count < 1:
             raise ValueError("shard_count must be >= 1")
         by_id: dict[int, Document] = {}
-        for doc in documents:
+        for doc in sorted(documents, key=lambda doc: doc.id):
             if doc.id in by_id:
                 raise ValueError(f"duplicate document id {doc.id}")
             by_id[doc.id] = doc
@@ -174,8 +175,7 @@ class Corpus:
 
     def __iter__(self) -> Iterator[Document]:
         """Iterate documents in ascending id order."""
-        for doc_id in sorted(self._by_id):
-            yield self._by_id[doc_id]
+        return iter(self._by_id.values())
 
     def get(self, doc_id: int) -> Document:
         try:
@@ -184,21 +184,12 @@ class Corpus:
             raise KeyError(f"no document with id {doc_id}") from None
 
     def ids(self) -> list[int]:
-        return sorted(self._by_id)
+        return list(self._by_id)
 
     @cached_property
     def token_index(self) -> TokenIndex:
         """The corpus's :class:`TokenIndex`, built on first use and kept."""
         return TokenIndex.build(list(self))
-
-    def shard_of(self, doc_id: int) -> int:
-        return doc_id % self.shard_count
-
-    def shard_documents(self, shard: int) -> list[Document]:
-        """Documents of one shard, ascending by id."""
-        if not 0 <= shard < self.shard_count:
-            raise ValueError(f"shard {shard} out of range 0..{self.shard_count - 1}")
-        return [self._by_id[i] for i in sorted(self._by_id) if i % self.shard_count == shard]
 
 
 @dataclass(frozen=True)
@@ -416,10 +407,20 @@ def store_corpus(corpus: Corpus, categories: CategoryIndex, path: str | Path) ->
     file per shard (``id<TAB>title<TAB>space-joined sorted tokens``),
     and one file per category listing member ids ascending. Everything
     is sorted, so storing the same corpus twice yields identical bytes.
+    Shard and category files left by an earlier store under ``path`` are
+    deleted first; other files there are left alone.
     """
+    shards: list[list[Document]] = [[] for _ in range(corpus.shard_count)]
+    for doc in corpus:
+        if "\t" in doc.title or "\n" in doc.title:
+            raise CorpusFormatError(f"document {doc.id}: title contains tab or newline")
+        shards[doc.id % corpus.shard_count].append(doc)
+
     root = Path(path)
     (root / "shards").mkdir(parents=True, exist_ok=True)
     (root / "categories").mkdir(parents=True, exist_ok=True)
+    for stale in [*(root / "shards").glob("shard-*.tsv"), *(root / "categories").glob("*.txt")]:
+        stale.unlink()
 
     manifest = {
         "format_version": _FORMAT_VERSION,
@@ -428,12 +429,8 @@ def store_corpus(corpus: Corpus, categories: CategoryIndex, path: str | Path) ->
     }
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
-    for shard in range(corpus.shard_count):
-        lines = []
-        for doc in corpus.shard_documents(shard):
-            if "\t" in doc.title or "\n" in doc.title:
-                raise CorpusFormatError(f"document {doc.id}: title contains tab or newline")
-            lines.append(f"{doc.id}\t{doc.title}\t{' '.join(sorted(doc.tokens))}\n")
+    for shard, documents in enumerate(shards):
+        lines = [f"{doc.id}\t{doc.title}\t{' '.join(sorted(doc.tokens))}\n" for doc in documents]
         _shard_path(root, shard).write_text("".join(lines), encoding="utf-8")
 
     for name, ids in categories.items():

@@ -40,10 +40,9 @@ from .search import (
     CellScore,
     Grid,
     LooEvaluator,
-    MemoTable,
     MoveRecord,
-    aggregate_over_seeds,  # not called here; perfbench/tracer.py patches this name
-    best_mean_cell,
+    aggregate_over_seeds,
+    # not called here; the benchmark's tracer patches this name (tests/test_bench_contract.py)
     cross_seed_mean_scores,
     default_starts,
     multi_start_search,
@@ -59,6 +58,7 @@ __all__ = [
     "make_training_set",
     "training_model",
     "rank_corpus",
+    "classify_corpus",
     "run_baseline",
     "learn_priors",
     "run_study",
@@ -225,13 +225,24 @@ def rank_corpus(
     return RankedPredictions(entries=entries, positives_predicted=positives)
 
 
-def run_baseline(spec: ExperimentSpec) -> RankedPredictions:
-    """Rank the corpus under add-one priors, excluding the training positives."""
+def classify_corpus(
+    spec: ExperimentSpec, hp: Hyperparameters
+) -> tuple[CountModel, RankedPredictions]:
+    """Rank the corpus under ``hp`` with the reporting seed's model.
+
+    The model is trained on the ``seeds[0]`` training set, and that set's
+    positives are left out of the ranking. Returns the model and the
+    ranking.
+    """
     training = make_training_set(spec.corpus, spec.categories, spec.category, spec.seeds[0])
     model = training_model(spec.corpus, training)
-    return rank_corpus(
-        spec.corpus, model, BAYES_LAPLACE, exclude_ids=frozenset(training.positive_ids)
-    )
+    ranked = rank_corpus(spec.corpus, model, hp, exclude_ids=frozenset(training.positive_ids))
+    return model, ranked
+
+
+def run_baseline(spec: ExperimentSpec) -> RankedPredictions:
+    """Rank the corpus under add-one priors (see :func:`classify_corpus`)."""
+    return classify_corpus(spec, BAYES_LAPLACE)[1]
 
 
 @dataclass(frozen=True)
@@ -241,7 +252,7 @@ class PriorSearchResult:
     cell: Cell
     hyperparameters: Hyperparameters
     mean_ppv: float
-    memos: tuple[MemoTable, ...]
+    memos: tuple[dict[Cell, CellScore], ...]
     mean_scores: dict[Cell, CellScore] = field(repr=False)
     evaluations: int
     move_logs: tuple[tuple[MoveRecord, ...], ...]
@@ -250,31 +261,29 @@ class PriorSearchResult:
 def learn_priors(spec: ExperimentSpec) -> PriorSearchResult:
     """Multi-start search under every seed, then cross-seed aggregation.
 
-    Each seed gets its own training set, model, and memo table; the nine
+    Each seed gets its own training set, model, and memo; the nine
     searches of one seed share that seed's memo. The aggregate winner is
     the cell with the best mean ppv over the back-filled union of
-    explored cells.
+    explored cells (see :func:`~priorlearn.search.aggregate_over_seeds`).
+    ``evaluations`` counts the search evaluations, not the back-fills.
     """
     starts = spec.start_cells()
     grid_shape = (len(spec.grid), len(spec.grid))
-    memos: list[MemoTable] = []
+    memos: list[dict[Cell, CellScore]] = []
     evaluators: list[LooEvaluator] = []
     move_logs: list[tuple[MoveRecord, ...]] = []
     evaluations = 0
     for seed in spec.seeds:
         training = make_training_set(spec.corpus, spec.categories, spec.category, seed)
         evaluator = LooEvaluator(training_model(spec.corpus, training), spec.grid)
-        memo = MemoTable()
+        memo: dict[Cell, CellScore] = {}
         moves: list[MoveRecord] = []
-        outcome = multi_start_search(
-            starts, evaluator, memo=memo, grid_shape=grid_shape, move_log=moves
-        )
+        multi_start_search(starts, evaluator, memo=memo, grid_shape=grid_shape, move_log=moves)
         memos.append(memo)
         evaluators.append(evaluator)
         move_logs.append(tuple(moves))
-        evaluations += outcome.evaluations
-    means = cross_seed_mean_scores(memos, evaluators)
-    cell = best_mean_cell(means)
+        evaluations += len(memo)
+    cell, means = aggregate_over_seeds(memos, evaluators)
     return PriorSearchResult(
         cell=cell,
         hyperparameters=spec.grid.hyperparameters(cell),
@@ -289,16 +298,10 @@ def learn_priors(spec: ExperimentSpec) -> PriorSearchResult:
 def run_study(spec: ExperimentSpec) -> tuple[Hyperparameters, RankedPredictions]:
     """Learn priors across the spec's seeds, then rank the corpus with them.
 
-    Classification uses the reporting seed's model (``seeds[0]``) and
-    excludes its training positives, mirroring the baseline branch.
+    The ranking is :func:`classify_corpus`'s, as in the baseline branch.
     """
     result = learn_priors(spec)
-    training = make_training_set(spec.corpus, spec.categories, spec.category, spec.seeds[0])
-    model = training_model(spec.corpus, training)
-    ranked = rank_corpus(
-        spec.corpus, model, result.hyperparameters, exclude_ids=frozenset(training.positive_ids)
-    )
-    return result.hyperparameters, ranked
+    return result.hyperparameters, classify_corpus(spec, result.hyperparameters)[1]
 
 
 def export_review_list(

@@ -55,7 +55,6 @@ class Hyperparameters:
 
 
 BAYES_LAPLACE = Hyperparameters(lambda_neg=1.0, lambda_pos=1.0)
-JEFFREYS = Hyperparameters(lambda_neg=0.5, lambda_pos=0.5)
 
 
 @dataclass(frozen=True)

@@ -6,36 +6,33 @@ cross-validation over the training folds: positive predictive value,
 with sensitivity as tie-breaker. A radial hill climber sweeps the 5x5
 window around the current best cell, recentering on improvement and
 stopping when a full sweep yields no replacement. Cell scores are
-memoized write-once, so multiple starts share work and the memo table
-doubles as a map of the explored score terrain.
+memoized in a plain ``dict`` from cell to score, so multiple starts share
+work and the memo doubles as a map of the explored score terrain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .metrics import ConfusionCounts, ppv, sensitivity
-from .model import CountModel, Hyperparameters, loo_score
+from .model import CountModel, Hyperparameters
 
 __all__ = [
     "Grid",
     "DEFAULT_GRID",
     "Cell",
     "CellScore",
-    "MemoTable",
     "SearchOutcome",
     "MoveRecord",
     "DEFAULT_START_LAMBDAS",
     "default_starts",
-    "evaluate_priors",
     "LooEvaluator",
     "radial_gradient_search",
     "multi_start_search",
     "cross_seed_mean_scores",
-    "best_mean_cell",
     "aggregate_over_seeds",
     "memo_to_csv",
     "moves_to_log",
@@ -106,85 +103,21 @@ def default_starts(grid: Grid = DEFAULT_GRID) -> tuple[Cell, ...]:
     )
 
 
-class MemoTable:
-    """Write-once map from cells to their scores.
-
-    Scores are deterministic, so a duplicate write is accepted only when
-    it repeats the stored value; the table always ends with exactly one
-    entry per evaluated cell.
-    """
-
-    def __init__(self) -> None:
-        self._scores: dict[Cell, CellScore] = {}
-
-    def __contains__(self, cell: Cell) -> bool:
-        return cell in self._scores
-
-    def __len__(self) -> int:
-        return len(self._scores)
-
-    def get(self, cell: Cell) -> CellScore:
-        return self._scores[cell]
-
-    def record(self, cell: Cell, score: CellScore) -> None:
-        stored = self._scores.get(cell)
-        if stored is None:
-            self._scores[cell] = score
-        elif stored != score:
-            raise ValueError(f"cell {cell} re-recorded with a different score: {stored} != {score}")
-
-    def cells(self) -> list[Cell]:
-        return sorted(self._scores)
-
-    def items(self) -> list[tuple[Cell, CellScore]]:
-        return [(cell, self._scores[cell]) for cell in sorted(self._scores)]
-
-
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     best: Cell
     best_score: CellScore
-    memo: MemoTable
-    evaluations: int
 
 
 Evaluator = Callable[[Cell], CellScore]
-
-
-def evaluate_priors(cell: Cell, model: CountModel, grid: Grid = DEFAULT_GRID) -> CellScore:
-    """Score one grid cell by leave-one-out classification of every fold.
-
-    Each training case is scored with its own counts removed and
-    classified positive iff its posterior log odds are positive (the
-    p > 1/2 rule); the tallies against the training labels yield
-    (ppv, sensitivity).
-
-    This is the plain reference path; :class:`LooEvaluator` computes the
-    same scores vectorized.
-    """
-    hp = grid.hyperparameters(cell)
-    tp = fp = tn = fn = 0
-    for fold in range(model.n_folds):
-        predicted = loo_score(fold, model, hp).log_odds > 0.0
-        actual = model.doc_labels[fold]
-        if predicted and actual:
-            tp += 1
-        elif predicted:
-            fp += 1
-        elif actual:
-            fn += 1
-        else:
-            tn += 1
-    counts = ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
-    return CellScore(ppv=ppv(counts), sensitivity=sensitivity(counts))
 
 
 class LooEvaluator:
     """Vectorized leave-one-out cell scorer for a fixed model.
 
     Flattens the per-fold retained token counts into arrays once, then
-    scores any cell with a handful of numpy operations. Produces the
-    same (ppv, sensitivity) as :func:`evaluate_priors`.
+    scores any cell with a handful of numpy operations. Gives the same
+    (ppv, sensitivity) as scoring every fold with
+    :func:`~priorlearn.model.loo_score`.
     """
 
     def __init__(self, model: CountModel, grid: Grid = DEFAULT_GRID):
@@ -238,7 +171,7 @@ class LooEvaluator:
 def radial_gradient_search(
     start: Cell,
     evaluator: Evaluator,
-    memo: MemoTable | None = None,
+    memo: dict[Cell, CellScore] | None = None,
     grid_shape: tuple[int, int] = (len(DEFAULT_GRID), len(DEFAULT_GRID)),
     move_log: list[MoveRecord] | None = None,
 ) -> SearchOutcome:
@@ -251,24 +184,20 @@ def radial_gradient_search(
     returned best is a lexicographic local maximum over its in-bounds
     5x5 neighborhood.
 
-    Already-memoized cells are never re-evaluated; their stored scores
-    still take part in the comparisons, so sharing a memo across starts
-    changes no outcome.
+    Every evaluated cell is stored in ``memo``. Already-memoized cells are
+    never re-evaluated; their stored scores still take part in the
+    comparisons, so sharing a memo across starts changes no outcome.
     """
     xmax, ymax = grid_shape
     if not (0 <= start.x < xmax and 0 <= start.y < ymax):
         raise ValueError(f"start {start} out of bounds for grid {grid_shape}")
     if memo is None:
-        memo = MemoTable()
-    evaluations = 0
+        memo = {}
 
     def lookup(cell: Cell) -> CellScore:
-        nonlocal evaluations
-        if cell in memo:
-            return memo.get(cell)
-        score = evaluator(cell)
-        evaluations += 1
-        memo.record(cell, score)
+        score = memo.get(cell)
+        if score is None:
+            score = memo[cell] = evaluator(cell)
         return score
 
     best = start
@@ -291,19 +220,19 @@ def radial_gradient_search(
                     best, best_score = neighbor, neighbor_score
                     improved = True
         if not improved:
-            return SearchOutcome(best=best, best_score=best_score, memo=memo, evaluations=evaluations)
+            return SearchOutcome(best, best_score)
 
 
 def multi_start_search(
     starts: Sequence[Cell],
     evaluator: Evaluator,
-    memo: MemoTable | None = None,
+    memo: dict[Cell, CellScore] | None = None,
     grid_shape: tuple[int, int] = (len(DEFAULT_GRID), len(DEFAULT_GRID)),
     move_log: list[MoveRecord] | None = None,
 ) -> SearchOutcome:
     """Run one search per start over a shared memo; keep the best outcome.
 
-    The shared table means a cell is evaluated at most once across all
+    The shared memo means a cell is evaluated at most once across all
     starts. The merged best is the lexicographic maximum over the
     per-start bests (exact score ties resolved toward the smaller cell
     coordinates).
@@ -311,82 +240,68 @@ def multi_start_search(
     if not starts:
         raise ValueError("starts must be nonempty")
     if memo is None:
-        memo = MemoTable()
-    total_evaluations = 0
-    best: Cell | None = None
-    best_score: CellScore | None = None
+        memo = {}
+    best: SearchOutcome | None = None
     for start in starts:
         outcome = radial_gradient_search(
             start, evaluator, memo=memo, grid_shape=grid_shape, move_log=move_log
         )
-        total_evaluations += outcome.evaluations
         if (
-            best_score is None
-            or outcome.best_score > best_score
-            or (outcome.best_score == best_score and outcome.best < best)
+            best is None
+            or outcome.best_score > best.best_score
+            or (outcome.best_score == best.best_score and outcome.best < best.best)
         ):
-            best, best_score = outcome.best, outcome.best_score
-    assert best is not None and best_score is not None
-    return SearchOutcome(best=best, best_score=best_score, memo=memo, evaluations=total_evaluations)
+            best = outcome
+    assert best is not None
+    return best
 
 
 def cross_seed_mean_scores(
-    memos: Sequence[MemoTable], evaluators: Sequence[Evaluator]
+    memos: Sequence[dict[Cell, CellScore]], evaluators: Sequence[Evaluator]
 ) -> dict[Cell, CellScore]:
     """Mean (ppv, sensitivity) per explored cell, averaged over all seeds.
 
     The union of cells explored under any seed is back-filled: a cell
     missing from some seed's memo is evaluated under that seed (and
-    recorded), so every mean covers every seed and the means are
+    stored), so every mean covers every seed and the means are
     comparable.
     """
     if not memos:
-        raise ValueError("need at least one memo table")
+        raise ValueError("need at least one memo")
     if len(memos) != len(evaluators):
         raise ValueError(f"{len(memos)} memos but {len(evaluators)} evaluators")
-    union: set[Cell] = set()
-    for memo in memos:
-        union.update(memo.cells())
     means: dict[Cell, CellScore] = {}
-    for cell in sorted(union):
+    for cell in sorted(set().union(*memos)):
         ppv_sum = 0.0
         sens_sum = 0.0
         for memo, evaluator in zip(memos, evaluators):
-            if cell not in memo:
-                memo.record(cell, evaluator(cell))
             score = memo.get(cell)
+            if score is None:
+                score = memo[cell] = evaluator(cell)
             ppv_sum += score.ppv
             sens_sum += score.sensitivity
         means[cell] = CellScore(ppv=ppv_sum / len(memos), sensitivity=sens_sum / len(memos))
     return means
 
 
-def best_mean_cell(means: Mapping[Cell, CellScore]) -> Cell:
-    """The cell with the best mean ppv.
-
-    Ties break by mean sensitivity, then by ascending cell coordinates.
-    """
-    return min(means, key=lambda c: (-means[c].ppv, -means[c].sensitivity, c))
-
-
 def aggregate_over_seeds(
-    memos: Sequence[MemoTable], evaluators: Sequence[Evaluator]
-) -> tuple[Cell, float]:
-    """Pick the cell with the best cross-seed mean ppv (see :func:`best_mean_cell`).
+    memos: Sequence[dict[Cell, CellScore]], evaluators: Sequence[Evaluator]
+) -> tuple[Cell, dict[Cell, CellScore]]:
+    """Pick the cell with the best cross-seed mean ppv.
 
-    Returns the winning cell and its mean ppv.
+    The means come from :func:`cross_seed_mean_scores`, which back-fills
+    ``memos``. Ties break by mean sensitivity, then by ascending cell
+    coordinates. Returns the winning cell and all the means.
     """
     means = cross_seed_mean_scores(memos, evaluators)
-    best_cell = best_mean_cell(means)
-    return best_cell, means[best_cell].ppv
+    cell = min(means, key=lambda c: (-means[c].ppv, -means[c].sensitivity, c))
+    return cell, means
 
 
-def memo_to_csv(scores: Mapping[Cell, CellScore] | MemoTable, grid: Grid = DEFAULT_GRID) -> str:
+def memo_to_csv(scores: Mapping[Cell, CellScore], grid: Grid = DEFAULT_GRID) -> str:
     """Render explored cells as CSV: the score terrain for heat-map plotting."""
-    items: Iterable[tuple[Cell, CellScore]]
-    items = scores.items() if isinstance(scores, MemoTable) else sorted(scores.items())
     lines = ["lambda_neg,lambda_pos,ppv,sensitivity"]
-    for cell, score in items:
+    for cell, score in sorted(scores.items()):
         lines.append(f"{grid[cell.x]!r},{grid[cell.y]!r},{score.ppv!r},{score.sensitivity!r}")
     return "\n".join(lines) + "\n"
 

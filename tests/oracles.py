@@ -3,16 +3,18 @@
 Everything here recomputes results by the most literal route available:
 exact rational arithmetic for posteriors, full retraining for held-out
 folds, dense numpy grids for search surfaces, one scalar ``score`` call
-per document for corpus rankings. Nothing imports the code paths under
-test beyond plain data types and the scalar formulas.
+per document for corpus rankings, one scalar ``loo_score`` per fold for
+grid cells. Nothing imports the code paths under test beyond plain data
+types and the scalar formulas.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from priorlearn.model import score
-from priorlearn.search import Cell, CellScore
+from priorlearn.metrics import ConfusionCounts, ppv, sensitivity
+from priorlearn.model import loo_score, score
+from priorlearn.search import DEFAULT_GRID, Cell, CellScore
 
 
 def exact_posterior(case_tokens, positives, negatives, lam_neg, lam_pos):
@@ -62,6 +64,31 @@ def retrained_loo_posterior(fold, positives, negatives, lam_neg, lam_pos):
         w_pos *= (lam_pos + c_pos) / (lam_pos + n_pos)
         w_neg *= (lam_neg + c_neg) / (lam_neg + n_neg)
     return w_pos / (w_pos + w_neg)
+
+
+def evaluate_priors(cell, model, grid=DEFAULT_GRID):
+    """Score one grid cell by leave-one-out classification of every fold.
+
+    Each training case is scored with its own counts removed by the scalar
+    ``loo_score`` and classified positive iff its posterior log odds are
+    positive (the p > 1/2 rule); the tallies against the training labels
+    yield (ppv, sensitivity). The reference for ``LooEvaluator``.
+    """
+    hp = grid.hyperparameters(cell)
+    tp = fp = tn = fn = 0
+    for fold in range(model.n_folds):
+        predicted = loo_score(fold, model, hp).log_odds > 0.0
+        actual = model.doc_labels[fold]
+        if predicted and actual:
+            tp += 1
+        elif predicted:
+            fp += 1
+        elif actual:
+            fn += 1
+        else:
+            tn += 1
+    counts = ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+    return CellScore(ppv=ppv(counts), sensitivity=sensitivity(counts))
 
 
 def scalar_ranking(corpus, model, hp, exclude_ids=frozenset()):

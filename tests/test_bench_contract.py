@@ -1,0 +1,35 @@
+"""The names the benchmark's tracer patches still resolve and are still called.
+
+``perfbench/tracer.py`` wraps priorlearn's public names where their callers
+look them up. A name that moves, or a call that stops going through it,
+makes ``instrument`` fail or leaves its span silent; both show here.
+"""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from tracer import Tracer, instrument  # noqa: E402
+
+from priorlearn.experiment import ExperimentSpec, learn_priors, run_baseline  # noqa: E402
+from priorlearn.synthetic import CATEGORY, make_synthetic_corpus  # noqa: E402
+
+
+def test_search_and_ranking_spans_fire():
+    syn = make_synthetic_corpus(seed=0, vocab_size=200, n_members=20, pool_size=400)
+    spec = ExperimentSpec(
+        corpus=syn.corpus, categories=syn.categories, category=CATEGORY, seeds=(0, 1)
+    )
+    with instrument(Tracer()) as tracer:
+        learn_priors(spec)
+        run_baseline(spec)
+    recorded = {name for name, _, _, _ in tracer.spans}
+    for name in (
+        "search.aggregate_over_seeds",
+        "search.cross_seed_mean_scores",
+        "search.cell_eval",
+        "search.multi_start_search",
+        "experiment.rank_corpus",
+    ):
+        assert name in recorded, name

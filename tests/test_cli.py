@@ -39,6 +39,23 @@ class TestArgumentHandling:
     def test_missing_dump_is_data_error(self, tmp_path, capsys):
         assert main(["ingest", str(tmp_path / "no.xml"), "--out", str(tmp_path / "s")]) == 2
 
+    def test_unwritable_category_file_is_data_error(self, tmp_path, capsys):
+        # 84 three-byte characters: a legal 252-byte category name whose
+        # percent-encoded file name exceeds the usual 255-byte limit
+        category = "\u20ac" * 84
+        body = "alpha beta gamma delta " * 20
+        dump = tmp_path / "dump.xml"
+        dump.write_text(
+            '<mediawiki xmlns="http://www.mediawiki.org/xml/export-0.10/"><page>'
+            "<title>Euro</title><ns>0</ns><id>1</id><revision><id>100</id>"
+            f"<text>{body} [[Category:{category}]]</text></revision></page></mediawiki>",
+            encoding="utf-8",
+        )
+        assert main(["ingest", str(dump), "--out", str(tmp_path / "s"), "--shards", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert "%E2%82%AC" * 84 in err
+
     def test_unknown_category_is_data_error(self, tmp_path, capsys):
         assert main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s"),
                      "--shards", "2"]) == 0

@@ -228,13 +228,40 @@ class TestCorpusStore:
         for rel in files_a:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
-    def test_every_doc_in_exactly_one_shard(self):
-        corpus, _ = _toy_corpus()
-        placements = [doc.id for shard in range(corpus.shard_count) for doc in corpus.shard_documents(shard)]
+    def test_every_doc_in_exactly_one_shard(self, tmp_path):
+        corpus, cats = _toy_corpus()
+        store_corpus(corpus, cats, tmp_path / "s")
+        shard_files = sorted((tmp_path / "s" / "shards").iterdir())
+        assert [p.name for p in shard_files] == [
+            f"shard-{shard:05d}.tsv" for shard in range(corpus.shard_count)
+        ]
+        placements = []
+        for shard, shard_file in enumerate(shard_files):
+            ids = [int(line.split("\t")[0]) for line in shard_file.read_text().splitlines()]
+            assert ids == sorted(ids)
+            assert all(doc_id % corpus.shard_count == shard for doc_id in ids)
+            placements += ids
         assert sorted(placements) == corpus.ids()
-        assert corpus.doc_count == sum(
-            len(corpus.shard_documents(s)) for s in range(corpus.shard_count)
+
+    def test_restore_leaves_nothing_of_the_old_store(self, tmp_path):
+        doc = Document(1, "One", frozenset({"alpha"}))
+        store_corpus(
+            Corpus.from_documents([doc], shard_count=4),
+            CategoryIndex.from_mapping({"Old": [1]}),
+            tmp_path / "s",
         )
+        (tmp_path / "s" / "notes.txt").write_text("kept")
+        store_corpus(
+            Corpus.from_documents([doc], shard_count=2),
+            CategoryIndex.from_mapping({"New": [1]}),
+            tmp_path / "s",
+        )
+        _, cats = load_corpus(tmp_path / "s")
+        assert cats.categories() == ["New"]
+        assert sorted(p.name for p in (tmp_path / "s" / "shards").iterdir()) == [
+            "shard-00000.tsv", "shard-00001.tsv"
+        ]
+        assert (tmp_path / "s" / "notes.txt").read_text() == "kept"
 
     def test_category_files_sorted_and_quoted(self, tmp_path):
         corpus, cats = _toy_corpus()
@@ -293,6 +320,12 @@ class TestCorpusStore:
 
 
 class TestCorpusValidation:
+    def test_iteration_ascending_whatever_the_input_order(self):
+        docs = [Document(i, f"d{i}", frozenset()) for i in (40, 3, 11, 90, 7)]
+        corpus = Corpus.from_documents(docs)
+        assert corpus.ids() == [3, 7, 11, 40, 90]
+        assert [doc.id for doc in corpus] == [3, 7, 11, 40, 90]
+
     def test_duplicate_ids_rejected(self):
         docs = [Document(1, "a", frozenset()), Document(1, "b", frozenset())]
         with pytest.raises(ValueError, match="duplicate"):

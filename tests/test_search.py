@@ -4,6 +4,7 @@ import pytest
 from conftest import random_training_docs
 from oracles import (
     brute_force_argmax,
+    evaluate_priors,
     is_local_max,
     surface_evaluator,
     two_bump_surface,
@@ -16,11 +17,9 @@ from priorlearn.search import (
     Cell,
     CellScore,
     LooEvaluator,
-    MemoTable,
     aggregate_over_seeds,
     cross_seed_mean_scores,
     default_starts,
-    evaluate_priors,
     memo_to_csv,
     moves_to_log,
     multi_start_search,
@@ -135,15 +134,17 @@ class TestRadialGradientSearch:
 
     def test_constant_surface_single_sweep(self):
         evaluator = CountingEvaluator(lambda cell: CellScore(0.5, 0.5))
-        outcome = radial_gradient_search(Cell(100, 100), evaluator)
+        memo = {}
+        outcome = radial_gradient_search(Cell(100, 100), evaluator, memo=memo)
         assert outcome.best == Cell(100, 100)
-        assert outcome.evaluations == 25
+        assert len(memo) == 25
         assert evaluator.calls == 25
 
     def test_constant_surface_at_corner(self):
         evaluator = CountingEvaluator(lambda cell: CellScore(0.5, 0.5))
-        outcome = radial_gradient_search(Cell(0, 0), evaluator)
-        assert outcome.evaluations == 9  # 3x3 in-bounds corner window
+        memo = {}
+        radial_gradient_search(Cell(0, 0), evaluator, memo=memo)
+        assert len(memo) == evaluator.calls == 9  # 3x3 in-bounds corner window
 
     def test_sensitivity_breaks_ppv_plateau(self):
         def evaluate(cell):
@@ -169,30 +170,28 @@ class TestRadialGradientSearch:
     def test_memoized_cells_not_reevaluated_but_still_compared(self):
         ppv, sens = unimodal_surface(np.random.default_rng(8))
         peak = brute_force_argmax(ppv, sens)
-        memo = MemoTable()
+        memo = {}
         evaluator = CountingEvaluator(surface_evaluator(ppv, sens))
         first = radial_gradient_search(Cell(0, 0), evaluator, memo=memo)
         assert first.best == peak
-        # second search over the same memo starts inside explored terrain;
-        # it may evaluate new fringe cells but must re-use every stored one
+        # a second search from the peak finds the whole 5x5 around it memoized
         calls_before = evaluator.calls
         second = radial_gradient_search(first.best, evaluator, memo=memo)
         assert second.best == peak
-        assert second.evaluations == 0  # the whole 5x5 around the peak is memoized
         assert evaluator.calls == calls_before
 
     def test_returned_best_is_certified_local_max(self):
         for seed in range(5):
             ppv, sens = two_bump_surface(np.random.default_rng(seed))
-            outcome = radial_gradient_search(Cell(101, 101), surface_evaluator(ppv, sens))
+            memo = {}
+            outcome = radial_gradient_search(Cell(101, 101), surface_evaluator(ppv, sens), memo=memo)
             assert is_local_max(outcome.best, ppv, sens)
             # certificate: every in-bounds 5x5 neighbor is memoized and no better
             for dx in range(-2, 3):
                 for dy in range(-2, 3):
                     x, y = outcome.best.x + dx, outcome.best.y + dy
                     if 0 <= x < 203 and 0 <= y < 203:
-                        assert Cell(x, y) in outcome.memo
-                        assert outcome.memo.get(Cell(x, y)) <= outcome.best_score
+                        assert memo[Cell(x, y)] <= outcome.best_score
 
     def test_search_log_records_moves(self):
         ppv, sens = unimodal_surface(np.random.default_rng(2))
@@ -207,26 +206,17 @@ class TestRadialGradientSearch:
 
 
 class TestMemoTable:
-    def test_write_once_semantics(self):
-        memo = MemoTable()
-        memo.record(Cell(1, 2), CellScore(0.5, 0.5))
-        memo.record(Cell(1, 2), CellScore(0.5, 0.5))  # same value: idempotent
-        with pytest.raises(ValueError):
-            memo.record(Cell(1, 2), CellScore(0.6, 0.5))
-        assert len(memo) == 1
-
     def test_deterministic_reevaluation(self):
         ppv, sens = unimodal_surface(np.random.default_rng(13))
         evaluate = surface_evaluator(ppv, sens)
-        a = radial_gradient_search(Cell(40, 40), evaluate)
-        b = radial_gradient_search(Cell(40, 40), evaluate)
-        assert a.best == b.best and a.best_score == b.best_score
-        assert a.memo.items() == b.memo.items()
+        memo_a, memo_b = {}, {}
+        a = radial_gradient_search(Cell(40, 40), evaluate, memo=memo_a)
+        b = radial_gradient_search(Cell(40, 40), evaluate, memo=memo_b)
+        assert a == b
+        assert list(memo_a.items()) == list(memo_b.items())
 
     def test_csv_dump(self):
-        memo = MemoTable()
-        memo.record(Cell(3, 3), CellScore(0.5, 0.25))
-        memo.record(Cell(0, 202), CellScore(0.125, 1.0))
+        memo = {Cell(3, 3): CellScore(0.5, 0.25), Cell(0, 202): CellScore(0.125, 1.0)}
         text = memo_to_csv(memo)
         assert text.splitlines() == [
             "lambda_neg,lambda_pos,ppv,sensitivity",
@@ -240,9 +230,10 @@ class TestMultiStart:
         ppv, sens = unimodal_surface(np.random.default_rng(21))
         peak = brute_force_argmax(ppv, sens)
         shared = CountingEvaluator(surface_evaluator(ppv, sens))
-        outcome = multi_start_search(default_starts(), shared)
+        memo = {}
+        outcome = multi_start_search(default_starts(), shared, memo=memo)
         assert outcome.best == peak
-        assert outcome.evaluations == shared.calls == len(outcome.memo)
+        assert shared.calls == len(memo)
 
         independent_calls = 0
         for start in default_starts():
@@ -276,20 +267,22 @@ class TestMultiStart:
         rng = np.random.default_rng(17)
         positives, negatives = random_training_docs(rng, 12, 12)
         evaluator = LooEvaluator(build_counts(positives, negatives))
-        outcome = multi_start_search(default_starts(), evaluator)
-        assert Cell(3, 3) in outcome.memo  # a start, hence always evaluated
-        assert outcome.best_score >= outcome.memo.get(Cell(3, 3))
-        assert outcome.best_score == outcome.memo.get(outcome.best)
+        memo = {}
+        outcome = multi_start_search(default_starts(), evaluator, memo=memo)
+        assert Cell(3, 3) in memo  # a start, hence always evaluated
+        assert outcome.best_score >= memo[Cell(3, 3)]
+        assert outcome.best_score == memo[outcome.best]
 
 
 class TestAggregateOverSeeds:
     def test_single_seed_returns_its_best(self):
         ppv, sens = unimodal_surface(np.random.default_rng(41))
         evaluate = surface_evaluator(ppv, sens)
-        outcome = multi_start_search(default_starts(), evaluate)
-        cell, mean_ppv = aggregate_over_seeds([outcome.memo], [evaluate])
+        memo = {}
+        outcome = multi_start_search(default_starts(), evaluate, memo=memo)
+        cell, means = aggregate_over_seeds([memo], [evaluate])
         assert cell == outcome.best
-        assert mean_ppv == outcome.best_score.ppv
+        assert means == memo
 
     def test_disjoint_memos_backfilled(self):
         def eval_a(cell):
@@ -298,9 +291,8 @@ class TestAggregateOverSeeds:
         def eval_b(cell):
             return CellScore(0.2 + cell.y / 1000.0, 0.0)
 
-        memo_a, memo_b = MemoTable(), MemoTable()
-        memo_a.record(Cell(1, 1), eval_a(Cell(1, 1)))
-        memo_b.record(Cell(7, 9), eval_b(Cell(7, 9)))
+        memo_a = {Cell(1, 1): eval_a(Cell(1, 1))}
+        memo_b = {Cell(7, 9): eval_b(Cell(7, 9))}
         means = cross_seed_mean_scores([memo_a, memo_b], [eval_a, eval_b])
         assert set(means) == {Cell(1, 1), Cell(7, 9)}
         # both tables now hold both cells
@@ -324,7 +316,7 @@ class TestAggregateOverSeeds:
         per_seed_bests = set()
         for surface in surfaces:
             evaluate = surface_evaluator(surface, np.zeros_like(surface))
-            memo = MemoTable()
+            memo = {}
             outcome = multi_start_search(default_starts(), evaluate, memo=memo)
             per_seed_bests.add(outcome.best)
             memos.append(memo)
@@ -341,18 +333,14 @@ class TestAggregateOverSeeds:
         def evaluate_a(cell):
             return CellScore(0.5, 0.9 if cell == Cell(4, 4) else 0.1)
 
-        memo = MemoTable()
-        for cell in (Cell(2, 2), Cell(4, 4), Cell(6, 6)):
-            memo.record(cell, evaluate_a(cell))
-        cell, mean_ppv = aggregate_over_seeds([memo], [evaluate_a])
+        memo = {cell: evaluate_a(cell) for cell in (Cell(2, 2), Cell(4, 4), Cell(6, 6))}
+        cell, means = aggregate_over_seeds([memo], [evaluate_a])
         assert cell == Cell(4, 4)
-        assert mean_ppv == 0.5
+        assert means[cell].ppv == 0.5
 
         def evaluate_b(cell):
             return CellScore(0.5, 0.1)
 
-        memo_b = MemoTable()
-        for cell in (Cell(6, 6), Cell(2, 2)):
-            memo_b.record(cell, evaluate_b(cell))
+        memo_b = {cell: evaluate_b(cell) for cell in (Cell(6, 6), Cell(2, 2))}
         cell, _ = aggregate_over_seeds([memo_b], [evaluate_b])
         assert cell == Cell(2, 2)  # full tie: ascending coordinates
