@@ -407,8 +407,9 @@ def store_corpus(corpus: Corpus, categories: CategoryIndex, path: str | Path) ->
     file per shard (``id<TAB>title<TAB>space-joined sorted tokens``),
     and one file per category listing member ids ascending. Everything
     is sorted, so storing the same corpus twice yields identical bytes.
-    Shard and category files left by an earlier store under ``path`` are
-    deleted first; other files there are left alone.
+    The manifest, shard and category files of an earlier store under
+    ``path`` are deleted first, other files there are left alone, and the
+    manifest is written last: a store that fails part-way does not load.
     """
     shards: list[list[Document]] = [[] for _ in range(corpus.shard_count)]
     for doc in corpus:
@@ -419,15 +420,9 @@ def store_corpus(corpus: Corpus, categories: CategoryIndex, path: str | Path) ->
     root = Path(path)
     (root / "shards").mkdir(parents=True, exist_ok=True)
     (root / "categories").mkdir(parents=True, exist_ok=True)
+    (root / "manifest.json").unlink(missing_ok=True)
     for stale in [*(root / "shards").glob("shard-*.tsv"), *(root / "categories").glob("*.txt")]:
         stale.unlink()
-
-    manifest = {
-        "format_version": _FORMAT_VERSION,
-        "doc_count": corpus.doc_count,
-        "shard_count": corpus.shard_count,
-    }
-    (root / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
     for shard, documents in enumerate(shards):
         lines = [f"{doc.id}\t{doc.title}\t{' '.join(sorted(doc.tokens))}\n" for doc in documents]
@@ -436,6 +431,13 @@ def store_corpus(corpus: Corpus, categories: CategoryIndex, path: str | Path) ->
     for name, ids in categories.items():
         text = "".join(f"{doc_id}\n" for doc_id in sorted(ids))
         _category_path(root, name).write_text(text, encoding="utf-8")
+
+    manifest = {
+        "format_version": _FORMAT_VERSION,
+        "doc_count": corpus.doc_count,
+        "shard_count": corpus.shard_count,
+    }
+    (root / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
 def load_corpus(path: str | Path) -> tuple[Corpus, CategoryIndex]:

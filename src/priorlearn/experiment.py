@@ -19,7 +19,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import ClassVar, Mapping
 from urllib.parse import quote
 
 import numpy as np
@@ -86,7 +86,7 @@ class ExperimentSpec:
     categories: CategoryIndex
     category: str
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-    grid: Grid = DEFAULT_GRID
+    grid: ClassVar[Grid] = DEFAULT_GRID
     starts: tuple[Cell, ...] | None = None
     top_n: int = 1000
 
@@ -99,7 +99,7 @@ class ExperimentSpec:
             raise ValueError("top_n must be >= 1")
 
     def start_cells(self) -> tuple[Cell, ...]:
-        return self.starts if self.starts is not None else default_starts(self.grid)
+        return self.starts if self.starts is not None else default_starts()
 
 
 @dataclass(frozen=True)
@@ -268,17 +268,16 @@ def learn_priors(spec: ExperimentSpec) -> PriorSearchResult:
     ``evaluations`` counts the search evaluations, not the back-fills.
     """
     starts = spec.start_cells()
-    grid_shape = (len(spec.grid), len(spec.grid))
     memos: list[dict[Cell, CellScore]] = []
     evaluators: list[LooEvaluator] = []
     move_logs: list[tuple[MoveRecord, ...]] = []
     evaluations = 0
     for seed in spec.seeds:
         training = make_training_set(spec.corpus, spec.categories, spec.category, seed)
-        evaluator = LooEvaluator(training_model(spec.corpus, training), spec.grid)
+        evaluator = LooEvaluator(training_model(spec.corpus, training))
         memo: dict[Cell, CellScore] = {}
         moves: list[MoveRecord] = []
-        multi_start_search(starts, evaluator, memo=memo, grid_shape=grid_shape, move_log=moves)
+        multi_start_search(starts, evaluator, memo=memo, move_log=moves)
         memos.append(memo)
         evaluators.append(evaluator)
         move_logs.append(tuple(moves))

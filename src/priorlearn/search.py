@@ -1,18 +1,21 @@
 """Discrete hyperparameter search over the prior pseudo-count grid.
 
 The search space is the 203x203 matrix of (lambda_neg, lambda_pos)
-pairs drawn from ``DEFAULT_GRID``. Each cell is scored by leave-one-out
-cross-validation over the training folds: positive predictive value,
-with sensitivity as tie-breaker. A radial hill climber sweeps the 5x5
-window around the current best cell, recentering on improvement and
-stopping when a full sweep yields no replacement. Cell scores are
-memoized in a plain ``dict`` from cell to score, so multiple starts share
-work and the memo doubles as a map of the explored score terrain.
+pairs drawn from ``DEFAULT_GRID``, the one grid every search uses. Each
+cell is scored by leave-one-out cross-validation over the training folds:
+positive predictive value, with sensitivity as tie-breaker. A fold's LOO
+log odds are a positive half in lambda_pos alone minus a negative half in
+lambda_neg alone, each computed once per grid value. A radial hill
+climber sweeps the 5x5 window around the current best cell, recentering
+on improvement and stopping when a full sweep yields no replacement. Cell
+scores are memoized in a plain ``dict`` from cell to score, so multiple
+starts share work and the memo doubles as a map of the explored terrain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -96,9 +99,9 @@ DEFAULT_START_LAMBDAS: tuple[tuple[float, float], ...] = (
 )
 
 
-def default_starts(grid: Grid = DEFAULT_GRID) -> tuple[Cell, ...]:
+def default_starts() -> tuple[Cell, ...]:
     return tuple(
-        Cell(grid.index_of(float(ln)), grid.index_of(float(lp)))
+        Cell(DEFAULT_GRID.index_of(float(ln)), DEFAULT_GRID.index_of(float(lp)))
         for ln, lp in DEFAULT_START_LAMBDAS
     )
 
@@ -112,51 +115,47 @@ Evaluator = Callable[[Cell], CellScore]
 
 
 class LooEvaluator:
-    """Vectorized leave-one-out cell scorer for a fixed model.
+    """Leave-one-out cell scorer for one training model.
 
-    Flattens the per-fold retained token counts into arrays once, then
-    scores any cell with a handful of numpy operations. Gives the same
-    (ppv, sensitivity) as scoring every fold with
+    Per fold, log odds = ``half(pos, lambda_pos) - half(neg, lambda_neg)``:
+    the class-prior denominators cancel, and a half depends on its class's
+    counts and pseudo-count alone. Each half is computed at most once per
+    grid index and kept. The evaluator keeps flat count arrays, not the
+    model. Gives the same (ppv, sensitivity) as scoring every fold with
     :func:`~priorlearn.model.loo_score`.
     """
 
-    def __init__(self, model: CountModel, grid: Grid = DEFAULT_GRID):
-        self.model = model
-        self.grid = grid
+    def __init__(self, model: CountModel):
         labels = np.array(model.doc_labels, dtype=bool)
-        own = labels.astype(np.float64)  # 1 where the fold is positive
-        doc_idx = []
-        pos_counts = []
-        neg_counts = []
-        for fold, tokens in enumerate(model.doc_tokens):
-            dec = 1.0 if model.doc_labels[fold] else 0.0
-            for t in tokens:
-                doc_idx.append(fold)
-                pos_counts.append(model.pos_count.get(t, 0) - dec)
-                neg_counts.append(model.neg_count.get(t, 0) - (1.0 - dec))
+        n_tokens = np.fromiter(map(len, model.doc_tokens), dtype=np.intp, count=len(labels))
+        tokens = list(chain.from_iterable(model.doc_tokens))
         self._labels = labels
         self._n_folds = len(labels)
-        self._doc_idx = np.array(doc_idx, dtype=np.intp)
-        self._pos_counts = np.array(pos_counts, dtype=np.float64)
-        self._neg_counts = np.array(neg_counts, dtype=np.float64)
-        self._n_tokens = np.bincount(self._doc_idx, minlength=self._n_folds).astype(np.float64)
-        self._adj_pos = model.n_pos - own
-        self._adj_neg = model.n_neg - (1.0 - own)
+        self._doc_idx = np.repeat(np.arange(len(labels)), n_tokens)
+        self._n_tokens = n_tokens.astype(np.float64)
+        # per class: each fold's token counts and the class size, the fold itself removed
+        self._class_counts: dict[bool, tuple[np.ndarray, np.ndarray]] = {}
+        classes = ((True, model.pos_count, model.n_pos), (False, model.neg_count, model.n_neg))
+        for positive, table, size in classes:
+            own = (labels == positive).astype(np.float64)  # 1 where the fold is of this class
+            counts = np.fromiter(map(table.get, tokens, repeat(0)), dtype=np.float64, count=len(tokens))
+            self._class_counts[positive] = (counts - own[self._doc_idx], size - own)
+        self._halves: dict[tuple[bool, int], np.ndarray] = {}
+
+    def _half(self, positive: bool, index: int) -> np.ndarray:
+        """One class's per-fold log score under the grid's ``index``-th pseudo-count."""
+        half = self._halves.get((positive, index))
+        if half is None:
+            lam = DEFAULT_GRID[index]
+            counts, size = self._class_counts[positive]
+            log_norm = np.log(lam + size)
+            token_logs = np.bincount(self._doc_idx, weights=np.log(lam + counts), minlength=self._n_folds)
+            half = self._halves[(positive, index)] = log_norm + (token_logs - self._n_tokens * log_norm)
+        return half
 
     def log_odds(self, cell: Cell) -> np.ndarray:
         """Per-fold LOO posterior log odds under the cell's priors."""
-        hp = self.grid.hyperparameters(cell)
-        lpos, lneg = hp.lambda_pos, hp.lambda_neg
-        # class-prior denominators cancel between the two classes
-        log_pos = np.log(lpos + self._adj_pos)
-        log_neg = np.log(lneg + self._adj_neg)
-        log_pos += np.bincount(
-            self._doc_idx, weights=np.log(lpos + self._pos_counts), minlength=self._n_folds
-        ) - self._n_tokens * np.log(lpos + self._adj_pos)
-        log_neg += np.bincount(
-            self._doc_idx, weights=np.log(lneg + self._neg_counts), minlength=self._n_folds
-        ) - self._n_tokens * np.log(lneg + self._adj_neg)
-        return log_pos - log_neg
+        return self._half(True, cell.y) - self._half(False, cell.x)
 
     def __call__(self, cell: Cell) -> CellScore:
         predicted = self.log_odds(cell) > 0.0
@@ -172,7 +171,6 @@ def radial_gradient_search(
     start: Cell,
     evaluator: Evaluator,
     memo: dict[Cell, CellScore] | None = None,
-    grid_shape: tuple[int, int] = (len(DEFAULT_GRID), len(DEFAULT_GRID)),
     move_log: list[MoveRecord] | None = None,
 ) -> SearchOutcome:
     """Hill-climb from ``start``, sweeping a 5x5 window each cycle.
@@ -188,9 +186,9 @@ def radial_gradient_search(
     never re-evaluated; their stored scores still take part in the
     comparisons, so sharing a memo across starts changes no outcome.
     """
-    xmax, ymax = grid_shape
-    if not (0 <= start.x < xmax and 0 <= start.y < ymax):
-        raise ValueError(f"start {start} out of bounds for grid {grid_shape}")
+    size = len(DEFAULT_GRID)
+    if not (0 <= start.x < size and 0 <= start.y < size):
+        raise ValueError(f"start {start} out of bounds for the {size}x{size} grid")
     if memo is None:
         memo = {}
 
@@ -210,7 +208,7 @@ def radial_gradient_search(
                 if i == 0 and j == 0:
                     continue
                 nx, ny = cx + i, cy + j
-                if not (0 <= nx < xmax and 0 <= ny < ymax):
+                if not (0 <= nx < size and 0 <= ny < size):
                     continue
                 neighbor = Cell(nx, ny)
                 neighbor_score = lookup(neighbor)
@@ -227,7 +225,6 @@ def multi_start_search(
     starts: Sequence[Cell],
     evaluator: Evaluator,
     memo: dict[Cell, CellScore] | None = None,
-    grid_shape: tuple[int, int] = (len(DEFAULT_GRID), len(DEFAULT_GRID)),
     move_log: list[MoveRecord] | None = None,
 ) -> SearchOutcome:
     """Run one search per start over a shared memo; keep the best outcome.
@@ -243,9 +240,7 @@ def multi_start_search(
         memo = {}
     best: SearchOutcome | None = None
     for start in starts:
-        outcome = radial_gradient_search(
-            start, evaluator, memo=memo, grid_shape=grid_shape, move_log=move_log
-        )
+        outcome = radial_gradient_search(start, evaluator, memo=memo, move_log=move_log)
         if (
             best is None
             or outcome.best_score > best.best_score

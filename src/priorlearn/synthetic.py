@@ -19,6 +19,13 @@ from .corpus import CategoryIndex, Corpus, Document
 __all__ = ["SyntheticCorpus", "make_synthetic_corpus"]
 
 CATEGORY = "Target topic"
+#: Share of the pool drawn from the member distribution: the hidden positives.
+HIDDEN_POSITIVE_RATE = 0.01
+#: Inclusive range of distinct tokens per document.
+TOKENS_PER_DOC = (20, 45)
+#: Weight multiplier of a distribution's favored topic block.
+TOPIC_BOOST = 1.8
+SHARD_COUNT = 1
 
 
 @dataclass(frozen=True)
@@ -40,39 +47,30 @@ def make_synthetic_corpus(
     vocab_size: int = 2000,
     n_members: int = 200,
     pool_size: int = 20_000,
-    hidden_positive_rate: float = 0.01,
-    tokens_per_doc: tuple[int, int] = (20, 45),
-    topic_boost: float = 1.8,
-    marker_token: str | None = None,
-    shard_count: int = 1,
 ) -> SyntheticCorpus:
     """Generate a corpus of ``n_members`` category members plus a pool.
 
-    ``round(pool_size * hidden_positive_rate)`` pool documents are drawn
+    ``round(pool_size * HIDDEN_POSITIVE_RATE)`` pool documents are drawn
     from the member distribution but not tagged with the category; they
-    form the truth set a ranking should surface. ``marker_token``, when
-    given, is added to every member and hidden positive, making the
-    classes perfectly separable. Fully deterministic given ``seed``.
+    form the truth set a ranking should surface. Fully deterministic
+    given ``seed``.
     """
     rng = np.random.default_rng(seed)
     vocab = [f"w{i:04d}" for i in range(vocab_size)]
     quarter = vocab_size // 4
-    pos_weights = _topic_weights(vocab_size, slice(0, quarter), topic_boost)
-    neg_weights = _topic_weights(vocab_size, slice(quarter // 2, quarter + quarter // 2), topic_boost)
-    lo, hi = tokens_per_doc
+    pos_weights = _topic_weights(vocab_size, slice(0, quarter), TOPIC_BOOST)
+    neg_weights = _topic_weights(vocab_size, slice(quarter // 2, quarter + quarter // 2), TOPIC_BOOST)
+    lo, hi = TOKENS_PER_DOC
 
-    def draw(weights: np.ndarray, positive: bool) -> frozenset[str]:
+    def draw(weights: np.ndarray) -> frozenset[str]:
         n_tok = int(rng.integers(lo, hi + 1))
         picks = rng.choice(vocab_size, size=n_tok, replace=False, p=weights)
-        tokens = {vocab[i] for i in picks.tolist()}  # shares one str object per token
-        if positive and marker_token is not None:
-            tokens.add(marker_token)
-        return frozenset(tokens)
+        return frozenset({vocab[i] for i in picks.tolist()})  # shares one str object per token
 
-    n_hidden = round(pool_size * hidden_positive_rate)
+    n_hidden = round(pool_size * HIDDEN_POSITIVE_RATE)
     documents = []
     for i in range(n_members):
-        documents.append(Document(id=i + 1, title=f"Member article {i + 1}", tokens=draw(pos_weights, True)))
+        documents.append(Document(id=i + 1, title=f"Member article {i + 1}", tokens=draw(pos_weights)))
     truth = []
     for i in range(pool_size):
         doc_id = n_members + i + 1
@@ -81,12 +79,12 @@ def make_synthetic_corpus(
             Document(
                 id=doc_id,
                 title=f"Pool article {doc_id}",
-                tokens=draw(pos_weights if hidden else neg_weights, hidden),
+                tokens=draw(pos_weights if hidden else neg_weights),
             )
         )
         if hidden:
             truth.append(doc_id)
 
-    corpus = Corpus.from_documents(documents, shard_count=shard_count)
+    corpus = Corpus.from_documents(documents, shard_count=SHARD_COUNT)
     categories = CategoryIndex.from_mapping({CATEGORY: range(1, n_members + 1)})
     return SyntheticCorpus(corpus=corpus, categories=categories, truth=frozenset(truth))

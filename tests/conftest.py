@@ -3,6 +3,13 @@ import pytest
 
 from priorlearn.corpus import Document
 from priorlearn.model import build_counts
+from priorlearn.synthetic import make_synthetic_corpus
+
+
+@pytest.fixture(scope="session")
+def acceptance():
+    """The acceptance run's corpus: 20,200 documents over a 2,000-token vocabulary."""
+    return make_synthetic_corpus(seed=0)
 
 
 @pytest.fixture

@@ -4,8 +4,9 @@ Everything here recomputes results by the most literal route available:
 exact rational arithmetic for posteriors, full retraining for held-out
 folds, dense numpy grids for search surfaces, one scalar ``score`` call
 per document for corpus rankings, one scalar ``loo_score`` per fold for
-grid cells. Nothing imports the code paths under test beyond plain data
-types and the scalar formulas.
+grid cells, both halves of the LOO log odds recomputed for every cell.
+Nothing imports the code paths under test beyond plain data types and the
+scalar formulas.
 """
 
 from fractions import Fraction
@@ -66,7 +67,7 @@ def retrained_loo_posterior(fold, positives, negatives, lam_neg, lam_pos):
     return w_pos / (w_pos + w_neg)
 
 
-def evaluate_priors(cell, model, grid=DEFAULT_GRID):
+def evaluate_priors(cell, model):
     """Score one grid cell by leave-one-out classification of every fold.
 
     Each training case is scored with its own counts removed by the scalar
@@ -74,7 +75,7 @@ def evaluate_priors(cell, model, grid=DEFAULT_GRID):
     positive (the p > 1/2 rule); the tallies against the training labels
     yield (ppv, sensitivity). The reference for ``LooEvaluator``.
     """
-    hp = grid.hyperparameters(cell)
+    hp = DEFAULT_GRID.hyperparameters(cell)
     tp = fp = tn = fn = 0
     for fold in range(model.n_folds):
         predicted = loo_score(fold, model, hp).log_odds > 0.0
@@ -89,6 +90,43 @@ def evaluate_priors(cell, model, grid=DEFAULT_GRID):
             tn += 1
     counts = ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
     return CellScore(ppv=ppv(counts), sensitivity=sensitivity(counts))
+
+
+def per_cell_log_odds(model, cell):
+    """Per-fold LOO log odds of one cell, both class halves computed for it.
+
+    Flattens every fold's retained tokens with their counts less the
+    fold's own document, one token at a time, then sums each class's log
+    terms per fold with ``bincount``. The reference for
+    ``LooEvaluator.log_odds``, bit for bit.
+    """
+    hp = DEFAULT_GRID.hyperparameters(cell)
+    lpos, lneg = hp.lambda_pos, hp.lambda_neg
+    own = np.array(model.doc_labels, dtype=np.float64)  # 1 where the fold is positive
+    doc_idx, pos_counts, neg_counts = [], [], []
+    for fold, tokens in enumerate(model.doc_tokens):
+        dec = 1.0 if model.doc_labels[fold] else 0.0
+        for t in tokens:
+            doc_idx.append(fold)
+            pos_counts.append(model.pos_count.get(t, 0) - dec)
+            neg_counts.append(model.neg_count.get(t, 0) - (1.0 - dec))
+    doc_idx = np.array(doc_idx, dtype=np.intp)
+    pos_counts = np.array(pos_counts, dtype=np.float64)
+    neg_counts = np.array(neg_counts, dtype=np.float64)
+    n_folds = model.n_folds
+    n_tokens = np.bincount(doc_idx, minlength=n_folds).astype(np.float64)
+    adj_pos = model.n_pos - own
+    adj_neg = model.n_neg - (1.0 - own)
+    # class-prior denominators cancel between the two classes
+    log_pos = np.log(lpos + adj_pos)
+    log_neg = np.log(lneg + adj_neg)
+    log_pos += np.bincount(
+        doc_idx, weights=np.log(lpos + pos_counts), minlength=n_folds
+    ) - n_tokens * np.log(lpos + adj_pos)
+    log_neg += np.bincount(
+        doc_idx, weights=np.log(lneg + neg_counts), minlength=n_folds
+    ) - n_tokens * np.log(lneg + adj_neg)
+    return log_pos - log_neg
 
 
 def scalar_ranking(corpus, model, hp, exclude_ids=frozenset()):

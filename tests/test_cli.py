@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import priorlearn
 from priorlearn.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -80,8 +82,12 @@ class TestArgumentHandling:
         assert code == 1
 
     def test_module_entry_point(self):
+        # the child imports the package this test imported, however pytest found it
+        src = str(Path(priorlearn.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
         proc = subprocess.run(
-            [sys.executable, "-m", "priorlearn"], capture_output=True, text=True
+            [sys.executable, "-m", "priorlearn"], capture_output=True, text=True, env=env
         )
         assert proc.returncode == 1
         assert "ingest" in proc.stderr

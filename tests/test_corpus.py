@@ -263,6 +263,19 @@ class TestCorpusStore:
         ]
         assert (tmp_path / "s" / "notes.txt").read_text() == "kept"
 
+    @pytest.mark.parametrize("over_good_store", [False, True])
+    def test_failed_store_cannot_be_loaded(self, tmp_path, over_good_store):
+        doc = Document(1, "One", frozenset({"alpha"}))
+        corpus = Corpus.from_documents([doc], shard_count=2)
+        if over_good_store:
+            store_corpus(corpus, CategoryIndex.from_mapping({"Apples": [1]}), tmp_path / "s")
+        # 84 x U+20AC percent-encodes to a 760-byte file name
+        too_long = CategoryIndex.from_mapping({"Apples": [1], "Zebras": [1], "€" * 84: [1]})
+        with pytest.raises(OSError):
+            store_corpus(corpus, too_long, tmp_path / "s")
+        with pytest.raises(CorpusFormatError, match="missing manifest"):
+            load_corpus(tmp_path / "s")
+
     def test_category_files_sorted_and_quoted(self, tmp_path):
         corpus, cats = _toy_corpus()
         store_corpus(corpus, cats, tmp_path / "s")

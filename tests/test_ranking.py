@@ -13,7 +13,7 @@ from oracles import scalar_ranking
 from priorlearn.corpus import Corpus, Document
 from priorlearn.experiment import make_training_set, rank_corpus, training_model
 from priorlearn.model import BAYES_LAPLACE, Hyperparameters, build_counts
-from priorlearn.synthetic import CATEGORY, make_synthetic_corpus
+from priorlearn.synthetic import CATEGORY
 
 PRIORS = [
     Hyperparameters(1.0, 1.0),
@@ -42,12 +42,6 @@ def _corpus(token_sets, first_id=1):
 def _draw(rng, vocab, size):
     # picks by index: a numpy "U" array of the vocabulary would drop trailing NULs
     return {vocab[i] for i in rng.choice(len(vocab), size=size, replace=False).tolist()}
-
-
-@pytest.fixture(scope="module")
-def acceptance():
-    """The acceptance run's corpus: 20,200 documents over a 2,000-token vocabulary."""
-    return make_synthetic_corpus(seed=0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,13 @@ from oracles import (
     brute_force_argmax,
     evaluate_priors,
     is_local_max,
+    per_cell_log_odds,
     surface_evaluator,
     two_bump_surface,
     unimodal_surface,
 )
 from priorlearn.corpus import Document
+from priorlearn.experiment import make_training_set, training_model
 from priorlearn.model import Hyperparameters, build_counts
 from priorlearn.search import (
     DEFAULT_GRID,
@@ -25,6 +29,7 @@ from priorlearn.search import (
     multi_start_search,
     radial_gradient_search,
 )
+from priorlearn.synthetic import CATEGORY
 
 
 def _doc(i, tokens):
@@ -115,6 +120,32 @@ class TestEvaluatePriors:
             odds = fast.log_odds(cell)
             for fold in range(model.n_folds):
                 assert odds[fold] == pytest.approx(loo_score(fold, model, hp).log_odds, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_log_odds_bit_identical_to_per_cell_oracle(self, acceptance, seed):
+        training = make_training_set(acceptance.corpus, acceptance.categories, CATEGORY, seed)
+        model = training_model(acceptance.corpus, training)
+        last = len(DEFAULT_GRID) - 1
+        cells = [*default_starts(), Cell(0, 0), Cell(0, last), Cell(last, 0), Cell(last, last)]
+        rng = np.random.default_rng(seed)
+        cells += [Cell(int(x), int(y)) for x, y in rng.integers(0, len(DEFAULT_GRID), size=(20, 2))]
+        warm = LooEvaluator(model)
+        for cell in cells:
+            warm.log_odds(cell)  # every half of every cell now cached
+        for cell in cells:
+            expected = per_cell_log_odds(model, cell)
+            assert np.array_equal(LooEvaluator(model).log_odds(cell), expected), ("cold", cell)
+            assert np.array_equal(warm.log_odds(cell), expected), ("warm", cell)
+
+    def test_evaluator_keeps_no_reference_to_its_model(self):
+        rng = np.random.default_rng(5)
+        model = build_counts(*random_training_docs(rng, 8, 8))
+        expected = evaluate_priors(Cell(3, 3), model)
+        evaluator = LooEvaluator(model)
+        model_ref = weakref.ref(model)
+        del model
+        assert model_ref() is None
+        assert evaluator(Cell(3, 3)) == expected
 
 
 class TestRadialGradientSearch:
