@@ -67,7 +67,8 @@ def _strip_punct(piece: str) -> str:
 def tokenize(text: str) -> set[str]:
     """Split ``text`` into its set of normalized tokens.
 
-    Pieces are split on whitespace; leading and trailing punctuation is
+    Pieces are split on whitespace; leading and trailing punctuation
+    (``string.punctuation`` and every Unicode ``P*`` character) is
     stripped from each piece (interior punctuation survives, so ``2.0``
     and ``don't`` stay intact); everything is lowercased; pieces that
     become empty are dropped. The result is a set: each token appears
@@ -75,7 +76,11 @@ def tokenize(text: str) -> set[str]:
     """
     tokens = set()
     for piece in text.split():
-        stripped = _strip_punct(piece)
+        # every ASCII punctuation character is in string.punctuation, so
+        # only a non-ASCII boundary character needs the per-character scan
+        stripped = piece.strip(string.punctuation)
+        if stripped and not (stripped[0].isascii() and stripped[-1].isascii()):
+            stripped = _strip_punct(stripped)
         if stripped:
             tokens.add(stripped.lower())
     return tokens

@@ -316,6 +316,8 @@ def export_review_list(
     page carries no trace of which model proposed which article, nor any
     scores.
     """
+    if top_n < 1:
+        raise ValueError(f"top_n must be >= 1, got {top_n}")
     names = sorted(
         {titles[doc_id] for doc_id in a.top_ids(top_n)}
         | {titles[doc_id] for doc_id in b.top_ids(top_n)}

@@ -3,7 +3,11 @@
 An outcome vector holds one bit per rank: 1 iff that prediction was a
 true positive, so its mean is the PPV at k. Confidence intervals come
 from the plain percentile bootstrap; model comparison uses a two-sided
-Welch t-test on the two bit vectors.
+Welch t-test on the two bit vectors. The test's arithmetic is numpy's;
+its Student-t tail is ``scipy.special.stdtr``, the kernel
+``scipy.stats.ttest_ind`` calls itself, so the p-value equals
+``ttest_ind(a, b, equal_var=False).pvalue`` bit for bit without importing
+``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Sequence
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import stdtr
 
 __all__ = [
     "BootstrapCI",
@@ -78,7 +82,15 @@ def significance_test(a: Sequence[int] | np.ndarray, b: Sequence[int] | np.ndarr
         raise ValueError("outcome vectors need at least 2 entries")
     if np.var(x) == 0.0 and np.var(y) == 0.0:
         return 1.0 if x.mean() == y.mean() else 0.0
-    return float(sps.ttest_ind(x, y, equal_var=False).pvalue)
+    vn1, vn2 = _sample_var(x) / x.size, _sample_var(y) / y.size
+    df = (vn1 + vn2) ** 2 / (vn1**2 / (x.size - 1) + vn2**2 / (y.size - 1))
+    t = (x.mean() - y.mean()) / np.sqrt(vn1 + vn2)
+    return float(2 * stdtr(df, -np.abs(t)))
+
+
+def _sample_var(v: np.ndarray) -> np.float64:
+    """Unbiased variance, rounded as ``scipy.stats`` rounds it (``np.var`` is not)."""
+    return np.mean((v - v.mean()) ** 2) * (v.size / (v.size - 1))
 
 
 def report_to_csv(

@@ -4,14 +4,19 @@ Everything here recomputes results by the most literal route available:
 exact rational arithmetic for posteriors, full retraining for held-out
 folds, dense numpy grids for search surfaces, one scalar ``score`` call
 per document for corpus rankings, one scalar ``loo_score`` per fold for
-grid cells, both halves of the LOO log odds recomputed for every cell.
-Nothing imports the code paths under test beyond plain data types and the
-scalar formulas.
+grid cells, both halves of the LOO log odds recomputed for every cell,
+one character at a time for punctuation stripping, ``scipy.stats`` for
+the Welch t-test. Nothing imports the code paths under test beyond plain
+data types and the scalar formulas.
 """
 
+import string
+import unicodedata
+import warnings
 from fractions import Fraction
 
 import numpy as np
+from scipy import stats as sps
 
 from priorlearn.metrics import ConfusionCounts, ppv, sensitivity
 from priorlearn.model import loo_score, score
@@ -214,3 +219,40 @@ def is_local_max(cell: Cell, ppv: np.ndarray, sens: np.ndarray, radius: int = 2)
                 if (float(ppv[x, y]), float(sens[x, y])) > here:
                     return False
     return True
+
+
+def per_character_tokenize(text):
+    """Whitespace split, then strip each piece one character at a time.
+
+    A boundary character is stripped while it is ASCII punctuation or of a
+    Unicode ``P*`` category; survivors are lowercased into a set. The
+    reference for ``corpus.tokenize``.
+    """
+
+    def is_punct(ch):
+        return ch in string.punctuation or unicodedata.category(ch).startswith("P")
+
+    tokens = set()
+    for piece in text.split():
+        start, end = 0, len(piece)
+        while start < end and is_punct(piece[start]):
+            start += 1
+        while end > start and is_punct(piece[end - 1]):
+            end -= 1
+        if start < end:
+            tokens.add(piece[start:end].lower())
+    return tokens
+
+
+def welch_p_value(a, b):
+    """Two-sided Welch t-test p-value from ``scipy.stats.ttest_ind``.
+
+    The reference for ``stats.significance_test``, bit for bit, wherever
+    at least one of the two variances is nonzero.
+    """
+    x = np.asarray(a, dtype=np.float64)
+    y = np.asarray(b, dtype=np.float64)
+    with warnings.catch_warnings():
+        # scipy warns of precision loss on a constant vector; its p-value stands
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return float(sps.ttest_ind(x, y, equal_var=False).pvalue)

@@ -18,6 +18,13 @@ def _tree_bytes(root: Path) -> dict:
     }
 
 
+def _child_env() -> dict:
+    """Environment in which a child imports the package this test imported."""
+    src = str(Path(priorlearn.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestArgumentHandling:
     def test_no_args_prints_help_and_exits_usage(self, capsys):
         assert main([]) == 1
@@ -82,15 +89,23 @@ class TestArgumentHandling:
         assert code == 1
 
     def test_module_entry_point(self):
-        # the child imports the package this test imported, however pytest found it
-        src = str(Path(priorlearn.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
         proc = subprocess.run(
-            [sys.executable, "-m", "priorlearn"], capture_output=True, text=True, env=env
+            [sys.executable, "-m", "priorlearn"], capture_output=True, text=True, env=_child_env()
         )
         assert proc.returncode == 1
         assert "ingest" in proc.stderr
+
+    def test_import_does_not_load_scipy_stats(self):
+        # scipy.stats alone takes most of a CLI process's start-up time
+        code = (
+            "import sys, priorlearn.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestIngestCommand:
@@ -156,6 +171,18 @@ class TestEndToEndGolden:
         html = (run_dir / "report" / "review.html").read_text()
         for forbidden in ("baseline", "study", "p_pos", "log_odds", "lambda"):
             assert forbidden not in html.lower()
+
+    @pytest.mark.parametrize("top_n", ["0", "-1"])
+    def test_report_rejects_top_n_below_one(self, run_dir, tmp_path, capsys, top_n):
+        code = main(
+            ["report", "--baseline", str(run_dir / "baseline" / "predictions.csv"),
+             "--study", str(run_dir / "study" / "predictions.csv"),
+             "--truth", str(DATA / "e2e_truth.txt"), "--eval-k", "5", "--top-n", top_n,
+             "--out", str(tmp_path / "report")]
+        )
+        assert code == 2
+        assert "top_n must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
 
     def test_rerun_of_report_is_idempotent(self, run_dir):
         before = _tree_bytes(run_dir / "report")

@@ -1,11 +1,14 @@
 import io
+import string
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import per_character_tokenize
 from priorlearn.corpus import (
     CategoryIndex,
     Corpus,
@@ -50,6 +53,25 @@ class TestTokenize:
 
     def test_numbers_kept(self):
         assert tokenize("In 2020, 5,935,124 articles.") == {"in", "2020", "5,935,124", "articles"}
+
+    def test_matches_per_character_oracle(self):
+        # boundary characters from every class the fast path treats apart:
+        # ASCII punctuation and symbols, Unicode punctuation, non-ASCII
+        # non-punctuation (letters, a currency sign, emoji, a combining mark)
+        # (the ASCII symbols of category S are drawn twice as often)
+        alphabet = list(
+            string.punctuation + "$+<=>^|~" + "«»—“”¿、。！" + "éÅñßΩж中文日本" + "€😀\u0301"
+            + string.ascii_letters + string.digits
+        )
+        spaces = list(" \t\n\u3000\xa0")
+        rng = np.random.default_rng(4)
+        for _ in range(5000):
+            pieces = [
+                "".join(alphabet[i] for i in rng.integers(len(alphabet), size=rng.integers(1, 7)))
+                for _ in range(rng.integers(0, 8))
+            ]
+            text = "".join(piece + spaces[rng.integers(len(spaces))] for piece in pieces)
+            assert tokenize(text) == per_character_tokenize(text), text
 
     @given(st.text(max_size=200))
     @settings(max_examples=200, deadline=None)

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
+from oracles import welch_p_value
+from priorlearn.experiment import (
+    ExperimentSpec,
+    learn_priors,
+    make_training_set,
+    rank_corpus,
+    training_model,
+)
+from priorlearn.model import BAYES_LAPLACE
 from priorlearn.stats import bootstrap_ci, outcome_vector, report_to_csv, significance_test
+from priorlearn.synthetic import CATEGORY
 
 
 def _bits(ones: int, total: int) -> np.ndarray:
@@ -103,6 +113,57 @@ class TestSignificanceTest:
     def test_short_vectors_rejected(self):
         with pytest.raises(ValueError):
             significance_test([1], [0, 1])
+
+
+@pytest.fixture(scope="module")
+def acceptance_outcomes(acceptance):
+    """Baseline and study outcome vectors at k=250 of the acceptance run, per seed."""
+    spec = ExperimentSpec(
+        corpus=acceptance.corpus, categories=acceptance.categories, category=CATEGORY
+    )
+    learned = learn_priors(spec).hyperparameters
+    outcomes = {}
+    for seed in spec.seeds:
+        training = make_training_set(spec.corpus, spec.categories, CATEGORY, seed)
+        model = training_model(spec.corpus, training)
+        exclude = frozenset(training.positive_ids)
+        outcomes[seed] = tuple(
+            outcome_vector(
+                rank_corpus(spec.corpus, model, hp, exclude).doc_ids(), acceptance.truth, 250
+            )
+            for hp in (BAYES_LAPLACE, learned)
+        )
+    return outcomes
+
+
+class TestSignificanceTestMatchesScipy:
+    """The p-value equals ``scipy.stats.ttest_ind(equal_var=False)`` bit for bit."""
+
+    def test_random_bit_vectors(self):
+        rng = np.random.default_rng(2021)
+        for _ in range(600):
+            n_a, n_b = (int(n) for n in rng.integers(2, 2001, size=2))
+            p_a, p_b = rng.random(2)
+            a = (rng.random(n_a) < p_a).astype(np.int8)
+            b = (rng.random(n_b) < p_b).astype(np.int8)
+            if a.var() == 0.0 and b.var() == 0.0:
+                continue
+            assert significance_test(a, b) == welch_p_value(a, b), (n_a, n_b)
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_one_sided_zero_variance(self, bit):
+        rng = np.random.default_rng(bit)
+        for n in (2, 3, 17, 250, 2000):
+            constant = np.full(n, bit, dtype=np.int8)
+            for ones in (1, n // 2, n - 1):
+                other = rng.permutation(_bits(ones, n))
+                assert significance_test(constant, other) == welch_p_value(constant, other)
+                assert significance_test(other, constant) == welch_p_value(other, constant)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_acceptance_outcome_vectors(self, acceptance_outcomes, seed):
+        baseline, study = acceptance_outcomes[seed]
+        assert significance_test(baseline, study) == welch_p_value(baseline, study)
 
 
 class TestReportCsv:
