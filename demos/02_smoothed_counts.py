@@ -9,22 +9,25 @@ special case of the same formulas.
     python demos/02_smoothed_counts.py
 """
 
-from priorlearn.corpus import Document
+import numpy as np
+
+from priorlearn.corpus import Corpus, Document
+from priorlearn.experiment import rank_corpus
 from priorlearn.model import (
     CountModel,
     Hyperparameters,
     build_counts,
     class_prior,
-    cond_prob,
+    cond_probs,
     model_manifest,
-    score,
 )
 
 print("-- coin toss with add-one priors --")
 # two tosses observed, both tails: the classic smoothed estimate for an
 # unobserved head is (1 + 0) / (1 + 1 + 2) = 1/4, never zero
-coin = CountModel(n_pos=0, n_neg=2, features=frozenset(), pos_count={}, neg_count={},
-                  doc_labels=(), doc_tokens=())
+none = np.zeros(0, dtype=np.int64)
+coin = CountModel(n_pos=0, n_neg=2, features=(), pos_count=none, neg_count=none,
+                  fold_offsets=np.zeros(1, dtype=np.int64), fold_features=none)
 print(f"p(head) after 0 heads in 2 tosses = {class_prior(True, coin, Hyperparameters(1, 1))}")
 
 print("\n-- a six-document training set --")
@@ -38,8 +41,9 @@ negatives = [
     Document(5, "n2", frozenset({"oven", "recipe"})),
     Document(6, "n3", frozenset({"search", "warrant"})),
 ]
-model = build_counts(positives, negatives)
-print("features are the union of positive documents only:", sorted(model.features))
+training = Corpus.from_documents(positives + negatives)
+model = build_counts(training.token_index, [1, 2, 3], [4, 5, 6])
+print("features are the union of positive documents only:", list(model.features))
 print("('oven', 'recipe', 'warrant' are never counted)")
 print("\nmodel manifest:")
 print(model_manifest(model))
@@ -47,15 +51,19 @@ print(model_manifest(model))
 print("-- the same token under different priors --")
 for lam_neg in (0.5, 1, 8, 200):
     hp = Hyperparameters(lambda_neg=lam_neg, lambda_pos=1)
-    p = cond_prob("search", False, model, hp)
+    p = cond_probs(False, model, hp)[model.features.index("search")]
     print(f"  lambda_neg={lam_neg:>5}: p(search | negative) = {p:.3f}")
 print("a huge lambda_neg floors every negative conditional near its prior,")
 print("so noisy negative evidence stops moving the posterior.")
 
 print("\n-- posteriors are computed on the feature intersection --")
 case = {"grid", "search", "unseen-word", "another-one"}
-post = score(case, model, Hyperparameters(1, 1))
+cases = Corpus.from_documents(
+    [Document(1, "case", frozenset(case)), Document(2, "without", frozenset({"grid", "search"}))]
+)
+scored = {doc_id: (p_pos, log_odds) for doc_id, p_pos, log_odds in
+          rank_corpus(cases, model, Hyperparameters(1, 1)).entries}
 print(f"case {sorted(case)}")
-print(f"  p(positive) = {post.p_pos:.4f}, log odds = {post.log_odds:+.4f}")
+print(f"  p(positive) = {scored[1][0]:.4f}, log odds = {scored[1][1]:+.4f}")
 print("tokens outside the model features changed nothing:")
-print(f"  same posterior without them: {score({'grid', 'search'}, model, Hyperparameters(1, 1)).p_pos:.4f}")
+print(f"  same posterior without them: {scored[2][0]:.4f}")

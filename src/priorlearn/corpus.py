@@ -101,12 +101,14 @@ class TokenIndex:
 
     ``slot_of`` maps each corpus token to its slot ``1 + token_id``, where
     token ids follow Python ``str`` order, the order :func:`sorted` gives
-    a token set. Row ``i``, ``slots[offsets[i]:offsets[i + 1]]``, belongs
-    to document ``doc_ids[i]`` (ids ascending) and holds slot 0, which
-    stands for the class prior, then the slots of the document's tokens
-    in ascending order.
+    a token set; ``vocabulary[token_id]`` is the token. Row ``i``,
+    ``slots[offsets[i]:offsets[i + 1]]``, belongs to document
+    ``doc_ids[i]`` (ids ascending) and holds slot 0, which stands for the
+    class prior, then the slots of the document's tokens in ascending
+    order.
     """
 
+    vocabulary: tuple[str, ...] = field(repr=False)
     slot_of: dict[str, int] = field(repr=False)
     doc_ids: np.ndarray = field(repr=False)
     offsets: np.ndarray = field(repr=False)
@@ -133,6 +135,7 @@ class TokenIndex:
         offsets = np.zeros(n_docs + 1, dtype=np.int64)
         np.cumsum(lengths + 1, out=offsets[1:])
         return cls(
+            vocabulary=tuple(vocabulary),
             slot_of=slot_of,
             doc_ids=np.array([doc.id for doc in documents], dtype=np.int64),
             offsets=offsets,
@@ -142,6 +145,25 @@ class TokenIndex:
     def row_of_slot(self) -> np.ndarray:
         """The row each entry of ``slots`` belongs to."""
         return np.repeat(np.arange(len(self.doc_ids)), np.diff(self.offsets))
+
+    def token_rows(self, doc_ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The token slots of the given documents, without slot 0, as compressed rows.
+
+        Returns ``(slots, offsets)``: the row of ``doc_ids[i]`` is
+        ``slots[offsets[i]:offsets[i + 1]]``. Raises ``ValueError`` naming
+        the ids that are not in the index.
+        """
+        ids = np.array(doc_ids, dtype=np.int64)
+        absent = ~np.isin(ids, self.doc_ids)
+        if absent.any():
+            raise ValueError(f"documents not in the corpus index: {sorted(set(ids[absent].tolist()))}")
+        rows = np.searchsorted(self.doc_ids, ids)
+        starts = self.offsets[rows] + 1
+        lengths = self.offsets[rows + 1] - starts
+        offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        take = np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
+        return self.slots[take], offsets
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import ClassVar, Mapping
 from urllib.parse import quote
 
@@ -31,7 +32,7 @@ from .model import (
     Hyperparameters,
     build_counts,
     class_prior,
-    cond_prob,
+    cond_probs,
     positive_posterior,
 )
 from .search import (
@@ -140,14 +141,14 @@ def sample_negatives(
     inputs always yield the identical sample.
     """
     members = categories.members(category)
-    pool = np.array([doc_id for doc_id in corpus.ids() if doc_id not in members], dtype=np.int64)
+    pool = [doc_id for doc_id in corpus.ids() if doc_id not in members]
     if len(pool) < k:
         raise ValueError(f"only {len(pool)} non-members available, need {k}")
-    rng = np.random.default_rng(seed)
-    for i in range(k):
-        j = int(rng.integers(i, len(pool)))
+    # one draw per step i from [i, len(pool)), all in one call: the same stream
+    swaps = np.random.default_rng(seed).integers(np.arange(k), len(pool)).tolist()
+    for i, j in enumerate(swaps):
         pool[i], pool[j] = pool[j], pool[i]
-    return frozenset(int(doc_id) for doc_id in pool[:k])
+    return frozenset(pool[:k])
 
 
 def make_training_set(
@@ -162,25 +163,25 @@ def make_training_set(
 
 
 def training_model(corpus: Corpus, training: TrainingSet) -> CountModel:
-    return build_counts(
-        [corpus.get(doc_id) for doc_id in training.positive_ids],
-        [corpus.get(doc_id) for doc_id in training.negative_ids],
-    )
+    """The count model of ``training``, gathered from ``corpus.token_index``."""
+    return build_counts(corpus.token_index, training.positive_ids, training.negative_ids)
 
 
 def _log_weights(positive: bool, model: CountModel, hp: Hyperparameters, index: TokenIndex) -> np.ndarray:
     """One class's log term per index slot.
 
-    Slot 0 holds the log class prior and each model feature found in the
-    corpus vocabulary holds its log conditional, both from ``math.log`` as
-    in :func:`~priorlearn.model.score`; every other slot holds ``0.0``.
+    Slot 0 holds the log class prior and the slot of each model feature
+    found in the corpus vocabulary holds its log conditional, each from
+    ``math.log`` (``np.log`` may differ in the last bit); every other slot
+    holds ``0.0``.
     """
     weights = np.zeros(len(index.slot_of) + 1)
+    slots = np.fromiter(
+        map(index.slot_of.get, model.features, repeat(0)), dtype=np.int64, count=len(model.features)
+    )
+    found = slots > 0
+    weights[slots[found]] = list(map(math.log, cond_probs(positive, model, hp)[found].tolist()))
     weights[0] = math.log(class_prior(positive, model, hp))
-    for token in model.features:
-        slot = index.slot_of.get(token)
-        if slot is not None:
-            weights[slot] = math.log(cond_prob(token, positive, model, hp))
     return weights
 
 
@@ -195,9 +196,9 @@ def rank_corpus(
     All documents are scored at once over ``corpus.token_index``. A
     document's log score per class is the ``bincount`` sum of its row: the
     log prior, then the log conditional of each token in sorted order. The
-    terms and their order are those of :func:`~priorlearn.model.score`, and
-    the ``+0.0`` of a non-feature token leaves the strictly negative sum
-    unchanged, so ``log_odds`` and ``p_pos`` are bit-identical to it.
+    ``+0.0`` of a non-feature token leaves the strictly negative sum
+    unchanged, so ``log_odds`` and ``p_pos`` are bit-identical to scoring
+    each document's feature tokens one at a time in sorted order.
     """
     index = corpus.token_index
     rows = index.row_of_slot()

@@ -5,7 +5,8 @@ pairs drawn from ``DEFAULT_GRID``, the one grid every search uses. Each
 cell is scored by leave-one-out cross-validation over the training folds:
 positive predictive value, with sensitivity as tie-breaker. A fold's LOO
 log odds are a positive half in lambda_pos alone minus a negative half in
-lambda_neg alone, each computed once per grid value. A radial hill
+lambda_neg alone, each computed once per grid value from the model's
+integer count arrays, gathered per fold through its rows. A radial hill
 climber sweeps the 5x5 window around the current best cell, recentering
 on improvement and stopping when a full sweep yields no replacement. Cell
 scores are memoized in a plain ``dict`` from cell to score, so multiple
@@ -15,7 +16,6 @@ starts share work and the memo doubles as a map of the explored terrain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -120,26 +120,26 @@ class LooEvaluator:
     Per fold, log odds = ``half(pos, lambda_pos) - half(neg, lambda_neg)``:
     the class-prior denominators cancel, and a half depends on its class's
     counts and pseudo-count alone. Each half is computed at most once per
-    grid index and kept. The evaluator keeps flat count arrays, not the
-    model. Gives the same (ppv, sensitivity) as scoring every fold with
-    :func:`~priorlearn.model.loo_score`.
+    grid index and kept. The evaluator keeps flat count arrays, indexed
+    from the model's through its fold rows, not the model. A fold's log
+    odds equal scoring the fold with its own document removed from the
+    counts and nothing retrained.
     """
 
     def __init__(self, model: CountModel):
-        labels = np.array(model.doc_labels, dtype=bool)
-        n_tokens = np.fromiter(map(len, model.doc_tokens), dtype=np.intp, count=len(labels))
-        tokens = list(chain.from_iterable(model.doc_tokens))
+        n_folds = model.n_folds
+        labels = np.arange(n_folds) < model.n_pos  # positives come first
+        n_tokens = np.diff(model.fold_offsets)
         self._labels = labels
-        self._n_folds = len(labels)
-        self._doc_idx = np.repeat(np.arange(len(labels)), n_tokens)
+        self._n_folds = n_folds
+        self._doc_idx = np.repeat(np.arange(n_folds), n_tokens)
         self._n_tokens = n_tokens.astype(np.float64)
         # per class: each fold's token counts and the class size, the fold itself removed
         self._class_counts: dict[bool, tuple[np.ndarray, np.ndarray]] = {}
         classes = ((True, model.pos_count, model.n_pos), (False, model.neg_count, model.n_neg))
-        for positive, table, size in classes:
+        for positive, counts, size in classes:
             own = (labels == positive).astype(np.float64)  # 1 where the fold is of this class
-            counts = np.fromiter(map(table.get, tokens, repeat(0)), dtype=np.float64, count=len(tokens))
-            self._class_counts[positive] = (counts - own[self._doc_idx], size - own)
+            self._class_counts[positive] = (counts[model.fold_features] - own[self._doc_idx], size - own)
         self._halves: dict[tuple[bool, int], np.ndarray] = {}
 
     def _half(self, positive: bool, index: int) -> np.ndarray:

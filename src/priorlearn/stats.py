@@ -54,18 +54,21 @@ def bootstrap_ci(
 
     Draws ``B`` resamples of the full vector size with replacement and
     takes the empirical alpha/2 and 1-alpha/2 quantiles of the resample
-    means. Deterministic given ``seed``.
+    means. A resample mean is its exact count of ones divided by the
+    size. Deterministic given ``seed``.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
-    v = np.asarray(outcomes, dtype=np.float64)
+    v = np.asarray(outcomes)
     if v.size == 0:
         raise ValueError("outcome vector must be nonempty")
+    if not np.all((v == 0) | (v == 1)):
+        raise ValueError("outcome vector must hold only 0s and 1s")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, v.size, size=(B, v.size))
-    means = v[idx].mean(axis=1)
+    means = np.count_nonzero(v.astype(bool)[idx], axis=1) / v.size
     lo, hi = np.quantile(means, [alpha / 2.0, 1.0 - alpha / 2.0])
     return BootstrapCI(lo=float(lo), hi=float(hi), B=B, alpha=alpha)
 

@@ -1,9 +1,23 @@
 import numpy as np
 import pytest
 
-from priorlearn.corpus import Document
+from priorlearn.corpus import Corpus, Document
+from priorlearn.experiment import rank_corpus
 from priorlearn.model import build_counts
 from priorlearn.synthetic import make_synthetic_corpus
+
+
+def train(positives, negatives):
+    """The count model of these documents, through a corpus of them all."""
+    corpus = Corpus.from_documents([*positives, *negatives])
+    return build_counts(corpus.token_index, [d.id for d in positives], [d.id for d in negatives])
+
+
+def posteriors(cases, model, hp):
+    """``(p_pos, log_odds)`` of each case token set, in order, through ``rank_corpus``."""
+    corpus = Corpus.from_documents(Document(i, "", frozenset(c)) for i, c in enumerate(cases))
+    rows = {doc_id: (p_pos, log_odds) for doc_id, p_pos, log_odds in rank_corpus(corpus, model, hp).entries}
+    return [rows[i] for i in range(len(cases))]
 
 
 @pytest.fixture(scope="session")
@@ -25,7 +39,7 @@ def six_doc_model():
         Document(5, "n2", frozenset({"oven", "recipe"})),
         Document(6, "n3", frozenset({"search", "warrant"})),
     ]
-    return build_counts(positives, negatives), positives, negatives
+    return train(positives, negatives), positives, negatives
 
 
 def random_training_docs(rng: np.random.Generator, n_pos: int, n_neg: int, vocab_size: int = 60):

@@ -2,25 +2,159 @@
 
 Everything here recomputes results by the most literal route available:
 exact rational arithmetic for posteriors, full retraining for held-out
-folds, dense numpy grids for search surfaces, one scalar ``score`` call
-per document for corpus rankings, one scalar ``loo_score`` per fold for
-grid cells, both halves of the LOO log odds recomputed for every cell,
-one character at a time for punctuation stripping, ``scipy.stats`` for
-the Welch t-test. Nothing imports the code paths under test beyond plain
-data types and the scalar formulas.
+folds, dense numpy grids for search surfaces, a string-token count model
+of ``dict``s built straight from ``Document``s with its scalar ``score``
+and ``loo_score`` for corpus rankings and grid cells, both halves of the
+LOO log odds recomputed for every cell, one swap per draw for negative
+sampling, float means for bootstrap resamples, one character at a time
+for punctuation stripping, ``scipy.stats`` for the Welch t-test. Nothing
+imports the code paths under test beyond plain data types.
 """
 
+import math
 import string
 import unicodedata
 import warnings
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from scipy import stats as sps
 
 from priorlearn.metrics import ConfusionCounts, ppv, sensitivity
-from priorlearn.model import loo_score, score
 from priorlearn.search import DEFAULT_GRID, Cell, CellScore
+from priorlearn.stats import BootstrapCI
+
+
+# --- the string-token count model and its scalar formulas ---------------------
+
+
+@dataclass(frozen=True)
+class DictModel:
+    """Per-class document counts as ``dict``s over the positive-union features.
+
+    ``doc_labels``/``doc_tokens`` hold the training folds, positives first,
+    each fold's tokens sorted and intersected with ``features``.
+    """
+
+    n_pos: int
+    n_neg: int
+    features: frozenset
+    pos_count: dict
+    neg_count: dict
+    doc_labels: tuple
+    doc_tokens: tuple
+
+    @property
+    def total(self):
+        return self.n_pos + self.n_neg
+
+    @property
+    def n_folds(self):
+        return len(self.doc_labels)
+
+
+def dict_model(positives, negatives):
+    """Count each document's sorted tokens into two ``dict``s, one token at a time."""
+    if not positives:
+        raise ValueError("positives must be nonempty")
+    pos_ids = {doc.id for doc in positives}
+    neg_ids = {doc.id for doc in negatives}
+    if pos_ids & neg_ids:
+        raise ValueError(f"documents on both sides: {sorted(pos_ids & neg_ids)}")
+    features = set().union(*(doc.tokens for doc in positives))
+    pos_count, neg_count, doc_labels, doc_tokens = {}, {}, [], []
+    for docs, label, table in ((positives, True, pos_count), (negatives, False, neg_count)):
+        for doc in docs:
+            retained = tuple(sorted(doc.tokens & features))
+            for t in retained:
+                table[t] = table.get(t, 0) + 1
+            doc_labels.append(label)
+            doc_tokens.append(retained)
+    return DictModel(
+        n_pos=len(positives),
+        n_neg=len(negatives),
+        features=frozenset(features),
+        pos_count=pos_count,
+        neg_count=neg_count,
+        doc_labels=tuple(doc_labels),
+        doc_tokens=tuple(doc_tokens),
+    )
+
+
+class Posterior(NamedTuple):
+    """Two-class posterior: probability of the positive class and log odds."""
+
+    p_pos: float
+    log_odds: float
+
+    @property
+    def p_neg(self):
+        return 1.0 - self.p_pos
+
+
+def cond_prob(token, positive, model, hp):
+    """``(lambda_c + n(token, c)) / (lambda_c + n(c))``; the token must be a feature."""
+    if token not in model.features:
+        raise ValueError(f"token {token!r} is not a model feature")
+    if positive:
+        return (hp.lambda_pos + model.pos_count.get(token, 0)) / (hp.lambda_pos + model.n_pos)
+    return (hp.lambda_neg + model.neg_count.get(token, 0)) / (hp.lambda_neg + model.n_neg)
+
+
+def class_prior(positive, model, hp):
+    """``(lambda_c + n(c)) / (lambda_pos + lambda_neg + N)``."""
+    denom = hp.lambda_pos + hp.lambda_neg + model.total
+    if positive:
+        return (hp.lambda_pos + model.n_pos) / denom
+    return (hp.lambda_neg + model.n_neg) / denom
+
+
+def _posterior_from_logs(log_pos, log_neg):
+    m = max(log_pos, log_neg)
+    w_pos = math.exp(log_pos - m)
+    w_neg = math.exp(log_neg - m)
+    return Posterior(p_pos=w_pos / (w_pos + w_neg), log_odds=log_pos - log_neg)
+
+
+def score(case_tokens, model, hp):
+    """Posterior of a case's token set: log prior, then each feature token in sorted order."""
+    log_pos = math.log(class_prior(True, model, hp))
+    log_neg = math.log(class_prior(False, model, hp))
+    for t in sorted(case_tokens & model.features):
+        log_pos += math.log(cond_prob(t, True, model, hp))
+        log_neg += math.log(cond_prob(t, False, model, hp))
+    return _posterior_from_logs(log_pos, log_neg)
+
+
+def loo_score(held_out_index, model, hp):
+    """Posterior of a training fold with its own class count, N and token counts less one.
+
+    The feature set stays frozen; the model is not modified.
+    """
+    if not 0 <= held_out_index < model.n_folds:
+        raise IndexError(f"fold index {held_out_index} out of range 0..{model.n_folds - 1}")
+    label = model.doc_labels[held_out_index]
+    adj_pos = model.n_pos - (1 if label else 0)
+    adj_neg = model.n_neg - (0 if label else 1)
+    denom = hp.lambda_pos + hp.lambda_neg + model.total - 1
+    log_pos = math.log((hp.lambda_pos + adj_pos) / denom)
+    log_neg = math.log((hp.lambda_neg + adj_neg) / denom)
+    for t in model.doc_tokens[held_out_index]:
+        t_pos = model.pos_count.get(t, 0) - (1 if label else 0)
+        t_neg = model.neg_count.get(t, 0) - (0 if label else 1)
+        log_pos += math.log((hp.lambda_pos + t_pos) / (hp.lambda_pos + adj_pos))
+        log_neg += math.log((hp.lambda_neg + t_neg) / (hp.lambda_neg + adj_neg))
+    return _posterior_from_logs(log_pos, log_neg)
+
+
+def classify(case_tokens, model, hp):
+    """True iff the positive posterior exceeds 1/2; an exact tie is negative."""
+    return score(case_tokens, model, hp).p_pos > 0.5
+
+
+# --- references for the production paths -------------------------------------
 
 
 def exact_posterior(case_tokens, positives, negatives, lam_neg, lam_pos):
@@ -135,7 +269,7 @@ def per_cell_log_odds(model, cell):
 
 
 def scalar_ranking(corpus, model, hp, exclude_ids=frozenset()):
-    """Rank a corpus one ``score`` call per document.
+    """Rank a corpus one ``score`` call per document over a :class:`DictModel`.
 
     Returns ``(doc_id, p_pos, log_odds)`` triples sorted on
     ``(-log_odds, doc_id)``: descending log odds, ties by ascending id.
@@ -147,6 +281,26 @@ def scalar_ranking(corpus, model, hp, exclude_ids=frozenset()):
             rows.append((doc.id, posterior.p_pos, posterior.log_odds))
     rows.sort(key=lambda row: (-row[2], row[0]))
     return tuple(rows)
+
+
+def scalar_sample_negatives(corpus, categories, category, k, seed):
+    """Partial Fisher-Yates shuffle, one ``rng.integers(i, len(pool))`` per step."""
+    members = categories.members(category)
+    pool = np.array([doc_id for doc_id in corpus.ids() if doc_id not in members], dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    for i in range(k):
+        j = int(rng.integers(i, len(pool)))
+        pool[i], pool[j] = pool[j], pool[i]
+    return frozenset(int(doc_id) for doc_id in pool[:k])
+
+
+def mean_bootstrap_ci(outcomes, B=10_000, alpha=0.05, seed=0):
+    """Percentile bootstrap with each resample mean a float ``mean`` of the resample."""
+    v = np.asarray(outcomes, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, v.size, size=(B, v.size))
+    lo, hi = np.quantile(v[idx].mean(axis=1), [alpha / 2.0, 1.0 - alpha / 2.0])
+    return BootstrapCI(lo=float(lo), hi=float(hi), B=B, alpha=alpha)
 
 
 def tally_counts(positives, negatives):

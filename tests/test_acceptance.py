@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_training_docs
+from conftest import posteriors, random_training_docs, train
 from oracles import (
     brute_force_argmax,
     exact_posterior,
@@ -41,15 +41,14 @@ from priorlearn.model import (
     BAYES_LAPLACE,
     CountModel,
     Hyperparameters,
-    build_counts,
     class_prior,
-    cond_prob,
-    loo_score,
-    score,
+    cond_probs,
+    positive_posterior,
 )
 from priorlearn.search import (
     DEFAULT_GRID,
     Cell,
+    LooEvaluator,
     default_starts,
     memo_to_csv,
     multi_start_search,
@@ -99,7 +98,7 @@ def test_criterion_1_formula_fidelity():
         _doc(8, {"stir", "pan"}),
         _doc(9, {"cell", "block"}),
     ]
-    model = build_counts(positives, negatives)
+    model = train(positives, negatives)
     pos_sets = [d.tokens for d in positives]
     neg_sets = [d.tokens for d in negatives]
 
@@ -107,26 +106,32 @@ def test_criterion_1_formula_fidelity():
     lambdas = [(1, 1), (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 100), 200), (22, 4)]
     for lam_neg, lam_pos in lambdas:
         hp = Hyperparameters(float(lam_neg), float(lam_pos))
-        for t in sorted(model.features):
-            expected = (lam_pos + Fraction(model.pos_count.get(t, 0))) / (lam_pos + model.n_pos)
-            assert abs(cond_prob(t, True, model, hp) - float(expected)) < 1e-12
-            expected = (lam_neg + Fraction(model.neg_count.get(t, 0))) / (lam_neg + model.n_neg)
-            assert abs(cond_prob(t, False, model, hp) - float(expected)) < 1e-12
+        tables = zip(
+            model.features, model.pos_count.tolist(), model.neg_count.tolist(),
+            cond_probs(True, model, hp).tolist(), cond_probs(False, model, hp).tolist(),
+        )
+        for t, n_t_pos, n_t_neg, p_t_pos, p_t_neg in tables:
+            assert n_t_pos == sum(t in d for d in pos_sets) and n_t_neg == sum(t in d for d in neg_sets)
+            expected = (lam_pos + Fraction(n_t_pos)) / (lam_pos + model.n_pos)
+            assert abs(p_t_pos - float(expected)) < 1e-12
+            expected = (lam_neg + Fraction(n_t_neg)) / (lam_neg + model.n_neg)
+            assert abs(p_t_neg - float(expected)) < 1e-12
         expected = (lam_pos + model.n_pos) / (lam_pos + lam_neg + model.total)
         assert abs(class_prior(True, model, hp) - float(expected)) < 1e-12
 
-    # full posterior against the direct product form
+    # full posterior of rank_corpus against the direct product form
     cases = [{"grid", "search"}, {"recipe", "pan"}, {"grid", "recipe", "cell", "zzz"}, set()]
-    for case in cases:
-        for lam_neg, lam_pos in lambdas:
+    for lam_neg, lam_pos in lambdas:
+        got = posteriors(cases, model, Hyperparameters(float(lam_neg), float(lam_pos)))
+        for case, (p_pos, _) in zip(cases, got):
             expected = exact_posterior(case, pos_sets, neg_sets, lam_neg, lam_pos)
-            got = score(case, model, Hyperparameters(float(lam_neg), float(lam_pos)))
-            assert abs(got.p_pos - float(expected)) < 1e-12
+            assert abs(p_pos - float(expected)) < 1e-12
 
     # two observed events, none positive, add-one priors: p = 1/4
     empty_pos = CountModel(
-        n_pos=0, n_neg=2, features=frozenset(), pos_count={}, neg_count={},
-        doc_labels=(), doc_tokens=(),
+        n_pos=0, n_neg=2, features=(), pos_count=np.zeros(0, dtype=np.int64),
+        neg_count=np.zeros(0, dtype=np.int64), fold_offsets=np.zeros(1, dtype=np.int64),
+        fold_features=np.zeros(0, dtype=np.int64),
     )
     assert class_prior(True, empty_pos, Hyperparameters(1, 1)) == 0.25
 
@@ -142,15 +147,18 @@ def test_criterion_2_loo_oracle_equivalence():
     lambdas = [(1, 1), (Fraction(1, 2), Fraction(1, 2)), (37, 2), (Fraction(1, 100), 150)]
     for rng, n_pos, n_neg in fixtures:
         positives, negatives = random_training_docs(rng, n_pos, n_neg)
-        model = build_counts(positives, negatives)
+        model = train(positives, negatives)
         assert model.n_folds <= 50
+        evaluator = LooEvaluator(model)
         pos_sets = [d.tokens for d in positives]
         neg_sets = [d.tokens for d in negatives]
         for lam_neg, lam_pos in lambdas:
-            hp = Hyperparameters(float(lam_neg), float(lam_pos))
-            for fold in range(model.n_folds):
+            cell = Cell(DEFAULT_GRID.index_of(float(lam_neg)), DEFAULT_GRID.index_of(float(lam_pos)))
+            log_odds = evaluator.log_odds(cell).tolist()
+            assert len(log_odds) == model.n_folds
+            for fold, value in enumerate(log_odds):
                 expected = retrained_loo_posterior(fold, pos_sets, neg_sets, lam_neg, lam_pos)
-                assert abs(loo_score(fold, model, hp).p_pos - float(expected)) < 1e-9
+                assert abs(positive_posterior(value, 0.0) - float(expected)) < 1e-9
 
 
 @criterion(3, "search finds brute-forced optima on 20 synthetic surfaces", budget_seconds=30.0)
@@ -194,7 +202,7 @@ def test_criterion_5_monotonicity_sweep():
         _doc(5, {"oven", "recipe"}),
         _doc(6, {"search", "warrant"}),
     ]
-    model = build_counts(positives, negatives)
+    model = train(positives, negatives)
     cases = [
         {"grid", "search", "memo"},
         {"grid", "recipe"},
@@ -202,16 +210,14 @@ def test_criterion_5_monotonicity_sweep():
         {"oven", "recipe"},
         {"climb"},
     ]
-    for case in cases:
-        down = [score(case, model, Hyperparameters(lam, 1.0)).p_pos for lam in DEFAULT_GRID.values]
-        assert all(b <= a + 1e-12 for a, b in zip(down, down[1:]))
-        up = [score(case, model, Hyperparameters(1.0, lam)).p_pos for lam in DEFAULT_GRID.values]
-        assert all(b >= a - 1e-12 for a, b in zip(up, up[1:]))
+    # one ranking of all cases per grid value: p_pos of each case, per lambda
+    down = [[p for p, _ in posteriors(cases, model, Hyperparameters(lam, 1.0))] for lam in DEFAULT_GRID.values]
+    up = [[p for p, _ in posteriors(cases, model, Hyperparameters(1.0, lam))] for lam in DEFAULT_GRID.values]
+    for i in range(len(cases)):
+        assert all(b[i] <= a[i] + 1e-12 for a, b in zip(down, down[1:]))
+        assert all(b[i] >= a[i] - 1e-12 for a, b in zip(up, up[1:]))
 
-    counts = []
-    for lam in DEFAULT_GRID.values:
-        hp = Hyperparameters(lam, 1.0)
-        counts.append(sum(score(c, model, hp).p_pos > 0.5 for c in cases))
+    counts = [sum(p > 0.5 for p in row) for row in down]
     assert all(b <= a for a, b in zip(counts, counts[1:]))
 
 

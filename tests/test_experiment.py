@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import scalar_sample_negatives
 from priorlearn.corpus import CategoryIndex, Corpus, Document
 from priorlearn.experiment import (
     ExperimentSpec,
@@ -96,6 +97,14 @@ class TestSampleNegatives:
         ]
         assert all(a != b for a, b in zip(samples, samples[1:]))
         assert abs(np.mean(overlaps) - k / pool) < 0.03
+
+    @pytest.mark.parametrize("n_docs,n_members,k", [(2, 1, 1), (50, 10, 40), (600, 100, 100), (5000, 1000, 1000)])
+    def test_same_draws_as_one_swap_per_step(self, n_docs, n_members, k):
+        corpus, cats = _flat_corpus(n_docs, n_members)
+        for seed in range(50):
+            assert sample_negatives(corpus, cats, "Cat", k, seed) == scalar_sample_negatives(
+                corpus, cats, "Cat", k, seed
+            ), seed
 
 
 class TestTrainingSet:

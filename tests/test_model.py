@@ -6,21 +6,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_training_docs
-from oracles import exact_posterior, retrained_loo_posterior, tally_counts
-from priorlearn.corpus import Document
+from conftest import posteriors, random_training_docs, train
+from oracles import cond_prob, dict_model, exact_posterior, loo_score, retrained_loo_posterior, tally_counts
+from priorlearn.corpus import Corpus, Document
+from priorlearn.experiment import make_training_set, rank_corpus, training_model
 from priorlearn.model import (
     CountModel,
     Hyperparameters,
     build_counts,
     class_prior,
-    classify,
-    cond_prob,
-    loo_score,
+    cond_probs,
     model_manifest,
-    score,
+    positive_posterior,
 )
-from priorlearn.search import DEFAULT_GRID
+from priorlearn.search import DEFAULT_GRID, Cell, LooEvaluator
+from priorlearn.synthetic import CATEGORY
 
 HP11 = Hyperparameters(1, 1)
 
@@ -30,16 +30,44 @@ def _doc(i, tokens):
 
 
 def _bare_model(n_pos, n_neg, pos_count=None, neg_count=None, features=None):
-    """Directly-constructed model for arithmetic checks on the formulas."""
+    """Directly-constructed model without folds, for arithmetic checks on the formulas."""
+    pos_count, neg_count = pos_count or {}, neg_count or {}
+    features = tuple(sorted(features or pos_count))
     return CountModel(
         n_pos=n_pos,
         n_neg=n_neg,
-        features=frozenset(features or (pos_count or {}).keys() | set()),
-        pos_count=pos_count or {},
-        neg_count=neg_count or {},
-        doc_labels=(),
-        doc_tokens=(),
+        features=features,
+        pos_count=np.array([pos_count.get(t, 0) for t in features], dtype=np.int64),
+        neg_count=np.array([neg_count.get(t, 0) for t in features], dtype=np.int64),
+        fold_offsets=np.zeros(1, dtype=np.int64),
+        fold_features=np.zeros(0, dtype=np.int64),
     )
+
+
+def _prob(model, token, positive, hp):
+    return cond_probs(positive, model, hp)[model.features.index(token)]
+
+
+def _folds(model):
+    """Each fold's feature tokens, from the model's compressed rows."""
+    offsets = model.fold_offsets.tolist()
+    return [
+        tuple(model.features[i] for i in model.fold_features[start:end].tolist())
+        for start, end in zip(offsets, offsets[1:])
+    ]
+
+
+def assert_matches_dict_model(model, positives, negatives):
+    oracle = dict_model(positives, negatives)
+    assert (model.n_pos, model.n_neg, model.n_folds) == (oracle.n_pos, oracle.n_neg, oracle.n_folds)
+    assert model.features == tuple(sorted(oracle.features))
+    assert model.pos_count.tolist() == [oracle.pos_count.get(t, 0) for t in model.features]
+    assert model.neg_count.tolist() == [oracle.neg_count.get(t, 0) for t in model.features]
+    assert _folds(model) == list(oracle.doc_tokens)
+
+
+def _p_pos(log_odds):
+    return positive_posterior(log_odds, 0.0)
 
 
 class TestHyperparameters:
@@ -62,59 +90,100 @@ class TestHyperparameters:
 
 class TestBuildCounts:
     def test_basic_example(self):
-        model = build_counts(
+        model = train(
             [_doc(1, {"a", "b"}), _doc(2, {"b", "c"})],
             [_doc(3, {"b", "d"})],
         )
-        assert model.features == {"a", "b", "c"}
-        assert model.pos_count == {"a": 1, "b": 2, "c": 1}
-        assert model.neg_count == {"b": 1}  # d never counted
-        assert (model.n_pos, model.n_neg, model.total) == (2, 1, 3)
+        assert model.features == ("a", "b", "c")
+        assert model.pos_count.tolist() == [1, 2, 1]
+        assert model.neg_count.tolist() == [0, 1, 0]  # d never counted
+        assert _folds(model) == [("a", "b"), ("b", "c"), ("b",)]
+        assert (model.n_pos, model.n_neg, model.total, model.n_folds) == (2, 1, 3, 3)
 
     def test_empty_negatives_allowed(self):
-        model = build_counts([_doc(1, {"a"})], [])
+        model = train([_doc(1, {"a"})], [])
         assert model.n_neg == 0
-        assert 0 < score({"a"}, model, HP11).p_pos < 1
+        assert model.neg_count.tolist() == [0]
+        [(p_pos, _)] = posteriors([{"a"}], model, HP11)
+        assert 0 < p_pos < 1
 
     def test_empty_positives_rejected(self):
+        index = Corpus.from_documents([_doc(1, {"a"})]).token_index
         with pytest.raises(ValueError, match="positives"):
-            build_counts([], [_doc(1, {"a"})])
+            build_counts(index, [], [1])
 
     def test_shared_ids_rejected(self):
-        with pytest.raises(ValueError, match="both sides"):
-            build_counts([_doc(1, {"a"})], [_doc(1, {"b"})])
+        index = Corpus.from_documents([_doc(1, {"a"}), _doc(2, {"b"})]).token_index
+        with pytest.raises(ValueError, match=r"both sides: \[1\]"):
+            build_counts(index, [1, 2], [1])
+
+    @pytest.mark.parametrize("positive_ids,negative_ids", [([1, 99], [2]), ([1], [2, 99, 0])])
+    def test_absent_ids_rejected(self, positive_ids, negative_ids):
+        index = Corpus.from_documents([_doc(1, {"a"}), _doc(2, {"b"})]).token_index
+        with pytest.raises(ValueError, match=r"not in the corpus index: \[.*99\]"):
+            build_counts(index, positive_ids, negative_ids)
 
     def test_counts_match_brute_force_tally(self, six_doc_model):
         model, positives, negatives = six_doc_model
         features, pos_count, neg_count = tally_counts(positives, negatives)
-        assert model.features == features
-        assert model.pos_count == {t: c for t, c in pos_count.items() if c}
-        assert model.neg_count == neg_count
+        assert model.features == tuple(sorted(features))
+        assert dict(zip(model.features, model.pos_count.tolist())) == pos_count
+        assert {t: c for t, c in zip(model.features, model.neg_count.tolist()) if c} == neg_count
 
     def test_count_bounds_invariant(self, six_doc_model):
         model, _, _ = six_doc_model
-        for t in model.features:
-            assert 1 <= model.pos_count.get(t, 0) <= model.n_pos
-            assert 0 <= model.neg_count.get(t, 0) <= model.n_neg
-        assert set(model.neg_count) <= model.features
+        assert model.pos_count.dtype.kind == model.neg_count.dtype.kind == "i"
+        assert np.all((1 <= model.pos_count) & (model.pos_count <= model.n_pos))
+        assert np.all((0 <= model.neg_count) & (model.neg_count <= model.n_neg))
+        assert len(model.pos_count) == len(model.neg_count) == len(model.features)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_matches_dict_model_on_acceptance_training_sets(self, acceptance, seed):
+        corpus = acceptance.corpus
+        training = make_training_set(corpus, acceptance.categories, CATEGORY, seed)
+        assert_matches_dict_model(
+            training_model(corpus, training),
+            [corpus.get(i) for i in training.positive_ids],
+            [corpus.get(i) for i in training.negative_ids],
+        )
+
+    def test_matches_dict_model_on_random_corpora(self):
+        rng = np.random.default_rng(8)
+        vocab = [f"t{i}" for i in range(30)] + ["\u00e9", "e\u0301", "\U0001f600", "Z", "a\x00", "a"]
+        for _ in range(20):
+            n_docs = int(rng.integers(2, 60))
+            docs = [
+                _doc(int(doc_id), (vocab[i] for i in rng.choice(len(vocab), size=int(rng.integers(0, 12)), replace=False)))
+                for doc_id in rng.choice(10_000, size=n_docs, replace=False)
+            ]
+            # training folds in a random order, not all documents used
+            order = rng.permutation(n_docs).tolist()
+            n_pos = int(rng.integers(1, n_docs))
+            n_neg = int(rng.integers(0, n_docs - n_pos + 1))
+            positives = [docs[i] for i in order[:n_pos]]
+            negatives = [docs[i] for i in order[n_pos:n_pos + n_neg]]
+            index = Corpus.from_documents(docs).token_index
+            model = build_counts(index, [d.id for d in positives], [d.id for d in negatives])
+            assert_matches_dict_model(model, positives, negatives)
 
 
 class TestCondProb:
     def test_smoothed_ratio(self):
-        model = _bare_model(9, 0, pos_count={"t": 3}, features={"t"})
-        assert cond_prob("t", True, model, HP11) == 0.4  # (1+3)/(1+9)
+        model = _bare_model(9, 0, pos_count={"t": 3})
+        assert _prob(model, "t", True, HP11) == 0.4  # (1+3)/(1+9)
 
     def test_large_negative_floor(self):
         model = _bare_model(0, 50, features={"t"})
         hp = Hyperparameters(lambda_neg=200, lambda_pos=1)
-        assert cond_prob("t", False, model, hp) == 0.8  # 200/250
+        assert _prob(model, "t", False, hp) == 0.8  # 200/250
 
     def test_exactly_one_when_token_in_every_doc(self):
-        model = _bare_model(5, 0, pos_count={"t": 5}, features={"t"})
-        assert cond_prob("t", True, model, HP11) == 1.0
+        model = _bare_model(5, 0, pos_count={"t": 5})
+        assert _prob(model, "t", True, HP11) == 1.0
 
     def test_unknown_token_rejected(self):
-        model = _bare_model(1, 1, pos_count={"t": 1}, features={"t"})
+        # the string-token reference refuses a token outside the features
+        model = dict_model([_doc(1, {"t"})], [_doc(2, {"t"})])
         with pytest.raises(ValueError, match="feature"):
             cond_prob("u", True, model, HP11)
 
@@ -122,9 +191,10 @@ class TestCondProb:
         model, _, _ = six_doc_model
         for lam in DEFAULT_GRID.values:
             hp = Hyperparameters(lam, lam)
-            for t in sorted(model.features):
-                for positive in (True, False):
-                    assert 0.0 < cond_prob(t, positive, model, hp) <= 1.0
+            for positive in (True, False):
+                probs = cond_probs(positive, model, hp)
+                assert probs.shape == (len(model.features),)
+                assert np.all((0.0 < probs) & (probs <= 1.0))
 
 
 class TestClassPrior:
@@ -156,19 +226,19 @@ class TestClassPrior:
 class TestScore:
     def test_empty_intersection_reduces_to_priors(self, six_doc_model):
         model, _, _ = six_doc_model
-        post = score({"zzz", "not-a-feature"}, model, HP11)
+        [(p_pos, log_odds)] = posteriors([{"zzz", "not-a-feature"}], model, HP11)
         expected = class_prior(True, model, HP11) / (
             class_prior(True, model, HP11) + class_prior(False, model, HP11)
         )
-        assert math.isclose(post.p_pos, expected, abs_tol=1e-12)
-        assert post.log_odds == pytest.approx(0.0, abs=1e-12)
+        assert math.isclose(p_pos, expected, abs_tol=1e-12)
+        assert log_odds == pytest.approx(0.0, abs=1e-12)
 
     def test_discriminative_token_raises_posterior(self):
-        model = build_counts(
+        model = train(
             [_doc(1, {"t"}), _doc(2, {"t"})],
             [_doc(3, {"u"}), _doc(4, {"u"})],
         )
-        assert score({"t"}, model, HP11).p_pos > 0.5
+        assert posteriors([{"t"}], model, HP11)[0][0] > 0.5
 
     def test_matches_exact_rational_oracle(self, six_doc_model):
         model, positives, negatives = six_doc_model
@@ -183,23 +253,23 @@ class TestScore:
         ]
         lambdas = [(1, 1), (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 100), 200),
                    (22, 4), (200, Fraction(1, 10))]
-        for case in cases:
-            for lam_neg, lam_pos in lambdas:
+        for lam_neg, lam_pos in lambdas:
+            got = posteriors(cases, model, Hyperparameters(float(lam_neg), float(lam_pos)))
+            for case, (p_pos, _) in zip(cases, got):
                 expected = exact_posterior(case, pos_sets, neg_sets, lam_neg, lam_pos)
-                got = score(case, model, Hyperparameters(float(lam_neg), float(lam_pos)))
-                assert math.isclose(got.p_pos, float(expected), abs_tol=1e-12), (case, lam_neg, lam_pos)
+                assert math.isclose(p_pos, float(expected), abs_tol=1e-12), (case, lam_neg, lam_pos)
 
     def test_posterior_normalized(self, six_doc_model):
         model, _, _ = six_doc_model
-        post = score({"grid", "recipe"}, model, HP11)
-        assert abs(post.p_pos + post.p_neg - 1.0) < 1e-12
+        [(p_pos, log_odds)] = posteriors([{"grid", "recipe"}], model, HP11)
+        assert abs(p_pos - 1.0 / (1.0 + math.exp(-log_odds))) < 1e-12
 
     def test_log_odds_sign_matches_probability(self, six_doc_model):
         model, _, _ = six_doc_model
-        for case in ({"grid"}, {"recipe"}, {"oven"}, {"grid", "recipe", "search"}):
-            post = score(case, model, HP11)
-            if abs(post.log_odds) > 1e-12:
-                assert (post.p_pos > 0.5) == (post.log_odds > 0)
+        cases = [{"grid"}, {"recipe"}, {"oven"}, {"grid", "recipe", "search"}]
+        for p_pos, log_odds in posteriors(cases, model, HP11):
+            if abs(log_odds) > 1e-12:
+                assert (p_pos > 0.5) == (log_odds > 0)
 
     @given(
         extra=st.sets(st.text(alphabet="xyz!", min_size=1, max_size=6), max_size=5),
@@ -212,84 +282,105 @@ class TestScore:
         hp = Hyperparameters(lam, 1.0)
         base = {"grid", "search"}
         outside = {t for t in extra if t not in model.features}
-        assert score(base | outside, model, hp) == score(base, model, hp)
+        with_outside, without = posteriors([base | outside, base], model, hp)
+        assert with_outside == without
 
     def test_smoothing_keeps_probabilities_interior(self, six_doc_model):
         model, _, _ = six_doc_model
         for lam in (0.01, 1.0, 200.0):
             hp = Hyperparameters(lam, lam)
-            post = score({"grid", "recipe", "oven"}, model, hp)
-            assert 0.0 < post.p_pos < 1.0
+            [(p_pos, _)] = posteriors([{"grid", "recipe", "oven"}], model, hp)
+            assert 0.0 < p_pos < 1.0
+
+
+def _cell(lam_neg, lam_pos):
+    return Cell(DEFAULT_GRID.index_of(float(lam_neg)), DEFAULT_GRID.index_of(float(lam_pos)))
 
 
 class TestLooScore:
+    """Held-out folds through ``LooEvaluator.log_odds``."""
+
     def test_coin_toss_anchor(self):
         # one "head" (positive) and one "tail" (negative), no tokens; holding
         # out the tail leaves p(tail) = (1+1-1)/(1+1+2-1) = 1/3
-        model = build_counts([_doc(1, set())], [_doc(2, set())])
-        post = loo_score(1, model, HP11)
-        assert math.isclose(post.p_neg, 1 / 3, abs_tol=1e-12)
+        model = train([_doc(1, set())], [_doc(2, set())])
+        log_odds = LooEvaluator(model).log_odds(_cell(1, 1))
+        assert math.isclose(1.0 - _p_pos(log_odds[1]), 1 / 3, abs_tol=1e-12)
 
     def test_holding_out_only_carrier_zeroes_count(self):
         # t occurs only in the held-out positive; its effective count drops
         # to zero so the positive conditional falls to lambda/(lambda+n_pos-1)
-        model = build_counts(
+        model = train(
             [_doc(1, {"t", "c"}), _doc(2, {"c"}), _doc(3, {"c"})],
             [_doc(4, {"c"})],
         )
         expected = retrained_loo_posterior(0, [{"t", "c"}, {"c"}, {"c"}], [{"c"}], 1, 1)
-        got = loo_score(0, model, HP11)
-        assert math.isclose(got.p_pos, float(expected), abs_tol=1e-12)
+        got = _p_pos(LooEvaluator(model).log_odds(_cell(1, 1))[0])
+        assert math.isclose(got, float(expected), abs_tol=1e-12)
 
     def test_out_of_range_fold_rejected(self, six_doc_model):
-        model, _, _ = six_doc_model
+        # the evaluator scores exactly the model's folds; the scalar
+        # reference refuses any other index
+        model, positives, negatives = six_doc_model
+        assert LooEvaluator(model).log_odds(_cell(1, 1)).shape == (6,)
+        oracle = dict_model(positives, negatives)
         with pytest.raises(IndexError):
-            loo_score(6, model, HP11)
+            loo_score(6, oracle, HP11)
         with pytest.raises(IndexError):
-            loo_score(-1, model, HP11)
+            loo_score(-1, oracle, HP11)
 
     def test_model_unchanged(self, six_doc_model):
         model, _, _ = six_doc_model
-        before = dict(model.pos_count), dict(model.neg_count)
-        loo_score(0, model, HP11)
-        assert (model.pos_count, model.neg_count) == before
+        arrays = ("pos_count", "neg_count", "fold_offsets", "fold_features")
+        before = [getattr(model, name).copy() for name in arrays]
+        LooEvaluator(model).log_odds(_cell(1, 1))
+        for name, old in zip(arrays, before):
+            assert np.array_equal(getattr(model, name), old), name
 
     @pytest.mark.parametrize("seed,n_pos,n_neg", [(0, 3, 3), (1, 10, 8), (2, 25, 25), (3, 14, 0)])
     def test_equals_retraining_from_scratch(self, seed, n_pos, n_neg):
         rng = np.random.default_rng(seed)
         positives, negatives = random_training_docs(rng, n_pos, n_neg)
-        model = build_counts(positives, negatives)
+        evaluator = LooEvaluator(train(positives, negatives))
         pos_sets = [d.tokens for d in positives]
         neg_sets = [d.tokens for d in negatives]
         for lam_neg, lam_pos in [(1, 1), (Fraction(1, 2), Fraction(1, 2)), (37, 2), (Fraction(1, 100), 150)]:
-            hp = Hyperparameters(float(lam_neg), float(lam_pos))
-            for fold in range(model.n_folds):
+            log_odds = evaluator.log_odds(_cell(lam_neg, lam_pos))
+            assert len(log_odds) == n_pos + n_neg
+            for fold, value in enumerate(log_odds.tolist()):
                 expected = retrained_loo_posterior(fold, pos_sets, neg_sets, lam_neg, lam_pos)
-                got = loo_score(fold, model, hp)
-                assert math.isclose(got.p_pos, float(expected), abs_tol=1e-9), (fold, lam_neg, lam_pos)
+                assert math.isclose(_p_pos(value), float(expected), abs_tol=1e-9), (fold, lam_neg, lam_pos)
+
+
+def _ranked(cases, model, hp):
+    corpus = Corpus.from_documents(Document(i, "", frozenset(c)) for i, c in enumerate(cases))
+    return rank_corpus(corpus, model, hp)
 
 
 class TestClassify:
+    """The p > 1/2 rule behind ``RankedPredictions.positives_predicted``."""
+
     def test_exact_tie_is_negative(self):
         # balanced counts, uniform priors, empty intersection: p_pos is 1/2
-        model = _bare_model(5, 5)
-        assert score(set(), model, HP11).p_pos == 0.5
-        assert classify(set(), model, HP11) is False
+        ranked = _ranked([set()], _bare_model(5, 5), HP11)
+        assert ranked.entries[0][1] == 0.5
+        assert ranked.positives_predicted == 0
 
     def test_just_above_half_is_positive(self):
-        model = build_counts(
+        model = train(
             [_doc(1, {"t"}), _doc(2, {"t"})],
             [_doc(3, {"t"}), _doc(4, {"u"})],
         )
-        post = score({"t"}, model, HP11)
-        assert post.p_pos > 0.5
-        assert classify({"t"}, model, HP11) is True
+        ranked = _ranked([{"t"}], model, HP11)
+        assert ranked.entries[0][1] > 0.5
+        assert ranked.positives_predicted == 1
 
     def test_labels_equal_sign_of_log_odds(self, six_doc_model):
         model, positives, negatives = six_doc_model
-        for doc in positives + negatives:
-            post = score(doc.tokens, model, HP11)
-            assert classify(doc.tokens, model, HP11) == (post.log_odds > 0)
+        ranked = _ranked([doc.tokens for doc in positives + negatives], model, HP11)
+        for _, p_pos, log_odds in ranked.entries:
+            assert (p_pos > 0.5) == (log_odds > 0)
+        assert ranked.positives_predicted == sum(log_odds > 0 for _, _, log_odds in ranked.entries)
 
 
 class TestMonotonicity:
@@ -303,29 +394,25 @@ class TestMonotonicity:
 
     def test_p_pos_nonincreasing_in_lambda_neg(self, six_doc_model):
         model, _, _ = six_doc_model
-        for case in self.CASES:
-            values = [
-                score(case, model, Hyperparameters(lam, 1.0)).p_pos for lam in DEFAULT_GRID.values
-            ]
-            for a, b in zip(values, values[1:]):
-                assert b <= a + 1e-12
+        sweep = [posteriors(self.CASES, model, Hyperparameters(lam, 1.0)) for lam in DEFAULT_GRID.values]
+        for a, b in zip(sweep, sweep[1:]):
+            for (p_a, _), (p_b, _) in zip(a, b):
+                assert p_b <= p_a + 1e-12
 
     def test_p_pos_nondecreasing_in_lambda_pos(self, six_doc_model):
         model, _, _ = six_doc_model
-        for case in self.CASES:
-            values = [
-                score(case, model, Hyperparameters(1.0, lam)).p_pos for lam in DEFAULT_GRID.values
-            ]
-            for a, b in zip(values, values[1:]):
-                assert b >= a - 1e-12
+        sweep = [posteriors(self.CASES, model, Hyperparameters(1.0, lam)) for lam in DEFAULT_GRID.values]
+        for a, b in zip(sweep, sweep[1:]):
+            for (p_a, _), (p_b, _) in zip(a, b):
+                assert p_b >= p_a - 1e-12
 
     def test_positive_set_shrinks_with_lambda_neg(self, six_doc_model):
         model, positives, negatives = six_doc_model
         cases = [d.tokens for d in positives + negatives]
-        counts = []
-        for lam in DEFAULT_GRID.values:
-            hp = Hyperparameters(lam, 1.0)
-            counts.append(sum(score(c, model, hp).p_pos > 0.5 for c in cases))
+        counts = [
+            _ranked(cases, model, Hyperparameters(lam, 1.0)).positives_predicted
+            for lam in DEFAULT_GRID.values
+        ]
         for a, b in zip(counts, counts[1:]):
             assert b <= a
 
@@ -338,7 +425,7 @@ class TestManifest:
         assert lines[0] == "n_pos\t3"
         assert lines[1] == "n_neg\t3"
         tokens = [line.split("\t")[0] for line in lines[2:]]
-        assert tokens == sorted(model.features)
+        assert tokens == sorted(model.features) == list(model.features)
         row = dict(zip(tokens, [line.split("\t")[1:] for line in lines[2:]]))
         assert row["grid"] == ["3", "1"]
         assert row["peak"] == ["1", "0"]

@@ -1,15 +1,16 @@
 """rank_corpus against the scalar ranking oracle, bit for bit.
 
-The vectorized ranking must give exactly the floats that one ``score``
-call per document gives: equal under ``==``, equal in ``repr`` (the bytes
-the predictions CSV writes), and Python ``float``/``int`` objects, not
-numpy scalars.
+The vectorized ranking over the integer count model must give exactly
+the floats that one scalar ``score`` call per document over the
+string-token ``dict`` model gives: equal under ``==``, equal in ``repr``
+(the bytes the predictions CSV writes), and Python ``float``/``int``
+objects, not numpy scalars.
 """
 
 import numpy as np
 import pytest
 
-from oracles import scalar_ranking
+from oracles import dict_model, scalar_ranking
 from priorlearn.corpus import Corpus, Document
 from priorlearn.experiment import make_training_set, rank_corpus, training_model
 from priorlearn.model import BAYES_LAPLACE, Hyperparameters, build_counts
@@ -39,6 +40,14 @@ def _corpus(token_sets, first_id=1):
     return Corpus.from_documents(docs, shard_count=3)
 
 
+def _models(training, positive_ids, negative_ids):
+    """The count model of these training-corpus ids and its ``dict`` oracle."""
+    return (
+        build_counts(training.token_index, positive_ids, negative_ids),
+        dict_model([training.get(i) for i in positive_ids], [training.get(i) for i in negative_ids]),
+    )
+
+
 def _draw(rng, vocab, size):
     # picks by index: a numpy "U" array of the vocabulary would drop trailing NULs
     return {vocab[i] for i in rng.choice(len(vocab), size=size, replace=False).tolist()}
@@ -49,18 +58,21 @@ def test_acceptance_corpus_matches_oracle(acceptance, seed):
     corpus = acceptance.corpus
     training = make_training_set(corpus, acceptance.categories, CATEGORY, seed)
     model = training_model(corpus, training)
+    oracle = dict_model(
+        [corpus.get(i) for i in training.positive_ids], [corpus.get(i) for i in training.negative_ids]
+    )
     exclude = frozenset(training.positive_ids)
     for hp in PRIORS:
         assert_bit_identical(
-            rank_corpus(corpus, model, hp, exclude), scalar_ranking(corpus, model, hp, exclude)
+            rank_corpus(corpus, model, hp, exclude), scalar_ranking(corpus, oracle, hp, exclude)
         )
 
 
 def test_document_without_model_features_scores_its_priors():
     corpus = _corpus([{"a", "b"}, {"a", "c"}, {"x", "y"}, set(), {"b", "z"}])
-    model = build_counts([corpus.get(1), corpus.get(2)], [corpus.get(5)])
+    model, oracle = _models(corpus, [1, 2], [5])
     ranked = rank_corpus(corpus, model, BAYES_LAPLACE)
-    assert_bit_identical(ranked, scalar_ranking(corpus, model, BAYES_LAPLACE))
+    assert_bit_identical(ranked, scalar_ranking(corpus, oracle, BAYES_LAPLACE))
     # documents 3 and 4 hold no feature: same log odds, ascending ids
     rows = {doc_id: (p_pos, log_odds) for doc_id, p_pos, log_odds in ranked.entries}
     assert rows[3] == rows[4]
@@ -69,35 +81,36 @@ def test_document_without_model_features_scores_its_priors():
 
 def test_exclusions_covering_everything_and_absent_ids():
     corpus = _corpus([{"a"}, {"a", "b"}, {"c"}])
-    model = build_counts([corpus.get(1)], [corpus.get(3)])
+    model, oracle = _models(corpus, [1], [3])
     everything = rank_corpus(corpus, model, BAYES_LAPLACE, frozenset({1, 2, 3, 99}))
     assert everything.entries == ()
     assert everything.positives_predicted == 0
     absent = {2, 99, -5}
     assert_bit_identical(
         rank_corpus(corpus, model, BAYES_LAPLACE, absent),
-        scalar_ranking(corpus, model, BAYES_LAPLACE, absent),
+        scalar_ranking(corpus, oracle, BAYES_LAPLACE, absent),
     )
 
 
 def test_model_from_another_corpus():
     training = _corpus([{"only", "here", "a"}, {"a", "b"}, {"b", "elsewhere"}], first_id=500)
-    model = build_counts([training.get(500), training.get(501)], [training.get(502)])
+    model, oracle = _models(training, [500, 501], [502])
     corpus = _corpus([{"a"}, {"b", "c"}, {"c", "d"}, {"a", "b", "z"}])
     assert not {"only", "here"} & set(corpus.token_index.slot_of)
     for hp in PRIORS:
-        assert_bit_identical(rank_corpus(corpus, model, hp), scalar_ranking(corpus, model, hp))
+        assert_bit_identical(rank_corpus(corpus, model, hp), scalar_ranking(corpus, oracle, hp))
 
 
 def test_exact_ties_rank_by_ascending_id():
     docs = [Document(doc_id, "t", frozenset({"p", "q"})) for doc_id in (40, 7, 23, 11)]
     docs += [Document(doc_id, "u", frozenset({"q"})) for doc_id in (3, 90)]
     corpus = Corpus.from_documents(docs)
-    model = build_counts(
-        [Document(1000, "m", frozenset({"p", "q"}))], [Document(1001, "n", frozenset({"q"}))]
+    training = Corpus.from_documents(
+        [Document(1000, "m", frozenset({"p", "q"})), Document(1001, "n", frozenset({"q"}))]
     )
+    model, oracle = _models(training, [1000], [1001])
     ranked = rank_corpus(corpus, model, BAYES_LAPLACE)
-    assert_bit_identical(ranked, scalar_ranking(corpus, model, BAYES_LAPLACE))
+    assert_bit_identical(ranked, scalar_ranking(corpus, oracle, BAYES_LAPLACE))
     assert ranked.doc_ids() == [7, 11, 23, 40, 3, 90]
 
 
@@ -115,9 +128,9 @@ def test_non_ascii_tokens_follow_str_order():
     slots = corpus.token_index.slot_of
     assert list(slots) == sorted(slots)
     assert "a" in slots and "a\x00" in slots
-    model = build_counts([corpus.get(i) for i in range(1, 21)], [corpus.get(i) for i in range(21, 41)])
+    model, oracle = _models(corpus, range(1, 21), range(21, 41))
     for hp in PRIORS:
-        assert_bit_identical(rank_corpus(corpus, model, hp), scalar_ranking(corpus, model, hp))
+        assert_bit_identical(rank_corpus(corpus, model, hp), scalar_ranking(corpus, oracle, hp))
 
 
 def test_random_corpora_match_oracle():
@@ -129,25 +142,22 @@ def test_random_corpora_match_oracle():
         ]
         corpus = _corpus(token_sets)
         n_pos = int(rng.integers(1, len(token_sets)))
-        model = build_counts(
-            [corpus.get(i) for i in range(1, n_pos + 1)],
-            [corpus.get(i) for i in range(n_pos + 1, len(token_sets) + 1)],
-        )
+        model, oracle = _models(corpus, range(1, n_pos + 1), range(n_pos + 1, len(token_sets) + 1))
         hp = Hyperparameters(float(rng.uniform(0.01, 200)), float(rng.uniform(0.01, 200)))
         exclude = set(rng.choice(len(token_sets) + 5, size=3).tolist())
         assert_bit_identical(
-            rank_corpus(corpus, model, hp, exclude), scalar_ranking(corpus, model, hp, exclude)
+            rank_corpus(corpus, model, hp, exclude), scalar_ranking(corpus, oracle, hp, exclude)
         )
 
 
 def test_index_built_once_and_reused_across_models():
     corpus = _corpus([{"a", "b"}, {"b", "c"}, {"c", "d"}, {"a", "d"}, {"e"}])
-    first = build_counts([corpus.get(1)], [corpus.get(3)])
-    second = build_counts([corpus.get(2), corpus.get(4)], [corpus.get(5)])
-    assert_bit_identical(
-        rank_corpus(corpus, first, BAYES_LAPLACE), scalar_ranking(corpus, first, BAYES_LAPLACE)
-    )
+    first, first_oracle = _models(corpus, [1], [3])
     index = corpus.token_index
+    second, second_oracle = _models(corpus, [2, 4], [5])
+    assert_bit_identical(
+        rank_corpus(corpus, first, BAYES_LAPLACE), scalar_ranking(corpus, first_oracle, BAYES_LAPLACE)
+    )
     hp = Hyperparameters(3.0, 0.5)
-    assert_bit_identical(rank_corpus(corpus, second, hp), scalar_ranking(corpus, second, hp))
+    assert_bit_identical(rank_corpus(corpus, second, hp), scalar_ranking(corpus, second_oracle, hp))
     assert corpus.token_index is index

@@ -3,11 +3,13 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import random_training_docs
+from conftest import random_training_docs, train
 from oracles import (
     brute_force_argmax,
+    dict_model,
     evaluate_priors,
     is_local_max,
+    loo_score,
     per_cell_log_odds,
     surface_evaluator,
     two_bump_surface,
@@ -15,7 +17,7 @@ from oracles import (
 )
 from priorlearn.corpus import Document
 from priorlearn.experiment import make_training_set, training_model
-from priorlearn.model import Hyperparameters, build_counts
+from priorlearn.model import Hyperparameters
 from priorlearn.search import (
     DEFAULT_GRID,
     Cell,
@@ -86,8 +88,9 @@ class TestEvaluatePriors:
         # one positive {a}, one negative {a, b}; at (1,1) the held-out
         # positive scores log(1/3) vs log(2/3) -> miss, and the held-out
         # negative scores log(2/3) vs log(1/3) -> false alarm
-        model = build_counts([_doc(1, {"a"})], [_doc(2, {"a", "b"})])
-        assert evaluate_priors(Cell(3, 3), model) == CellScore(0.0, 0.0)
+        positives, negatives = [_doc(1, {"a"})], [_doc(2, {"a", "b"})]
+        assert evaluate_priors(Cell(3, 3), dict_model(positives, negatives)) == CellScore(0.0, 0.0)
+        assert LooEvaluator(train(positives, negatives))(Cell(3, 3)) == CellScore(0.0, 0.0)
 
     def test_twinned_training_set_is_loo_separable(self):
         positives = [
@@ -95,26 +98,24 @@ class TestEvaluatePriors:
             _doc(3, {"p1", "p3", "c", "q1", "q2"}), _doc(4, {"p1", "p3", "c", "q1", "q2"}),
         ]
         negatives = [_doc(10 + i, {"c", "q1", "q2"}) for i in range(4)]
-        model = build_counts(positives, negatives)
-        assert evaluate_priors(Cell(3, 3), model) == CellScore(1.0, 1.0)
+        assert evaluate_priors(Cell(3, 3), dict_model(positives, negatives)) == CellScore(1.0, 1.0)
+        assert LooEvaluator(train(positives, negatives))(Cell(3, 3)) == CellScore(1.0, 1.0)
 
     def test_vectorized_evaluator_matches_reference(self):
         rng = np.random.default_rng(3)
         positives, negatives = random_training_docs(rng, 20, 16)
-        model = build_counts(positives, negatives)
-        fast = LooEvaluator(model)
+        model = dict_model(positives, negatives)
+        fast = LooEvaluator(train(positives, negatives))
         cells = [Cell(0, 0), Cell(2, 2), Cell(3, 3), Cell(0, 202), Cell(202, 0),
                  Cell(202, 202), Cell(10, 17), Cell(45, 120)]
         for cell in cells:
             assert fast(cell) == evaluate_priors(cell, model), cell
 
     def test_vectorized_log_odds_match_per_fold_scores(self):
-        from priorlearn.model import loo_score
-
         rng = np.random.default_rng(4)
         positives, negatives = random_training_docs(rng, 12, 12)
-        model = build_counts(positives, negatives)
-        fast = LooEvaluator(model)
+        model = dict_model(positives, negatives)
+        fast = LooEvaluator(train(positives, negatives))
         for cell in (Cell(3, 3), Cell(0, 202), Cell(150, 2)):
             hp = DEFAULT_GRID.hyperparameters(cell)
             odds = fast.log_odds(cell)
@@ -123,8 +124,12 @@ class TestEvaluatePriors:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_log_odds_bit_identical_to_per_cell_oracle(self, acceptance, seed):
-        training = make_training_set(acceptance.corpus, acceptance.categories, CATEGORY, seed)
-        model = training_model(acceptance.corpus, training)
+        corpus = acceptance.corpus
+        training = make_training_set(corpus, acceptance.categories, CATEGORY, seed)
+        model = training_model(corpus, training)
+        oracle = dict_model(
+            [corpus.get(i) for i in training.positive_ids], [corpus.get(i) for i in training.negative_ids]
+        )
         last = len(DEFAULT_GRID) - 1
         cells = [*default_starts(), Cell(0, 0), Cell(0, last), Cell(last, 0), Cell(last, last)]
         rng = np.random.default_rng(seed)
@@ -133,14 +138,24 @@ class TestEvaluatePriors:
         for cell in cells:
             warm.log_odds(cell)  # every half of every cell now cached
         for cell in cells:
-            expected = per_cell_log_odds(model, cell)
+            expected = per_cell_log_odds(oracle, cell)
             assert np.array_equal(LooEvaluator(model).log_odds(cell), expected), ("cold", cell)
             assert np.array_equal(warm.log_odds(cell), expected), ("warm", cell)
 
+    def test_log_odds_bit_identical_to_per_cell_oracle_on_random_corpora(self):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            n_pos, n_neg = int(rng.integers(1, 30)), int(rng.integers(0, 30))
+            positives, negatives = random_training_docs(rng, n_pos, n_neg, vocab_size=int(rng.integers(16, 60)))
+            evaluator, oracle = LooEvaluator(train(positives, negatives)), dict_model(positives, negatives)
+            for x, y in rng.integers(0, len(DEFAULT_GRID), size=(5, 2)).tolist():
+                assert np.array_equal(evaluator.log_odds(Cell(x, y)), per_cell_log_odds(oracle, Cell(x, y)))
+
     def test_evaluator_keeps_no_reference_to_its_model(self):
         rng = np.random.default_rng(5)
-        model = build_counts(*random_training_docs(rng, 8, 8))
-        expected = evaluate_priors(Cell(3, 3), model)
+        positives, negatives = random_training_docs(rng, 8, 8)
+        model = train(positives, negatives)
+        expected = evaluate_priors(Cell(3, 3), dict_model(positives, negatives))
         evaluator = LooEvaluator(model)
         model_ref = weakref.ref(model)
         del model
@@ -297,7 +312,7 @@ class TestMultiStart:
     def test_baseline_cell_always_explored_and_dominated(self):
         rng = np.random.default_rng(17)
         positives, negatives = random_training_docs(rng, 12, 12)
-        evaluator = LooEvaluator(build_counts(positives, negatives))
+        evaluator = LooEvaluator(train(positives, negatives))
         memo = {}
         outcome = multi_start_search(default_starts(), evaluator, memo=memo)
         assert Cell(3, 3) in memo  # a start, hence always evaluated

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import welch_p_value
+from oracles import mean_bootstrap_ci, welch_p_value
 from priorlearn.experiment import (
     ExperimentSpec,
     learn_priors,
@@ -78,6 +78,32 @@ class TestBootstrapCi:
             bootstrap_ci(_bits(1, 2), alpha=1.5)
         with pytest.raises(ValueError):
             bootstrap_ci([])
+
+    @pytest.mark.parametrize("bad", [[0, 1, 2], [0.5, 1.0], [-1, 0], [1, float("nan")]])
+    def test_rejects_values_other_than_zero_and_one(self, bad):
+        with pytest.raises(ValueError, match="only 0s and 1s"):
+            bootstrap_ci(bad, B=10)
+
+    def test_accepts_bool_int_and_float_bits(self):
+        bits = _bits(3, 8)
+        expected = bootstrap_ci(bits, B=200, seed=4)
+        for v in (bits.astype(bool), bits.astype(np.float64), bits.tolist()):
+            assert bootstrap_ci(v, B=200, seed=4) == expected
+
+    def test_equals_mean_formula_on_random_bit_vectors(self):
+        rng = np.random.default_rng(2021)
+        for _ in range(100):
+            n = int(rng.integers(1, 600))
+            v = (rng.random(n) < rng.random()).astype(np.int8)
+            B = int(rng.integers(1, 3000))
+            alpha = float(rng.uniform(0.001, 0.5))
+            seed = int(rng.integers(0, 2**31))
+            assert bootstrap_ci(v, B=B, alpha=alpha, seed=seed) == mean_bootstrap_ci(v, B, alpha, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_equals_mean_formula_on_acceptance_outcome_vectors(self, acceptance_outcomes, seed):
+        for v in acceptance_outcomes[seed]:
+            assert bootstrap_ci(v, seed=0) == mean_bootstrap_ci(v, seed=0)
 
 
 class TestSignificanceTest:
