@@ -61,8 +61,8 @@ case = {"grid", "search", "unseen-word", "another-one"}
 cases = Corpus.from_documents(
     [Document(1, "case", frozenset(case)), Document(2, "without", frozenset({"grid", "search"}))]
 )
-scored = {doc_id: (p_pos, log_odds) for doc_id, p_pos, log_odds in
-          rank_corpus(cases, model, Hyperparameters(1, 1)).entries}
+ranked = rank_corpus(cases, model, Hyperparameters(1, 1))  # columns in rank order
+scored = dict(zip(ranked.ids.tolist(), zip(ranked.p_pos.tolist(), ranked.log_odds.tolist())))
 print(f"case {sorted(case)}")
 print(f"  p(positive) = {scored[1][0]:.4f}, log odds = {scored[1][1]:+.4f}")
 print("tokens outside the model features changed nothing:")

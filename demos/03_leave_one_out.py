@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from priorlearn.corpus import Corpus, Document
-from priorlearn.model import build_counts, positive_posterior
+from priorlearn.model import build_counts, positive_posteriors
 from priorlearn.search import DEFAULT_GRID, Cell, LooEvaluator
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -42,11 +42,12 @@ evaluator = LooEvaluator(model)
 
 print("-- per-fold posteriors with the fold's own counts removed, lambda=(1, 1) --")
 log_odds = evaluator.log_odds(Cell(3, 3))
+p_pos = positive_posteriors(log_odds)
 for fold in (0, 1, 12, 13):
     positive = fold < model.n_pos  # positives come first
     verdict = "hit" if (log_odds[fold] > 0) == positive else "miss"
     label = "positive" if positive else "negative"
-    print(f"  fold {fold:2d} ({label}): p_pos={positive_posterior(log_odds[fold], 0.0):.3f} -> {verdict}")
+    print(f"  fold {fold:2d} ({label}): p_pos={p_pos[fold]:.3f} -> {verdict}")
 
 print("\n-- scoring whole grid cells --")
 for cell in (Cell(2, 2), Cell(3, 3), Cell(10, 3), Cell(50, 3), Cell(202, 3)):

@@ -111,7 +111,7 @@ def _read_truth(path: str) -> frozenset[int]:
 
 def _read_predictions(path: str) -> tuple[experiment.RankedPredictions, dict[int, str]]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_bytes().decode("utf-8")  # a quoted title may hold a CR
     except OSError as exc:
         raise CorpusFormatError(f"cannot read predictions {path}: {exc}") from exc
     return experiment.read_predictions_csv(text)
@@ -304,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (IngestError, CorpusFormatError, OSError, KeyError, ValueError) as exc:
+    except (IngestError, CorpusFormatError, OSError, KeyError, ValueError, OverflowError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - defensive

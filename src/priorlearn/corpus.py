@@ -423,8 +423,19 @@ def _shard_path(root: Path, shard: int) -> Path:
     return root / "shards" / f"shard-{shard:05d}.tsv"
 
 
-def _category_path(root: Path, name: str) -> Path:
-    return root / "categories" / (quote(name, safe="") + ".txt")
+def _category_file_name(name: str) -> str:
+    """The percent-encoded name plus ``.txt``, or its bounded form if too long.
+
+    A file name longer than ``NAME_MAX`` (255 bytes) becomes the first 200
+    characters of the encoding, ``+`` (which the encoding never holds) and
+    16 hex digits of the name's SHA-256; that file's first line is the
+    whole encoded name.
+    """
+    encoded = quote(name, safe="")
+    if len(encoded) + len(".txt") <= 255:
+        return encoded + ".txt"
+    import hashlib  # loads OpenSSL (~3.5 MB of RSS), so only where a name needs it
+    return f"{encoded[:200]}+{hashlib.sha256(name.encode('utf-8')).hexdigest()[:16]}.txt"
 
 
 def store_corpus(corpus: Corpus, categories: CategoryIndex, path: str | Path) -> None:
@@ -432,8 +443,9 @@ def store_corpus(corpus: Corpus, categories: CategoryIndex, path: str | Path) ->
 
     Layout: ``manifest.json`` with counts, one newline-delimited shard
     file per shard (``id<TAB>title<TAB>space-joined sorted tokens``),
-    and one file per category listing member ids ascending. Everything
-    is sorted, so storing the same corpus twice yields identical bytes.
+    and one file per category listing member ids ascending, named by
+    :func:`_category_file_name`. Everything is sorted, so storing the same
+    corpus twice yields identical bytes.
     The manifest, shard and category files of an earlier store under
     ``path`` are deleted first, other files there are left alone, and the
     manifest is written last: a store that fails part-way does not load.
@@ -456,8 +468,10 @@ def store_corpus(corpus: Corpus, categories: CategoryIndex, path: str | Path) ->
         _shard_path(root, shard).write_text("".join(lines), encoding="utf-8")
 
     for name, ids in categories.items():
-        text = "".join(f"{doc_id}\n" for doc_id in sorted(ids))
-        _category_path(root, name).write_text(text, encoding="utf-8")
+        file_name = _category_file_name(name)
+        header = [quote(name, safe="") + "\n"] if "+" in file_name else []
+        text = "".join([*header, *(f"{doc_id}\n" for doc_id in sorted(ids))])
+        (root / "categories" / file_name).write_text(text, encoding="utf-8")
 
     manifest = {
         "format_version": _FORMAT_VERSION,
@@ -487,7 +501,12 @@ def load_corpus(path: str | Path) -> tuple[Corpus, CategoryIndex]:
         shard_file = _shard_path(root, shard)
         if not shard_file.is_file():
             raise CorpusFormatError(f"missing shard: {shard_file}")
-        for lineno, line in enumerate(shard_file.read_text(encoding="utf-8").splitlines(), 1):
+        # a title may hold any line break but "\n": split on "\n" alone, untranslated
+        with shard_file.open(encoding="utf-8", newline="\n") as stream:
+            lines = stream.read().split("\n")
+        if lines[-1] == "":  # after the newline that ends the last line
+            lines.pop()
+        for lineno, line in enumerate(lines, 1):
             parts = line.split("\t")
             if len(parts) != 3:
                 raise CorpusFormatError(f"corrupt shard {shard_file} at line {lineno}")
@@ -515,9 +534,12 @@ def load_corpus(path: str | Path) -> tuple[Corpus, CategoryIndex]:
     categories_dir = root / "categories"
     if categories_dir.is_dir():
         for cat_file in sorted(categories_dir.glob("*.txt")):
-            name = unquote(cat_file.stem)
-            ids = [int(line) for line in cat_file.read_text(encoding="utf-8").split()]
-            mapping[name] = ids
+            lines = cat_file.read_text(encoding="utf-8").split()
+            bounded = "+" in cat_file.stem  # then the encoded name is the first line
+            name = unquote(lines.pop(0) if bounded and lines else cat_file.stem)
+            if bounded and _category_file_name(name) != cat_file.name:
+                raise CorpusFormatError(f"corrupt category file {cat_file}: no name matches it")
+            mapping[name] = [int(line) for line in lines]
     index = CategoryIndex.from_mapping(mapping)
     index.validate_against(corpus)
     return corpus, index

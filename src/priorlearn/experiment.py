@@ -18,8 +18,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import count, repeat
 from typing import ClassVar, Mapping
 from urllib.parse import quote
 
@@ -33,7 +34,7 @@ from .model import (
     build_counts,
     class_prior,
     cond_probs,
-    positive_posterior,
+    positive_posteriors,
 )
 from .search import (
     DEFAULT_GRID,
@@ -112,23 +113,27 @@ class TrainingSet:
     seed: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankedPredictions:
-    """Corpus ranking, descending by log odds with ascending-id tie-break."""
+    """Corpus ranking, descending by log odds with ascending-id tie-break.
 
-    entries: tuple[tuple[int, float, float], ...]
-    """(doc_id, p_pos, log_odds) triples in rank order."""
+    Three aligned columns in rank order: ``ids`` (int64), ``p_pos`` and
+    ``log_odds`` (float64).
+    """
 
-    positives_predicted: int
+    ids: np.ndarray
+    p_pos: np.ndarray = field(repr=False)
+    log_odds: np.ndarray = field(repr=False)
+
+    @property
+    def positives_predicted(self) -> int:
+        return int(np.count_nonzero(self.p_pos > 0.5))
 
     def doc_ids(self) -> list[int]:
-        return [doc_id for doc_id, _, _ in self.entries]
-
-    def top_ids(self, n: int) -> list[int]:
-        return [doc_id for doc_id, _, _ in self.entries[:n]]
+        return self.ids.tolist()
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.ids)
 
 
 def sample_negatives(
@@ -197,8 +202,10 @@ def rank_corpus(
     document's log score per class is the ``bincount`` sum of its row: the
     log prior, then the log conditional of each token in sorted order. The
     ``+0.0`` of a non-feature token leaves the strictly negative sum
-    unchanged, so ``log_odds`` and ``p_pos`` are bit-identical to scoring
-    each document's feature tokens one at a time in sorted order.
+    unchanged, so ``log_odds`` is bit-identical to scoring each document's
+    feature tokens one at a time in sorted order, and ``p_pos`` (from
+    :func:`~priorlearn.model.positive_posteriors` on the sorted log odds)
+    to normalizing each document's two log scores by max-subtraction.
     """
     index = corpus.token_index
     rows = index.row_of_slot()
@@ -212,18 +219,10 @@ def rank_corpus(
     del rows  # one int per slot; not kept past the sums
     excluded = np.fromiter(exclude_ids, dtype=np.int64, count=len(exclude_ids))
     keep = ~np.isin(index.doc_ids, excluded)
-    doc_ids, log_pos, log_neg = index.doc_ids[keep], log_pos[keep], log_neg[keep]
-    log_odds = log_pos - log_neg
+    doc_ids, log_odds = index.doc_ids[keep], (log_pos - log_neg)[keep]
     order = np.lexsort((doc_ids, -log_odds))
-    # .tolist() yields Python ints and floats, whose repr the CSV writes
-    entries = tuple(
-        (doc_id, positive_posterior(lp, ln), lo)
-        for doc_id, lp, ln, lo in zip(
-            *(column[order].tolist() for column in (doc_ids, log_pos, log_neg, log_odds))
-        )
-    )
-    positives = sum(p_pos > 0.5 for _, p_pos, _ in entries)
-    return RankedPredictions(entries=entries, positives_predicted=positives)
+    log_odds = log_odds[order]
+    return RankedPredictions(ids=doc_ids[order], p_pos=positive_posteriors(log_odds), log_odds=log_odds)
 
 
 def classify_corpus(
@@ -320,8 +319,8 @@ def export_review_list(
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
     names = sorted(
-        {titles[doc_id] for doc_id in a.top_ids(top_n)}
-        | {titles[doc_id] for doc_id in b.top_ids(top_n)}
+        {titles[doc_id] for doc_id in a.ids[:top_n].tolist()}
+        | {titles[doc_id] for doc_id in b.ids[:top_n].tolist()}
     )
     lines = [
         "<!DOCTYPE html>",
@@ -339,31 +338,55 @@ def _escape_html(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+_CSV_HEADER = "rank,doc_id,title,log_odds,p_pos"
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
 def predictions_to_csv(ranked: RankedPredictions, titles: Mapping[int, str]) -> str:
-    """CSV rendering: rank, doc_id, title, log_odds, p_pos."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["rank", "doc_id", "title", "log_odds", "p_pos"])
-    for rank, (doc_id, p_pos, log_odds) in enumerate(ranked.entries, start=1):
-        writer.writerow([rank, doc_id, titles[doc_id], repr(log_odds), repr(p_pos)])
-    return out.getvalue()
+    """CSV rendering: rank, doc_id, title, log_odds, p_pos.
+
+    One ``\\n``-terminated line per document, the floats as their ``repr``.
+    A title holding ``,``, ``"``, CR or LF is quoted with each ``"``
+    doubled, as ``csv.writer(lineterminator="\\n")`` does, except that
+    writer leaves a CR unquoted, which no reader can parse back.
+    """
+    rows = [
+        f"{rank},{doc_id},{_csv_field(titles[doc_id])},{log_odds!r},{p_pos!r}\n"
+        for rank, doc_id, log_odds, p_pos in zip(
+            count(1), ranked.ids.tolist(), ranked.log_odds.tolist(), ranked.p_pos.tolist()
+        )
+    ]
+    return _CSV_HEADER + "\n" + "".join(rows)
+
+
+def _csv_field(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
 
 
 def read_predictions_csv(text: str) -> tuple[RankedPredictions, dict[int, str]]:
-    """Parse a predictions CSV back into ranked entries and an id->title map."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != ["rank", "doc_id", "title", "log_odds", "p_pos"]:
+    """Parse a predictions CSV back into its ranking columns and an id->title map.
+
+    ``text`` must be the file's text with its line breaks untranslated.
+    Raises ``ValueError`` naming the line or row that does not parse.
+    """
+    reader = csv.reader(io.StringIO(text), strict=True)
+    try:
+        header, rows = next(reader, None), list(reader)
+    except csv.Error as exc:
+        raise ValueError(f"unreadable predictions CSV at line {reader.line_num}: {exc}") from None
+    if header != _CSV_HEADER.split(","):
         raise ValueError(f"unexpected predictions header: {header}")
-    entries = []
-    titles: dict[int, str] = {}
-    positives = 0
-    for row in reader:
-        _, doc_id, title, log_odds, p_pos = row
-        entries.append((int(doc_id), float(p_pos), float(log_odds)))
-        titles[int(doc_id)] = title
-        positives += float(p_pos) > 0.5
-    return RankedPredictions(entries=tuple(entries), positives_predicted=positives), titles
+    bad = next((number for number, row in enumerate(rows, 2) if len(row) != 5), None)
+    if bad is not None:
+        raise ValueError(f"predictions CSV row {bad} does not have 5 fields")
+    _, ids, names, log_odds, p_pos = zip(*rows) if rows else ((),) * 5
+    ids = list(map(int, ids))
+    ranked = RankedPredictions(
+        ids=np.array(ids, dtype=np.int64),
+        p_pos=np.array(list(map(float, p_pos))),
+        log_odds=np.array(list(map(float, log_odds))),
+    )
+    return ranked, dict(zip(ids, names))
 
 
 def run_manifest(

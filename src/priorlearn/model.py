@@ -37,7 +37,7 @@ __all__ = [
     "build_counts",
     "cond_probs",
     "class_prior",
-    "positive_posterior",
+    "positive_posteriors",
     "model_manifest",
 ]
 
@@ -149,12 +149,17 @@ def class_prior(positive: bool, model: CountModel, hp: Hyperparameters) -> float
     return (hp.lambda_neg + model.n_neg) / denom
 
 
-def positive_posterior(log_pos: float, log_neg: float) -> float:
-    """p(pos) from the two classes' log scores, normalized with max-subtraction."""
-    m = max(log_pos, log_neg)
-    w_pos = math.exp(log_pos - m)
-    w_neg = math.exp(log_neg - m)
-    return w_pos / (w_pos + w_neg)
+def positive_posteriors(log_odds: np.ndarray) -> np.ndarray:
+    """p(pos) of each ``log_pos - log_neg``, normalized with max-subtraction.
+
+    With ``e = exp(-|log_odds|)`` the larger class weighs ``1`` and the
+    smaller ``e``, so ``p_pos`` is ``1 / (1 + e)`` where the log odds are
+    nonnegative and ``e / (e + 1)`` elsewhere; ``log_neg - log_pos`` is
+    exactly ``-(log_pos - log_neg)`` in IEEE arithmetic. ``exp`` is
+    ``math.exp`` (``np.exp`` may differ in the last bit).
+    """
+    e = np.array(list(map(math.exp, (-np.abs(log_odds)).tolist())), dtype=np.float64)
+    return np.where(log_odds >= 0.0, 1.0 / (1.0 + e), e / (e + 1.0))
 
 
 def model_manifest(model: CountModel) -> str:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import entries
 from priorlearn.corpus import Corpus, Document
 from priorlearn.experiment import rank_corpus
 from priorlearn.model import build_counts
@@ -16,7 +17,7 @@ def train(positives, negatives):
 def posteriors(cases, model, hp):
     """``(p_pos, log_odds)`` of each case token set, in order, through ``rank_corpus``."""
     corpus = Corpus.from_documents(Document(i, "", frozenset(c)) for i, c in enumerate(cases))
-    rows = {doc_id: (p_pos, log_odds) for doc_id, p_pos, log_odds in rank_corpus(corpus, model, hp).entries}
+    rows = {doc_id: (p_pos, log_odds) for doc_id, p_pos, log_odds in entries(rank_corpus(corpus, model, hp))}
     return [rows[i] for i in range(len(cases))]
 
 

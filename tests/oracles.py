@@ -7,10 +7,13 @@ of ``dict``s built straight from ``Document``s with its scalar ``score``
 and ``loo_score`` for corpus rankings and grid cells, both halves of the
 LOO log odds recomputed for every cell, one swap per draw for negative
 sampling, float means for bootstrap resamples, one character at a time
-for punctuation stripping, ``scipy.stats`` for the Welch t-test. Nothing
+for punctuation stripping, ``scipy.stats`` for the Welch t-test, one
+``csv`` module row per document for the predictions CSV. Nothing
 imports the code paths under test beyond plain data types.
 """
 
+import csv
+import io
 import math
 import string
 import unicodedata
@@ -111,11 +114,16 @@ def class_prior(positive, model, hp):
     return (hp.lambda_neg + model.n_neg) / denom
 
 
-def _posterior_from_logs(log_pos, log_neg):
+def positive_posterior(log_pos, log_neg):
+    """p(pos) from the two classes' log scores, normalized with max-subtraction."""
     m = max(log_pos, log_neg)
     w_pos = math.exp(log_pos - m)
     w_neg = math.exp(log_neg - m)
-    return Posterior(p_pos=w_pos / (w_pos + w_neg), log_odds=log_pos - log_neg)
+    return w_pos / (w_pos + w_neg)
+
+
+def _posterior_from_logs(log_pos, log_neg):
+    return Posterior(p_pos=positive_posterior(log_pos, log_neg), log_odds=log_pos - log_neg)
 
 
 def score(case_tokens, model, hp):
@@ -281,6 +289,32 @@ def scalar_ranking(corpus, model, hp, exclude_ids=frozenset()):
             rows.append((doc.id, posterior.p_pos, posterior.log_odds))
     rows.sort(key=lambda row: (-row[2], row[0]))
     return tuple(rows)
+
+
+def entries(ranked):
+    """A ranking's columns as ``(doc_id, p_pos, log_odds)`` triples of Python numbers."""
+    return tuple(zip(ranked.ids.tolist(), ranked.p_pos.tolist(), ranked.log_odds.tolist()))
+
+
+def writer_predictions_csv(entries, titles):
+    """Predictions CSV from ``(doc_id, p_pos, log_odds)`` triples, one ``csv.writer`` row each."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["rank", "doc_id", "title", "log_odds", "p_pos"])
+    for rank, (doc_id, p_pos, log_odds) in enumerate(entries, start=1):
+        writer.writerow([rank, doc_id, titles[doc_id], repr(log_odds), repr(p_pos)])
+    return out.getvalue()
+
+
+def reader_predictions_csv(text):
+    """``(doc_id, p_pos, log_odds)`` triples and an id->title map, one ``csv.reader`` row each."""
+    reader = csv.reader(io.StringIO(text))
+    assert next(reader) == ["rank", "doc_id", "title", "log_odds", "p_pos"]
+    rows, titles = [], {}
+    for _, doc_id, title, log_odds, p_pos in reader:
+        rows.append((int(doc_id), float(p_pos), float(log_odds)))
+        titles[int(doc_id)] = title
+    return tuple(rows), titles
 
 
 def scalar_sample_negatives(corpus, categories, category, k, seed):

@@ -43,7 +43,7 @@ from priorlearn.model import (
     Hyperparameters,
     class_prior,
     cond_probs,
-    positive_posterior,
+    positive_posteriors,
 )
 from priorlearn.search import (
     DEFAULT_GRID,
@@ -154,11 +154,11 @@ def test_criterion_2_loo_oracle_equivalence():
         neg_sets = [d.tokens for d in negatives]
         for lam_neg, lam_pos in lambdas:
             cell = Cell(DEFAULT_GRID.index_of(float(lam_neg)), DEFAULT_GRID.index_of(float(lam_pos)))
-            log_odds = evaluator.log_odds(cell).tolist()
-            assert len(log_odds) == model.n_folds
-            for fold, value in enumerate(log_odds):
+            p_pos = positive_posteriors(evaluator.log_odds(cell)).tolist()
+            assert len(p_pos) == model.n_folds
+            for fold, value in enumerate(p_pos):
                 expected = retrained_loo_posterior(fold, pos_sets, neg_sets, lam_neg, lam_pos)
-                assert abs(positive_posterior(value, 0.0) - float(expected)) < 1e-9
+                assert abs(value - float(expected)) < 1e-9
 
 
 @criterion(3, "search finds brute-forced optima on 20 synthetic surfaces", budget_seconds=30.0)

@@ -8,6 +8,8 @@ import pytest
 
 import priorlearn
 from priorlearn.cli import main
+from priorlearn.corpus import CategoryIndex, Corpus, Document, store_corpus
+from priorlearn.experiment import read_predictions_csv
 
 DATA = Path(__file__).parent / "data"
 
@@ -49,21 +51,30 @@ class TestArgumentHandling:
         assert main(["ingest", str(tmp_path / "no.xml"), "--out", str(tmp_path / "s")]) == 2
 
     def test_unwritable_category_file_is_data_error(self, tmp_path, capsys):
-        # 84 three-byte characters: a legal 252-byte category name whose
-        # percent-encoded file name exceeds the usual 255-byte limit
-        category = "\u20ac" * 84
-        body = "alpha beta gamma delta " * 20
-        dump = tmp_path / "dump.xml"
-        dump.write_text(
-            '<mediawiki xmlns="http://www.mediawiki.org/xml/export-0.10/"><page>'
-            "<title>Euro</title><ns>0</ns><id>1</id><revision><id>100</id>"
-            f"<text>{body} [[Category:{category}]]</text></revision></page></mediawiki>",
-            encoding="utf-8",
-        )
-        assert main(["ingest", str(dump), "--out", str(tmp_path / "s"), "--shards", "1"]) == 2
+        # a directory where a category file goes: the store can neither remove nor write it
+        (tmp_path / "s" / "categories" / "Optimization.txt").mkdir(parents=True)
+        assert main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s"), "--shards", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:")
-        assert "%E2%82%AC" * 84 in err
+        assert "Optimization.txt" in err
+
+    @pytest.mark.parametrize(
+        "body, cause",
+        [
+            ("1,5,a\rb,0.5,0.6\n", "line 2"),  # the bare CR csv.writer(lineterminator="\n") left in a title
+            ('1,5,"open title,0.5,0.6\n', "line 2"),
+            ("1,99999999999999999999,a,0.5,0.6\n", "too large"),
+        ],
+    )
+    def test_unparsable_predictions_are_data_error(self, tmp_path, capsys, body, cause):
+        predictions = tmp_path / "predictions.csv"
+        predictions.write_bytes(("rank,doc_id,title,log_odds,p_pos\n" + body).encode("utf-8"))
+        (tmp_path / "truth.txt").write_text("5\n")
+        code = main(["evaluate", "--predictions", str(predictions), "--truth", str(tmp_path / "truth.txt"),
+                     "--eval-k", "1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and cause in err
 
     def test_unknown_category_is_data_error(self, tmp_path, capsys):
         assert main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s"),
@@ -120,6 +131,46 @@ class TestIngestCommand:
                          "--shards", "4"]) == 0
             snapshot = _tree_bytes(tmp_path / "s")
         assert snapshot == _tree_bytes(tmp_path / "s")
+
+    def test_long_non_ascii_categories_survive_ingest_and_search(self, tmp_path, capsys):
+        # 30 CJK characters percent-encode to 270 bytes, 84 euro signs to 756
+        categories = ["".join(map(chr, range(0x4E00, 0x4E00 + 30))), "\u20ac" * 84]
+        pages = []
+        for pid in range(1, 13):
+            member = f" [[Category:{categories[pid % 2]}]]" if pid <= 6 else ""
+            pages.append(
+                f"<page><title>Page {pid}</title><ns>0</ns><id>{pid}</id><revision><id>{pid * 100}</id>"
+                f"<text>{'alpha beta gamma delta ' * 20} word{pid % 3}{member}</text></revision></page>"
+            )
+        dump = tmp_path / "dump.xml"
+        dump.write_text(
+            '<mediawiki xmlns="http://www.mediawiki.org/xml/export-0.10/">' + "".join(pages) + "</mediawiki>",
+            encoding="utf-8",
+        )
+        assert main(["ingest", str(dump), "--out", str(tmp_path / "s"), "--shards", "2"]) == 0
+        for i, category in enumerate(categories):
+            out = tmp_path / f"search{i}"
+            assert main(["search", "--corpus", str(tmp_path / "s"), "--category", category,
+                         "--seeds", "0", "--out", str(out)]) == 0
+            assert json.loads((out / "learned.json").read_text(encoding="utf-8"))["category"] == category
+
+
+class TestCarriageReturnTitles:
+    def test_title_round_trips_through_classify_output(self, tmp_path):
+        docs = [Document(1, "Member one", frozenset({"mark", "x"})), Document(2, "Member two", frozenset({"mark"}))]
+        docs += [Document(i, f"Ti\rtle {i}\r", frozenset({"mark" if i % 2 else "y", "x"})) for i in range(3, 9)]
+        docs += [Document(9, 'Both, "\r" and quotes', frozenset({"x"}))]
+        store_corpus(Corpus.from_documents(docs, shard_count=2), CategoryIndex.from_mapping({"Cat": [1, 2]}),
+                     tmp_path / "s")
+        assert main(["classify", "--corpus", str(tmp_path / "s"), "--category", "Cat", "--lambda-neg", "1",
+                     "--lambda-pos", "1", "--out", str(tmp_path / "c")]) == 0
+        predictions = tmp_path / "c" / "predictions.csv"
+        _, titles = read_predictions_csv(predictions.read_bytes().decode("utf-8"))
+        assert titles == {doc.id: doc.title for doc in docs[2:]}
+        (tmp_path / "truth.txt").write_text("3\n5\n7\n")
+        assert main(["evaluate", "--predictions", str(predictions), "--truth", str(tmp_path / "truth.txt"),
+                     "--eval-k", "3", "--out", str(tmp_path / "e")]) == 0
+        assert json.loads((tmp_path / "e" / "evaluation.json").read_text())["hits"] == 3
 
 
 @pytest.fixture(scope="module")

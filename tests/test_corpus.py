@@ -1,3 +1,4 @@
+import errno
 import io
 import string
 from collections import Counter
@@ -286,16 +287,49 @@ class TestCorpusStore:
         assert (tmp_path / "s" / "notes.txt").read_text() == "kept"
 
     @pytest.mark.parametrize("over_good_store", [False, True])
-    def test_failed_store_cannot_be_loaded(self, tmp_path, over_good_store):
+    def test_failed_store_cannot_be_loaded(self, tmp_path, monkeypatch, over_good_store):
         doc = Document(1, "One", frozenset({"alpha"}))
         corpus = Corpus.from_documents([doc], shard_count=2)
         if over_good_store:
             store_corpus(corpus, CategoryIndex.from_mapping({"Apples": [1]}), tmp_path / "s")
-        # 84 x U+20AC percent-encodes to a 760-byte file name
-        too_long = CategoryIndex.from_mapping({"Apples": [1], "Zebras": [1], "€" * 84: [1]})
+        write_text = Path.write_text
+
+        def disk_full_at_zebras(path, *args, **kwargs):
+            if path.name == "Zebras.txt":
+                raise OSError(errno.ENOSPC, "No space left on device", str(path))
+            return write_text(path, *args, **kwargs)
+
+        # fails part-way: after the shards and the Apples file are written
+        monkeypatch.setattr(Path, "write_text", disk_full_at_zebras)
         with pytest.raises(OSError):
-            store_corpus(corpus, too_long, tmp_path / "s")
+            store_corpus(corpus, CategoryIndex.from_mapping({"Apples": [1], "Zebras": [1]}), tmp_path / "s")
+        assert (tmp_path / "s" / "categories" / "Apples.txt").is_file()
         with pytest.raises(CorpusFormatError, match="missing manifest"):
+            load_corpus(tmp_path / "s")
+
+    def test_titles_with_other_line_breaks_round_trip(self, tmp_path):
+        # str.splitlines breaks a line at each of these; a shard line ends at "\n" only
+        breaks = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r\x85"]
+        docs = [Document(i, f"{brk}a{brk}b{brk}", frozenset({"alpha"})) for i, brk in enumerate(breaks, 1)]
+        store_corpus(Corpus.from_documents(docs, shard_count=2), CategoryIndex.from_mapping({"C": [1]}), tmp_path / "s")
+        loaded, _ = load_corpus(tmp_path / "s")
+        assert [loaded.get(doc.id) for doc in docs] == docs
+
+    def test_long_category_names_get_bounded_file_names(self, tmp_path):
+        cjk = "".join(map(chr, range(0x4E00, 0x4E00 + 30)))
+        # the two euro names share the kept 200-character prefix of their encodings
+        names = {"Short": [1], cjk: [1], "\u20ac" * 84: [1], "\u20ac" * 84 + "x": [1], "x" * 251: [1], "x" * 252: [1]}
+        doc = Document(1, "One", frozenset({"alpha"}))
+        store_corpus(Corpus.from_documents([doc], shard_count=1), CategoryIndex.from_mapping(names), tmp_path / "s")
+        files = sorted((tmp_path / "s" / "categories").iterdir())
+        assert len(files) == len(names)
+        assert max(len(path.name.encode()) for path in files) <= 255
+        assert {"Short.txt", "x" * 251 + ".txt"} <= {path.name for path in files}
+        _, cats = load_corpus(tmp_path / "s")
+        assert cats.items() == CategoryIndex.from_mapping(names).items()
+        bounded = next(path for path in files if "+" in path.name)
+        bounded.write_text("Other\n1\n")
+        with pytest.raises(CorpusFormatError, match="corrupt category file"):
             load_corpus(tmp_path / "s")
 
     def test_category_files_sorted_and_quoted(self, tmp_path):

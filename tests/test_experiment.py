@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from oracles import scalar_sample_negatives
+from oracles import (
+    entries,
+    reader_predictions_csv,
+    scalar_sample_negatives,
+    writer_predictions_csv,
+)
 from priorlearn.corpus import CategoryIndex, Corpus, Document
 from priorlearn.experiment import (
     ExperimentSpec,
+    RankedPredictions,
     export_review_list,
     learn_priors,
     make_training_set,
@@ -19,6 +25,7 @@ from priorlearn.experiment import (
 )
 from priorlearn.model import BAYES_LAPLACE, Hyperparameters
 from priorlearn.search import Cell
+from priorlearn.synthetic import CATEGORY as SYNTHETIC_CATEGORY
 from priorlearn.synthetic import SyntheticCorpus
 
 CATEGORY = "Cat"
@@ -128,7 +135,7 @@ class TestRankCorpus:
         ids = ranked.doc_ids()
         assert len(ids) == spec.corpus.doc_count - len(training.positive_ids)
         assert not set(ids) & set(training.positive_ids)
-        keys = [(-lo, doc_id) for doc_id, _, lo in ranked.entries]
+        keys = list(zip((-ranked.log_odds).tolist(), ids))
         assert keys == sorted(keys)
         assert len(set(ids)) == len(ids)
 
@@ -136,7 +143,7 @@ class TestRankCorpus:
         training = make_training_set(separable.corpus, separable.categories, CATEGORY, 0)
         model = training_model(separable.corpus, training)
         ranked = rank_corpus(separable.corpus, model, BAYES_LAPLACE, frozenset(training.positive_ids))
-        assert ranked.positives_predicted == sum(1 for _, p, _ in ranked.entries if p > 0.5)
+        assert ranked.positives_predicted == sum(1 for _, p, _ in entries(ranked) if p > 0.5)
 
     def test_calibration_direction(self, separable):
         # raising lambda_neg with lambda_pos at most 1 can only shrink the
@@ -161,8 +168,8 @@ class TestBranches:
         baseline = run_baseline(spec)
         learned, study = run_study(spec)
         n_truth = len(separable.truth)
-        assert set(baseline.top_ids(n_truth)) == separable.truth
-        assert set(study.top_ids(n_truth)) == separable.truth
+        assert set(baseline.doc_ids()[:n_truth]) == separable.truth
+        assert set(study.doc_ids()[:n_truth]) == separable.truth
 
     def test_study_with_add_one_cell_equals_baseline(self, separable):
         spec = ExperimentSpec(
@@ -174,7 +181,7 @@ class TestBranches:
         forced = rank_corpus(
             spec.corpus, model, Hyperparameters(1.0, 1.0), frozenset(training.positive_ids)
         )
-        assert forced == baseline
+        assert entries(forced) == entries(baseline)
 
     def test_end_to_end_determinism(self, separable):
         spec = ExperimentSpec(
@@ -219,10 +226,7 @@ class TestBranches:
 
 class TestReviewList:
     def _ranked(self, ids):
-        entries = tuple((i, 0.9, float(100 - r)) for r, i in enumerate(ids))
-        from priorlearn.experiment import RankedPredictions
-
-        return RankedPredictions(entries=entries, positives_predicted=len(ids))
+        return _columns([(i, 0.9, float(100 - r)) for r, i in enumerate(ids)])
 
     def test_identical_lists_yield_n_titles(self):
         titles = {i: f"Title {i:02d}" for i in range(10)}
@@ -258,19 +262,88 @@ class TestReviewList:
         assert 'href="https://x/Hill_climbing"' in html
 
 
-class TestPredictionsCsv:
-    def test_round_trip_with_awkward_titles(self):
-        from priorlearn.experiment import RankedPredictions
+def _columns(rows):
+    """A ranking of ``(doc_id, p_pos, log_odds)`` triples."""
+    ids, p_pos, log_odds = zip(*rows) if rows else ((), (), ())
+    return RankedPredictions(
+        ids=np.array(ids, dtype=np.int64),
+        p_pos=np.array(p_pos, dtype=np.float64),
+        log_odds=np.array(log_odds, dtype=np.float64),
+    )
 
-        ranked = RankedPredictions(
-            entries=((7, 0.75, 1.5), (3, 0.25, -0.125)), positives_predicted=1
-        )
-        titles = {7: 'Comma, "quoted" title', 3: "Plain"}
+
+def _random_titles(rng, n):
+    """Titles pieced from CSV-special, blank, non-ASCII and NUL characters, the empty one first."""
+    pieces = ["", " ", "a", "Zz", ",", '"', "'", "\n", "\t", "\x00", "\u00e9", "\u4e2d", "\U0001f600", "#", ";"]
+    titles = [""]
+    while len(titles) < n:
+        titles.append("".join(pieces[i] for i in rng.integers(0, len(pieces), int(rng.integers(1, 6)))))
+    return titles
+
+
+def _assert_same_columns(got, want):
+    for name in ("ids", "p_pos", "log_odds"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert repr(a.tolist()) == repr(b.tolist()), name
+
+
+class TestPredictionsCsv:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_acceptance_rankings_match_csv_writer(self, acceptance, seed):
+        corpus = acceptance.corpus
+        titles = {doc.id: doc.title for doc in corpus}
+        training = make_training_set(corpus, acceptance.categories, SYNTHETIC_CATEGORY, seed)
+        model = training_model(corpus, training)
+        for hp in (BAYES_LAPLACE, Hyperparameters(14.0, 8.0)):
+            ranked = rank_corpus(corpus, model, hp, frozenset(training.positive_ids))
+            text = predictions_to_csv(ranked, titles)
+            assert text == writer_predictions_csv(entries(ranked), titles)
+            back, back_titles = read_predictions_csv(text)
+            _assert_same_columns(back, ranked)
+            assert (entries(back), back_titles) == reader_predictions_csv(text)
+
+    def test_round_trip_with_awkward_titles(self):
+        rng = np.random.default_rng(7)
+        titles = dict(enumerate([*_random_titles(rng, 399), 'Comma, "quoted" title']))
+        assert "" in titles.values() and " " in titles.values()
+        ids = rng.permutation(len(titles))
+        log_odds = np.sort(rng.normal(0.0, 30.0, len(titles)))[::-1]
+        ranked = _columns(list(zip(ids.tolist(), (1 / (1 + np.exp(-log_odds))).tolist(), log_odds.tolist())))
         text = predictions_to_csv(ranked, titles)
+        assert text == writer_predictions_csv(entries(ranked), titles)
         back, back_titles = read_predictions_csv(text)
-        assert back == ranked
+        _assert_same_columns(back, ranked)
         assert back_titles == titles
+        assert back.positives_predicted == ranked.positives_predicted
+
+    def test_carriage_return_titles_are_quoted_and_round_trip(self):
+        titles = {1: "a\rb", 2: "\r", 3: 'x\r\n"y"', 4: "plain"}
+        ranked = _columns([(1, 0.75, 1.0), (2, 0.5, 0.0), (3, 0.25, -1.0), (4, 0.125, -2.0)])
+        text = predictions_to_csv(ranked, titles)
+        assert text.split("\n")[1:3] == ['1,1,"a\rb",1.0,0.75', '2,2,"\r",0.0,0.5']
+        back, back_titles = read_predictions_csv(text)
+        _assert_same_columns(back, ranked)
+        assert back_titles == titles
+
+    def test_empty_ranking(self):
+        text = predictions_to_csv(_columns([]), {})
+        assert text == "rank,doc_id,title,log_odds,p_pos\n"
+        back, back_titles = read_predictions_csv(text)
+        assert len(back) == 0 and back.ids.dtype == np.int64 and back_titles == {}
 
     def test_header_rejected_when_unknown(self):
         with pytest.raises(ValueError, match="header"):
             read_predictions_csv("a,b\n1,2\n")
+
+    @pytest.mark.parametrize(
+        "body, where",
+        [
+            ("1,5,a\rb,0.5,0.6\n", "line 2"),
+            ('1,5,"open title,0.5,0.6\n', "line 2"),
+            ("1,5,x,0.5,0.6\n2,6,y,0.5\n", "row 3"),
+        ],
+    )
+    def test_unparsable_rows_name_their_line(self, body, where):
+        with pytest.raises(ValueError, match=where):
+            read_predictions_csv("rank,doc_id,title,log_odds,p_pos\n" + body)

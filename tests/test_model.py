@@ -7,7 +7,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import posteriors, random_training_docs, train
-from oracles import cond_prob, dict_model, exact_posterior, loo_score, retrained_loo_posterior, tally_counts
+from oracles import (
+    cond_prob,
+    dict_model,
+    exact_posterior,
+    loo_score,
+    positive_posterior,
+    retrained_loo_posterior,
+    tally_counts,
+)
 from priorlearn.corpus import Corpus, Document
 from priorlearn.experiment import make_training_set, rank_corpus, training_model
 from priorlearn.model import (
@@ -17,7 +25,7 @@ from priorlearn.model import (
     class_prior,
     cond_probs,
     model_manifest,
-    positive_posterior,
+    positive_posteriors,
 )
 from priorlearn.search import DEFAULT_GRID, Cell, LooEvaluator
 from priorlearn.synthetic import CATEGORY
@@ -363,7 +371,7 @@ class TestClassify:
     def test_exact_tie_is_negative(self):
         # balanced counts, uniform priors, empty intersection: p_pos is 1/2
         ranked = _ranked([set()], _bare_model(5, 5), HP11)
-        assert ranked.entries[0][1] == 0.5
+        assert ranked.p_pos[0] == 0.5
         assert ranked.positives_predicted == 0
 
     def test_just_above_half_is_positive(self):
@@ -372,15 +380,50 @@ class TestClassify:
             [_doc(3, {"t"}), _doc(4, {"u"})],
         )
         ranked = _ranked([{"t"}], model, HP11)
-        assert ranked.entries[0][1] > 0.5
+        assert ranked.p_pos[0] > 0.5
         assert ranked.positives_predicted == 1
 
     def test_labels_equal_sign_of_log_odds(self, six_doc_model):
         model, positives, negatives = six_doc_model
         ranked = _ranked([doc.tokens for doc in positives + negatives], model, HP11)
-        for _, p_pos, log_odds in ranked.entries:
-            assert (p_pos > 0.5) == (log_odds > 0)
-        assert ranked.positives_predicted == sum(log_odds > 0 for _, _, log_odds in ranked.entries)
+        assert np.array_equal(ranked.p_pos > 0.5, ranked.log_odds > 0)
+        assert ranked.positives_predicted == np.count_nonzero(ranked.log_odds > 0)
+
+
+class TestPositivePosteriors:
+    """The vector posterior of the log odds against the scalar one of both log scores."""
+
+    @staticmethod
+    def assert_matches_oracle(log_pos, log_neg):
+        log_pos, log_neg = np.asarray(log_pos, dtype=np.float64), np.asarray(log_neg, dtype=np.float64)
+        got = positive_posteriors(log_pos - log_neg).tolist()
+        want = list(map(positive_posterior, log_pos.tolist(), log_neg.tolist()))
+        assert got == want
+        assert repr(got) == repr(want)
+
+    def test_equal_log_scores_give_one_half(self):
+        scores = [0.0, -1e-300, -0.5, -3.25, -745.5, -1e5]
+        self.assert_matches_oracle(scores, scores)
+        assert positive_posteriors(np.zeros(3)).tolist() == [0.5, 0.5, 0.5]
+
+    def test_underflowing_exp(self):
+        # beyond |log odds| ~745.13 exp(-|log odds|) is 0.0: p_pos is exactly 0 or 1
+        log_pos = [-1.0, -1000.0, -3.0, -2000.5, -746.0, -0.0]
+        log_neg = [-1000.0, -1.0, -2000.5, -3.0, -0.0, -746.0]
+        self.assert_matches_oracle(log_pos, log_neg)
+        assert positive_posteriors(np.array([999.0, -999.0])).tolist() == [1.0, 0.0]
+
+    def test_subnormal_results(self):
+        gaps = np.array([708.5, 720.0, 730.25, 740.0, 744.0, 745.0])
+        self.assert_matches_oracle(-10.0 - gaps, np.full(gaps.size, -10.0))
+        p_pos = positive_posteriors(-gaps)
+        assert np.all((p_pos > 0) & (p_pos < np.finfo(np.float64).tiny))
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(2021)
+        log_pos = -rng.exponential(400.0, 10_000)
+        gaps = rng.normal(0.0, 1.0, 10_000) * 10.0 ** rng.uniform(-12, 3, 10_000)
+        self.assert_matches_oracle(log_pos, log_pos + gaps)
 
 
 class TestMonotonicity:

@@ -2,15 +2,15 @@
 
 The vectorized ranking over the integer count model must give exactly
 the floats that one scalar ``score`` call per document over the
-string-token ``dict`` model gives: equal under ``==``, equal in ``repr``
-(the bytes the predictions CSV writes), and Python ``float``/``int``
-objects, not numpy scalars.
+string-token ``dict`` model gives: its int64 and float64 columns equal
+the oracle's under ``np.array_equal`` and in the ``repr`` of their
+``tolist()`` values (the bytes the predictions CSV writes).
 """
 
 import numpy as np
 import pytest
 
-from oracles import dict_model, scalar_ranking
+from oracles import dict_model, entries, scalar_ranking
 from priorlearn.corpus import Corpus, Document
 from priorlearn.experiment import make_training_set, rank_corpus, training_model
 from priorlearn.model import BAYES_LAPLACE, Hyperparameters, build_counts
@@ -25,11 +25,14 @@ PRIORS = [
 
 
 def assert_bit_identical(ranked, expected):
-    assert ranked.entries == expected
-    for got, want in zip(ranked.entries, expected):
-        assert tuple(map(type, got)) == (int, float, float), got
-        assert repr(got) == repr(want)
-    assert ranked.positives_predicted == sum(p_pos > 0.5 for _, p_pos, _ in expected)
+    assert (ranked.ids.dtype, ranked.p_pos.dtype, ranked.log_odds.dtype) == (np.int64, np.float64, np.float64)
+    ids, p_pos, log_odds = zip(*expected) if expected else ((), (), ())
+    assert np.array_equal(ranked.ids, np.array(ids, dtype=np.int64))
+    assert np.array_equal(ranked.p_pos, np.array(p_pos, dtype=np.float64))
+    assert np.array_equal(ranked.log_odds, np.array(log_odds, dtype=np.float64))
+    assert repr(entries(ranked)) == repr(expected)
+    positives = ranked.positives_predicted
+    assert type(positives) is int and positives == sum(p > 0.5 for p in p_pos)
 
 
 def _corpus(token_sets, first_id=1):
@@ -74,7 +77,7 @@ def test_document_without_model_features_scores_its_priors():
     ranked = rank_corpus(corpus, model, BAYES_LAPLACE)
     assert_bit_identical(ranked, scalar_ranking(corpus, oracle, BAYES_LAPLACE))
     # documents 3 and 4 hold no feature: same log odds, ascending ids
-    rows = {doc_id: (p_pos, log_odds) for doc_id, p_pos, log_odds in ranked.entries}
+    rows = {doc_id: (p_pos, log_odds) for doc_id, p_pos, log_odds in entries(ranked)}
     assert rows[3] == rows[4]
     assert ranked.doc_ids().index(3) + 1 == ranked.doc_ids().index(4)
 
@@ -83,7 +86,7 @@ def test_exclusions_covering_everything_and_absent_ids():
     corpus = _corpus([{"a"}, {"a", "b"}, {"c"}])
     model, oracle = _models(corpus, [1], [3])
     everything = rank_corpus(corpus, model, BAYES_LAPLACE, frozenset({1, 2, 3, 99}))
-    assert everything.entries == ()
+    assert len(everything) == 0 and everything.doc_ids() == []
     assert everything.positives_predicted == 0
     absent = {2, 99, -5}
     assert_bit_identical(
