@@ -481,11 +481,19 @@ def store_corpus(corpus: Corpus, categories: CategoryIndex, path: str | Path) ->
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
+def _parse_id(raw: str, kind: str, path: Path, lineno: int) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise CorpusFormatError(f"corrupt {kind} {path} at line {lineno}: bad id {raw!r}") from None
+
+
 def load_corpus(path: str | Path) -> tuple[Corpus, CategoryIndex]:
     """Load a corpus stored by :func:`store_corpus`.
 
     Raises :class:`CorpusFormatError` naming the offending shard when a
-    shard file is missing or malformed.
+    shard file is missing or malformed, and the file and line of a
+    category-file line that is not an id.
     """
     root = Path(path)
     manifest_path = root / "manifest.json"
@@ -511,12 +519,7 @@ def load_corpus(path: str | Path) -> tuple[Corpus, CategoryIndex]:
             if len(parts) != 3:
                 raise CorpusFormatError(f"corrupt shard {shard_file} at line {lineno}")
             raw_id, title, token_text = parts
-            try:
-                doc_id = int(raw_id)
-            except ValueError:
-                raise CorpusFormatError(
-                    f"corrupt shard {shard_file} at line {lineno}: bad id {raw_id!r}"
-                ) from None
+            doc_id = _parse_id(raw_id, "shard", shard_file, lineno)
             if doc_id % shard_count != shard:
                 raise CorpusFormatError(
                     f"corrupt shard {shard_file} at line {lineno}: id {doc_id} belongs elsewhere"
@@ -534,12 +537,16 @@ def load_corpus(path: str | Path) -> tuple[Corpus, CategoryIndex]:
     categories_dir = root / "categories"
     if categories_dir.is_dir():
         for cat_file in sorted(categories_dir.glob("*.txt")):
-            lines = cat_file.read_text(encoding="utf-8").split()
+            lines = cat_file.read_text(encoding="utf-8").split("\n")
             bounded = "+" in cat_file.stem  # then the encoded name is the first line
-            name = unquote(lines.pop(0) if bounded and lines else cat_file.stem)
+            name = unquote(lines[0].strip() if bounded else cat_file.stem)
             if bounded and _category_file_name(name) != cat_file.name:
                 raise CorpusFormatError(f"corrupt category file {cat_file}: no name matches it")
-            mapping[name] = [int(line) for line in lines]
+            mapping[name] = [
+                _parse_id(line, "category file", cat_file, lineno)
+                for lineno, line in enumerate(lines, 1)
+                if lineno > bounded and line and not line.isspace()
+            ]
     index = CategoryIndex.from_mapping(mapping)
     index.validate_against(corpus)
     return corpus, index

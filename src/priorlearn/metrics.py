@@ -64,9 +64,6 @@ class PpvProfile:
     entries: tuple[tuple[int, int, float], ...]
     """(rank, cumulative hits, cumulative ppv) triples."""
 
-    def ppv_at(self, k: int) -> float:
-        return self.entries[k - 1][2]
-
     def __len__(self) -> int:
         return len(self.entries)
 

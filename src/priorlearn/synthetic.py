@@ -6,6 +6,12 @@ one of two overlapping Zipf-weighted distributions: category members
 topic block, the rest of the pool favors another. The category index
 lists only the declared members; the hidden positives are returned
 separately as the evaluation truth.
+
+Each document's tokens are drawn by the algorithm of numpy's
+``Generator.choice(replace=False, p=weights)``, written out: it makes
+the same ``rng.random`` calls with the same sizes in the same order, so
+it draws the same stream and picks the same tokens, but the first-round
+CDF of each distribution is built once rather than once per document.
 """
 
 from __future__ import annotations
@@ -42,6 +48,12 @@ def _topic_weights(vocab_size: int, block: slice, boost: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+def _cdf(weights: np.ndarray) -> np.ndarray:
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def make_synthetic_corpus(
     seed: int = 0,
     vocab_size: int = 2000,
@@ -55,36 +67,35 @@ def make_synthetic_corpus(
     form the truth set a ranking should surface. Fully deterministic
     given ``seed``.
     """
+    lo, hi = TOKENS_PER_DOC
+    if vocab_size < hi:
+        raise ValueError(f"vocab_size={vocab_size} is below the {hi}-token maximum of a document")
     rng = np.random.default_rng(seed)
     vocab = [f"w{i:04d}" for i in range(vocab_size)]
     quarter = vocab_size // 4
     pos_weights = _topic_weights(vocab_size, slice(0, quarter), TOPIC_BOOST)
     neg_weights = _topic_weights(vocab_size, slice(quarter // 2, quarter + quarter // 2), TOPIC_BOOST)
-    lo, hi = TOKENS_PER_DOC
+    pos, neg = (pos_weights, _cdf(pos_weights)), (neg_weights, _cdf(neg_weights))
 
-    def draw(weights: np.ndarray) -> frozenset[str]:
+    def draw(weights: np.ndarray, cdf: np.ndarray) -> frozenset[str]:
+        # rng.choice(vocab_size, n_tok, replace=False, p=weights) round for round, with the
+        # first-round cdf passed in; a later round depends only on which tokens are picked.
         n_tok = int(rng.integers(lo, hi + 1))
-        picks = rng.choice(vocab_size, size=n_tok, replace=False, p=weights)
-        return frozenset({vocab[i] for i in picks.tolist()})  # shares one str object per token
+        picks = set(cdf.searchsorted(rng.random(n_tok), side="right").tolist())
+        while len(picks) < n_tok:
+            x = rng.random(n_tok - len(picks))
+            rest = weights.copy()
+            rest[list(picks)] = 0
+            picks.update(_cdf(rest).searchsorted(x, side="right").tolist())
+        return frozenset({vocab[i] for i in picks})  # shares one str object per token
 
-    n_hidden = round(pool_size * HIDDEN_POSITIVE_RATE)
-    documents = []
-    for i in range(n_members):
-        documents.append(Document(id=i + 1, title=f"Member article {i + 1}", tokens=draw(pos_weights)))
-    truth = []
-    for i in range(pool_size):
-        doc_id = n_members + i + 1
-        hidden = i < n_hidden
-        documents.append(
-            Document(
-                id=doc_id,
-                title=f"Pool article {doc_id}",
-                tokens=draw(pos_weights if hidden else neg_weights),
-            )
-        )
-        if hidden:
-            truth.append(doc_id)
+    members = [Document(i, f"Member article {i}", draw(*pos)) for i in range(1, n_members + 1)]
+    truth = range(n_members + 1, n_members + round(pool_size * HIDDEN_POSITIVE_RATE) + 1)
+    pool = [
+        Document(doc_id, f"Pool article {doc_id}", draw(*(pos if doc_id in truth else neg)))
+        for doc_id in range(n_members + 1, n_members + pool_size + 1)
+    ]
 
-    corpus = Corpus.from_documents(documents, shard_count=SHARD_COUNT)
+    corpus = Corpus.from_documents([*members, *pool], shard_count=SHARD_COUNT)
     categories = CategoryIndex.from_mapping({CATEGORY: range(1, n_members + 1)})
     return SyntheticCorpus(corpus=corpus, categories=categories, truth=frozenset(truth))

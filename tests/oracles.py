@@ -8,8 +8,9 @@ and ``loo_score`` for corpus rankings and grid cells, both halves of the
 LOO log odds recomputed for every cell, one swap per draw for negative
 sampling, float means for bootstrap resamples, one character at a time
 for punctuation stripping, ``scipy.stats`` for the Welch t-test, one
-``csv`` module row per document for the predictions CSV. Nothing
-imports the code paths under test beyond plain data types.
+``csv`` module row per document for the predictions CSV, one
+``Generator.choice`` call per document for the synthetic corpus.
+Nothing imports the code paths under test beyond plain data types.
 """
 
 import csv
@@ -25,9 +26,18 @@ from typing import NamedTuple
 import numpy as np
 from scipy import stats as sps
 
+from priorlearn.corpus import CategoryIndex, Corpus, Document
 from priorlearn.metrics import ConfusionCounts, ppv, sensitivity
 from priorlearn.search import DEFAULT_GRID, Cell, CellScore
 from priorlearn.stats import BootstrapCI
+from priorlearn.synthetic import (
+    CATEGORY,
+    HIDDEN_POSITIVE_RATE,
+    SHARD_COUNT,
+    TOKENS_PER_DOC,
+    TOPIC_BOOST,
+    SyntheticCorpus,
+)
 
 
 # --- the string-token count model and its scalar formulas ---------------------
@@ -444,3 +454,50 @@ def welch_p_value(a, b):
         # scipy warns of precision loss on a constant vector; its p-value stands
         warnings.simplefilter("ignore", RuntimeWarning)
         return float(sps.ttest_ind(x, y, equal_var=False).pvalue)
+
+
+def _topic_weights(vocab_size, block, boost):
+    weights = 1.0 / (np.arange(vocab_size) + 10.0)
+    weights[block] *= boost
+    return weights / weights.sum()
+
+
+def choice_synthetic_corpus(seed=0, vocab_size=2000, n_members=200, pool_size=20_000):
+    """``synthetic.make_synthetic_corpus`` with one ``rng.choice`` per document.
+
+    The reference for the written-out draw: the same corpus, document for
+    document and token set for token set.
+    """
+    rng = np.random.default_rng(seed)
+    vocab = [f"w{i:04d}" for i in range(vocab_size)]
+    quarter = vocab_size // 4
+    pos_weights = _topic_weights(vocab_size, slice(0, quarter), TOPIC_BOOST)
+    neg_weights = _topic_weights(vocab_size, slice(quarter // 2, quarter + quarter // 2), TOPIC_BOOST)
+    lo, hi = TOKENS_PER_DOC
+
+    def draw(weights: np.ndarray) -> frozenset[str]:
+        n_tok = int(rng.integers(lo, hi + 1))
+        picks = rng.choice(vocab_size, size=n_tok, replace=False, p=weights)
+        return frozenset({vocab[i] for i in picks.tolist()})  # shares one str object per token
+
+    n_hidden = round(pool_size * HIDDEN_POSITIVE_RATE)
+    documents = []
+    for i in range(n_members):
+        documents.append(Document(id=i + 1, title=f"Member article {i + 1}", tokens=draw(pos_weights)))
+    truth = []
+    for i in range(pool_size):
+        doc_id = n_members + i + 1
+        hidden = i < n_hidden
+        documents.append(
+            Document(
+                id=doc_id,
+                title=f"Pool article {doc_id}",
+                tokens=draw(pos_weights if hidden else neg_weights),
+            )
+        )
+        if hidden:
+            truth.append(doc_id)
+
+    corpus = Corpus.from_documents(documents, shard_count=SHARD_COUNT)
+    categories = CategoryIndex.from_mapping({CATEGORY: range(1, n_members + 1)})
+    return SyntheticCorpus(corpus=corpus, categories=categories, truth=frozenset(truth))

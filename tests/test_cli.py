@@ -83,6 +83,19 @@ class TestArgumentHandling:
                      "--lambda-neg", "1", "--lambda-pos", "1", "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_bad_category_line_names_its_file_and_line(self, tmp_path, capsys):
+        assert main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s"),
+                     "--shards", "1"]) == 0
+        capsys.readouterr()
+        cat_file = tmp_path / "s" / "categories" / "Optimization.txt"
+        cat_file.write_text("1\nx\n")
+        code = main(["search", "--corpus", str(tmp_path / "s"), "--category", "Optimization",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert f"{cat_file} at line 2: bad id 'x'" in err
+
     def test_non_finite_lambda_is_data_error(self, tmp_path, capsys):
         assert main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s"),
                      "--shards", "1"]) == 0

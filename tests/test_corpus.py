@@ -1,5 +1,6 @@
 import errno
 import io
+import re
 import string
 from collections import Counter
 from pathlib import Path
@@ -328,6 +329,10 @@ class TestCorpusStore:
         _, cats = load_corpus(tmp_path / "s")
         assert cats.items() == CategoryIndex.from_mapping(names).items()
         bounded = next(path for path in files if "+" in path.name)
+        header = bounded.read_text().split("\n")[0]
+        bounded.write_text(f"{header}\n1\nx\n")  # the header is line 1
+        with pytest.raises(CorpusFormatError, match=re.escape(f"{bounded.name} at line 3: bad id 'x'")):
+            load_corpus(tmp_path / "s")
         bounded.write_text("Other\n1\n")
         with pytest.raises(CorpusFormatError, match="corrupt category file"):
             load_corpus(tmp_path / "s")
