@@ -97,6 +97,9 @@ class ExperimentSpec:
             raise ValueError(f"category {self.category!r} not in the index")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        for i, seed in enumerate(self.seeds):
+            if seed in self.seeds[:i]:
+                raise ValueError(f"seed {seed} is repeated; each seed draws one negative sample")
         if self.top_n < 1:
             raise ValueError("top_n must be >= 1")
 

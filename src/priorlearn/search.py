@@ -5,12 +5,12 @@ pairs drawn from ``DEFAULT_GRID``, the one grid every search uses. Each
 cell is scored by leave-one-out cross-validation over the training folds:
 positive predictive value, with sensitivity as tie-breaker. A fold's LOO
 log odds are a positive half in lambda_pos alone minus a negative half in
-lambda_neg alone, each computed once per grid value from the model's
-integer count arrays, gathered per fold through its rows. A radial hill
-climber sweeps the 5x5 window around the current best cell, recentering
-on improvement and stopping when a full sweep yields no replacement. Cell
-scores are memoized in a plain ``dict`` from cell to score, so multiple
-starts share work and the memo doubles as a map of the explored terrain.
+lambda_neg alone, each computed once per grid value: a log table over the
+counts, taken through a padded per-class table of the folds' counts and
+summed per fold. A radial hill climber sweeps the 5x5 window around the
+current best cell, recentering on improvement and stopping when a full
+sweep yields no replacement. Cell scores are memoized in a plain ``dict``
+from cell to score, so starts share work and the memo maps the terrain.
 """
 
 from __future__ import annotations
@@ -119,27 +119,29 @@ class LooEvaluator:
 
     Per fold, log odds = ``half(pos, lambda_pos) - half(neg, lambda_neg)``:
     the class-prior denominators cancel, and a half depends on its class's
-    counts and pseudo-count alone. Each half is computed at most once per
-    grid index and kept. The evaluator keeps flat count arrays, indexed
-    from the model's through its fold rows, not the model. A fold's log
-    odds equal scoring the fold with its own document removed from the
-    counts and nothing retrained.
+    counts and pseudo-count alone. Per class it keeps an ``int32`` table:
+    column ``f`` is fold ``f``'s counts less its own document, padded with
+    ``top``, one past the largest count, and one spare column is all pad. A
+    half, computed once and kept, sums ``log(lam + arange(top))`` (``0.0`` at
+    ``top``) over each column row by row, bit for bit as ``bincount`` adds a
+    fold's tokens; alone, one fold's column would be summed pairwise.
     """
 
     def __init__(self, model: CountModel):
-        n_folds = model.n_folds
-        labels = np.arange(n_folds) < model.n_pos  # positives come first
+        n_folds, n_pos = model.n_folds, model.n_pos
         n_tokens = np.diff(model.fold_offsets)
-        self._labels = labels
-        self._n_folds = n_folds
-        self._doc_idx = np.repeat(np.arange(n_folds), n_tokens)
-        self._n_tokens = n_tokens.astype(np.float64)
-        # per class: each fold's token counts and the class size, the fold itself removed
-        self._class_counts: dict[bool, tuple[np.ndarray, np.ndarray]] = {}
-        classes = ((True, model.pos_count, model.n_pos), (False, model.neg_count, model.n_neg))
-        for positive, counts, size in classes:
-            own = (labels == positive).astype(np.float64)  # 1 where the fold is of this class
-            self._class_counts[positive] = (counts[model.fold_features] - own[self._doc_idx], size - own)
+        fold = np.repeat(np.arange(n_folds), n_tokens)
+        row = np.arange(len(fold)) - model.fold_offsets[fold]
+        self._n_pos, self._n_tokens = n_pos, n_tokens.astype(np.float64)
+        # per class: the count table, its pad index and each fold's class size, the fold itself removed
+        self._class_counts: dict[bool, tuple[np.ndarray, int, np.ndarray]] = {}
+        for positive, counts, size in ((True, model.pos_count, n_pos), (False, model.neg_count, model.n_neg)):
+            own = (np.arange(n_folds) < n_pos) == positive  # positives come first
+            fold_counts = counts[model.fold_features] - own[fold]
+            top = int(fold_counts.max(initial=0)) + 1
+            table = np.full((n_tokens.max(initial=0), n_folds + 1), top, dtype=np.int32)
+            table[row, fold] = fold_counts
+            self._class_counts[positive] = (table, top, size - own.astype(np.float64))
         self._halves: dict[tuple[bool, int], np.ndarray] = {}
 
     def _half(self, positive: bool, index: int) -> np.ndarray:
@@ -147,9 +149,9 @@ class LooEvaluator:
         half = self._halves.get((positive, index))
         if half is None:
             lam = DEFAULT_GRID[index]
-            counts, size = self._class_counts[positive]
+            table, top, size = self._class_counts[positive]
             log_norm = np.log(lam + size)
-            token_logs = np.bincount(self._doc_idx, weights=np.log(lam + counts), minlength=self._n_folds)
+            token_logs = np.take(np.append(np.log(lam + np.arange(top)), 0.0), table).sum(axis=0)[:-1]
             half = self._halves[(positive, index)] = log_norm + (token_logs - self._n_tokens * log_norm)
         return half
 
@@ -159,11 +161,9 @@ class LooEvaluator:
 
     def __call__(self, cell: Cell) -> CellScore:
         predicted = self.log_odds(cell) > 0.0
-        tp = int(np.count_nonzero(predicted & self._labels))
-        fp = int(np.count_nonzero(predicted & ~self._labels))
-        fn = int(np.count_nonzero(~predicted & self._labels))
-        tn = self._n_folds - tp - fp - fn
-        counts = ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+        tp = int(np.count_nonzero(predicted[: self._n_pos]))  # positives come first
+        fp = int(np.count_nonzero(predicted[self._n_pos :]))
+        counts = ConfusionCounts(tp=tp, fp=fp, tn=len(predicted) - self._n_pos - fp, fn=self._n_pos - tp)
         return CellScore(ppv=ppv(counts), sensitivity=sensitivity(counts))
 
 

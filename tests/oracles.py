@@ -20,6 +20,7 @@ import string
 import unicodedata
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -66,6 +67,23 @@ class DictModel:
     @property
     def n_folds(self):
         return len(self.doc_labels)
+
+    @cached_property
+    def loo_tokens(self):
+        """Every fold's retained tokens, one token at a time: fold index and
+        each class's count less the fold's own document, as flat arrays."""
+        doc_idx, pos_counts, neg_counts = [], [], []
+        for fold, tokens in enumerate(self.doc_tokens):
+            dec = 1.0 if self.doc_labels[fold] else 0.0
+            for t in tokens:
+                doc_idx.append(fold)
+                pos_counts.append(self.pos_count.get(t, 0) - dec)
+                neg_counts.append(self.neg_count.get(t, 0) - (1.0 - dec))
+        return (
+            np.array(doc_idx, dtype=np.intp),
+            np.array(pos_counts, dtype=np.float64),
+            np.array(neg_counts, dtype=np.float64),
+        )
 
 
 def dict_model(positives, negatives):
@@ -252,24 +270,15 @@ def evaluate_priors(cell, model):
 def per_cell_log_odds(model, cell):
     """Per-fold LOO log odds of one cell, both class halves computed for it.
 
-    Flattens every fold's retained tokens with their counts less the
-    fold's own document, one token at a time, then sums each class's log
-    terms per fold with ``bincount``. The reference for
+    Takes every fold's retained tokens flattened with their counts less
+    the fold's own document (``model.loo_tokens``), then sums each class's
+    log terms per fold with ``bincount``. The reference for
     ``LooEvaluator.log_odds``, bit for bit.
     """
     hp = DEFAULT_GRID.hyperparameters(cell)
     lpos, lneg = hp.lambda_pos, hp.lambda_neg
     own = np.array(model.doc_labels, dtype=np.float64)  # 1 where the fold is positive
-    doc_idx, pos_counts, neg_counts = [], [], []
-    for fold, tokens in enumerate(model.doc_tokens):
-        dec = 1.0 if model.doc_labels[fold] else 0.0
-        for t in tokens:
-            doc_idx.append(fold)
-            pos_counts.append(model.pos_count.get(t, 0) - dec)
-            neg_counts.append(model.neg_count.get(t, 0) - (1.0 - dec))
-    doc_idx = np.array(doc_idx, dtype=np.intp)
-    pos_counts = np.array(pos_counts, dtype=np.float64)
-    neg_counts = np.array(neg_counts, dtype=np.float64)
+    doc_idx, pos_counts, neg_counts = model.loo_tokens
     n_folds = model.n_folds
     n_tokens = np.bincount(doc_idx, minlength=n_folds).astype(np.float64)
     adj_pos = model.n_pos - own

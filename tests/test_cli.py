@@ -106,6 +106,16 @@ class TestArgumentHandling:
         assert "lambda_neg must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_repeated_seed_is_data_error(self, tmp_path, capsys):
+        assert main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s"),
+                     "--shards", "1"]) == 0
+        capsys.readouterr()
+        code = main(["search", "--corpus", str(tmp_path / "s"), "--category", "Optimization",
+                     "--seeds", "0", "0", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "seed 0 is repeated" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_start_pair_is_usage_error(self, tmp_path, capsys):
         main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s"), "--shards", "1"])
         code = main(["search", "--corpus", str(tmp_path / "s"), "--category", "Optimization",

@@ -124,6 +124,15 @@ class TestTrainingSet:
         assert training.positive_ids == tuple(sorted(training.positive_ids))
 
 
+class TestExperimentSpec:
+    @pytest.mark.parametrize("seeds, repeated", [((0, 0), 0), ((3, 1, 2, 1), 1)])
+    def test_repeated_seed_rejected_naming_it(self, separable, seeds, repeated):
+        with pytest.raises(ValueError, match=f"seed {repeated} is repeated"):
+            ExperimentSpec(
+                corpus=separable.corpus, categories=separable.categories, category=CATEGORY, seeds=seeds
+            )
+
+
 class TestRankCorpus:
     def test_total_order_and_exclusion(self, separable):
         spec = ExperimentSpec(

@@ -7,13 +7,16 @@ the oracle's under ``np.array_equal`` and in the ``repr`` of their
 ``tolist()`` values (the bytes the predictions CSV writes).
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from oracles import dict_model, entries, scalar_ranking
+from oracles import class_prior, cond_prob, dict_model, entries, scalar_ranking
 from priorlearn.corpus import Corpus, Document
-from priorlearn.experiment import make_training_set, rank_corpus, training_model
+from priorlearn.experiment import _log_weights, make_training_set, rank_corpus, training_model
 from priorlearn.model import BAYES_LAPLACE, Hyperparameters, build_counts
+from priorlearn.search import DEFAULT_GRID
 from priorlearn.synthetic import CATEGORY
 
 PRIORS = [
@@ -69,6 +72,25 @@ def test_acceptance_corpus_matches_oracle(acceptance, seed):
         assert_bit_identical(
             rank_corpus(corpus, model, hp, exclude), scalar_ranking(corpus, oracle, hp, exclude)
         )
+
+
+def test_log_weights_are_math_log_of_the_oracle_ratios():
+    # np.log may differ from math.log in the last bit, mostly on ratios near
+    # 1 and rankings often round that away, so the weight tables are pinned
+    # directly, over every grid value and counts up to the class sizes
+    rng = np.random.default_rng(8)
+    vocab = [f"t{i:02d}" for i in range(30)]
+    corpus = _corpus([_draw(rng, vocab, int(rng.integers(1, 25))) for _ in range(50)])
+    model, oracle = _models(corpus, range(1, 21), range(21, 51))
+    index = corpus.token_index
+    for lam_neg, lam_pos in zip(DEFAULT_GRID.values, reversed(DEFAULT_GRID.values)):
+        hp = Hyperparameters(lam_neg, lam_pos)
+        for positive in (True, False):
+            expected = np.zeros(len(index.slot_of) + 1)
+            expected[0] = math.log(class_prior(positive, oracle, hp))
+            for token in oracle.features:
+                expected[index.slot_of[token]] = math.log(cond_prob(token, positive, oracle, hp))
+            assert np.array_equal(_log_weights(positive, model, hp, index), expected), (hp, positive)
 
 
 def test_document_without_model_features_scores_its_priors():

@@ -31,7 +31,7 @@ from priorlearn.search import (
     multi_start_search,
     radial_gradient_search,
 )
-from priorlearn.synthetic import CATEGORY
+from priorlearn.synthetic import CATEGORY, make_synthetic_corpus
 
 
 def _doc(i, tokens):
@@ -161,6 +161,46 @@ class TestEvaluatePriors:
         del model
         assert model_ref() is None
         assert evaluator(Cell(3, 3)) == expected
+
+
+def _assert_every_half_matches_oracle(model, oracle):
+    """Cells (i, i) and (i, 202 - i) for every i: each half of both classes, paired two ways."""
+    evaluator, last = LooEvaluator(model), len(DEFAULT_GRID) - 1
+    for i in range(len(DEFAULT_GRID)):
+        for cell in (Cell(i, i), Cell(i, last - i)):
+            assert np.array_equal(evaluator.log_odds(cell), per_cell_log_odds(oracle, cell)), cell
+
+
+class TestWholeGridBitIdentity:
+    @pytest.fixture(scope="class")
+    def wide(self):
+        """A 1,000-member category over a 4,000-document pool."""
+        return make_synthetic_corpus(seed=0, n_members=1000, pool_size=4000)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_wide_category_training_sets(self, wide, seed):
+        corpus = wide.corpus
+        training = make_training_set(corpus, wide.categories, CATEGORY, seed)
+        oracle = dict_model(
+            [corpus.get(i) for i in training.positive_ids], [corpus.get(i) for i in training.negative_ids]
+        )
+        _assert_every_half_matches_oracle(training_model(corpus, training), oracle)
+
+    def test_negative_fold_sharing_no_token_with_the_positives(self):
+        positives = [_doc(1, {"a", "b", "c"}), _doc(2, {"b", "c", "d"})]
+        negatives = [_doc(3, {"x", "y"}), _doc(4, {"a", "z"})]
+        model = train(positives, negatives)
+        assert np.diff(model.fold_offsets).tolist() == [3, 3, 0, 1]
+        _assert_every_half_matches_oracle(model, dict_model(positives, negatives))
+
+    def test_model_without_negatives(self):
+        positives, _ = random_training_docs(np.random.default_rng(7), 12, 0)
+        _assert_every_half_matches_oracle(train(positives, []), dict_model(positives, []))
+
+    def test_one_fold_model(self):
+        # more tokens than numpy's 8-wide pairwise block: a lone column must still be summed in order
+        positives = [_doc(1, {f"t{i:02d}" for i in range(40)})]
+        _assert_every_half_matches_oracle(train(positives, []), dict_model(positives, []))
 
 
 class TestRadialGradientSearch:
