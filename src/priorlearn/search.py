@@ -6,7 +6,7 @@ cell is scored by leave-one-out cross-validation over the training folds:
 positive predictive value, with sensitivity as tie-breaker. A fold's LOO
 log odds are a positive half in lambda_pos alone minus a negative half in
 lambda_neg alone, each computed once per grid value: a log table over the
-counts, taken through a padded per-class table of the folds' counts and
+counts, taken through padded tables of like-length folds' counts and
 summed per fold. A radial hill climber sweeps the 5x5 window around the
 current best cell, recentering on improvement and stopping when a full
 sweep yields no replacement. Cell scores are memoized in a plain ``dict``
@@ -119,29 +119,38 @@ class LooEvaluator:
 
     Per fold, log odds = ``half(pos, lambda_pos) - half(neg, lambda_neg)``:
     the class-prior denominators cancel, and a half depends on its class's
-    counts and pseudo-count alone. Per class it keeps an ``int32`` table:
-    column ``f`` is fold ``f``'s counts less its own document, padded with
-    ``top``, one past the largest count, and one spare column is all pad. A
-    half, computed once and kept, sums ``log(lam + arange(top))`` (``0.0`` at
-    ``top``) over each column row by row, bit for bit as ``bincount`` adds a
-    fold's tokens; alone, one fold's column would be summed pairwise.
+    counts and pseudo-count alone. Folds, longest first, are grouped so no
+    group's table pads to more than twice its tokens. Per class and group an
+    ``int32`` table holds a column per fold, its counts less its own document
+    padded with ``top`` (one past the largest count), and a spare all-pad
+    column. A half, computed once and kept, sums ``log(lam + arange(top))``
+    (``0.0`` at ``top``) down each column row by row, bit for bit as
+    ``bincount`` adds a fold's tokens: numpy 2.4 reduces axis 0 of a C-order
+    array that way when it has two or more columns, one column pairwise.
     """
 
     def __init__(self, model: CountModel):
-        n_folds, n_pos = model.n_folds, model.n_pos
-        n_tokens = np.diff(model.fold_offsets)
-        fold = np.repeat(np.arange(n_folds), n_tokens)
-        row = np.arange(len(fold)) - model.fold_offsets[fold]
+        n_folds, n_pos, n_tokens = model.n_folds, model.n_pos, np.diff(model.fold_offsets)
         self._n_pos, self._n_tokens = n_pos, n_tokens.astype(np.float64)
-        # per class: the count table, its pad index and each fold's class size, the fold itself removed
-        self._class_counts: dict[bool, tuple[np.ndarray, int, np.ndarray]] = {}
+        self._order = np.argsort(-n_tokens, kind="stable")  # longest fold first
+        positions, start, pad = [], 0, len(model.fold_features)  # per group: each table cell's token or pad
+        while start < n_folds:
+            folds = self._order[start:]
+            lengths = n_tokens[folds]
+            if len(folds) * lengths[0] > 2 * lengths.sum():  # split off the folds over half the longest
+                folds = folds[: np.count_nonzero(2 * lengths > lengths[0])]
+            start += len(folds)
+            rows = np.arange(lengths[0])[:, None]
+            at = np.append(model.fold_offsets[folds], pad) + rows
+            positions.append(np.where(rows < np.append(n_tokens[folds], 0), at, pad))
+        # per class: the group tables, their pad index and each fold's class size, the fold itself removed
+        self._class_counts: dict[bool, tuple[list[np.ndarray], int, np.ndarray]] = {}
         for positive, counts, size in ((True, model.pos_count, n_pos), (False, model.neg_count, model.n_neg)):
             own = (np.arange(n_folds) < n_pos) == positive  # positives come first
-            fold_counts = counts[model.fold_features] - own[fold]
+            fold_counts = counts[model.fold_features] - np.repeat(own, n_tokens)
             top = int(fold_counts.max(initial=0)) + 1
-            table = np.full((n_tokens.max(initial=0), n_folds + 1), top, dtype=np.int32)
-            table[row, fold] = fold_counts
-            self._class_counts[positive] = (table, top, size - own.astype(np.float64))
+            padded = np.append(fold_counts, top).astype(np.int32)
+            self._class_counts[positive] = ([padded[at] for at in positions], top, size - own.astype(np.float64))
         self._halves: dict[tuple[bool, int], np.ndarray] = {}
 
     def _half(self, positive: bool, index: int) -> np.ndarray:
@@ -149,9 +158,11 @@ class LooEvaluator:
         half = self._halves.get((positive, index))
         if half is None:
             lam = DEFAULT_GRID[index]
-            table, top, size = self._class_counts[positive]
+            tables, top, size = self._class_counts[positive]
             log_norm = np.log(lam + size)
-            token_logs = np.take(np.append(np.log(lam + np.arange(top)), 0.0), table).sum(axis=0)[:-1]
+            logs = np.append(np.log(lam + np.arange(top)), 0.0)
+            token_logs = np.empty(len(size))
+            token_logs[self._order] = np.concatenate([np.take(logs, table).sum(axis=0)[:-1] for table in tables])
             half = self._halves[(positive, index)] = log_norm + (token_logs - self._n_tokens * log_norm)
         return half
 

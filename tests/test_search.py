@@ -202,6 +202,25 @@ class TestWholeGridBitIdentity:
         positives = [_doc(1, {f"t{i:02d}" for i in range(40)})]
         _assert_every_half_matches_oracle(train(positives, []), dict_model(positives, []))
 
+    def test_heavy_tailed_fold_lengths(self):
+        # a few long documents among many short ones, as in a real dump: the long
+        # folds get tables of their own, some of them one fold wide
+        rng = np.random.default_rng(11)
+        vocab = [f"t{i:03d}" for i in range(600)]
+
+        def doc(i):
+            n_tok = min(len(vocab), int(4 * (1 + rng.pareto(0.8))))
+            return _doc(i, (vocab[j] for j in rng.choice(len(vocab), n_tok, replace=False)))
+
+        positives, negatives = [doc(i) for i in range(40)], [doc(100 + i) for i in range(40)]
+        model = train(positives, negatives)
+        n_tokens = len(model.fold_features)
+        assert model.n_folds * np.diff(model.fold_offsets).max() > 8 * n_tokens  # one table: 8x the tokens
+        tables = LooEvaluator(model)._class_counts[True][0]
+        assert len(tables) >= 4 and min(t.shape[1] for t in tables) == 2
+        assert sum(t.shape[0] * (t.shape[1] - 1) for t in tables) <= 2 * n_tokens  # spare columns aside
+        _assert_every_half_matches_oracle(model, dict_model(positives, negatives))
+
 
 class TestRadialGradientSearch:
     def test_unimodal_surface_from_stated_example(self):
