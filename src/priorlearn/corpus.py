@@ -64,26 +64,29 @@ def _strip_punct(piece: str) -> str:
     return piece[start:end]
 
 
-def tokenize(text: str) -> set[str]:
+class _PieceTokens(dict):
+    """Whitespace piece -> interned token (``""`` if all punctuation); called on a text, its tokens."""
+
+    def __missing__(self, piece: str) -> str:
+        token = self[piece] = sys.intern(_strip_punct(piece).lower())
+        return token
+
+    def __call__(self, text: str) -> frozenset[str]:
+        tokens = frozenset(map(self.__getitem__, text.split()))
+        return tokens - {""} if "" in tokens else tokens
+
+
+def tokenize(text: str) -> frozenset[str]:
     """Split ``text`` into its set of normalized tokens.
 
     Pieces are split on whitespace; leading and trailing punctuation
     (``string.punctuation`` and every Unicode ``P*`` character) is
     stripped from each piece (interior punctuation survives, so ``2.0``
     and ``don't`` stay intact); everything is lowercased; pieces that
-    become empty are dropped. The result is a set: each token appears
-    once regardless of frequency. No stemming or lemmatization.
+    become empty are dropped. The result is a frozenset of interned tokens,
+    each once regardless of frequency. No stemming or lemmatization.
     """
-    tokens = set()
-    for piece in text.split():
-        # every ASCII punctuation character is in string.punctuation, so
-        # only a non-ASCII boundary character needs the per-character scan
-        stripped = piece.strip(string.punctuation)
-        if stripped and not (stripped[0].isascii() and stripped[-1].isascii()):
-            stripped = _strip_punct(stripped)
-        if stripped:
-            tokens.add(stripped.lower())
-    return tokens
+    return _PieceTokens()(text)
 
 
 @dataclass(frozen=True)
@@ -268,18 +271,16 @@ def _local_name(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _direct_child(elem: ET.Element, name: str) -> ET.Element | None:
-    for child in elem:
-        if _local_name(child.tag) == name:
-            return child
-    return None
+def _children(elem: ET.Element) -> dict[str, ET.Element]:
+    """The direct children of ``elem`` by local name, the first of each name."""
+    return {_local_name(child.tag): child for child in reversed(elem)}
 
 
-def _page_text(page: ET.Element) -> str:
-    revision = _direct_child(page, "revision")
+def _page_text(page: dict[str, ET.Element]) -> str:
+    revision = page.get("revision")
     if revision is None:
         return ""
-    text = _direct_child(revision, "text")
+    text = _children(revision).get("text")
     return text.text or "" if text is not None else ""
 
 
@@ -340,28 +341,35 @@ def ingest_wiki_dump(
     Only article pages (namespace 0) are kept; redirects and pages
     carrying a disambiguation template are skipped. Category links are
     extracted from the full wikitext, then the body is truncated at its
-    "References" heading and tokenized. Articles whose retained body is
+    "References" heading and tokenized as by :func:`tokenize`, each distinct
+    whitespace piece of the dump once. Articles whose retained body is
     shorter than ``min_bytes`` (UTF-8 bytes, measured after truncation)
-    are excluded.
+    are excluded. Each page is dropped once processed.
 
     ``skipped``, when given, is filled with per-reason skip counts
     (``namespace:N``, ``redirect``, ``disambiguation``,
-    ``below_min_bytes``).
+    ``below_min_bytes``, ``incomplete_page``).
 
-    Raises :class:`IngestError` on malformed XML, naming the byte offset
-    reached in the input.
+    Raises ``ValueError`` before reading ``stream`` if ``shard_count`` is
+    below 1, and :class:`IngestError` on malformed XML, naming the byte
+    offset reached in the input, or on a page id that is not a 64-bit
+    integer, naming the page.
     """
+    if shard_count < 1:
+        raise ValueError("shard_count must be >= 1")
     if skipped is None:
         skipped = Counter()
     reader = _CountingReader(stream)
+    piece_tokens = _PieceTokens()
     documents: list[Document] = []
     categories: dict[str, set[int]] = {}
     try:
-        for _, elem in ET.iterparse(reader, events=("end",)):
-            if _local_name(elem.tag) != "page":
-                continue
-            _ingest_page(elem, min_bytes, documents, categories, skipped)
-            elem.clear()
+        events = ET.iterparse(reader, events=("start", "end"))
+        _, root = next(events)
+        for event, elem in events:
+            if event == "end" and _local_name(elem.tag) == "page":
+                _ingest_page(_children(elem), min_bytes, piece_tokens, documents, categories, skipped)
+                root.clear()  # a cleared page would otherwise stay on as the root's child
     except ET.ParseError as exc:
         raise IngestError(f"malformed XML near byte {reader.bytes_read}: {exc}") from exc
 
@@ -374,33 +382,39 @@ def ingest_wiki_dump(
 
 
 def _ingest_page(
-    page: ET.Element,
+    page: dict[str, ET.Element],
     min_bytes: int,
+    piece_tokens: _PieceTokens,
     documents: list[Document],
     categories: dict[str, set[int]],
     skipped: Counter,
 ) -> None:
-    ns_elem = _direct_child(page, "ns")
+    ns_elem = page.get("ns")
     ns = ns_elem.text.strip() if ns_elem is not None and ns_elem.text else "0"
     if ns != "0":
         skipped[f"namespace:{ns}"] += 1
         return
 
     text = _page_text(page)
-    if _direct_child(page, "redirect") is not None or _REDIRECT_RE.match(text):
+    if "redirect" in page or _REDIRECT_RE.match(text):
         skipped["redirect"] += 1
         return
     if _DISAMBIG_RE.search(text):
         skipped["disambiguation"] += 1
         return
 
-    id_elem = _direct_child(page, "id")
-    title_elem = _direct_child(page, "title")
+    id_elem = page.get("id")
+    title_elem = page.get("title")
     if id_elem is None or id_elem.text is None or title_elem is None or title_elem.text is None:
         skipped["incomplete_page"] += 1
         return
-    doc_id = int(id_elem.text.strip())
     title = _normalize_title(title_elem.text)
+    try:
+        doc_id = int(id_elem.text)
+        if not -(2**63) <= doc_id < 2**63:  # the store's ids are read back as int64
+            raise ValueError
+    except ValueError:
+        raise IngestError(f"page {title!r}: id {id_elem.text!r} is not a 64-bit integer") from None
 
     page_categories = extract_categories(text)
     body = truncate_at_references(text)
@@ -408,8 +422,7 @@ def _ingest_page(
         skipped["below_min_bytes"] += 1
         return
 
-    tokens = frozenset(map(sys.intern, tokenize(body)))  # one str object per distinct token
-    documents.append(Document(id=doc_id, title=title, tokens=tokens))
+    documents.append(Document(id=doc_id, title=title, tokens=piece_tokens(body)))
     for name in page_categories:
         categories.setdefault(name, set()).add(doc_id)
 

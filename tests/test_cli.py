@@ -155,6 +155,18 @@ class TestIngestCommand:
             snapshot = _tree_bytes(tmp_path / "s")
         assert snapshot == _tree_bytes(tmp_path / "s")
 
+    @pytest.mark.parametrize("raw_id", ["abc", "1" * 31])
+    def test_bad_page_id_is_data_error_and_writes_no_store(self, tmp_path, capsys, raw_id):
+        dump = tmp_path / "dump.xml"
+        dump.write_text(
+            f"<mediawiki><page><title>Odd id</title><ns>0</ns><id>{raw_id}</id>"
+            f"<revision><text>{'alpha beta gamma delta ' * 20}</text></revision></page></mediawiki>",
+            encoding="utf-8",
+        )
+        assert main(["ingest", str(dump), "--out", str(tmp_path / "s")]) == 2
+        assert f"page 'Odd id': id '{raw_id}'" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "manifest.json").exists()
+
     def test_long_non_ascii_categories_survive_ingest_and_search(self, tmp_path, capsys):
         # 30 CJK characters percent-encode to 270 bytes, 84 euro signs to 756
         categories = ["".join(map(chr, range(0x4E00, 0x4E00 + 30))), "\u20ac" * 84]

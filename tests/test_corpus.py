@@ -2,6 +2,7 @@ import errno
 import io
 import re
 import string
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -216,6 +217,72 @@ class TestIngest:
         stream = io.BytesIO(b"<mediawiki><page><title>Broken</title>")
         with pytest.raises(IngestError, match=r"byte \d+"):
             ingest_wiki_dump(stream)
+
+    @pytest.mark.parametrize("raw_id", ["abc", "1" * 31, str(2**63), str(-(2**63) - 1)])
+    def test_page_id_outside_int64_names_the_page(self, raw_id):
+        page = _page(1, "Odd id", LONG_BODY).replace("<id>1</id>", f"<id>{raw_id}</id>", 1)
+        with pytest.raises(IngestError, match=f"page 'Odd id': id '{raw_id}'"):
+            ingest_wiki_dump(_wrap_pages(page))
+
+    def test_int64_bounds_are_ids(self):
+        pages = _wrap_pages(
+            _page(1, "Top", LONG_BODY).replace("<id>1</id>", f"<id>{2**63 - 1}</id>", 1),
+            _page(2, "Bottom", LONG_BODY).replace("<id>2</id>", f"<id> {-(2**63)} </id>", 1),
+        )
+        corpus, _ = ingest_wiki_dump(pages)
+        assert corpus.ids() == [-(2**63), 2**63 - 1]
+
+    @pytest.mark.parametrize("shard_count", [0, -3])
+    def test_shard_count_checked_before_reading(self, shard_count):
+        class Unreadable:
+            def read(self, size=-1):
+                raise AssertionError("the dump was read")
+
+        with pytest.raises(ValueError, match="shard_count"):
+            ingest_wiki_dump(Unreadable(), shard_count=shard_count)
+
+    def test_memory_does_not_grow_with_skipped_pages(self):
+        def peak_bytes(n_pages):
+            pages = _wrap_pages(*(_page(pid, f"Talk {pid}", "x", ns=1) for pid in range(n_pages)))
+            tracemalloc.start()
+            try:
+                ingest_wiki_dump(pages)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(10)  # first-call allocations (compiled patterns, caches) out of the way
+        small, large = peak_bytes(1000), peak_bytes(8000)
+        # a cleared page kept as the root's child costs ~70 bytes: 7,000 more ~0.5 MB
+        assert large < small + 100_000
+
+    def test_tokens_match_oracle_and_are_shared_across_pages(self):
+        # the same words recur across pages in other cases and inside Unicode
+        # and ASCII boundary punctuation, so most pieces repeat across the dump
+        words = ["Alpha", "école", "ΟΔΟΣ", "İstanbul", "2.0", "don't", "straße", "中文"]
+        wrappers = [("", ""), ("«", "»"), ("“", "”."), ("¿", "?"), ("—", "—"), ("(", "),"), ("'", "'")]
+        cases = [str, str.upper, str.lower, str.title]
+        rng = np.random.default_rng(10)
+        texts = {}
+        for pid in range(1, 41):
+            pieces = []
+            for _ in range(80):
+                left, right = wrappers[rng.integers(len(wrappers))]
+                word = cases[rng.integers(len(cases))](words[rng.integers(len(words))])
+                pieces.append(left + word + right)
+            if pid % 4 == 0:
+                pieces.insert(40, "\n== References ==\n")
+            texts[pid] = " ".join(pieces)
+        corpus, _ = ingest_wiki_dump(
+            _wrap_pages(*(_page(pid, f"P{pid}", text) for pid, text in texts.items())), min_bytes=0
+        )
+        assert corpus.ids() == sorted(texts)
+        first_seen = {}
+        for doc in corpus:
+            assert doc.tokens == per_character_tokenize(truncate_at_references(texts[doc.id]))
+            for token in doc.tokens:
+                assert first_seen.setdefault(token, token) is token
+        assert len(first_seen) < sum(len(doc.tokens) for doc in corpus)
 
 
 def _toy_corpus():
