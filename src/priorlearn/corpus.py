@@ -65,10 +65,21 @@ def _strip_punct(piece: str) -> str:
 
 
 class _PieceTokens(dict):
-    """Whitespace piece -> interned token (``""`` if all punctuation); called on a text, its tokens."""
+    """Whitespace piece -> interned token (``""`` if all punctuation); called on a text, its tokens.
+
+    It pays when pieces repeat: a piece seen once costs more time than
+    stripping it directly, and every distinct piece is held until the memo
+    is dropped.
+    """
 
     def __missing__(self, piece: str) -> str:
-        token = self[piece] = sys.intern(_strip_punct(piece).lower())
+        # every ASCII punctuation character is in string.punctuation, so
+        # only a non-ASCII boundary character needs the per-character scan
+        token = piece.strip(string.punctuation)
+        if token and not (token[0].isascii() and token[-1].isascii()):
+            token = _strip_punct(token)
+        token = sys.intern(token.lower())
+        self[token if token == piece else piece] = token  # a piece that is its token is held once
         return token
 
     def __call__(self, text: str) -> frozenset[str]:
@@ -369,6 +380,7 @@ def ingest_wiki_dump(
         for event, elem in events:
             if event == "end" and _local_name(elem.tag) == "page":
                 _ingest_page(_children(elem), min_bytes, piece_tokens, documents, categories, skipped)
+                elem.clear()
                 root.clear()  # a cleared page would otherwise stay on as the root's child
     except ET.ParseError as exc:
         raise IngestError(f"malformed XML near byte {reader.bytes_read}: {exc}") from exc

@@ -256,6 +256,22 @@ class TestIngest:
         # a cleared page kept as the root's child costs ~70 bytes: 7,000 more ~0.5 MB
         assert large < small + 100_000
 
+    def test_pages_below_a_wrapper_drop_their_text(self):
+        def peak_bytes(n_pages):
+            pages = "".join(_page(pid, f"Talk {pid}", "x" * 2000, ns=1) for pid in range(n_pages))
+            stream = _wrap_pages(f"<group>{pages}</group>")
+            tracemalloc.start()
+            try:
+                ingest_wiki_dump(stream)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(10)
+        small, large = peak_bytes(500), peak_bytes(4000)
+        # the wrapper still holds each cleared page (~70 bytes); their texts would add ~7 MB
+        assert large < small + 3500 * 500
+
     def test_tokens_match_oracle_and_are_shared_across_pages(self):
         # the same words recur across pages in other cases and inside Unicode
         # and ASCII boundary punctuation, so most pieces repeat across the dump
