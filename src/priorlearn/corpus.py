@@ -67,9 +67,7 @@ def _strip_punct(piece: str) -> str:
 class _PieceTokens(dict):
     """Whitespace piece -> interned token (``""`` if all punctuation); called on a text, its tokens.
 
-    It pays when pieces repeat: a piece seen once costs more time than
-    stripping it directly, and every distinct piece is held until the memo
-    is dropped.
+    Pays only when pieces repeat: every distinct piece is held until the memo is dropped.
     """
 
     def __missing__(self, piece: str) -> str:
