@@ -30,7 +30,7 @@ print("\n-- ingesting the bundled three-page dump --")
 dump = Path(__file__).parent.parent / "tests" / "data" / "mini_dump.xml"
 skipped = Counter()
 with dump.open("rb") as stream:
-    corpus, categories = ingest_wiki_dump(stream, min_bytes=300, shard_count=4, skipped=skipped)
+    corpus, categories = ingest_wiki_dump(stream, min_bytes=300, skipped=skipped)
 
 print(f"kept {corpus.doc_count} of 3 pages; skipped: {dict(skipped)}")
 for doc in corpus:
@@ -38,7 +38,7 @@ for doc in corpus:
 for name, ids in categories.items():
     print(f"  category {name!r} -> {sorted(ids)}")
 
-print("\n-- the sharded store round-trips exactly --")
+print("\n-- the store (the token index as arrays, titles, categories) round-trips exactly --")
 with tempfile.TemporaryDirectory() as root:
     store_corpus(corpus, categories, root)
     reloaded, reloaded_cats = load_corpus(root)

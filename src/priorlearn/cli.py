@@ -43,7 +43,6 @@ def _build_parser() -> _Parser:
     p.add_argument("dump", help="path to the pages XML export (decompressed)")
     p.add_argument("--out", required=True, help="corpus store directory")
     p.add_argument("--min-bytes", type=int, default=300, help="minimum retained body size")
-    p.add_argument("--shards", type=int, default=1000, help="number of corpus shards")
 
     p = sub.add_parser("search", help="learn (lambda_neg, lambda_pos) for a category")
     p.add_argument("--corpus", required=True, help="corpus store directory")
@@ -132,9 +131,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     if not dump.is_file():
         raise CorpusFormatError(f"dump file not found: {dump}")
     with dump.open("rb") as stream:
-        corpus, categories = ingest_wiki_dump(
-            stream, min_bytes=args.min_bytes, shard_count=args.shards, skipped=skipped
-        )
+        corpus, categories = ingest_wiki_dump(stream, min_bytes=args.min_bytes, skipped=skipped)
     store_corpus(corpus, categories, args.out)
     print(f"ingested {corpus.doc_count} documents, {len(categories.categories())} categories")
     for reason in sorted(skipped):
@@ -194,7 +191,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
     hp = Hyperparameters(lambda_neg=args.lambda_neg, lambda_pos=args.lambda_pos)
     model, ranked = experiment.classify_corpus(spec, hp)
-    titles = {doc.id: doc.title for doc in spec.corpus}
+    titles = dict(zip(spec.corpus.ids(), spec.corpus.titles))
     out = Path(args.out)
     _write(out / "predictions.csv", experiment.predictions_to_csv(ranked, titles))
     _write(out / "model_manifest.txt", model_manifest(model))

@@ -2,8 +2,9 @@
 
 Raw document sources (most importantly MediaWiki XML exports) are
 normalized into :class:`Document` records: a stable integer id, a title,
-and a deduplicated set of lowercase tokens. Documents live in a sharded
-:class:`Corpus`; category membership is kept separately in a
+and a deduplicated set of lowercase tokens. A :class:`Corpus` holds them
+as columns of ids, titles and a :class:`TokenIndex`, the form its store
+takes on disk; category membership is kept separately in a
 :class:`CategoryIndex` that maps a category name to the ids of its
 *direct* members only.
 """
@@ -19,9 +20,9 @@ import unicodedata
 import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Any, Callable, Iterable, Iterator
 from urllib.parse import quote, unquote
 
 import numpy as np
@@ -178,57 +179,69 @@ class TokenIndex:
         return self.slots[take], offsets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Corpus:
-    """An immutable collection of documents partitioned into shards.
+    """An immutable collection of documents in ascending id order, as columns.
 
-    Shard assignment is ``id % shard_count`` so the on-disk layout is
-    deterministic and language-neutral. Documents are held in ascending
-    id order. The corpus is safe to share read-only across any number of
-    workers.
+    Row ``i`` is document ``doc_ids[i]``, titled ``titles[i]``, with the
+    tokens of :attr:`token_index` row ``i``. :meth:`from_documents` keeps
+    the documents and builds the index on first use; a loaded corpus builds
+    a :class:`Document` only for :meth:`get` and iteration. The corpus is
+    safe to share read-only across any number of workers.
     """
 
-    shard_count: int
-    _by_id: dict[int, Document] = field(repr=False)
+    doc_ids: np.ndarray = field(repr=False)
+    titles: tuple[str, ...] = field(repr=False)
+    _documents: tuple[Document, ...] | None = field(repr=False)
+    _index: TokenIndex | None = field(repr=False)
 
     @classmethod
-    def from_documents(cls, documents: Iterable[Document], shard_count: int = 1000) -> "Corpus":
-        if shard_count < 1:
-            raise ValueError("shard_count must be >= 1")
-        by_id: dict[int, Document] = {}
-        for doc in sorted(documents, key=lambda doc: doc.id):
-            if doc.id in by_id:
-                raise ValueError(f"duplicate document id {doc.id}")
-            by_id[doc.id] = doc
-        return cls(shard_count=shard_count, _by_id=by_id)
+    def from_documents(cls, documents: Iterable[Document]) -> "Corpus":
+        ordered = tuple(sorted(documents, key=lambda doc: doc.id))
+        doc_ids = np.array([doc.id for doc in ordered], dtype=np.int64)
+        repeated = doc_ids[1:][doc_ids[1:] == doc_ids[:-1]]
+        if repeated.size:
+            raise ValueError(f"duplicate document id {repeated[0]}")
+        return cls(doc_ids, tuple(doc.title for doc in ordered), ordered, None)
 
     @property
     def doc_count(self) -> int:
-        return len(self._by_id)
-
-    def __len__(self) -> int:
-        return len(self._by_id)
+        return len(self.titles)
 
     def __contains__(self, doc_id: int) -> bool:
-        return doc_id in self._by_id
+        return self._row(doc_id) is not None
 
     def __iter__(self) -> Iterator[Document]:
         """Iterate documents in ascending id order."""
-        return iter(self._by_id.values())
+        if self._documents is not None:
+            return iter(self._documents)
+        return map(self._document, range(len(self.titles)))
 
     def get(self, doc_id: int) -> Document:
-        try:
-            return self._by_id[doc_id]
-        except KeyError:
-            raise KeyError(f"no document with id {doc_id}") from None
+        row = self._row(doc_id)
+        if row is None:
+            raise KeyError(f"no document with id {doc_id}")
+        return self._document(row)
 
     def ids(self) -> list[int]:
-        return list(self._by_id)
+        return self.doc_ids.tolist()
 
     @cached_property
     def token_index(self) -> TokenIndex:
-        """The corpus's :class:`TokenIndex`, built on first use and kept."""
-        return TokenIndex.build(list(self))
+        """The corpus's :class:`TokenIndex`: the loaded one, or built on first use and kept."""
+        return self._index if self._index is not None else TokenIndex.build(list(self._documents))
+
+    def _row(self, doc_id: int) -> int | None:
+        row = int(np.searchsorted(self.doc_ids, doc_id))
+        return row if row < len(self.doc_ids) and self.doc_ids[row] == doc_id else None
+
+    def _document(self, row: int) -> Document:
+        if self._documents is not None:
+            return self._documents[row]
+        index = self.token_index
+        slots = index.slots[index.offsets[row] + 1 : index.offsets[row + 1]].tolist()
+        tokens = frozenset([index.vocabulary[slot - 1] for slot in slots])
+        return Document(id=int(self.doc_ids[row]), title=self.titles[row], tokens=tokens)
 
 
 @dataclass(frozen=True)
@@ -262,10 +275,11 @@ class CategoryIndex:
 
     def validate_against(self, corpus: Corpus) -> None:
         """Check that every referenced id resolves to a stored document."""
-        for name, ids in self._members.items():
-            for doc_id in ids:
-                if doc_id not in corpus:
-                    raise ValueError(f"category {name!r} references unknown document id {doc_id}")
+        ids = np.fromiter(itertools.chain.from_iterable(self._members.values()), dtype=np.int64)
+        unknown = ids[~np.isin(ids, corpus.doc_ids)]
+        if unknown.size:
+            name = next(name for name, members in self._members.items() if unknown[0] in members)
+            raise ValueError(f"category {name!r} references unknown document id {unknown[0]}")
 
 
 # --- MediaWiki dump ingestion ------------------------------------------------
@@ -342,7 +356,6 @@ class _CountingReader:
 def ingest_wiki_dump(
     stream: IO[bytes],
     min_bytes: int = 300,
-    shard_count: int = 1000,
     skipped: Counter | None = None,
 ) -> tuple[Corpus, CategoryIndex]:
     """Ingest a MediaWiki pages XML export into a corpus and category index.
@@ -359,13 +372,10 @@ def ingest_wiki_dump(
     (``namespace:N``, ``redirect``, ``disambiguation``,
     ``below_min_bytes``, ``incomplete_page``).
 
-    Raises ``ValueError`` before reading ``stream`` if ``shard_count`` is
-    below 1, and :class:`IngestError` on malformed XML, naming the byte
-    offset reached in the input, or on a page id that is not a 64-bit
-    integer, naming the page.
+    Raises :class:`IngestError` on malformed XML, naming the byte offset
+    reached in the input, or on a page id that is not a 64-bit integer,
+    naming the page.
     """
-    if shard_count < 1:
-        raise ValueError("shard_count must be >= 1")
     if skipped is None:
         skipped = Counter()
     reader = _CountingReader(stream)
@@ -383,7 +393,7 @@ def ingest_wiki_dump(
     except ET.ParseError as exc:
         raise IngestError(f"malformed XML near byte {reader.bytes_read}: {exc}") from exc
 
-    corpus = Corpus.from_documents(documents, shard_count=shard_count)
+    corpus = Corpus.from_documents(documents)
     kept = {doc.id for doc in documents}
     index = CategoryIndex.from_mapping(
         {name: ids & kept for name, ids in categories.items() if ids & kept}
@@ -439,11 +449,11 @@ def _ingest_page(
 
 # --- On-disk store ------------------------------------------------------------
 
-_FORMAT_VERSION = 1
-
-
-def _shard_path(root: Path, shard: int) -> Path:
-    return root / "shards" / f"shard-{shard:05d}.tsv"
+_FORMAT_VERSION = 2
+#: The store files holding the :class:`TokenIndex` arrays, with their dtypes.
+_ARRAYS = {"doc_ids.npy": np.int64, "offsets.npy": np.int64, "slots.npy": np.int32}
+#: The store files of ``\n``-ended lines: each slot's token from slot 1, and each row's title.
+_LINES = ("vocabulary.txt", "titles.txt")
 
 
 def _category_file_name(name: str) -> str:
@@ -464,31 +474,40 @@ def _category_file_name(name: str) -> str:
 def store_corpus(corpus: Corpus, categories: CategoryIndex, path: str | Path) -> None:
     """Write a corpus and its category index under ``path``.
 
-    Layout: ``manifest.json`` with counts, one newline-delimited shard
-    file per shard (``id<TAB>title<TAB>space-joined sorted tokens``),
-    and one file per category listing member ids ascending, named by
-    :func:`_category_file_name`. Everything is sorted, so storing the same
-    corpus twice yields identical bytes.
-    The manifest, shard and category files of an earlier store under
-    ``path`` are deleted first, other files there are left alone, and the
-    manifest is written last: a store that fails part-way does not load.
+    Layout (format 2): ``manifest.json`` with the document count; the
+    :class:`TokenIndex` arrays as ``doc_ids.npy``, ``offsets.npy`` and
+    ``slots.npy``; ``vocabulary.txt`` (line ``s`` holds slot ``s``'s token)
+    and ``titles.txt`` (one line per row), each line ended by ``\\n``; and
+    one file per category listing member ids ascending, named by
+    :func:`_category_file_name`. Storing the same corpus twice yields
+    identical bytes. The manifest and category files of an earlier store
+    under ``path``, and a format-1 store's shards, are deleted first, other
+    files there are left alone, and the manifest is written last: a store
+    that fails part-way does not load. A title holding a tab or ``\\n``, or
+    a token that is empty or holds whitespace, raises :class:`CorpusFormatError`.
     """
-    shards: list[list[Document]] = [[] for _ in range(corpus.shard_count)]
-    for doc in corpus:
-        if "\t" in doc.title or "\n" in doc.title:
-            raise CorpusFormatError(f"document {doc.id}: title contains tab or newline")
-        shards[doc.id % corpus.shard_count].append(doc)
+    for doc_id, title in zip(corpus.ids(), corpus.titles):
+        if "\t" in title or "\n" in title:
+            raise CorpusFormatError(f"document {doc_id}: title contains tab or newline")
+    index = corpus.token_index
+    for slot, token in enumerate(index.vocabulary, 1):
+        if token.split() != [token]:
+            row = index.row_of_slot()[np.flatnonzero(index.slots == slot)[0]]
+            raise CorpusFormatError(f"document {index.doc_ids[row]}: token {token!r} is empty or has whitespace")
 
     root = Path(path)
-    (root / "shards").mkdir(parents=True, exist_ok=True)
+    shards = root / "shards"  # a format-1 store's
     (root / "categories").mkdir(parents=True, exist_ok=True)
     (root / "manifest.json").unlink(missing_ok=True)
-    for stale in [*(root / "shards").glob("shard-*.tsv"), *(root / "categories").glob("*.txt")]:
+    for stale in [*shards.glob("shard-*.tsv"), *(root / "categories").glob("*.txt")]:
         stale.unlink()
+    if shards.is_dir() and not any(shards.iterdir()):
+        shards.rmdir()
 
-    for shard, documents in enumerate(shards):
-        lines = [f"{doc.id}\t{doc.title}\t{' '.join(sorted(doc.tokens))}\n" for doc in documents]
-        _shard_path(root, shard).write_text("".join(lines), encoding="utf-8")
+    for name, array in zip(_ARRAYS, (index.doc_ids, index.offsets, index.slots)):
+        np.save(root / name, array)
+    for name, lines in zip(_LINES, (index.vocabulary, corpus.titles)):
+        (root / name).write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
 
     for name, ids in categories.items():
         file_name = _category_file_name(name)
@@ -496,65 +515,77 @@ def store_corpus(corpus: Corpus, categories: CategoryIndex, path: str | Path) ->
         text = "".join([*header, *(f"{doc_id}\n" for doc_id in sorted(ids))])
         (root / "categories" / file_name).write_text(text, encoding="utf-8")
 
-    manifest = {
-        "format_version": _FORMAT_VERSION,
-        "doc_count": corpus.doc_count,
-        "shard_count": corpus.shard_count,
-    }
+    manifest = {"format_version": _FORMAT_VERSION, "doc_count": corpus.doc_count}
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
-def _parse_id(raw: str, kind: str, path: Path, lineno: int) -> int:
+def _parse_id(raw: str, path: Path, lineno: int) -> int:
     try:
-        return int(raw)
+        doc_id = int(raw)
+        if not -(2**63) <= doc_id < 2**63:
+            raise ValueError
+        return doc_id
     except ValueError:
-        raise CorpusFormatError(f"corrupt {kind} {path} at line {lineno}: bad id {raw!r}") from None
+        raise CorpusFormatError(f"corrupt category file {path} at line {lineno}: bad id {raw!r}") from None
+
+
+def _read(path: Path, parse: Callable[[IO[bytes]], Any]) -> Any:
+    """``parse`` of the open store file ``path``; the error names a file that is missing or does not parse."""
+    try:
+        with path.open("rb") as stream:
+            return parse(stream)
+    except FileNotFoundError:
+        raise CorpusFormatError(f"missing {path.stem}: {path}") from None
+    except (OSError, ValueError, EOFError) as exc:
+        raise CorpusFormatError(f"corrupt store file {path}: {exc}") from None
+
+
+def _lines(stream: IO[bytes]) -> list[str]:
+    """The ``\\n``-ended lines of ``stream``, split on ``\\n`` alone, as a title may hold other line breaks."""
+    *lines, tail = stream.read().decode("utf-8").split("\n")
+    if tail:
+        raise ValueError("its last line has no newline")
+    return lines
 
 
 def load_corpus(path: str | Path) -> tuple[Corpus, CategoryIndex]:
-    """Load a corpus stored by :func:`store_corpus`.
+    """Load a corpus stored by :func:`store_corpus`: its token index, titles and categories.
 
-    Raises :class:`CorpusFormatError` naming the offending shard when a
-    shard file is missing or malformed, and the file and line of a
+    Raises :class:`CorpusFormatError` naming the store file that is
+    missing, does not parse or disagrees with the rest (a store of another
+    format than 2 is ingested again), and the file and line of a
     category-file line that is not an id.
     """
     root = Path(path)
-    manifest_path = root / "manifest.json"
-    if not manifest_path.is_file():
-        raise CorpusFormatError(f"missing manifest: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if manifest.get("format_version") != _FORMAT_VERSION:
-        raise CorpusFormatError(f"unsupported format version {manifest.get('format_version')!r}")
-    shard_count = int(manifest["shard_count"])
 
-    documents: list[Document] = []
-    for shard in range(shard_count):
-        shard_file = _shard_path(root, shard)
-        if not shard_file.is_file():
-            raise CorpusFormatError(f"missing shard: {shard_file}")
-        # a title may hold any line break but "\n": split on "\n" alone, untranslated
-        with shard_file.open(encoding="utf-8", newline="\n") as stream:
-            lines = stream.read().split("\n")
-        if lines[-1] == "":  # after the newline that ends the last line
-            lines.pop()
-        for lineno, line in enumerate(lines, 1):
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise CorpusFormatError(f"corrupt shard {shard_file} at line {lineno}")
-            raw_id, title, token_text = parts
-            doc_id = _parse_id(raw_id, "shard", shard_file, lineno)
-            if doc_id % shard_count != shard:
-                raise CorpusFormatError(
-                    f"corrupt shard {shard_file} at line {lineno}: id {doc_id} belongs elsewhere"
-                )
-            tokens = frozenset(map(sys.intern, token_text.split()))  # one str per distinct token
-            documents.append(Document(id=doc_id, title=title, tokens=tokens))
+    def check(name: str, ok: bool, problem: str) -> None:
+        if not ok:
+            raise CorpusFormatError(f"corrupt store file {root / name}: {problem}")
 
-    corpus = Corpus.from_documents(documents, shard_count=shard_count)
-    if corpus.doc_count != int(manifest["doc_count"]):
-        raise CorpusFormatError(
-            f"manifest doc_count {manifest['doc_count']} != stored {corpus.doc_count}"
-        )
+    manifest = _read(root / "manifest.json", json.load)
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
+    if version != _FORMAT_VERSION:
+        raise CorpusFormatError(f"{root} holds store format {version!r}, not 2: re-ingest the dump")
+    arrays = [_read(root / name, partial(np.load, allow_pickle=False)) for name in _ARRAYS]
+    for (name, dtype), array in zip(_ARRAYS.items(), arrays):
+        check(name, isinstance(array, np.ndarray) and array.dtype == dtype and array.ndim == 1, "wrong dtype")
+    doc_ids, offsets, slots = arrays
+    vocabulary, titles = (_read(root / name, _lines) for name in _LINES)
+
+    rows = {"doc_ids.npy": len(doc_ids), "offsets.npy": len(offsets) - 1, "titles.txt": len(titles)}
+    for name, count in rows.items():
+        check(name, count == manifest.get("doc_count"), f"{count} rows, not the manifest's doc_count")
+    check("offsets.npy", offsets[0] == 0 and offsets[-1] == len(slots) and (np.diff(offsets) > 0).all(),
+          "offsets do not start at 0, increase strictly and end at the slot count")
+    ascending = np.diff(slots) > 0
+    ascending[offsets[1:-1] - 1] = True  # where one row ends and the next begins
+    check("slots.npy", ascending.all() and (slots[offsets[:-1]] == 0).all(), "a row is not 0, then ascending")
+    check("slots.npy", not (slots > len(vocabulary)).any(), "a slot is past the last token's")
+    check("doc_ids.npy", (np.diff(doc_ids) > 0).all(), "ids are not ascending and unique")
+    check("vocabulary.txt", all(a < b for a, b in zip(vocabulary, vocabulary[1:])), "tokens are not ascending")
+    slot_of = {token: slot for slot, token in enumerate(vocabulary, 1)}
+    index = TokenIndex(tuple(vocabulary), slot_of, doc_ids, offsets, slots)
+    corpus = Corpus(doc_ids, tuple(titles), None, index)
 
     mapping: dict[str, list[int]] = {}
     categories_dir = root / "categories"
@@ -566,10 +597,10 @@ def load_corpus(path: str | Path) -> tuple[Corpus, CategoryIndex]:
             if bounded and _category_file_name(name) != cat_file.name:
                 raise CorpusFormatError(f"corrupt category file {cat_file}: no name matches it")
             mapping[name] = [
-                _parse_id(line, "category file", cat_file, lineno)
+                _parse_id(line, cat_file, lineno)
                 for lineno, line in enumerate(lines, 1)
                 if lineno > bounded and line and not line.isspace()
             ]
-    index = CategoryIndex.from_mapping(mapping)
-    index.validate_against(corpus)
-    return corpus, index
+    categories = CategoryIndex.from_mapping(mapping)
+    categories.validate_against(corpus)
+    return corpus, categories

@@ -31,7 +31,6 @@ HIDDEN_POSITIVE_RATE = 0.01
 TOKENS_PER_DOC = (20, 45)
 #: Weight multiplier of a distribution's favored topic block.
 TOPIC_BOOST = 1.8
-SHARD_COUNT = 1
 
 
 @dataclass(frozen=True)
@@ -96,6 +95,6 @@ def make_synthetic_corpus(
         for doc_id in range(n_members + 1, n_members + pool_size + 1)
     ]
 
-    corpus = Corpus.from_documents([*members, *pool], shard_count=SHARD_COUNT)
+    corpus = Corpus.from_documents([*members, *pool])
     categories = CategoryIndex.from_mapping({CATEGORY: range(1, n_members + 1)})
     return SyntheticCorpus(corpus=corpus, categories=categories, truth=frozenset(truth))

@@ -103,7 +103,7 @@ def regenerate(root: Path) -> None:
         assert code == 0, args
 
     store = run / "store"
-    cli("ingest", dump, "--out", store, "--shards", "4")
+    cli("ingest", dump, "--out", store)
     cli("search", "--corpus", store, "--category", "Toy solvers", "--seeds", "0", "1",
         "--out", run / "search")
     learned = json.loads((run / "search" / "learned.json").read_text())

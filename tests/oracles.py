@@ -34,7 +34,6 @@ from priorlearn.stats import BootstrapCI
 from priorlearn.synthetic import (
     CATEGORY,
     HIDDEN_POSITIVE_RATE,
-    SHARD_COUNT,
     TOKENS_PER_DOC,
     TOPIC_BOOST,
     SyntheticCorpus,
@@ -507,6 +506,6 @@ def choice_synthetic_corpus(seed=0, vocab_size=2000, n_members=200, pool_size=20
         if hidden:
             truth.append(doc_id)
 
-    corpus = Corpus.from_documents(documents, shard_count=SHARD_COUNT)
+    corpus = Corpus.from_documents(documents)
     categories = CategoryIndex.from_mapping({CATEGORY: range(1, n_members + 1)})
     return SyntheticCorpus(corpus=corpus, categories=categories, truth=frozenset(truth))

@@ -336,7 +336,7 @@ def test_criterion_10_determinism(full_run):
 def test_criterion_11_ingestion():
     skipped = Counter()
     with (DATA / "mini_dump.xml").open("rb") as stream:
-        corpus, cats = ingest_wiki_dump(stream, min_bytes=300, shard_count=1, skipped=skipped)
+        corpus, cats = ingest_wiki_dump(stream, min_bytes=300, skipped=skipped)
     assert corpus.doc_count == 1
     doc = corpus.get(11)
     assert doc.title == "Hill climbing"

@@ -12,6 +12,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 from tracer import Tracer, instrument  # noqa: E402
 
+from priorlearn import cli  # noqa: E402
 from priorlearn.experiment import ExperimentSpec, learn_priors, run_baseline  # noqa: E402
 from priorlearn.synthetic import CATEGORY, make_synthetic_corpus  # noqa: E402
 
@@ -33,3 +34,15 @@ def test_search_and_ranking_spans_fire():
         "experiment.rank_corpus",
     ):
         assert name in recorded, name
+
+
+def test_store_and_load_spans_fire(tmp_path):
+    syn = make_synthetic_corpus(seed=0, vocab_size=200, n_members=20, pool_size=400)
+    with instrument(Tracer()) as tracer:
+        cli.store_corpus(syn.corpus, syn.categories, tmp_path / "store")
+        loaded, _ = cli.load_corpus(tmp_path / "store")
+    recorded = {name for name, _, _, _ in tracer.spans}
+    assert {"corpus.store_corpus", "corpus.load_corpus"} <= recorded
+    # on_load counts result[0].doc_count, and on_store every file written
+    assert tracer.counts["corpus.docs_loaded"] == loaded.doc_count == syn.corpus.doc_count
+    assert tracer.counts["corpus.store_files"] == sum(1 for p in (tmp_path / "store").rglob("*") if p.is_file())

@@ -4,12 +4,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import priorlearn
+import priorlearn.corpus as corpus_module
 from priorlearn.cli import main
 from priorlearn.corpus import CategoryIndex, Corpus, Document, store_corpus
 from priorlearn.experiment import read_predictions_csv
+from test_corpus import _tree
 
 DATA = Path(__file__).parent / "data"
 
@@ -18,6 +21,17 @@ def _tree_bytes(root: Path) -> dict:
     return {
         str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()
     }
+
+
+def _write_format_1_store(root: Path) -> None:
+    """A store as format 1 wrote it: 2 shards of id<TAB>title<TAB>tokens lines."""
+    (root / "shards").mkdir(parents=True)
+    (root / "shards" / "shard-00000.tsv").write_text("2\tTwo\tbeta gamma\n")
+    (root / "shards" / "shard-00001.tsv").write_text("1\tOne\talpha beta\n")
+    (root / "categories").mkdir()
+    (root / "categories" / "Old.txt").write_text("1\n")
+    manifest = {"format_version": 1, "doc_count": 2, "shard_count": 2}
+    (root / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _child_env() -> dict:
@@ -53,7 +67,7 @@ class TestArgumentHandling:
     def test_unwritable_category_file_is_data_error(self, tmp_path, capsys):
         # a directory where a category file goes: the store can neither remove nor write it
         (tmp_path / "s" / "categories" / "Optimization.txt").mkdir(parents=True)
-        assert main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s"), "--shards", "1"]) == 2
+        assert main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:")
         assert "Optimization.txt" in err
@@ -77,15 +91,13 @@ class TestArgumentHandling:
         assert err.startswith("data error:") and cause in err
 
     def test_unknown_category_is_data_error(self, tmp_path, capsys):
-        assert main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s"),
-                     "--shards", "2"]) == 0
+        assert main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s")]) == 0
         code = main(["classify", "--corpus", str(tmp_path / "s"), "--category", "Nope",
                      "--lambda-neg", "1", "--lambda-pos", "1", "--out", str(tmp_path / "o")])
         assert code == 2
 
     def test_bad_category_line_names_its_file_and_line(self, tmp_path, capsys):
-        assert main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s"),
-                     "--shards", "1"]) == 0
+        assert main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s")]) == 0
         capsys.readouterr()
         cat_file = tmp_path / "s" / "categories" / "Optimization.txt"
         cat_file.write_text("1\nx\n")
@@ -97,8 +109,7 @@ class TestArgumentHandling:
         assert f"{cat_file} at line 2: bad id 'x'" in err
 
     def test_non_finite_lambda_is_data_error(self, tmp_path, capsys):
-        assert main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s"),
-                     "--shards", "1"]) == 0
+        assert main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s")]) == 0
         capsys.readouterr()
         code = main(["classify", "--corpus", str(tmp_path / "s"), "--category", "Optimization",
                      "--lambda-neg", "inf", "--lambda-pos", "1", "--out", str(tmp_path / "o")])
@@ -107,8 +118,7 @@ class TestArgumentHandling:
         assert not (tmp_path / "o").exists()
 
     def test_repeated_seed_is_data_error(self, tmp_path, capsys):
-        assert main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s"),
-                     "--shards", "1"]) == 0
+        assert main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s")]) == 0
         capsys.readouterr()
         code = main(["search", "--corpus", str(tmp_path / "s"), "--category", "Optimization",
                      "--seeds", "0", "0", "--out", str(tmp_path / "o")])
@@ -117,7 +127,7 @@ class TestArgumentHandling:
         assert not (tmp_path / "o").exists()
 
     def test_bad_start_pair_is_usage_error(self, tmp_path, capsys):
-        main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s"), "--shards", "1"])
+        main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s")])
         code = main(["search", "--corpus", str(tmp_path / "s"), "--category", "Optimization",
                      "--starts", "1:1,bogus", "--out", str(tmp_path / "o")])
         assert code == 1
@@ -141,8 +151,7 @@ class TestArgumentHandling:
 
 class TestIngestCommand:
     def test_reports_skips(self, tmp_path, capsys):
-        assert main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s"),
-                     "--shards", "2"]) == 0
+        assert main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s")]) == 0
         out = capsys.readouterr().out
         assert "ingested 1 documents" in out
         assert "skipped below_min_bytes: 1" in out
@@ -150,8 +159,7 @@ class TestIngestCommand:
 
     def test_idempotent_bytes(self, tmp_path):
         for _ in range(2):
-            assert main(["ingest", str(DATA / "e2e_dump.xml"), "--out", str(tmp_path / "s"),
-                         "--shards", "4"]) == 0
+            assert main(["ingest", str(DATA / "e2e_dump.xml"), "--out", str(tmp_path / "s")]) == 0
             snapshot = _tree_bytes(tmp_path / "s")
         assert snapshot == _tree_bytes(tmp_path / "s")
 
@@ -182,7 +190,7 @@ class TestIngestCommand:
             '<mediawiki xmlns="http://www.mediawiki.org/xml/export-0.10/">' + "".join(pages) + "</mediawiki>",
             encoding="utf-8",
         )
-        assert main(["ingest", str(dump), "--out", str(tmp_path / "s"), "--shards", "2"]) == 0
+        assert main(["ingest", str(dump), "--out", str(tmp_path / "s")]) == 0
         for i, category in enumerate(categories):
             out = tmp_path / f"search{i}"
             assert main(["search", "--corpus", str(tmp_path / "s"), "--category", category,
@@ -190,12 +198,62 @@ class TestIngestCommand:
             assert json.loads((out / "learned.json").read_text(encoding="utf-8"))["category"] == category
 
 
+class TestStoreFormat:
+    def _ingest(self, tmp_path, capsys):
+        assert main(["ingest", str(DATA / "e2e_dump.xml"), "--out", str(tmp_path / "s")]) == 0
+        capsys.readouterr()
+
+    def _search(self, tmp_path) -> int:
+        return main(["search", "--corpus", str(tmp_path / "s"), "--category", "Toy solvers",
+                     "--seeds", "0", "--out", str(tmp_path / "o")])
+
+    def test_format_1_store_is_data_error_asking_for_a_re_ingest(self, tmp_path, capsys):
+        _write_format_1_store(tmp_path / "s")
+        assert self._search(tmp_path) == 2
+        assert "store format 1, not 2: re-ingest the dump" in capsys.readouterr().err
+
+    def test_re_ingest_over_a_format_1_store_leaves_a_fresh_tree(self, tmp_path):
+        _write_format_1_store(tmp_path / "s")
+        for out in ("s", "fresh"):
+            assert main(["ingest", str(DATA / "e2e_dump.xml"), "--out", str(tmp_path / out)]) == 0
+        assert _tree(tmp_path / "s") == _tree(tmp_path / "fresh")
+
+    @pytest.mark.parametrize(
+        "name, damage",
+        [
+            ("slots.npy", lambda path: path.write_bytes(path.read_bytes()[:-2])),
+            ("offsets.npy", lambda path: np.save(path, np.array([0, 9], dtype=np.int64))),
+            ("slots.npy", lambda path: np.save(path, np.append(np.load(path)[:-1], np.int32(10**6)))),
+            ("doc_ids.npy", lambda path: np.save(path, np.array([11, 11], dtype=np.int64))),
+            ("titles.txt", lambda path: path.write_text("")),
+            ("vocabulary.txt", lambda path: path.unlink()),
+        ],
+    )
+    def test_damaged_store_is_data_error_naming_the_file(self, tmp_path, capsys, name, damage):
+        self._ingest(tmp_path, capsys)
+        damage(tmp_path / "s" / name)
+        assert self._search(tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(tmp_path / "s" / name) in err
+
+    def test_search_and_classify_build_no_documents(self, tmp_path, capsys, monkeypatch):
+        self._ingest(tmp_path, capsys)
+
+        def no_document(**fields):
+            raise AssertionError("a Document was built")
+
+        monkeypatch.setattr(corpus_module, "Document", no_document)
+        assert self._search(tmp_path) == 0
+        assert main(["classify", "--corpus", str(tmp_path / "s"), "--category", "Toy solvers",
+                     "--lambda-neg", "1", "--lambda-pos", "1", "--out", str(tmp_path / "c")]) == 0
+
+
 class TestCarriageReturnTitles:
     def test_title_round_trips_through_classify_output(self, tmp_path):
         docs = [Document(1, "Member one", frozenset({"mark", "x"})), Document(2, "Member two", frozenset({"mark"}))]
         docs += [Document(i, f"Ti\rtle {i}\r", frozenset({"mark" if i % 2 else "y", "x"})) for i in range(3, 9)]
         docs += [Document(9, 'Both, "\r" and quotes', frozenset({"x"}))]
-        store_corpus(Corpus.from_documents(docs, shard_count=2), CategoryIndex.from_mapping({"Cat": [1, 2]}),
+        store_corpus(Corpus.from_documents(docs), CategoryIndex.from_mapping({"Cat": [1, 2]}),
                      tmp_path / "s")
         assert main(["classify", "--corpus", str(tmp_path / "s"), "--category", "Cat", "--lambda-neg", "1",
                      "--lambda-pos", "1", "--out", str(tmp_path / "c")]) == 0
@@ -213,7 +271,7 @@ def run_dir(tmp_path_factory):
     run = tmp_path_factory.mktemp("e2e")
     store = run / "store"
     steps = [
-        ["ingest", str(DATA / "e2e_dump.xml"), "--out", str(store), "--shards", "4"],
+        ["ingest", str(DATA / "e2e_dump.xml"), "--out", str(store)],
         ["search", "--corpus", str(store), "--category", "Toy solvers",
          "--seeds", "0", "1", "--out", str(run / "search")],
     ]

@@ -1,5 +1,6 @@
 import errno
 import io
+import json
 import re
 import string
 import tracemalloc
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import priorlearn.corpus as corpus_module
 from oracles import per_character_tokenize
 from priorlearn.corpus import (
     CategoryIndex,
@@ -144,7 +146,7 @@ class TestIngest:
     def test_three_page_fixture(self):
         skipped = Counter()
         with (DATA / "mini_dump.xml").open("rb") as stream:
-            corpus, cats = ingest_wiki_dump(stream, skipped=skipped, shard_count=1)
+            corpus, cats = ingest_wiki_dump(stream, skipped=skipped)
         assert corpus.doc_count == 1
         doc = corpus.get(11)
         assert doc.title == "Hill climbing"
@@ -232,15 +234,6 @@ class TestIngest:
         corpus, _ = ingest_wiki_dump(pages)
         assert corpus.ids() == [-(2**63), 2**63 - 1]
 
-    @pytest.mark.parametrize("shard_count", [0, -3])
-    def test_shard_count_checked_before_reading(self, shard_count):
-        class Unreadable:
-            def read(self, size=-1):
-                raise AssertionError("the dump was read")
-
-        with pytest.raises(ValueError, match="shard_count"):
-            ingest_wiki_dump(Unreadable(), shard_count=shard_count)
-
     def test_memory_does_not_grow_with_skipped_pages(self):
         def peak_bytes(n_pages):
             pages = _wrap_pages(*(_page(pid, f"Talk {pid}", "x", ns=1) for pid in range(n_pages)))
@@ -301,6 +294,14 @@ class TestIngest:
         assert len(first_seen) < sum(len(doc.tokens) for doc in corpus)
 
 
+STORE_FILES = ["manifest.json", "doc_ids.npy", "offsets.npy", "slots.npy", "vocabulary.txt", "titles.txt"]
+
+
+def _tree(root: Path) -> dict:
+    """Every path under ``root``, directories included, with a file's bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
+
+
 def _toy_corpus():
     docs = [
         Document(1, "One", frozenset({"alpha", "beta"})),
@@ -308,7 +309,7 @@ def _toy_corpus():
         Document(7, "Seven & co", frozenset({"delta"})),
         Document(10, "Ten", frozenset({"alpha", "delta", "2.0"})),
     ]
-    corpus = Corpus.from_documents(docs, shard_count=3)
+    corpus = Corpus.from_documents(docs)
     cats = CategoryIndex.from_mapping({"Fancy/Category Name": [1, 10], "Other": [2]})
     return corpus, cats
 
@@ -319,7 +320,7 @@ class TestCorpusStore:
         store_corpus(corpus, cats, tmp_path / "store")
         loaded, loaded_cats = load_corpus(tmp_path / "store")
         assert loaded.doc_count == corpus.doc_count
-        assert loaded.shard_count == corpus.shard_count
+        assert loaded.ids() == corpus.ids() and loaded.titles == corpus.titles
         for doc in corpus:
             assert loaded.get(doc.id) == doc
         assert loaded_cats.items() == cats.items()
@@ -335,45 +336,40 @@ class TestCorpusStore:
         for rel in files_a:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
-    def test_every_doc_in_exactly_one_shard(self, tmp_path):
+    def test_every_doc_in_exactly_one_row(self, tmp_path):
         corpus, cats = _toy_corpus()
         store_corpus(corpus, cats, tmp_path / "s")
-        shard_files = sorted((tmp_path / "s" / "shards").iterdir())
-        assert [p.name for p in shard_files] == [
-            f"shard-{shard:05d}.tsv" for shard in range(corpus.shard_count)
+        assert sorted(p.name for p in (tmp_path / "s").iterdir()) == [
+            "categories", "doc_ids.npy", "manifest.json", "offsets.npy", "slots.npy", "titles.txt", "vocabulary.txt"
         ]
-        placements = []
-        for shard, shard_file in enumerate(shard_files):
-            ids = [int(line.split("\t")[0]) for line in shard_file.read_text().splitlines()]
-            assert ids == sorted(ids)
-            assert all(doc_id % corpus.shard_count == shard for doc_id in ids)
-            placements += ids
-        assert sorted(placements) == corpus.ids()
+        assert np.load(tmp_path / "s" / "doc_ids.npy").tolist() == corpus.ids() == [1, 2, 7, 10]
+        assert (tmp_path / "s" / "titles.txt").read_text() == "One\nTwo\nSeven & co\nTen\n"
+        vocabulary = (tmp_path / "s" / "vocabulary.txt").read_text().split("\n")[:-1]
+        assert vocabulary == ["2.0", "alpha", "beta", "delta", "gamma"]
+        offsets, slots = (np.load(tmp_path / "s" / name) for name in ("offsets.npy", "slots.npy"))
+        rows = [slots[start:end].tolist() for start, end in zip(offsets, offsets[1:])]
+        assert rows == [[0, 2, 3], [0, 3, 5], [0, 4], [0, 1, 2, 4]]
 
     def test_restore_leaves_nothing_of_the_old_store(self, tmp_path):
         doc = Document(1, "One", frozenset({"alpha"}))
         store_corpus(
-            Corpus.from_documents([doc], shard_count=4),
+            Corpus.from_documents([doc, Document(2, "Two", frozenset({"beta"}))]),
             CategoryIndex.from_mapping({"Old": [1]}),
             tmp_path / "s",
         )
         (tmp_path / "s" / "notes.txt").write_text("kept")
-        store_corpus(
-            Corpus.from_documents([doc], shard_count=2),
-            CategoryIndex.from_mapping({"New": [1]}),
-            tmp_path / "s",
-        )
-        _, cats = load_corpus(tmp_path / "s")
+        store_corpus(Corpus.from_documents([doc]), CategoryIndex.from_mapping({"New": [1]}), tmp_path / "s")
+        store_corpus(Corpus.from_documents([doc]), CategoryIndex.from_mapping({"New": [1]}), tmp_path / "fresh")
+        loaded, cats = load_corpus(tmp_path / "s")
         assert cats.categories() == ["New"]
-        assert sorted(p.name for p in (tmp_path / "s" / "shards").iterdir()) == [
-            "shard-00000.tsv", "shard-00001.tsv"
-        ]
-        assert (tmp_path / "s" / "notes.txt").read_text() == "kept"
+        assert list(loaded) == [doc]
+        (tmp_path / "s" / "notes.txt").unlink()
+        assert _tree(tmp_path / "s") == _tree(tmp_path / "fresh")
 
     @pytest.mark.parametrize("over_good_store", [False, True])
     def test_failed_store_cannot_be_loaded(self, tmp_path, monkeypatch, over_good_store):
         doc = Document(1, "One", frozenset({"alpha"}))
-        corpus = Corpus.from_documents([doc], shard_count=2)
+        corpus = Corpus.from_documents([doc])
         if over_good_store:
             store_corpus(corpus, CategoryIndex.from_mapping({"Apples": [1]}), tmp_path / "s")
         write_text = Path.write_text
@@ -383,7 +379,7 @@ class TestCorpusStore:
                 raise OSError(errno.ENOSPC, "No space left on device", str(path))
             return write_text(path, *args, **kwargs)
 
-        # fails part-way: after the shards and the Apples file are written
+        # fails part-way: after the index, titles and the Apples file are written
         monkeypatch.setattr(Path, "write_text", disk_full_at_zebras)
         with pytest.raises(OSError):
             store_corpus(corpus, CategoryIndex.from_mapping({"Apples": [1], "Zebras": [1]}), tmp_path / "s")
@@ -392,10 +388,10 @@ class TestCorpusStore:
             load_corpus(tmp_path / "s")
 
     def test_titles_with_other_line_breaks_round_trip(self, tmp_path):
-        # str.splitlines breaks a line at each of these; a shard line ends at "\n" only
+        # str.splitlines breaks a line at each of these; a line of titles.txt ends at "\n" only
         breaks = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r\x85"]
         docs = [Document(i, f"{brk}a{brk}b{brk}", frozenset({"alpha"})) for i, brk in enumerate(breaks, 1)]
-        store_corpus(Corpus.from_documents(docs, shard_count=2), CategoryIndex.from_mapping({"C": [1]}), tmp_path / "s")
+        store_corpus(Corpus.from_documents(docs), CategoryIndex.from_mapping({"C": [1]}), tmp_path / "s")
         loaded, _ = load_corpus(tmp_path / "s")
         assert [loaded.get(doc.id) for doc in docs] == docs
 
@@ -404,7 +400,7 @@ class TestCorpusStore:
         # the two euro names share the kept 200-character prefix of their encodings
         names = {"Short": [1], cjk: [1], "\u20ac" * 84: [1], "\u20ac" * 84 + "x": [1], "x" * 251: [1], "x" * 252: [1]}
         doc = Document(1, "One", frozenset({"alpha"}))
-        store_corpus(Corpus.from_documents([doc], shard_count=1), CategoryIndex.from_mapping(names), tmp_path / "s")
+        store_corpus(Corpus.from_documents([doc]), CategoryIndex.from_mapping(names), tmp_path / "s")
         files = sorted((tmp_path / "s" / "categories").iterdir())
         assert len(files) == len(names)
         assert max(len(path.name.encode()) for path in files) <= 255
@@ -426,20 +422,98 @@ class TestCorpusStore:
         cat_file = tmp_path / "s" / "categories" / "Fancy%2FCategory%20Name.txt"
         assert cat_file.read_text() == "1\n10\n"
 
-    def test_missing_shard_named_in_error(self, tmp_path):
+    @pytest.mark.parametrize("name", STORE_FILES)
+    def test_missing_store_file_named_in_error(self, tmp_path, name):
         corpus, cats = _toy_corpus()
         store_corpus(corpus, cats, tmp_path / "s")
-        (tmp_path / "s" / "shards" / "shard-00001.tsv").unlink()
-        with pytest.raises(CorpusFormatError, match="shard-00001"):
+        (tmp_path / "s" / name).unlink()
+        with pytest.raises(CorpusFormatError, match=f"missing .*{re.escape(name)}"):
             load_corpus(tmp_path / "s")
 
-    def test_corrupt_shard_line_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "name, damage",
+        [
+            pytest.param("doc_ids.npy", lambda path: path.write_bytes(path.read_bytes()[:-8]), id="truncated"),
+            pytest.param("offsets.npy", lambda path: path.write_bytes(b"not an array"), id="not-npy"),
+            pytest.param("slots.npy", lambda path: np.save(path, np.array([{}], dtype=object)), id="pickled"),
+            pytest.param("slots.npy", lambda path: np.save(path, np.zeros(9)), id="float"),
+            pytest.param("offsets.npy", lambda path: np.save(path, np.zeros((5, 1), dtype=np.int64)), id="2-d"),
+            pytest.param("manifest.json", lambda path: path.write_text("{not json"), id="manifest"),
+            pytest.param("titles.txt", lambda path: path.write_bytes(b"One\nTwo\n\xff\nTen\n"), id="not-utf-8"),
+            pytest.param("titles.txt", lambda path: path.write_text("One\nTwo\nSeven & co\nTen"), id="no-newline"),
+        ],
+    )
+    def test_store_file_that_does_not_parse_is_named(self, tmp_path, name, damage):
         corpus, cats = _toy_corpus()
         store_corpus(corpus, cats, tmp_path / "s")
-        shard = tmp_path / "s" / "shards" / "shard-00001.tsv"
-        shard.write_text("not a record\n")
-        with pytest.raises(CorpusFormatError, match="shard-00001"):
+        damage(tmp_path / "s" / name)
+        with pytest.raises(CorpusFormatError, match=f"corrupt store file .*{re.escape(name)}"):
             load_corpus(tmp_path / "s")
+
+    @pytest.mark.parametrize("offsets", [[1, 3, 6, 8, 12], [0, 3, 3, 8, 12], [0, 6, 3, 8, 12], [0, 3, 6, 8, 11]])
+    def test_offsets_start_at_zero_increase_and_end_at_the_slot_count(self, tmp_path, offsets):
+        self._check_rejects(tmp_path, "offsets.npy", np.array(offsets, dtype=np.int64), "offsets")
+
+    def test_slots_stay_within_the_vocabulary(self, tmp_path):
+        slots = [0, 2, 3, 0, 3, 5, 0, 6, 0, 1, 2, 4]  # the vocabulary has 5 tokens
+        self._check_rejects(tmp_path, "slots.npy", np.array(slots, dtype=np.int32), "past the last token")
+
+    @pytest.mark.parametrize(
+        "slots",
+        [[0, 3, 2, 0, 3, 5, 0, 4, 0, 1, 2, 4], [0, 2, 2, 0, 3, 5, 0, 4, 0, 1, 2, 4], [1, 2, 3, 0, 3, 5, 0, 4, 0, 1, 2, 4]],
+    )
+    def test_each_row_is_the_prior_slot_then_ascending_token_slots(self, tmp_path, slots):
+        self._check_rejects(tmp_path, "slots.npy", np.array(slots, dtype=np.int32), "not 0, then ascending")
+
+    @pytest.mark.parametrize("ids", [[1, 2, 10, 7], [1, 2, 2, 10]])
+    def test_ids_ascend_and_are_unique(self, tmp_path, ids):
+        self._check_rejects(tmp_path, "doc_ids.npy", np.array(ids, dtype=np.int64), "ascending and unique")
+
+    @pytest.mark.parametrize(
+        "name, damage",
+        [
+            ("titles.txt", lambda path: path.write_text("One\nTwo\nSeven & co\n")),
+            ("doc_ids.npy", lambda path: np.save(path, np.array([1, 2, 7, 10, 11], dtype=np.int64))),
+            ("offsets.npy", lambda path: np.save(path, np.array([0, 3, 6, 12], dtype=np.int64))),
+            ("doc_ids.npy", lambda path: path.with_name("manifest.json").write_text('{"format_version": 2, "doc_count": 5}')),
+        ],
+    )
+    def test_row_counts_agree_with_each_other_and_the_manifest(self, tmp_path, name, damage):
+        corpus, cats = _toy_corpus()
+        store_corpus(corpus, cats, tmp_path / "s")
+        damage(tmp_path / "s" / name)
+        with pytest.raises(CorpusFormatError, match=f"{re.escape(name)}: .* rows, not the manifest's doc_count"):
+            load_corpus(tmp_path / "s")
+
+    def test_vocabulary_ascends(self, tmp_path):
+        corpus, cats = _toy_corpus()
+        store_corpus(corpus, cats, tmp_path / "s")
+        (tmp_path / "s" / "vocabulary.txt").write_text("2.0\nalpha\ndelta\nbeta\ngamma\n")
+        with pytest.raises(CorpusFormatError, match="vocabulary.txt: tokens are not ascending"):
+            load_corpus(tmp_path / "s")
+
+    @staticmethod
+    def _check_rejects(tmp_path, name, array, problem):
+        corpus, cats = _toy_corpus()
+        store_corpus(corpus, cats, tmp_path / "s")
+        np.save(tmp_path / "s" / name, array)
+        with pytest.raises(CorpusFormatError, match=f"corrupt store file .*{re.escape(name)}: .*{problem}"):
+            load_corpus(tmp_path / "s")
+
+    @pytest.mark.parametrize("version", [1, 3, "2", None])
+    def test_other_format_versions_ask_for_a_re_ingest(self, tmp_path, version):
+        corpus, cats = _toy_corpus()
+        store_corpus(corpus, cats, tmp_path / "s")
+        (tmp_path / "s" / "manifest.json").write_text(json.dumps({"format_version": version, "doc_count": 4}))
+        with pytest.raises(CorpusFormatError, match=f"store format {re.escape(repr(version))}, not 2: re-ingest"):
+            load_corpus(tmp_path / "s")
+
+    @pytest.mark.parametrize("token", ["", "a b", "a\nb", "tab\t", "\u2028"])
+    def test_store_rejects_a_token_that_is_empty_or_holds_whitespace(self, tmp_path, token):
+        docs = [Document(1, "One", frozenset({"alpha"})), Document(2, "T", frozenset({token, "c"}))]
+        with pytest.raises(CorpusFormatError, match=f"document 2: token {re.escape(repr(token))}"):
+            store_corpus(Corpus.from_documents(docs), CategoryIndex.from_mapping({}), tmp_path / "s")
+        assert not (tmp_path / "s" / "manifest.json").exists()
 
     def test_category_ids_validated_on_load(self, tmp_path):
         corpus, cats = _toy_corpus()
@@ -451,7 +525,7 @@ class TestCorpusStore:
 
     def test_ingested_fixture_round_trips(self, tmp_path):
         with (DATA / "mini_dump.xml").open("rb") as stream:
-            corpus, cats = ingest_wiki_dump(stream, shard_count=4)
+            corpus, cats = ingest_wiki_dump(stream)
         store_corpus(corpus, cats, tmp_path / "s")
         loaded, loaded_cats = load_corpus(tmp_path / "s")
         assert loaded.get(11) == corpus.get(11)
@@ -467,7 +541,7 @@ class TestCorpusStore:
     @settings(max_examples=40, deadline=None)
     def test_round_trip_random_corpora(self, tmp_path_factory, mapping):
         docs = [Document(i, f"Doc {i}", frozenset(tokens)) for i, tokens in mapping.items()]
-        corpus = Corpus.from_documents(docs, shard_count=5)
+        corpus = Corpus.from_documents(docs)
         cats = CategoryIndex.from_mapping({"All": list(mapping)} if mapping else {})
         root = tmp_path_factory.mktemp("roundtrip")
         store_corpus(corpus, cats, root)
@@ -493,3 +567,35 @@ class TestCorpusValidation:
         bad = CategoryIndex.from_mapping({"X": [42]})
         with pytest.raises(ValueError, match="42"):
             bad.validate_against(corpus)
+
+    def test_unknown_id_is_named_with_its_category(self):
+        corpus, _ = _toy_corpus()
+        bad = CategoryIndex.from_mapping({"A": [1, 2], "B": [7, 42, 10], "C": [10]})
+        with pytest.raises(ValueError, match="category 'B' references unknown document id 42$"):
+            bad.validate_against(corpus)
+
+    def test_corpus_from_documents_keeps_them_and_indexes_lazily(self):
+        docs = [Document(i, f"d{i}", frozenset({f"t{i}"})) for i in (40, 3, 11)]
+        corpus = Corpus.from_documents(docs)
+        assert [doc.id for doc in corpus] == [3, 11, 40]
+        assert all(doc is original for doc, original in zip(corpus, (docs[1], docs[2], docs[0])))
+        assert corpus.get(40) is docs[0] and 11 in corpus and 12 not in corpus
+        assert "token_index" not in vars(corpus)  # not built by iteration or get
+
+    def test_loaded_corpus_builds_a_document_only_when_asked(self, tmp_path, monkeypatch):
+        made = []
+
+        def counted_document(**fields):
+            made.append(fields["id"])
+            return Document(**fields)
+
+        corpus, cats = _toy_corpus()
+        store_corpus(corpus, cats, tmp_path / "s")
+        monkeypatch.setattr(corpus_module, "Document", counted_document)
+        loaded, _ = load_corpus(tmp_path / "s")
+        assert loaded.ids() == [1, 2, 7, 10] and 7 in loaded and 8 not in loaded
+        assert made == []
+        assert loaded.get(7) == Document(7, "Seven & co", frozenset({"delta"}))
+        assert made == [7]
+        with pytest.raises(KeyError, match="no document with id 8"):
+            loaded.get(8)

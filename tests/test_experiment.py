@@ -33,7 +33,7 @@ CATEGORY = "Cat"
 
 def _flat_corpus(n_docs: int, n_members: int):
     docs = [Document(i, f"Doc {i}", frozenset({"filler"})) for i in range(n_docs)]
-    corpus = Corpus.from_documents(docs, shard_count=7)
+    corpus = Corpus.from_documents(docs)
     cats = CategoryIndex.from_mapping({"Cat": range(n_members)})
     return corpus, cats
 
@@ -60,7 +60,7 @@ def separable():
         docs.append(Document(doc_id, f"Pool {doc_id}", tokens(hidden)))
         if hidden:
             truth.append(doc_id)
-    corpus = Corpus.from_documents(docs, shard_count=3)
+    corpus = Corpus.from_documents(docs)
     cats = CategoryIndex.from_mapping({CATEGORY: range(1, n_members + 1)})
     fixture = SyntheticCorpus(corpus=corpus, categories=cats, truth=frozenset(truth))
     # the separability claim presumes no mislabeled training negatives

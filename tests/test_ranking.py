@@ -43,7 +43,7 @@ def _corpus(token_sets, first_id=1):
         Document(first_id + i, f"d{first_id + i}", frozenset(tokens))
         for i, tokens in enumerate(token_sets)
     ]
-    return Corpus.from_documents(docs, shard_count=3)
+    return Corpus.from_documents(docs)
 
 
 def _models(training, positive_ids, negative_ids):
