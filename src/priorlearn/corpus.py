@@ -1,12 +1,12 @@
 """Corpus ingestion and storage.
 
-Raw document sources (most importantly MediaWiki XML exports) are
-normalized into :class:`Document` records: a stable integer id, a title,
-and a deduplicated set of lowercase tokens. A :class:`Corpus` holds them
-as columns of ids, titles and a :class:`TokenIndex`, the form its store
-takes on disk; category membership is kept separately in a
-:class:`CategoryIndex` that maps a category name to the ids of its
-*direct* members only.
+A document is a stable integer id, a title and a deduplicated set of
+lowercase tokens. A :class:`Corpus` holds documents as columns of ids,
+titles and a :class:`TokenIndex`, the form its store takes on disk. A
+MediaWiki XML export is ingested straight into those columns, with no
+per-page :class:`Document`; one is built only when asked for. Category
+membership is kept separately in a :class:`CategoryIndex` that maps a
+category name to the ids of its *direct* members only.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import itertools
 import json
 import re
 import string
-import sys
 import unicodedata
 import xml.etree.ElementTree as ET
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -65,25 +65,36 @@ def _strip_punct(piece: str) -> str:
     return piece[start:end]
 
 
-class _PieceTokens(dict):
-    """Whitespace piece -> interned token (``""`` if all punctuation); called on a text, its tokens.
+class _PieceIds(dict):
+    """Whitespace piece -> token id (``None`` if all punctuation); called on a text, its ids.
 
+    Ids follow first sight, and ``tokens[i]`` is token ``i``, held once.
     Pays only when pieces repeat: every distinct piece is held until the memo is dropped.
     """
 
-    def __missing__(self, piece: str) -> str:
+    def __init__(self) -> None:
+        super().__init__()
+        self.tokens: list[str] = []
+
+    def __missing__(self, piece: str) -> int | None:
         # every ASCII punctuation character is in string.punctuation, so
         # only a non-ASCII boundary character needs the per-character scan
         token = piece.strip(string.punctuation)
         if token and not (token[0].isascii() and token[-1].isascii()):
             token = _strip_punct(token)
-        token = sys.intern(token.lower())
-        self[token if token == piece else piece] = token  # a piece that is its token is held once
-        return token
+        token = token.lower()
+        if token == piece:  # held once, as key and token
+            token_id = len(self.tokens)
+            self.tokens.append(piece)
+        else:  # a token is its own token, so its key serves every piece folding to it
+            token_id = self[token] if token else None
+        self[piece] = token_id
+        return token_id
 
-    def __call__(self, text: str) -> frozenset[str]:
-        tokens = frozenset(map(self.__getitem__, text.split()))
-        return tokens - {""} if "" in tokens else tokens
+    def __call__(self, text: str) -> set[int]:
+        ids = set(map(self.__getitem__, text.split()))
+        ids.discard(None)
+        return ids
 
 
 def tokenize(text: str) -> frozenset[str]:
@@ -93,10 +104,11 @@ def tokenize(text: str) -> frozenset[str]:
     (``string.punctuation`` and every Unicode ``P*`` character) is
     stripped from each piece (interior punctuation survives, so ``2.0``
     and ``don't`` stay intact); everything is lowercased; pieces that
-    become empty are dropped. The result is a frozenset of interned tokens,
-    each once regardless of frequency. No stemming or lemmatization.
+    become empty are dropped. The result is a frozenset of tokens, each
+    once regardless of frequency. No stemming or lemmatization.
     """
-    return _PieceTokens()(text)
+    piece_ids = _PieceIds()
+    return frozenset(map(piece_ids.tokens.__getitem__, piece_ids(text)))
 
 
 @dataclass(frozen=True)
@@ -106,6 +118,16 @@ class Document:
     id: int
     title: str
     tokens: frozenset[str]
+
+
+def _id_order(doc_ids: np.ndarray) -> np.ndarray:
+    """The order that sorts ``doc_ids``; raises ``ValueError`` naming a repeated id."""
+    order = np.argsort(doc_ids, kind="stable")
+    ordered = doc_ids[order]
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeated.size:
+        raise ValueError(f"duplicate document id {repeated[0]}")
+    return order
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,31 +151,41 @@ class TokenIndex:
 
     @classmethod
     def build(cls, documents: list[Document]) -> "TokenIndex":
-        """Index ``documents``, given in ascending id order."""
-        vocabulary = sorted(set().union(*(doc.tokens for doc in documents)))
-        slot_of = {token: slot for slot, token in enumerate(vocabulary, 1)}
+        """Index ``documents``."""
+        tokens = list(set().union(*(doc.tokens for doc in documents)))
+        id_of = dict(zip(tokens, itertools.count()))
+        rows = itertools.chain.from_iterable(doc.tokens for doc in documents)
+        ids = np.fromiter(map(id_of.__getitem__, rows), dtype=np.int64)
+        lengths = np.array([len(doc.tokens) for doc in documents], dtype=np.int64)
+        doc_ids = np.array([doc.id for doc in documents], dtype=np.int64)
+        return cls.from_rows(tokens, doc_ids, lengths, ids)[0]
+
+    @classmethod
+    def from_rows(
+        cls, tokens: list[str], doc_ids: np.ndarray, lengths: np.ndarray, ids: np.ndarray
+    ) -> tuple["TokenIndex", np.ndarray]:
+        """Index rows of distinct token ids, in any order, and return it and the rows' order in it.
+
+        Row ``i``, document ``doc_ids[i]``, holds the next ``lengths[i]``
+        entries of ``ids``; ``tokens[t]`` is token ``t``, in any order.
+        Raises ``ValueError`` naming a repeated document id.
+        """
+        order = _id_order(doc_ids)
+        vocabulary = sorted(tokens)
+        slot_of = dict(zip(vocabulary, range(1, len(vocabulary) + 1)))
+        slot_of_id = np.fromiter(map(slot_of.__getitem__, tokens), dtype=np.int64, count=len(tokens))
         width = len(slot_of) + 1
-        n_docs = len(documents)
-        lengths = np.fromiter((len(doc.tokens) for doc in documents), dtype=np.int64, count=n_docs)
-        token_slots = np.fromiter(
-            map(slot_of.__getitem__, itertools.chain.from_iterable(doc.tokens for doc in documents)),
-            dtype=np.int64,
-            count=int(lengths.sum()),
-        )
+        row_of = np.empty_like(order)
+        row_of[order] = np.arange(len(order))
         # one sort of row * width + slot puts each row's prior slot first,
         # then its token slots ascending
-        rows = np.arange(n_docs, dtype=np.int64)
-        keys = np.concatenate((rows * width, np.repeat(rows, lengths) * width + token_slots))
+        keys = np.concatenate((np.arange(len(order)) * width, slot_of_id[ids]))
+        keys[len(order):] += np.repeat(row_of * width, lengths)
         keys.sort()
-        offsets = np.zeros(n_docs + 1, dtype=np.int64)
-        np.cumsum(lengths + 1, out=offsets[1:])
-        return cls(
-            vocabulary=tuple(vocabulary),
-            slot_of=slot_of,
-            doc_ids=np.array([doc.id for doc in documents], dtype=np.int64),
-            offsets=offsets,
-            slots=(keys % width).astype(np.int32),
-        )
+        offsets = np.zeros(len(order) + 1, dtype=np.int64)
+        np.cumsum(lengths[order] + 1, out=offsets[1:])
+        np.remainder(keys, width, out=keys)
+        return cls(tuple(vocabulary), slot_of, doc_ids[order], offsets, keys.astype(np.int32)), order
 
     def row_of_slot(self) -> np.ndarray:
         """The row each entry of ``slots`` belongs to."""
@@ -197,12 +229,11 @@ class Corpus:
 
     @classmethod
     def from_documents(cls, documents: Iterable[Document]) -> "Corpus":
-        ordered = tuple(sorted(documents, key=lambda doc: doc.id))
-        doc_ids = np.array([doc.id for doc in ordered], dtype=np.int64)
-        repeated = doc_ids[1:][doc_ids[1:] == doc_ids[:-1]]
-        if repeated.size:
-            raise ValueError(f"duplicate document id {repeated[0]}")
-        return cls(doc_ids, tuple(doc.title for doc in ordered), ordered, None)
+        documents = list(documents)
+        doc_ids = np.array([doc.id for doc in documents], dtype=np.int64)
+        order = _id_order(doc_ids)
+        ordered = tuple(map(documents.__getitem__, order.tolist()))
+        return cls(doc_ids[order], tuple(doc.title for doc in ordered), ordered, None)
 
     @property
     def doc_count(self) -> int:
@@ -366,7 +397,9 @@ def ingest_wiki_dump(
     "References" heading and tokenized as by :func:`tokenize`, each distinct
     whitespace piece of the dump once. Articles whose retained body is
     shorter than ``min_bytes`` (UTF-8 bytes, measured after truncation)
-    are excluded. Each page is dropped once processed.
+    are excluded. Each page is dropped once processed, and only its id,
+    title and token ids are kept, as one row of the corpus's
+    :class:`TokenIndex`; no :class:`Document` is built.
 
     ``skipped``, when given, is filled with per-reason skip counts
     (``namespace:N``, ``redirect``, ``disambiguation``,
@@ -374,41 +407,48 @@ def ingest_wiki_dump(
 
     Raises :class:`IngestError` on malformed XML, naming the byte offset
     reached in the input, or on a page id that is not a 64-bit integer,
-    naming the page.
+    naming the page, and ``ValueError`` naming a page id kept twice.
     """
     if skipped is None:
         skipped = Counter()
     reader = _CountingReader(stream)
-    piece_tokens = _PieceTokens()
-    documents: list[Document] = []
+    piece_ids = _PieceIds()
+    doc_ids, titles, lengths, ids = array("q"), [], array("q"), array("i")
     categories: dict[str, set[int]] = {}
     try:
         events = ET.iterparse(reader, events=("start", "end"))
         _, root = next(events)
         for event, elem in events:
             if event == "end" and _local_name(elem.tag) == "page":
-                _ingest_page(_children(elem), min_bytes, piece_tokens, documents, categories, skipped)
+                kept = _ingest_page(_children(elem), min_bytes, categories, skipped)
                 elem.clear()
                 root.clear()  # a cleared page would otherwise stay on as the root's child
+                if kept is not None:
+                    doc_id, title, body = kept
+                    row = piece_ids(body)
+                    doc_ids.append(doc_id)
+                    titles.append(title)
+                    lengths.append(len(row))
+                    ids.extend(row)
     except ET.ParseError as exc:
         raise IngestError(f"malformed XML near byte {reader.bytes_read}: {exc}") from exc
 
-    corpus = Corpus.from_documents(documents)
-    kept = {doc.id for doc in documents}
-    index = CategoryIndex.from_mapping(
-        {name: ids & kept for name, ids in categories.items() if ids & kept}
-    )
-    return corpus, index
+    tokens = piece_ids.tokens
+    piece_ids.clear()  # free the pieces before indexing: most of the memory on a dump of distinct pieces
+    rows = (np.frombuffer(column, dtype=column.typecode) for column in (doc_ids, lengths, ids))
+    index, order = TokenIndex.from_rows(tokens, *rows)
+    corpus = Corpus(index.doc_ids, tuple(map(titles.__getitem__, order.tolist())), None, index)
+    # a page's categories are recorded only once it is kept, so every member id is a row
+    return corpus, CategoryIndex.from_mapping(categories)
 
 
 def _ingest_page(
     page: dict[str, ET.Element],
     min_bytes: int,
-    piece_tokens: _PieceTokens,
-    documents: list[Document],
     categories: dict[str, set[int]],
     skipped: Counter,
-) -> None:
+) -> tuple[int, str, str] | None:
+    """The id, title and retained body of a page to keep, its categories recorded; else ``None``, its skip counted."""
     ns_elem = page.get("ns")
     ns = ns_elem.text.strip() if ns_elem is not None and ns_elem.text else "0"
     if ns != "0":
@@ -442,9 +482,9 @@ def _ingest_page(
         skipped["below_min_bytes"] += 1
         return
 
-    documents.append(Document(id=doc_id, title=title, tokens=piece_tokens(body)))
     for name in page_categories:
         categories.setdefault(name, set()).add(doc_id)
+    return doc_id, title, body
 
 
 # --- On-disk store ------------------------------------------------------------

@@ -44,6 +44,9 @@ def outcome_vector(ranked_ids: Sequence[int], truth: AbstractSet[int], k: int) -
     return np.array([1 if doc_id in truth else 0 for doc_id in ranked_ids[:k]], dtype=np.int8)
 
 
+_BLOCK = 1 << 16  # indices per block of bootstrap_ci's resample draws
+
+
 def bootstrap_ci(
     outcomes: Sequence[int] | np.ndarray,
     B: int = 10_000,
@@ -55,7 +58,8 @@ def bootstrap_ci(
     Draws ``B`` resamples of the full vector size with replacement and
     takes the empirical alpha/2 and 1-alpha/2 quantiles of the resample
     means. A resample mean is its exact count of ones divided by the
-    size. Deterministic given ``seed``.
+    size. Deterministic given ``seed``. The indices are drawn in blocks of
+    about 64k, one generator's stream: the same as one ``(B, size)`` draw.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
@@ -67,8 +71,10 @@ def bootstrap_ci(
     if not np.all((v == 0) | (v == 1)):
         raise ValueError("outcome vector must hold only 0s and 1s")
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, v.size, size=(B, v.size))
-    means = np.count_nonzero(v.astype(bool)[idx], axis=1) / v.size
+    bits = v.astype(bool)
+    rows = max(1, _BLOCK // v.size)  # resamples per block
+    draws = (rng.integers(0, v.size, size=(min(rows, B - start), v.size)) for start in range(0, B, rows))
+    means = np.concatenate([np.count_nonzero(bits[idx], axis=1) for idx in draws]) / v.size
     lo, hi = np.quantile(means, [alpha / 2.0, 1.0 - alpha / 2.0])
     return BootstrapCI(lo=float(lo), hi=float(hi), B=B, alpha=alpha)
 

@@ -6,10 +6,11 @@ folds, dense numpy grids for search surfaces, a string-token count model
 of ``dict``s built straight from ``Document``s with its scalar ``score``
 and ``loo_score`` for corpus rankings and grid cells, both halves of the
 LOO log odds recomputed for every cell, one swap per draw for negative
-sampling, float means for bootstrap resamples, one character at a time
-for punctuation stripping, ``scipy.stats`` for the Welch t-test, one
-``csv`` module row per document for the predictions CSV, one
-``Generator.choice`` call per document for the synthetic corpus.
+sampling, float means and one draw of every index for bootstrap
+resamples, one character at a time for punctuation stripping,
+``scipy.stats`` for the Welch t-test, one ``csv`` module row per
+document for the predictions CSV, one ``Generator.choice`` call per
+document for the synthetic corpus.
 Nothing imports the code paths under test beyond plain data types.
 """
 
@@ -352,6 +353,16 @@ def mean_bootstrap_ci(outcomes, B=10_000, alpha=0.05, seed=0):
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, v.size, size=(B, v.size))
     lo, hi = np.quantile(v[idx].mean(axis=1), [alpha / 2.0, 1.0 - alpha / 2.0])
+    return BootstrapCI(lo=float(lo), hi=float(hi), B=B, alpha=alpha)
+
+
+def one_draw_bootstrap_ci(outcomes, B=10_000, alpha=0.05, seed=0):
+    """Percentile bootstrap with all ``B`` resamples' indices drawn in one ``(B, size)`` call."""
+    v = np.asarray(outcomes)
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, v.size, size=(B, v.size))
+    means = np.count_nonzero(v.astype(bool)[idx], axis=1) / v.size
+    lo, hi = np.quantile(means, [alpha / 2.0, 1.0 - alpha / 2.0])
     return BootstrapCI(lo=float(lo), hi=float(hi), B=B, alpha=alpha)
 
 

@@ -5,7 +5,9 @@ look them up. A name that moves, or a call that stops going through it,
 makes ``instrument`` fail or leaves its span silent; both show here.
 """
 
+import io
 import sys
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -45,4 +47,23 @@ def test_store_and_load_spans_fire(tmp_path):
     assert {"corpus.store_corpus", "corpus.load_corpus"} <= recorded
     # on_load counts result[0].doc_count, and on_store every file written
     assert tracer.counts["corpus.docs_loaded"] == loaded.doc_count == syn.corpus.doc_count
+    assert tracer.counts["corpus.store_files"] == sum(1 for p in (tmp_path / "store").rglob("*") if p.is_file())
+
+
+def test_ingest_and_store_spans_fire_on_an_index_backed_corpus(tmp_path):
+    body = "alpha beta gamma delta " * 20
+    pages = "".join(
+        f"<page><title>P{pid}</title><ns>{ns}</ns><id>{pid}</id><revision><text>{body}[[Category:C]]</text>"
+        "</revision></page>"
+        for pid, ns in ((3, 0), (1, 0), (2, 1))
+    )
+    dump, skipped = io.BytesIO(f"<mediawiki>{pages}</mediawiki>".encode()), Counter()
+    with instrument(Tracer()) as tracer:
+        corpus, categories = cli.ingest_wiki_dump(dump, skipped=skipped)
+        cli.store_corpus(corpus, categories, tmp_path / "store")
+    recorded = {name for name, _, _, _ in tracer.spans}
+    assert {"corpus.ingest_wiki_dump", "corpus.store_corpus"} <= recorded
+    # on_ingest counts result[0].doc_count and the skip reasons, on_store every file written
+    assert tracer.counts["corpus.docs_kept"] == corpus.doc_count == 2
+    assert tracer.counts["corpus.pages_skipped.namespace_1"] == skipped["namespace:1"] == 1
     assert tracer.counts["corpus.store_files"] == sum(1 for p in (tmp_path / "store").rglob("*") if p.is_file())

@@ -175,6 +175,20 @@ class TestIngestCommand:
         assert f"page 'Odd id': id '{raw_id}'" in capsys.readouterr().err
         assert not (tmp_path / "s" / "manifest.json").exists()
 
+    def test_repeated_page_id_is_data_error_and_writes_no_store(self, tmp_path, capsys):
+        body = "alpha beta gamma delta " * 20
+        dump = tmp_path / "dump.xml"
+        dump.write_text(
+            "<mediawiki>"
+            + "".join(f"<page><title>{title}</title><ns>0</ns><id>{pid}</id><revision><text>{body}</text>"
+                      f"</revision></page>" for pid, title in ((6, "A"), (2, "B"), (6, "C")))
+            + "</mediawiki>",
+            encoding="utf-8",
+        )
+        assert main(["ingest", str(dump), "--out", str(tmp_path / "s")]) == 2
+        assert "duplicate document id 6" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_long_non_ascii_categories_survive_ingest_and_search(self, tmp_path, capsys):
         # 30 CJK characters percent-encode to 270 bytes, 84 euro signs to 756
         categories = ["".join(map(chr, range(0x4E00, 0x4E00 + 30))), "\u20ac" * 84]

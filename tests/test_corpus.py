@@ -20,6 +20,7 @@ from priorlearn.corpus import (
     CorpusFormatError,
     Document,
     IngestError,
+    TokenIndex,
     extract_categories,
     ingest_wiki_dump,
     load_corpus,
@@ -248,6 +249,68 @@ class TestIngest:
         small, large = peak_bytes(1000), peak_bytes(8000)
         # a cleared page kept as the root's child costs ~70 bytes: 7,000 more ~0.5 MB
         assert large < small + 100_000
+
+    def test_memory_per_kept_page_is_its_index_row(self):
+        words = [f"word{i}" for i in range(1000)]
+
+        def peak_bytes(n_pages):
+            rng = np.random.default_rng(n_pages)
+            bodies = (" ".join(words[j] for j in rng.choice(len(words), 40, replace=False)) for _ in range(n_pages))
+            pages = _wrap_pages(*(_page(pid, f"Page {pid}", body) for pid, body in enumerate(bodies, 1)))
+            tracemalloc.start()
+            try:
+                ingest_wiki_dump(pages, min_bytes=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(10)
+        small, large = peak_bytes(1000), peak_bytes(8000)
+        # per kept page of 40 tokens: ~2.6 KB at the peak as a frozenset Document, ~0.9 KB as
+        # a row of 40 token ids plus the index sort's keys
+        assert large < small + 7000 * 1500
+
+    def test_ingested_index_equals_the_index_of_oracle_documents(self, monkeypatch):
+        words = ["Alpha", "école", "2.0", "don't", "(beta)", "—dash—", "...", "Ωmega", "gamma,", "C++"]
+        rng = np.random.default_rng(12)
+        page_ids = [17, 3, 250, 8, 42, 5, 99, 1]  # out of order
+        texts = {}
+        for pid in page_ids:
+            pieces = [words[i] for i in rng.integers(len(words), size=int(rng.integers(1, 30)))]
+            if pid % 2:
+                pieces.insert(len(pieces) // 2, "\n== References ==\n")
+            texts[pid] = " ".join(pieces)
+        texts[5] = "... !! --"  # a kept page with no token
+        made = []
+        monkeypatch.setattr(corpus_module, "Document", lambda **fields: made.append(fields) or Document(**fields))
+        corpus, _ = ingest_wiki_dump(
+            _wrap_pages(*(_page(pid, f"P{pid}", text) for pid, text in texts.items())), min_bytes=0
+        )
+        assert made == []  # ingest keeps index rows, not Documents
+        documents = [
+            Document(pid, f"P{pid}", frozenset(per_character_tokenize(truncate_at_references(texts[pid]))))
+            for pid in sorted(texts)
+        ]
+        expected = TokenIndex.build(documents)
+        index = corpus.token_index
+        assert index.vocabulary == expected.vocabulary and index.slot_of == expected.slot_of
+        for name in ("doc_ids", "offsets", "slots"):
+            assert getattr(index, name).dtype == getattr(expected, name).dtype, name
+            assert np.array_equal(getattr(index, name), getattr(expected, name)), name
+        assert corpus.titles == tuple(doc.title for doc in documents)
+        assert list(corpus) == documents
+
+    def test_dump_with_no_kept_page_stores_and_loads(self, tmp_path):
+        corpus, cats = ingest_wiki_dump(_wrap_pages(_page(1, "Short", "tiny body", ns=1), _page(2, "S", "tiny")))
+        assert corpus.doc_count == 0 and corpus.token_index.vocabulary == ()
+        store_corpus(corpus, cats, tmp_path / "s")
+        loaded, loaded_cats = load_corpus(tmp_path / "s")
+        assert loaded.ids() == [] and list(loaded) == [] and loaded_cats.items() == []
+
+    def test_repeated_page_id_is_named(self):
+        pages = _wrap_pages(_page(4, "A", LONG_BODY), _page(9, "B", LONG_BODY), _page(4, "C", LONG_BODY))
+        with pytest.raises(ValueError, match="^duplicate document id 4$"):
+            ingest_wiki_dump(pages)
 
     def test_pages_below_a_wrapper_drop_their_text(self):
         def peak_bytes(n_pages):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import mean_bootstrap_ci, welch_p_value
+from oracles import mean_bootstrap_ci, one_draw_bootstrap_ci, welch_p_value
+from priorlearn import stats
 from priorlearn.experiment import (
     ExperimentSpec,
     learn_priors,
@@ -99,6 +100,16 @@ class TestBootstrapCi:
             alpha = float(rng.uniform(0.001, 0.5))
             seed = int(rng.integers(0, 2**31))
             assert bootstrap_ci(v, B=B, alpha=alpha, seed=seed) == mean_bootstrap_ci(v, B, alpha, seed)
+
+    @pytest.mark.parametrize("n", [1, 2, 250, stats._BLOCK + 1])
+    def test_block_draws_equal_one_draw(self, n):
+        # a block is rows resamples; the last n is above the block budget, so a block is one row
+        rows = max(1, stats._BLOCK // n)
+        many = 10_000 if n <= 250 else 20  # one draw of 10,000 rows of 65,537 indices is 5 GB
+        v = (np.random.default_rng(n).random(n) < 0.3).astype(np.int8)
+        for B in sorted({1, rows - 1, rows, rows + 1, many} - {0}):
+            for seed in range(5):
+                assert bootstrap_ci(v, B=B, seed=seed) == one_draw_bootstrap_ci(v, B=B, seed=seed), (B, seed)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_equals_mean_formula_on_acceptance_outcome_vectors(self, acceptance_outcomes, seed):
