@@ -1,10 +1,11 @@
 """Corpus ingestion and storage.
 
 A document is a stable integer id, a title and a deduplicated set of
-lowercase tokens. A :class:`Corpus` holds documents as columns of ids,
-titles and a :class:`TokenIndex`, the form its store takes on disk. A
-MediaWiki XML export is ingested straight into those columns, with no
-per-page :class:`Document`; one is built only when asked for. Category
+lowercase tokens. A :class:`Corpus` is its titles plus a
+:class:`TokenIndex`, the form its store takes on disk, and every corpus
+is built by :meth:`Corpus.from_rows` from rows of token ids: a MediaWiki
+XML export is ingested straight into such rows, with no per-page
+:class:`Document`, and one is built only when asked for. Category
 membership is kept separately in a :class:`CategoryIndex` that maps a
 category name to the ids of its *direct* members only.
 """
@@ -120,16 +121,6 @@ class Document:
     tokens: frozenset[str]
 
 
-def _id_order(doc_ids: np.ndarray) -> np.ndarray:
-    """The order that sorts ``doc_ids``; raises ``ValueError`` naming a repeated id."""
-    order = np.argsort(doc_ids, kind="stable")
-    ordered = doc_ids[order]
-    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-    if repeated.size:
-        raise ValueError(f"duplicate document id {repeated[0]}")
-    return order
-
-
 @dataclass(frozen=True, eq=False)
 class TokenIndex:
     """A corpus as compressed rows of token slots, for scoring it all at once.
@@ -148,44 +139,6 @@ class TokenIndex:
     doc_ids: np.ndarray = field(repr=False)
     offsets: np.ndarray = field(repr=False)
     slots: np.ndarray = field(repr=False)
-
-    @classmethod
-    def build(cls, documents: list[Document]) -> "TokenIndex":
-        """Index ``documents``."""
-        tokens = list(set().union(*(doc.tokens for doc in documents)))
-        id_of = dict(zip(tokens, itertools.count()))
-        rows = itertools.chain.from_iterable(doc.tokens for doc in documents)
-        ids = np.fromiter(map(id_of.__getitem__, rows), dtype=np.int64)
-        lengths = np.array([len(doc.tokens) for doc in documents], dtype=np.int64)
-        doc_ids = np.array([doc.id for doc in documents], dtype=np.int64)
-        return cls.from_rows(tokens, doc_ids, lengths, ids)[0]
-
-    @classmethod
-    def from_rows(
-        cls, tokens: list[str], doc_ids: np.ndarray, lengths: np.ndarray, ids: np.ndarray
-    ) -> tuple["TokenIndex", np.ndarray]:
-        """Index rows of distinct token ids, in any order, and return it and the rows' order in it.
-
-        Row ``i``, document ``doc_ids[i]``, holds the next ``lengths[i]``
-        entries of ``ids``; ``tokens[t]`` is token ``t``, in any order.
-        Raises ``ValueError`` naming a repeated document id.
-        """
-        order = _id_order(doc_ids)
-        vocabulary = sorted(tokens)
-        slot_of = dict(zip(vocabulary, range(1, len(vocabulary) + 1)))
-        slot_of_id = np.fromiter(map(slot_of.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-        width = len(slot_of) + 1
-        row_of = np.empty_like(order)
-        row_of[order] = np.arange(len(order))
-        # one sort of row * width + slot puts each row's prior slot first,
-        # then its token slots ascending
-        keys = np.concatenate((np.arange(len(order)) * width, slot_of_id[ids]))
-        keys[len(order):] += np.repeat(row_of * width, lengths)
-        keys.sort()
-        offsets = np.zeros(len(order) + 1, dtype=np.int64)
-        np.cumsum(lengths[order] + 1, out=offsets[1:])
-        np.remainder(keys, width, out=keys)
-        return cls(tuple(vocabulary), slot_of, doc_ids[order], offsets, keys.astype(np.int32)), order
 
     def row_of_slot(self) -> np.ndarray:
         """The row each entry of ``slots`` belongs to."""
@@ -213,27 +166,66 @@ class TokenIndex:
 
 @dataclass(frozen=True, eq=False)
 class Corpus:
-    """An immutable collection of documents in ascending id order, as columns.
+    """An immutable collection of documents in ascending id order: titles and a token index.
 
     Row ``i`` is document ``doc_ids[i]``, titled ``titles[i]``, with the
-    tokens of :attr:`token_index` row ``i``. :meth:`from_documents` keeps
-    the documents and builds the index on first use; a loaded corpus builds
-    a :class:`Document` only for :meth:`get` and iteration. The corpus is
-    safe to share read-only across any number of workers.
+    tokens of :attr:`token_index` row ``i``. Every producer builds
+    it through :meth:`from_rows`; a :class:`Document` is built only for
+    :meth:`get`, and for iteration once per corpus, then kept. The corpus
+    is safe to share read-only across any number of workers.
     """
 
-    doc_ids: np.ndarray = field(repr=False)
     titles: tuple[str, ...] = field(repr=False)
-    _documents: tuple[Document, ...] | None = field(repr=False)
-    _index: TokenIndex | None = field(repr=False)
+    token_index: TokenIndex = field(repr=False)
+
+    @classmethod
+    def from_rows(cls, tokens: list[str], doc_ids: Any, titles: list[str], lengths: Any, ids: Any) -> "Corpus":
+        """The corpus of rows of distinct token ids, in any order.
+
+        Row ``i``, document ``doc_ids[i]`` titled ``titles[i]``, holds the
+        next ``lengths[i]`` entries of ``ids``; ``tokens[t]`` is token
+        ``t``, in any order, and every token is held by some row. The
+        three integer columns may be any sequences numpy takes as arrays.
+        Raises ``ValueError`` naming a repeated document id.
+        """
+        doc_ids, lengths = (np.asarray(column, dtype=np.int64) for column in (doc_ids, lengths))
+        ids = np.asarray(ids)
+        order = np.argsort(doc_ids, kind="stable")
+        ordered = doc_ids[order]
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if repeated.size:
+            raise ValueError(f"duplicate document id {repeated[0]}")
+        vocabulary = sorted(tokens)
+        slot_of = dict(zip(vocabulary, range(1, len(vocabulary) + 1)))
+        slot_of_id = np.fromiter(map(slot_of.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+        width = len(slot_of) + 1
+        row_of = np.empty_like(order)
+        row_of[order] = np.arange(len(order))
+        # one sort of row * width + slot puts each row's prior slot first,
+        # then its token slots ascending
+        keys = np.concatenate((np.arange(len(order)) * width, slot_of_id[ids]))
+        keys[len(order):] += np.repeat(row_of * width, lengths)
+        keys.sort()
+        offsets = np.zeros(len(order) + 1, dtype=np.int64)
+        np.cumsum(lengths[order] + 1, out=offsets[1:])
+        np.remainder(keys, width, out=keys)
+        index = TokenIndex(tuple(vocabulary), slot_of, ordered, offsets, keys.astype(np.int32))
+        return cls(tuple(map(titles.__getitem__, order.tolist())), index)
 
     @classmethod
     def from_documents(cls, documents: Iterable[Document]) -> "Corpus":
         documents = list(documents)
-        doc_ids = np.array([doc.id for doc in documents], dtype=np.int64)
-        order = _id_order(doc_ids)
-        ordered = tuple(map(documents.__getitem__, order.tolist()))
-        return cls(doc_ids[order], tuple(doc.title for doc in ordered), ordered, None)
+        tokens = list(set().union(*(doc.tokens for doc in documents)))
+        id_of = dict(zip(tokens, itertools.count()))
+        rows = itertools.chain.from_iterable(doc.tokens for doc in documents)
+        ids = np.fromiter(map(id_of.__getitem__, rows), dtype=np.int64)
+        lengths = [len(doc.tokens) for doc in documents]
+        doc_ids = [doc.id for doc in documents]
+        return cls.from_rows(tokens, doc_ids, [doc.title for doc in documents], lengths, ids)
+
+    @property
+    def doc_ids(self) -> np.ndarray:
+        return self.token_index.doc_ids
 
     @property
     def doc_count(self) -> int:
@@ -244,9 +236,7 @@ class Corpus:
 
     def __iter__(self) -> Iterator[Document]:
         """Iterate documents in ascending id order."""
-        if self._documents is not None:
-            return iter(self._documents)
-        return map(self._document, range(len(self.titles)))
+        return iter(self._documents)
 
     def get(self, doc_id: int) -> Document:
         row = self._row(doc_id)
@@ -258,20 +248,19 @@ class Corpus:
         return self.doc_ids.tolist()
 
     @cached_property
-    def token_index(self) -> TokenIndex:
-        """The corpus's :class:`TokenIndex`: the loaded one, or built on first use and kept."""
-        return self._index if self._index is not None else TokenIndex.build(list(self._documents))
+    def _documents(self) -> tuple[Document, ...]:
+        # kept: a caller may iterate the corpus once per use of it
+        return tuple(map(self._document, range(self.doc_count)))
 
     def _row(self, doc_id: int) -> int | None:
         row = int(np.searchsorted(self.doc_ids, doc_id))
         return row if row < len(self.doc_ids) and self.doc_ids[row] == doc_id else None
 
     def _document(self, row: int) -> Document:
-        if self._documents is not None:
-            return self._documents[row]
         index = self.token_index
         slots = index.slots[index.offsets[row] + 1 : index.offsets[row + 1]].tolist()
-        tokens = frozenset([index.vocabulary[slot - 1] for slot in slots])
+        # from a set: a frozenset built from a list can size its hash table larger
+        tokens = frozenset({index.vocabulary[slot - 1] for slot in slots})
         return Document(id=int(self.doc_ids[row]), title=self.titles[row], tokens=tokens)
 
 
@@ -435,9 +424,7 @@ def ingest_wiki_dump(
 
     tokens = piece_ids.tokens
     piece_ids.clear()  # free the pieces before indexing: most of the memory on a dump of distinct pieces
-    rows = (np.frombuffer(column, dtype=column.typecode) for column in (doc_ids, lengths, ids))
-    index, order = TokenIndex.from_rows(tokens, *rows)
-    corpus = Corpus(index.doc_ids, tuple(map(titles.__getitem__, order.tolist())), None, index)
+    corpus = Corpus.from_rows(tokens, doc_ids, titles, lengths, ids)
     # a page's categories are recorded only once it is kept, so every member id is a row
     return corpus, CategoryIndex.from_mapping(categories)
 
@@ -625,7 +612,7 @@ def load_corpus(path: str | Path) -> tuple[Corpus, CategoryIndex]:
     check("vocabulary.txt", all(a < b for a, b in zip(vocabulary, vocabulary[1:])), "tokens are not ascending")
     slot_of = {token: slot for slot, token in enumerate(vocabulary, 1)}
     index = TokenIndex(tuple(vocabulary), slot_of, doc_ids, offsets, slots)
-    corpus = Corpus(doc_ids, tuple(titles), None, index)
+    corpus = Corpus(tuple(titles), index)
 
     mapping: dict[str, list[int]] = {}
     categories_dir = root / "categories"

@@ -19,6 +19,7 @@ import csv
 import io
 import math
 import re
+from array import array
 from dataclasses import dataclass, field
 from itertools import count, repeat
 from typing import ClassVar, Mapping
@@ -370,26 +371,30 @@ def read_predictions_csv(text: str) -> tuple[RankedPredictions, dict[int, str]]:
     """Parse a predictions CSV back into its ranking columns and an id->title map.
 
     ``text`` must be the file's text with its line breaks untranslated.
-    Raises ``ValueError`` naming the line or row that does not parse.
+    Each row is parsed as it is read. Raises ``ValueError`` naming the
+    line or row that does not parse.
     """
     reader = csv.reader(io.StringIO(text), strict=True)
+    ids, log_odds, p_pos, titles = array("q"), array("d"), array("d"), {}
     try:
-        header, rows = next(reader, None), list(reader)
+        header = next(reader, None)
+        if header != _CSV_HEADER.split(","):
+            raise ValueError(f"unexpected predictions header: {header}")
+        for number, row in enumerate(reader, 2):
+            if len(row) != 5:
+                raise ValueError(f"predictions CSV row {number} does not have 5 fields")
+            _, doc_id, title, row_log_odds, row_p_pos = row
+            doc_id = int(doc_id)
+            if not -(2**63) <= doc_id < 2**63:
+                raise ValueError(f"predictions CSV row {number}: doc id {doc_id} is too large for int64")
+            ids.append(doc_id)
+            log_odds.append(float(row_log_odds))
+            p_pos.append(float(row_p_pos))
+            titles[doc_id] = title
     except csv.Error as exc:
         raise ValueError(f"unreadable predictions CSV at line {reader.line_num}: {exc}") from None
-    if header != _CSV_HEADER.split(","):
-        raise ValueError(f"unexpected predictions header: {header}")
-    bad = next((number for number, row in enumerate(rows, 2) if len(row) != 5), None)
-    if bad is not None:
-        raise ValueError(f"predictions CSV row {bad} does not have 5 fields")
-    _, ids, names, log_odds, p_pos = zip(*rows) if rows else ((),) * 5
-    ids = list(map(int, ids))
-    ranked = RankedPredictions(
-        ids=np.array(ids, dtype=np.int64),
-        p_pos=np.array(list(map(float, p_pos))),
-        log_odds=np.array(list(map(float, log_odds))),
-    )
-    return ranked, dict(zip(ids, names))
+    columns = (np.frombuffer(column, dtype=column.typecode) for column in (ids, p_pos, log_odds))
+    return RankedPredictions(*columns), titles
 
 
 def run_manifest(

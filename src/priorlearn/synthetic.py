@@ -12,15 +12,18 @@ Each document's tokens are drawn by the algorithm of numpy's
 the same ``rng.random`` calls with the same sizes in the same order, so
 it draws the same stream and picks the same tokens, but the first-round
 CDF of each distribution is built once rather than once per document.
+Each document's picks are appended as one row of token ids, and the
+corpus is built from the rows as an ingested one is.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import CategoryIndex, Corpus, Document
+from .corpus import CategoryIndex, Corpus
 
 __all__ = ["SyntheticCorpus", "make_synthetic_corpus"]
 
@@ -70,13 +73,14 @@ def make_synthetic_corpus(
     if vocab_size < hi:
         raise ValueError(f"vocab_size={vocab_size} is below the {hi}-token maximum of a document")
     rng = np.random.default_rng(seed)
-    vocab = [f"w{i:04d}" for i in range(vocab_size)]
     quarter = vocab_size // 4
     pos_weights = _topic_weights(vocab_size, slice(0, quarter), TOPIC_BOOST)
     neg_weights = _topic_weights(vocab_size, slice(quarter // 2, quarter + quarter // 2), TOPIC_BOOST)
     pos, neg = (pos_weights, _cdf(pos_weights)), (neg_weights, _cdf(neg_weights))
 
-    def draw(weights: np.ndarray, cdf: np.ndarray) -> frozenset[str]:
+    lengths, ids = array("q"), array("q")
+
+    def draw(weights: np.ndarray, cdf: np.ndarray) -> None:
         # rng.choice(vocab_size, n_tok, replace=False, p=weights) round for round, with the
         # first-round cdf passed in; a later round depends only on which tokens are picked.
         n_tok = int(rng.integers(lo, hi + 1))
@@ -86,15 +90,18 @@ def make_synthetic_corpus(
             rest = weights.copy()
             rest[list(picks)] = 0
             picks.update(_cdf(rest).searchsorted(x, side="right").tolist())
-        return frozenset({vocab[i] for i in picks})  # shares one str object per token
+        lengths.append(n_tok)
+        ids.extend(picks)
 
-    members = [Document(i, f"Member article {i}", draw(*pos)) for i in range(1, n_members + 1)]
+    doc_ids = range(1, n_members + pool_size + 1)
     truth = range(n_members + 1, n_members + round(pool_size * HIDDEN_POSITIVE_RATE) + 1)
-    pool = [
-        Document(doc_id, f"Pool article {doc_id}", draw(*(pos if doc_id in truth else neg)))
-        for doc_id in range(n_members + 1, n_members + pool_size + 1)
-    ]
+    for doc_id in doc_ids:  # members, then the hidden positives, draw from pos
+        draw(*(pos if doc_id < truth.stop else neg))
+    titles = [f"{'Member' if i <= n_members else 'Pool'} article {i}" for i in doc_ids]
 
-    corpus = Corpus.from_documents([*members, *pool])
+    # the vocabulary is the drawn tokens only, as a corpus of these documents would hold
+    drawn, row_ids = np.unique(ids, return_inverse=True)
+    tokens = [f"w{i:04d}" for i in drawn.tolist()]
+    corpus = Corpus.from_rows(tokens, doc_ids, titles, lengths, row_ids)
     categories = CategoryIndex.from_mapping({CATEGORY: range(1, n_members + 1)})
     return SyntheticCorpus(corpus=corpus, categories=categories, truth=frozenset(truth))

@@ -20,7 +20,6 @@ from priorlearn.corpus import (
     CorpusFormatError,
     Document,
     IngestError,
-    TokenIndex,
     extract_categories,
     ingest_wiki_dump,
     load_corpus,
@@ -291,7 +290,7 @@ class TestIngest:
             Document(pid, f"P{pid}", frozenset(per_character_tokenize(truncate_at_references(texts[pid]))))
             for pid in sorted(texts)
         ]
-        expected = TokenIndex.build(documents)
+        expected = Corpus.from_documents(documents).token_index
         index = corpus.token_index
         assert index.vocabulary == expected.vocabulary and index.slot_of == expected.slot_of
         for name in ("doc_ids", "offsets", "slots"):
@@ -637,13 +636,23 @@ class TestCorpusValidation:
         with pytest.raises(ValueError, match="category 'B' references unknown document id 42$"):
             bad.validate_against(corpus)
 
-    def test_corpus_from_documents_keeps_them_and_indexes_lazily(self):
+    def test_corpus_from_documents_builds_each_document_once_for_iteration(self, monkeypatch):
+        made = []
+
+        def counted_document(**fields):
+            made.append(fields["id"])
+            return Document(**fields)
+
         docs = [Document(i, f"d{i}", frozenset({f"t{i}"})) for i in (40, 3, 11)]
+        monkeypatch.setattr(corpus_module, "Document", counted_document)
         corpus = Corpus.from_documents(docs)
+        assert made == []
+        assert list(corpus) == [docs[1], docs[2], docs[0]]
+        assert made == [3, 11, 40]
         assert [doc.id for doc in corpus] == [3, 11, 40]
-        assert all(doc is original for doc, original in zip(corpus, (docs[1], docs[2], docs[0])))
-        assert corpus.get(40) is docs[0] and 11 in corpus and 12 not in corpus
-        assert "token_index" not in vars(corpus)  # not built by iteration or get
+        assert made == [3, 11, 40]  # kept from the first iteration
+        assert corpus.get(40) == docs[0] and 11 in corpus and 12 not in corpus
+        assert made == [3, 11, 40, 40]  # get builds its own row
 
     def test_loaded_corpus_builds_a_document_only_when_asked(self, tmp_path, monkeypatch):
         made = []

@@ -26,7 +26,7 @@ from priorlearn.experiment import (
 from priorlearn.model import BAYES_LAPLACE, Hyperparameters
 from priorlearn.search import Cell
 from priorlearn.synthetic import CATEGORY as SYNTHETIC_CATEGORY
-from priorlearn.synthetic import SyntheticCorpus
+from priorlearn.synthetic import SyntheticCorpus, make_synthetic_corpus
 
 CATEGORY = "Cat"
 
@@ -163,6 +163,21 @@ class TestRankCorpus:
         base = rank_corpus(separable.corpus, model, BAYES_LAPLACE, excl)
         shrunk = rank_corpus(separable.corpus, model, Hyperparameters(8.0, 0.5), excl)
         assert shrunk.positives_predicted <= base.positives_predicted
+
+    def test_generate_learn_and_rank_build_no_documents(self, monkeypatch):
+        def no_document(self, *args, **kwargs):
+            raise AssertionError("a Document was built")
+
+        # on the class, so a module that imported the name is caught too
+        monkeypatch.setattr(Document, "__init__", no_document)
+        syn = make_synthetic_corpus(vocab_size=200, n_members=20, pool_size=400)
+        spec = ExperimentSpec(
+            corpus=syn.corpus, categories=syn.categories, category=SYNTHETIC_CATEGORY, seeds=(0, 1)
+        )
+        result = learn_priors(spec)
+        training = make_training_set(syn.corpus, syn.categories, SYNTHETIC_CATEGORY, 0)
+        ranked = rank_corpus(syn.corpus, training_model(syn.corpus, training), result.hyperparameters)
+        assert len(ranked.doc_ids()) == syn.corpus.doc_count
 
 
 class TestBranches:

@@ -6,11 +6,17 @@ import numpy as np
 import pytest
 
 from oracles import choice_synthetic_corpus
+from priorlearn.corpus import Corpus
 from priorlearn.synthetic import TOKENS_PER_DOC, make_synthetic_corpus
 
 
 def _assert_same_corpus(syn, ref):
     assert [(d.id, d.title, d.tokens) for d in syn.corpus] == [(d.id, d.title, d.tokens) for d in ref.corpus]
+    index, expected = syn.corpus.token_index, Corpus.from_documents(list(ref.corpus)).token_index
+    assert index.vocabulary == expected.vocabulary and index.slot_of == expected.slot_of
+    for name in ("doc_ids", "offsets", "slots"):
+        assert getattr(index, name).dtype == getattr(expected, name).dtype, name
+        assert np.array_equal(getattr(index, name), getattr(expected, name)), name
     assert syn.categories.items() == ref.categories.items()
     assert syn.truth == ref.truth
 
@@ -30,6 +36,8 @@ def test_default_token_sets_take_the_same_memory(acceptance, default_reference):
         return sum(sys.getsizeof(doc.tokens) for doc in syn.corpus)
 
     assert token_bytes(acceptance) == token_bytes(default_reference)
+    # both corpora build their Documents from the index, so compare with token sets built from sets too
+    assert token_bytes(acceptance) == sum(sys.getsizeof(frozenset(set(doc.tokens))) for doc in acceptance.corpus)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -43,6 +51,7 @@ def test_default_shape_matches_choice(seed):
         (2000, 1000, 4000),  # the search-wide benchmark workload
         (200, 20, 400),  # the benchmark contract test
         (1500, 150, 8000),  # demo 05
+        (2000, 1, 2),  # most of the vocabulary is never drawn
     ],
 )
 def test_workload_shapes_match_choice(vocab_size, n_members, pool_size):
