@@ -38,7 +38,7 @@ for doc in corpus:
 for name, ids in categories.items():
     print(f"  category {name!r} -> {sorted(ids)}")
 
-print("\n-- the store (the token index as arrays, titles, categories) round-trips exactly --")
+print("\n-- the store (the corpus columns, categories) round-trips exactly --")
 with tempfile.TemporaryDirectory() as root:
     store_corpus(corpus, categories, root)
     reloaded, reloaded_cats = load_corpus(root)

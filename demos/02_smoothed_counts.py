@@ -42,7 +42,7 @@ negatives = [
     Document(6, "n3", frozenset({"search", "warrant"})),
 ]
 training = Corpus.from_documents(positives + negatives)
-model = build_counts(training.token_index, [1, 2, 3], [4, 5, 6])
+model = build_counts(training, [1, 2, 3], [4, 5, 6])
 print("features are the union of positive documents only:", list(model.features))
 print("('oven', 'recipe', 'warrant' are never counted)")
 print("\nmodel manifest:")

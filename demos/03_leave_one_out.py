@@ -37,7 +37,7 @@ def draw(doc_id, weights, title):
 positives = [draw(i, w_pos, f"pos {i}") for i in range(12)]
 negatives = [draw(100 + i, w_neg, f"neg {i}") for i in range(12)]
 training = Corpus.from_documents(positives + negatives)
-model = build_counts(training.token_index, [d.id for d in positives], [d.id for d in negatives])
+model = build_counts(training, [d.id for d in positives], [d.id for d in negatives])
 evaluator = LooEvaluator(model)
 
 print("-- per-fold posteriors with the fold's own counts removed, lambda=(1, 1) --")

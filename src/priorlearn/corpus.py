@@ -1,11 +1,11 @@
 """Corpus ingestion and storage.
 
 A document is a stable integer id, a title and a deduplicated set of
-lowercase tokens. A :class:`Corpus` is its titles plus a
-:class:`TokenIndex`, the form its store takes on disk, and every corpus
-is built by :meth:`Corpus.from_rows` from rows of token ids: a MediaWiki
-XML export is ingested straight into such rows, with no per-page
-:class:`Document`, and one is built only when asked for. Category
+lowercase tokens. A :class:`Corpus` is the columns its store holds on
+disk: titles, vocabulary, ids and compressed rows of token slots. Every
+corpus is built by :meth:`Corpus.from_rows` from rows of token ids: a
+MediaWiki XML export is ingested straight into such rows, with no
+per-page :class:`Document`, and one is built only when asked for. Category
 membership is kept separately in a :class:`CategoryIndex` that maps a
 category name to the ids of its *direct* members only.
 """
@@ -31,7 +31,6 @@ import numpy as np
 __all__ = [
     "Document",
     "Corpus",
-    "TokenIndex",
     "CategoryIndex",
     "IngestError",
     "CorpusFormatError",
@@ -122,61 +121,25 @@ class Document:
 
 
 @dataclass(frozen=True, eq=False)
-class TokenIndex:
-    """A corpus as compressed rows of token slots, for scoring it all at once.
-
-    ``slot_of`` maps each corpus token to its slot ``1 + token_id``, where
-    token ids follow Python ``str`` order, the order :func:`sorted` gives
-    a token set; ``vocabulary[token_id]`` is the token. Row ``i``,
-    ``slots[offsets[i]:offsets[i + 1]]``, belongs to document
-    ``doc_ids[i]`` (ids ascending) and holds slot 0, which stands for the
-    class prior, then the slots of the document's tokens in ascending
-    order.
-    """
-
-    vocabulary: tuple[str, ...] = field(repr=False)
-    slot_of: dict[str, int] = field(repr=False)
-    doc_ids: np.ndarray = field(repr=False)
-    offsets: np.ndarray = field(repr=False)
-    slots: np.ndarray = field(repr=False)
-
-    def row_of_slot(self) -> np.ndarray:
-        """The row each entry of ``slots`` belongs to."""
-        return np.repeat(np.arange(len(self.doc_ids)), np.diff(self.offsets))
-
-    def token_rows(self, doc_ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """The token slots of the given documents, without slot 0, as compressed rows.
-
-        Returns ``(slots, offsets)``: the row of ``doc_ids[i]`` is
-        ``slots[offsets[i]:offsets[i + 1]]``. Raises ``ValueError`` naming
-        the ids that are not in the index.
-        """
-        ids = np.array(doc_ids, dtype=np.int64)
-        absent = ~np.isin(ids, self.doc_ids)
-        if absent.any():
-            raise ValueError(f"documents not in the corpus index: {sorted(set(ids[absent].tolist()))}")
-        rows = np.searchsorted(self.doc_ids, ids)
-        starts = self.offsets[rows] + 1
-        lengths = self.offsets[rows + 1] - starts
-        offsets = np.zeros(len(ids) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        take = np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
-        return self.slots[take], offsets
-
-
-@dataclass(frozen=True, eq=False)
 class Corpus:
-    """An immutable collection of documents in ascending id order: titles and a token index.
+    """An immutable collection of documents in ascending id order, as the store's columns.
 
-    Row ``i`` is document ``doc_ids[i]``, titled ``titles[i]``, with the
-    tokens of :attr:`token_index` row ``i``. Every producer builds
-    it through :meth:`from_rows`; a :class:`Document` is built only for
-    :meth:`get`, and for iteration once per corpus, then kept. The corpus
-    is safe to share read-only across any number of workers.
+    Row ``i`` is document ``doc_ids[i]`` (ids ascending), titled
+    ``titles[i]``; its tokens are ``slots[offsets[i]:offsets[i + 1]]``,
+    slot 0, which stands for the class prior, then the slots of its tokens
+    in ascending order. Token ``vocabulary[s - 1]`` has slot ``s``, and the
+    vocabulary follows Python ``str`` order, the order :func:`sorted` gives
+    a token set. Every producer builds the corpus through
+    :meth:`from_rows`; a :class:`Document` is built only for :meth:`get`,
+    and for iteration once per corpus, then kept. The corpus is safe to
+    share read-only across any number of workers.
     """
 
     titles: tuple[str, ...] = field(repr=False)
-    token_index: TokenIndex = field(repr=False)
+    vocabulary: tuple[str, ...] = field(repr=False)
+    doc_ids: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
+    slots: np.ndarray = field(repr=False)
 
     @classmethod
     def from_rows(cls, tokens: list[str], doc_ids: Any, titles: list[str], lengths: Any, ids: Any) -> "Corpus":
@@ -195,10 +158,10 @@ class Corpus:
         repeated = ordered[1:][ordered[1:] == ordered[:-1]]
         if repeated.size:
             raise ValueError(f"duplicate document id {repeated[0]}")
-        vocabulary = sorted(tokens)
-        slot_of = dict(zip(vocabulary, range(1, len(vocabulary) + 1)))
-        slot_of_id = np.fromiter(map(slot_of.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-        width = len(slot_of) + 1
+        token_order = sorted(range(len(tokens)), key=tokens.__getitem__)
+        slot_of_id = np.empty(len(tokens), dtype=np.int64)
+        slot_of_id[token_order] = np.arange(1, len(tokens) + 1)
+        width = len(tokens) + 1
         row_of = np.empty_like(order)
         row_of[order] = np.arange(len(order))
         # one sort of row * width + slot puts each row's prior slot first,
@@ -209,8 +172,13 @@ class Corpus:
         offsets = np.zeros(len(order) + 1, dtype=np.int64)
         np.cumsum(lengths[order] + 1, out=offsets[1:])
         np.remainder(keys, width, out=keys)
-        index = TokenIndex(tuple(vocabulary), slot_of, ordered, offsets, keys.astype(np.int32))
-        return cls(tuple(map(titles.__getitem__, order.tolist())), index)
+        return cls(
+            tuple(map(titles.__getitem__, order.tolist())),
+            tuple(map(tokens.__getitem__, token_order)),
+            ordered,
+            offsets,
+            keys.astype(np.int32),
+        )
 
     @classmethod
     def from_documents(cls, documents: Iterable[Document]) -> "Corpus":
@@ -222,10 +190,6 @@ class Corpus:
         lengths = [len(doc.tokens) for doc in documents]
         doc_ids = [doc.id for doc in documents]
         return cls.from_rows(tokens, doc_ids, [doc.title for doc in documents], lengths, ids)
-
-    @property
-    def doc_ids(self) -> np.ndarray:
-        return self.token_index.doc_ids
 
     @property
     def doc_count(self) -> int:
@@ -248,6 +212,34 @@ class Corpus:
         return self.doc_ids.tolist()
 
     @cached_property
+    def slot_of(self) -> dict[str, int]:
+        """Each token's slot, built when first asked for: ranking maps a model's features by it."""
+        return dict(zip(self.vocabulary, range(1, len(self.vocabulary) + 1)))
+
+    def row_of_slot(self) -> np.ndarray:
+        """The row each entry of ``slots`` belongs to."""
+        return np.repeat(np.arange(len(self.doc_ids)), np.diff(self.offsets))
+
+    def token_rows(self, doc_ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The token slots of the given documents, without slot 0, as compressed rows.
+
+        Returns ``(slots, offsets)``: the row of ``doc_ids[i]`` is
+        ``slots[offsets[i]:offsets[i + 1]]``. Raises ``ValueError`` naming
+        the ids that are not in the corpus.
+        """
+        ids = np.array(doc_ids, dtype=np.int64)
+        absent = ~np.isin(ids, self.doc_ids)
+        if absent.any():
+            raise ValueError(f"documents not in the corpus index: {sorted(set(ids[absent].tolist()))}")
+        rows = np.searchsorted(self.doc_ids, ids)
+        starts = self.offsets[rows] + 1
+        lengths = self.offsets[rows + 1] - starts
+        offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        take = np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
+        return self.slots[take], offsets
+
+    @cached_property
     def _documents(self) -> tuple[Document, ...]:
         # kept: a caller may iterate the corpus once per use of it
         return tuple(map(self._document, range(self.doc_count)))
@@ -257,10 +249,9 @@ class Corpus:
         return row if row < len(self.doc_ids) and self.doc_ids[row] == doc_id else None
 
     def _document(self, row: int) -> Document:
-        index = self.token_index
-        slots = index.slots[index.offsets[row] + 1 : index.offsets[row + 1]].tolist()
+        slots = self.slots[self.offsets[row] + 1 : self.offsets[row + 1]].tolist()
         # from a set: a frozenset built from a list can size its hash table larger
-        tokens = frozenset({index.vocabulary[slot - 1] for slot in slots})
+        tokens = frozenset({self.vocabulary[slot - 1] for slot in slots})
         return Document(id=int(self.doc_ids[row]), title=self.titles[row], tokens=tokens)
 
 
@@ -387,8 +378,8 @@ def ingest_wiki_dump(
     whitespace piece of the dump once. Articles whose retained body is
     shorter than ``min_bytes`` (UTF-8 bytes, measured after truncation)
     are excluded. Each page is dropped once processed, and only its id,
-    title and token ids are kept, as one row of the corpus's
-    :class:`TokenIndex`; no :class:`Document` is built.
+    title and token ids are kept, as one row of the corpus; no
+    :class:`Document` is built.
 
     ``skipped``, when given, is filled with per-reason skip counts
     (``namespace:N``, ``redirect``, ``disambiguation``,
@@ -477,7 +468,7 @@ def _ingest_page(
 # --- On-disk store ------------------------------------------------------------
 
 _FORMAT_VERSION = 2
-#: The store files holding the :class:`TokenIndex` arrays, with their dtypes.
+#: The store files holding the :class:`Corpus` arrays, with their dtypes.
 _ARRAYS = {"doc_ids.npy": np.int64, "offsets.npy": np.int64, "slots.npy": np.int32}
 #: The store files of ``\n``-ended lines: each slot's token from slot 1, and each row's title.
 _LINES = ("vocabulary.txt", "titles.txt")
@@ -502,7 +493,7 @@ def store_corpus(corpus: Corpus, categories: CategoryIndex, path: str | Path) ->
     """Write a corpus and its category index under ``path``.
 
     Layout (format 2): ``manifest.json`` with the document count; the
-    :class:`TokenIndex` arrays as ``doc_ids.npy``, ``offsets.npy`` and
+    :class:`Corpus` arrays as ``doc_ids.npy``, ``offsets.npy`` and
     ``slots.npy``; ``vocabulary.txt`` (line ``s`` holds slot ``s``'s token)
     and ``titles.txt`` (one line per row), each line ended by ``\\n``; and
     one file per category listing member ids ascending, named by
@@ -516,11 +507,10 @@ def store_corpus(corpus: Corpus, categories: CategoryIndex, path: str | Path) ->
     for doc_id, title in zip(corpus.ids(), corpus.titles):
         if "\t" in title or "\n" in title:
             raise CorpusFormatError(f"document {doc_id}: title contains tab or newline")
-    index = corpus.token_index
-    for slot, token in enumerate(index.vocabulary, 1):
+    for slot, token in enumerate(corpus.vocabulary, 1):
         if token.split() != [token]:
-            row = index.row_of_slot()[np.flatnonzero(index.slots == slot)[0]]
-            raise CorpusFormatError(f"document {index.doc_ids[row]}: token {token!r} is empty or has whitespace")
+            row = corpus.row_of_slot()[np.flatnonzero(corpus.slots == slot)[0]]
+            raise CorpusFormatError(f"document {corpus.doc_ids[row]}: token {token!r} is empty or has whitespace")
 
     root = Path(path)
     shards = root / "shards"  # a format-1 store's
@@ -531,9 +521,9 @@ def store_corpus(corpus: Corpus, categories: CategoryIndex, path: str | Path) ->
     if shards.is_dir() and not any(shards.iterdir()):
         shards.rmdir()
 
-    for name, array in zip(_ARRAYS, (index.doc_ids, index.offsets, index.slots)):
+    for name, array in zip(_ARRAYS, (corpus.doc_ids, corpus.offsets, corpus.slots)):
         np.save(root / name, array)
-    for name, lines in zip(_LINES, (index.vocabulary, corpus.titles)):
+    for name, lines in zip(_LINES, (corpus.vocabulary, corpus.titles)):
         (root / name).write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
 
     for name, ids in categories.items():
@@ -576,7 +566,7 @@ def _lines(stream: IO[bytes]) -> list[str]:
 
 
 def load_corpus(path: str | Path) -> tuple[Corpus, CategoryIndex]:
-    """Load a corpus stored by :func:`store_corpus`: its token index, titles and categories.
+    """Load a corpus stored by :func:`store_corpus`: its columns and categories.
 
     Raises :class:`CorpusFormatError` naming the store file that is
     missing, does not parse or disagrees with the rest (a store of another
@@ -610,9 +600,7 @@ def load_corpus(path: str | Path) -> tuple[Corpus, CategoryIndex]:
     check("slots.npy", not (slots > len(vocabulary)).any(), "a slot is past the last token's")
     check("doc_ids.npy", (np.diff(doc_ids) > 0).all(), "ids are not ascending and unique")
     check("vocabulary.txt", all(a < b for a, b in zip(vocabulary, vocabulary[1:])), "tokens are not ascending")
-    slot_of = {token: slot for slot, token in enumerate(vocabulary, 1)}
-    index = TokenIndex(tuple(vocabulary), slot_of, doc_ids, offsets, slots)
-    corpus = Corpus(tuple(titles), index)
+    corpus = Corpus(tuple(titles), tuple(vocabulary), doc_ids, offsets, slots)
 
     mapping: dict[str, list[int]] = {}
     categories_dir = root / "categories"

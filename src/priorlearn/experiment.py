@@ -27,7 +27,7 @@ from urllib.parse import quote
 
 import numpy as np
 
-from .corpus import CategoryIndex, Corpus, TokenIndex
+from .corpus import CategoryIndex, Corpus
 from .model import (
     BAYES_LAPLACE,
     CountModel,
@@ -172,21 +172,21 @@ def make_training_set(
 
 
 def training_model(corpus: Corpus, training: TrainingSet) -> CountModel:
-    """The count model of ``training``, gathered from ``corpus.token_index``."""
-    return build_counts(corpus.token_index, training.positive_ids, training.negative_ids)
+    """The count model of ``training``, gathered from the token rows of ``corpus``."""
+    return build_counts(corpus, training.positive_ids, training.negative_ids)
 
 
-def _log_weights(positive: bool, model: CountModel, hp: Hyperparameters, index: TokenIndex) -> np.ndarray:
-    """One class's log term per index slot.
+def _log_weights(positive: bool, model: CountModel, hp: Hyperparameters, corpus: Corpus) -> np.ndarray:
+    """One class's log term per corpus slot.
 
     Slot 0 holds the log class prior and the slot of each model feature
     found in the corpus vocabulary holds its log conditional, each from
     ``math.log`` (``np.log`` may differ in the last bit); every other slot
     holds ``0.0``.
     """
-    weights = np.zeros(len(index.slot_of) + 1)
+    weights = np.zeros(len(corpus.vocabulary) + 1)
     slots = np.fromiter(
-        map(index.slot_of.get, model.features, repeat(0)), dtype=np.int64, count=len(model.features)
+        map(corpus.slot_of.get, model.features, repeat(0)), dtype=np.int64, count=len(model.features)
     )
     found = slots > 0
     weights[slots[found]] = list(map(math.log, cond_probs(positive, model, hp)[found].tolist()))
@@ -202,7 +202,7 @@ def rank_corpus(
 ) -> RankedPredictions:
     """Score every corpus document outside ``exclude_ids`` and rank them.
 
-    All documents are scored at once over ``corpus.token_index``. A
+    All documents are scored at once over the corpus's token rows. A
     document's log score per class is the ``bincount`` sum of its row: the
     log prior, then the log conditional of each token in sorted order. The
     ``+0.0`` of a non-feature token leaves the strictly negative sum
@@ -211,19 +211,18 @@ def rank_corpus(
     :func:`~priorlearn.model.positive_posteriors` on the sorted log odds)
     to normalizing each document's two log scores by max-subtraction.
     """
-    index = corpus.token_index
-    rows = index.row_of_slot()
+    rows = corpus.row_of_slot()
     log_pos, log_neg = (
         np.bincount(
-            rows, weights=_log_weights(positive, model, hp, index)[index.slots],
-            minlength=len(index.doc_ids),
+            rows, weights=_log_weights(positive, model, hp, corpus)[corpus.slots],
+            minlength=len(corpus.doc_ids),
         )
         for positive in (True, False)
     )
     del rows  # one int per slot; not kept past the sums
     excluded = np.fromiter(exclude_ids, dtype=np.int64, count=len(exclude_ids))
-    keep = ~np.isin(index.doc_ids, excluded)
-    doc_ids, log_odds = index.doc_ids[keep], (log_pos - log_neg)[keep]
+    keep = ~np.isin(corpus.doc_ids, excluded)
+    doc_ids, log_odds = corpus.doc_ids[keep], (log_pos - log_neg)[keep]
     order = np.lexsort((doc_ids, -log_odds))
     log_odds = log_odds[order]
     return RankedPredictions(ids=doc_ids[order], p_pos=positive_posteriors(log_odds), log_odds=log_odds)
@@ -372,7 +371,7 @@ def read_predictions_csv(text: str) -> tuple[RankedPredictions, dict[int, str]]:
 
     ``text`` must be the file's text with its line breaks untranslated.
     Each row is parsed as it is read. Raises ``ValueError`` naming the
-    line or row that does not parse.
+    line or row that does not parse, or the row that repeats a doc id.
     """
     reader = csv.reader(io.StringIO(text), strict=True)
     ids, log_odds, p_pos, titles = array("q"), array("d"), array("d"), {}
@@ -387,6 +386,8 @@ def read_predictions_csv(text: str) -> tuple[RankedPredictions, dict[int, str]]:
             doc_id = int(doc_id)
             if not -(2**63) <= doc_id < 2**63:
                 raise ValueError(f"predictions CSV row {number}: doc id {doc_id} is too large for int64")
+            if doc_id in titles:
+                raise ValueError(f"predictions CSV row {number}: doc id {doc_id} is repeated")
             ids.append(doc_id)
             log_odds.append(float(row_log_odds))
             p_pos.append(float(row_p_pos))

@@ -15,9 +15,9 @@ on the positive side and ``lambda_neg`` on the negative side.
     p(pos)      = (lambda_pos + n_pos) / (lambda_pos + lambda_neg + N)
 
 and symmetrically for the negative class. A model is integer arrays
-gathered from a corpus's :class:`~priorlearn.corpus.TokenIndex`, whose
-slots follow ``str`` order, so features, counts and folds come out in
-ascending token order. Scores are computed in log space; the two-class
+gathered from the token rows of a :class:`~priorlearn.corpus.Corpus`,
+whose slots follow ``str`` order, so features, counts and folds come out
+in ascending token order. Scores are computed in log space; the two-class
 posterior is normalized with max-subtraction.
 """
 
@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import TokenIndex
+from .corpus import Corpus
 
 __all__ = [
     "Hyperparameters",
@@ -82,35 +82,31 @@ class CountModel:
     fold_features: np.ndarray = field(repr=False)
 
     @property
-    def total(self) -> int:
-        """N: number of training documents."""
-        return self.n_pos + self.n_neg
-
-    @property
     def n_folds(self) -> int:
+        """N: the number of training documents, one fold each."""
         return self.n_pos + self.n_neg
 
 
 def build_counts(
-    index: TokenIndex, positive_ids: Sequence[int], negative_ids: Sequence[int]
+    corpus: Corpus, positive_ids: Sequence[int], negative_ids: Sequence[int]
 ) -> CountModel:
     """Count token occurrences per class over the training documents.
 
-    The documents are rows of ``index``, folds in the order given. The
+    The documents are rows of ``corpus``, folds in the order given. The
     feature set is the union of the positive documents' tokens; negative
     documents contribute counts only for tokens in that set. Raises
     ``ValueError`` if ``positive_ids`` is empty (the feature set would be
     empty), if an id appears on both sides, or if an id is not in
-    ``index``.
+    ``corpus``.
     """
     if not positive_ids:
         raise ValueError("positives must be nonempty")
     shared = set(positive_ids) & set(negative_ids)
     if shared:
         raise ValueError(f"documents on both sides: {sorted(shared)}")
-    slots, row_offsets = index.token_rows([*positive_ids, *negative_ids])
+    slots, row_offsets = corpus.token_rows([*positive_ids, *negative_ids])
     n_pos = len(positive_ids)
-    width = len(index.slot_of) + 1
+    width = len(corpus.vocabulary) + 1
     pos_count = np.bincount(slots[: row_offsets[n_pos]], minlength=width)
     feature_slots = np.flatnonzero(pos_count)
     position = np.full(width, -1, dtype=np.int64)
@@ -122,7 +118,7 @@ def build_counts(
     return CountModel(
         n_pos=n_pos,
         n_neg=len(negative_ids),
-        features=tuple(index.vocabulary[slot - 1] for slot in feature_slots.tolist()),
+        features=tuple(corpus.vocabulary[slot - 1] for slot in feature_slots.tolist()),
         pos_count=pos_count[feature_slots],
         neg_count=np.bincount(fold_features[fold_offsets[n_pos]:], minlength=len(feature_slots)),
         fold_offsets=fold_offsets,
@@ -143,7 +139,7 @@ def cond_probs(positive: bool, model: CountModel, hp: Hyperparameters) -> np.nda
 
 def class_prior(positive: bool, model: CountModel, hp: Hyperparameters) -> float:
     """Smoothed class prior ``(lambda_c + n(c)) / (lambda_pos + lambda_neg + N)``."""
-    denom = hp.lambda_pos + hp.lambda_neg + model.total
+    denom = hp.lambda_pos + hp.lambda_neg + model.n_folds
     if positive:
         return (hp.lambda_pos + model.n_pos) / denom
     return (hp.lambda_neg + model.n_neg) / denom

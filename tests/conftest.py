@@ -11,7 +11,7 @@ from priorlearn.synthetic import make_synthetic_corpus
 def train(positives, negatives):
     """The count model of these documents, through a corpus of them all."""
     corpus = Corpus.from_documents([*positives, *negatives])
-    return build_counts(corpus.token_index, [d.id for d in positives], [d.id for d in negatives])
+    return build_counts(corpus, [d.id for d in positives], [d.id for d in negatives])
 
 
 def posteriors(cases, model, hp):

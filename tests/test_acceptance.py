@@ -116,7 +116,7 @@ def test_criterion_1_formula_fidelity():
             assert abs(p_t_pos - float(expected)) < 1e-12
             expected = (lam_neg + Fraction(n_t_neg)) / (lam_neg + model.n_neg)
             assert abs(p_t_neg - float(expected)) < 1e-12
-        expected = (lam_pos + model.n_pos) / (lam_pos + lam_neg + model.total)
+        expected = (lam_pos + model.n_pos) / (lam_pos + lam_neg + model.n_pos + model.n_neg)
         assert abs(class_prior(True, model, hp) - float(expected)) < 1e-12
 
     # full posterior of rank_corpus against the direct product form

@@ -2,7 +2,10 @@
 
 ``perfbench/tracer.py`` wraps priorlearn's public names where their callers
 look them up. A name that moves, or a call that stops going through it,
-makes ``instrument`` fail or leaves its span silent; both show here.
+makes ``instrument`` fail or leaves its span silent; both show here. The
+workloads in ``perfbench/workloads.py`` and ``perfbench/wikidump.py`` also
+call priorlearn directly; one iteration of each kind runs here on a tiny
+corpus, so a break in those calls fails a test, not a benchmark run.
 """
 
 import io
@@ -12,6 +15,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+import wikidump  # noqa: E402
+import workloads  # noqa: E402
 from tracer import Tracer, instrument  # noqa: E402
 
 from priorlearn import cli  # noqa: E402
@@ -67,3 +72,20 @@ def test_ingest_and_store_spans_fire_on_an_index_backed_corpus(tmp_path):
     assert tracer.counts["corpus.docs_kept"] == corpus.doc_count == 2
     assert tracer.counts["corpus.pages_skipped.namespace_1"] == skipped["namespace:1"] == 1
     assert tracer.counts["corpus.store_files"] == sum(1 for p in (tmp_path / "store").rglob("*") if p.is_file())
+
+
+def test_workload_iterations_run_on_a_tiny_corpus(tmp_path, monkeypatch):
+    syn = make_synthetic_corpus(seed=0, vocab_size=200, n_members=20, pool_size=400)
+    monkeypatch.setattr(workloads, "WORK", tmp_path / "work")
+    in_process = workloads.InProcess(
+        name="tiny", corpus_args={}, seeds=(0, 1), ranked_seeds=(0, 1), report=True, priors_reps=1
+    )
+    dump = wikidump.ensure_dump(tmp_path / "dump", 0, lambda: (syn, CATEGORY))
+    iterations = [
+        in_process.iterate(syn, 0, workloads.NullTracer()),
+        workloads.WikiCli(in_process=True, priors_reps=1).iterate(dump, 0, workloads.NullTracer()),
+    ]
+    for iteration in iterations:
+        assert iteration.nonzero_exits == 0
+        assert [key for key, value in iteration.answers.items() if value is None] == []
+    assert iterations[1].commands == 6

@@ -78,6 +78,7 @@ class TestArgumentHandling:
             ("1,5,a\rb,0.5,0.6\n", "line 2"),  # the bare CR csv.writer(lineterminator="\n") left in a title
             ('1,5,"open title,0.5,0.6\n', "line 2"),
             ("1,99999999999999999999,a,0.5,0.6\n", "too large"),
+            ("1,7,a,0.5,0.6\n2,7,a,0.5,0.6\n", "row 3: doc id 7 is repeated"),
         ],
     )
     def test_unparsable_predictions_are_data_error(self, tmp_path, capsys, body, cause):

@@ -290,18 +290,17 @@ class TestIngest:
             Document(pid, f"P{pid}", frozenset(per_character_tokenize(truncate_at_references(texts[pid]))))
             for pid in sorted(texts)
         ]
-        expected = Corpus.from_documents(documents).token_index
-        index = corpus.token_index
-        assert index.vocabulary == expected.vocabulary and index.slot_of == expected.slot_of
+        expected = Corpus.from_documents(documents)
+        assert corpus.vocabulary == expected.vocabulary and corpus.slot_of == expected.slot_of
         for name in ("doc_ids", "offsets", "slots"):
-            assert getattr(index, name).dtype == getattr(expected, name).dtype, name
-            assert np.array_equal(getattr(index, name), getattr(expected, name)), name
+            assert getattr(corpus, name).dtype == getattr(expected, name).dtype, name
+            assert np.array_equal(getattr(corpus, name), getattr(expected, name)), name
         assert corpus.titles == tuple(doc.title for doc in documents)
         assert list(corpus) == documents
 
     def test_dump_with_no_kept_page_stores_and_loads(self, tmp_path):
         corpus, cats = ingest_wiki_dump(_wrap_pages(_page(1, "Short", "tiny body", ns=1), _page(2, "S", "tiny")))
-        assert corpus.doc_count == 0 and corpus.token_index.vocabulary == ()
+        assert corpus.doc_count == 0 and corpus.vocabulary == ()
         store_corpus(corpus, cats, tmp_path / "s")
         loaded, loaded_cats = load_corpus(tmp_path / "s")
         assert loaded.ids() == [] and list(loaded) == [] and loaded_cats.items() == []

@@ -366,6 +366,7 @@ class TestPredictionsCsv:
             ("1,5,a\rb,0.5,0.6\n", "line 2"),
             ('1,5,"open title,0.5,0.6\n', "line 2"),
             ("1,5,x,0.5,0.6\n2,6,y,0.5\n", "row 3"),
+            ("1,7,x,0.5,0.6\n2,7,x,0.5,0.6\n", "row 3: doc id 7 is repeated"),
         ],
     )
     def test_unparsable_rows_name_their_line(self, body, where):

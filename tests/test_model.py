@@ -106,7 +106,7 @@ class TestBuildCounts:
         assert model.pos_count.tolist() == [1, 2, 1]
         assert model.neg_count.tolist() == [0, 1, 0]  # d never counted
         assert _folds(model) == [("a", "b"), ("b", "c"), ("b",)]
-        assert (model.n_pos, model.n_neg, model.total, model.n_folds) == (2, 1, 3, 3)
+        assert (model.n_pos, model.n_neg, model.n_folds) == (2, 1, 3)
 
     def test_empty_negatives_allowed(self):
         model = train([_doc(1, {"a"})], [])
@@ -116,20 +116,20 @@ class TestBuildCounts:
         assert 0 < p_pos < 1
 
     def test_empty_positives_rejected(self):
-        index = Corpus.from_documents([_doc(1, {"a"})]).token_index
+        corpus = Corpus.from_documents([_doc(1, {"a"})])
         with pytest.raises(ValueError, match="positives"):
-            build_counts(index, [], [1])
+            build_counts(corpus, [], [1])
 
     def test_shared_ids_rejected(self):
-        index = Corpus.from_documents([_doc(1, {"a"}), _doc(2, {"b"})]).token_index
+        corpus = Corpus.from_documents([_doc(1, {"a"}), _doc(2, {"b"})])
         with pytest.raises(ValueError, match=r"both sides: \[1\]"):
-            build_counts(index, [1, 2], [1])
+            build_counts(corpus, [1, 2], [1])
 
     @pytest.mark.parametrize("positive_ids,negative_ids", [([1, 99], [2]), ([1], [2, 99, 0])])
     def test_absent_ids_rejected(self, positive_ids, negative_ids):
-        index = Corpus.from_documents([_doc(1, {"a"}), _doc(2, {"b"})]).token_index
+        corpus = Corpus.from_documents([_doc(1, {"a"}), _doc(2, {"b"})])
         with pytest.raises(ValueError, match=r"not in the corpus index: \[.*99\]"):
-            build_counts(index, positive_ids, negative_ids)
+            build_counts(corpus, positive_ids, negative_ids)
 
     def test_counts_match_brute_force_tally(self, six_doc_model):
         model, positives, negatives = six_doc_model
@@ -170,8 +170,8 @@ class TestBuildCounts:
             n_neg = int(rng.integers(0, n_docs - n_pos + 1))
             positives = [docs[i] for i in order[:n_pos]]
             negatives = [docs[i] for i in order[n_pos:n_pos + n_neg]]
-            index = Corpus.from_documents(docs).token_index
-            model = build_counts(index, [d.id for d in positives], [d.id for d in negatives])
+            corpus = Corpus.from_documents(docs)
+            model = build_counts(corpus, [d.id for d in positives], [d.id for d in negatives])
             assert_matches_dict_model(model, positives, negatives)
 
 

@@ -13,11 +13,18 @@ import numpy as np
 import pytest
 
 from oracles import class_prior, cond_prob, dict_model, entries, scalar_ranking
-from priorlearn.corpus import Corpus, Document
-from priorlearn.experiment import _log_weights, make_training_set, rank_corpus, training_model
+from priorlearn.corpus import Corpus, Document, load_corpus, store_corpus
+from priorlearn.experiment import (
+    ExperimentSpec,
+    _log_weights,
+    learn_priors,
+    make_training_set,
+    rank_corpus,
+    training_model,
+)
 from priorlearn.model import BAYES_LAPLACE, Hyperparameters, build_counts
 from priorlearn.search import DEFAULT_GRID
-from priorlearn.synthetic import CATEGORY
+from priorlearn.synthetic import CATEGORY, make_synthetic_corpus
 
 PRIORS = [
     Hyperparameters(1.0, 1.0),
@@ -49,7 +56,7 @@ def _corpus(token_sets, first_id=1):
 def _models(training, positive_ids, negative_ids):
     """The count model of these training-corpus ids and its ``dict`` oracle."""
     return (
-        build_counts(training.token_index, positive_ids, negative_ids),
+        build_counts(training, positive_ids, negative_ids),
         dict_model([training.get(i) for i in positive_ids], [training.get(i) for i in negative_ids]),
     )
 
@@ -82,15 +89,14 @@ def test_log_weights_are_math_log_of_the_oracle_ratios():
     vocab = [f"t{i:02d}" for i in range(30)]
     corpus = _corpus([_draw(rng, vocab, int(rng.integers(1, 25))) for _ in range(50)])
     model, oracle = _models(corpus, range(1, 21), range(21, 51))
-    index = corpus.token_index
     for lam_neg, lam_pos in zip(DEFAULT_GRID.values, reversed(DEFAULT_GRID.values)):
         hp = Hyperparameters(lam_neg, lam_pos)
         for positive in (True, False):
-            expected = np.zeros(len(index.slot_of) + 1)
+            expected = np.zeros(len(corpus.slot_of) + 1)
             expected[0] = math.log(class_prior(positive, oracle, hp))
             for token in oracle.features:
-                expected[index.slot_of[token]] = math.log(cond_prob(token, positive, oracle, hp))
-            assert np.array_equal(_log_weights(positive, model, hp, index), expected), (hp, positive)
+                expected[corpus.slot_of[token]] = math.log(cond_prob(token, positive, oracle, hp))
+            assert np.array_equal(_log_weights(positive, model, hp, corpus), expected), (hp, positive)
 
 
 def test_document_without_model_features_scores_its_priors():
@@ -121,7 +127,7 @@ def test_model_from_another_corpus():
     training = _corpus([{"only", "here", "a"}, {"a", "b"}, {"b", "elsewhere"}], first_id=500)
     model, oracle = _models(training, [500, 501], [502])
     corpus = _corpus([{"a"}, {"b", "c"}, {"c", "d"}, {"a", "b", "z"}])
-    assert not {"only", "here"} & set(corpus.token_index.slot_of)
+    assert not {"only", "here"} & set(corpus.slot_of)
     for hp in PRIORS:
         assert_bit_identical(rank_corpus(corpus, model, hp), scalar_ranking(corpus, oracle, hp))
 
@@ -150,7 +156,7 @@ def test_non_ascii_tokens_follow_str_order():
     rng = np.random.default_rng(11)
     token_sets = [_draw(rng, vocab, int(rng.integers(1, 8))) for _ in range(60)]
     corpus = _corpus(token_sets)
-    slots = corpus.token_index.slot_of
+    slots = corpus.slot_of
     assert list(slots) == sorted(slots)
     assert "a" in slots and "a\x00" in slots
     model, oracle = _models(corpus, range(1, 21), range(21, 41))
@@ -175,14 +181,29 @@ def test_random_corpora_match_oracle():
         )
 
 
-def test_index_built_once_and_reused_across_models():
+def test_slot_of_built_once_and_reused_across_models():
     corpus = _corpus([{"a", "b"}, {"b", "c"}, {"c", "d"}, {"a", "d"}, {"e"}])
     first, first_oracle = _models(corpus, [1], [3])
-    index = corpus.token_index
     second, second_oracle = _models(corpus, [2, 4], [5])
+    assert "slot_of" not in vars(corpus)  # counting needs no token -> slot map
     assert_bit_identical(
         rank_corpus(corpus, first, BAYES_LAPLACE), scalar_ranking(corpus, first_oracle, BAYES_LAPLACE)
     )
+    slot_of = vars(corpus)["slot_of"]
+    assert slot_of == {"a": 1, "b": 2, "c": 3, "d": 4, "e": 5}
     hp = Hyperparameters(3.0, 0.5)
     assert_bit_identical(rank_corpus(corpus, second, hp), scalar_ranking(corpus, second_oracle, hp))
-    assert corpus.token_index is index
+    assert vars(corpus)["slot_of"] is slot_of
+
+
+def test_slot_of_built_only_by_ranking(tmp_path):
+    syn = make_synthetic_corpus(seed=0, vocab_size=200, n_members=20, pool_size=400)
+    store_corpus(syn.corpus, syn.categories, tmp_path / "store")
+    corpus, categories = load_corpus(tmp_path / "store")
+    assert "slot_of" not in vars(corpus)
+    spec = ExperimentSpec(corpus=corpus, categories=categories, category=CATEGORY, seeds=(0, 1))
+    result = learn_priors(spec)
+    assert "slot_of" not in vars(corpus)
+    training = make_training_set(corpus, categories, CATEGORY, 0)
+    rank_corpus(corpus, training_model(corpus, training), result.hyperparameters)
+    assert "slot_of" in vars(corpus)

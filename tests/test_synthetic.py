@@ -12,11 +12,11 @@ from priorlearn.synthetic import TOKENS_PER_DOC, make_synthetic_corpus
 
 def _assert_same_corpus(syn, ref):
     assert [(d.id, d.title, d.tokens) for d in syn.corpus] == [(d.id, d.title, d.tokens) for d in ref.corpus]
-    index, expected = syn.corpus.token_index, Corpus.from_documents(list(ref.corpus)).token_index
-    assert index.vocabulary == expected.vocabulary and index.slot_of == expected.slot_of
+    corpus, expected = syn.corpus, Corpus.from_documents(list(ref.corpus))
+    assert corpus.vocabulary == expected.vocabulary and corpus.slot_of == expected.slot_of
     for name in ("doc_ids", "offsets", "slots"):
-        assert getattr(index, name).dtype == getattr(expected, name).dtype, name
-        assert np.array_equal(getattr(index, name), getattr(expected, name)), name
+        assert getattr(corpus, name).dtype == getattr(expected, name).dtype, name
+        assert np.array_equal(getattr(corpus, name), getattr(expected, name)), name
     assert syn.categories.items() == ref.categories.items()
     assert syn.truth == ref.truth
 
