@@ -7,7 +7,8 @@ corpus is built by :meth:`Corpus.from_rows` from rows of token ids: a
 MediaWiki XML export is ingested straight into such rows, with no
 per-page :class:`Document`, and one is built only when asked for. Category
 membership is kept separately in a :class:`CategoryIndex` that maps a
-category name to the ids of its *direct* members only.
+category name to the ids of its *direct* members only; the store holds it
+as rows of member ids too, one row per category in name order.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator
-from urllib.parse import quote, unquote
 
 import numpy as np
 
@@ -467,83 +467,73 @@ def _ingest_page(
 
 # --- On-disk store ------------------------------------------------------------
 
-_FORMAT_VERSION = 2
-#: The store files holding the :class:`Corpus` arrays, with their dtypes.
-_ARRAYS = {"doc_ids.npy": np.int64, "offsets.npy": np.int64, "slots.npy": np.int32}
-#: The store files of ``\n``-ended lines: each slot's token from slot 1, and each row's title.
-_LINES = ("vocabulary.txt", "titles.txt")
-
-
-def _category_file_name(name: str) -> str:
-    """The percent-encoded name plus ``.txt``, or its bounded form if too long.
-
-    A file name longer than ``NAME_MAX`` (255 bytes) becomes the first 200
-    characters of the encoding, ``+`` (which the encoding never holds) and
-    16 hex digits of the name's SHA-256; that file's first line is the
-    whole encoded name.
-    """
-    encoded = quote(name, safe="")
-    if len(encoded) + len(".txt") <= 255:
-        return encoded + ".txt"
-    import hashlib  # loads OpenSSL (~3.5 MB of RSS), so only where a name needs it
-    return f"{encoded[:200]}+{hashlib.sha256(name.encode('utf-8')).hexdigest()[:16]}.txt"
+_FORMAT_VERSION = 3
+#: The store files holding the :class:`Corpus` arrays and the category rows, with their dtypes.
+_ARRAYS = {
+    "doc_ids.npy": np.int64,
+    "offsets.npy": np.int64,
+    "slots.npy": np.int32,
+    "category_offsets.npy": np.int64,
+    "category_members.npy": np.int64,
+}
+#: The store files of ``\n``-ended lines: each slot's token from slot 1, each row's title, each category's name.
+_LINES = ("vocabulary.txt", "titles.txt", "categories.txt")
 
 
 def store_corpus(corpus: Corpus, categories: CategoryIndex, path: str | Path) -> None:
     """Write a corpus and its category index under ``path``.
 
-    Layout (format 2): ``manifest.json`` with the document count; the
+    Layout (format 3): ``manifest.json`` with the document count; the
     :class:`Corpus` arrays as ``doc_ids.npy``, ``offsets.npy`` and
     ``slots.npy``; ``vocabulary.txt`` (line ``s`` holds slot ``s``'s token)
-    and ``titles.txt`` (one line per row), each line ended by ``\\n``; and
-    one file per category listing member ids ascending, named by
-    :func:`_category_file_name`. Storing the same corpus twice yields
-    identical bytes. The manifest and category files of an earlier store
-    under ``path``, and a format-1 store's shards, are deleted first, other
-    files there are left alone, and the manifest is written last: a store
-    that fails part-way does not load. A title holding a tab or ``\\n``, or
-    a token that is empty or holds whitespace, raises :class:`CorpusFormatError`.
+    and ``titles.txt`` (one line per row); ``categories.txt``, the category
+    names ascending, one line each; and the categories' rows of member ids,
+    each ascending, as ``category_members.npy``, category ``i`` holding
+    ``category_members[category_offsets[i]:category_offsets[i + 1]]`` of
+    ``category_offsets.npy``. Every line is ended by ``\\n``. The store is
+    these nine files, however many categories there are. Storing the same
+    corpus twice yields identical bytes. The manifest of an earlier store
+    under ``path``, and a format-1 store's shards and a format-2 store's
+    category files, are deleted first (with their directories, if that
+    empties them), other files there are left alone, and the manifest is
+    written last: a store that fails part-way does not load. A title or
+    category name holding ``\\n``, or a token that is empty or holds
+    whitespace, raises :class:`CorpusFormatError`.
     """
     for doc_id, title in zip(corpus.ids(), corpus.titles):
-        if "\t" in title or "\n" in title:
-            raise CorpusFormatError(f"document {doc_id}: title contains tab or newline")
+        if "\n" in title:
+            raise CorpusFormatError(f"document {doc_id}: title contains a newline")
+    names = categories.categories()
+    for name in names:
+        if "\n" in name:
+            raise CorpusFormatError(f"category {name!r}: name contains a newline")
     for slot, token in enumerate(corpus.vocabulary, 1):
         if token.split() != [token]:
             row = corpus.row_of_slot()[np.flatnonzero(corpus.slots == slot)[0]]
             raise CorpusFormatError(f"document {corpus.doc_ids[row]}: token {token!r} is empty or has whitespace")
+    members = [sorted(categories.members(name)) for name in names]
+    category_offsets = np.zeros(len(members) + 1, dtype=np.int64)
+    np.cumsum([len(ids) for ids in members], out=category_offsets[1:])
+    category_members = np.fromiter(itertools.chain.from_iterable(members), dtype=np.int64)
 
     root = Path(path)
-    shards = root / "shards"  # a format-1 store's
-    (root / "categories").mkdir(parents=True, exist_ok=True)
+    root.mkdir(parents=True, exist_ok=True)
     (root / "manifest.json").unlink(missing_ok=True)
-    for stale in [*shards.glob("shard-*.tsv"), *(root / "categories").glob("*.txt")]:
-        stale.unlink()
-    if shards.is_dir() and not any(shards.iterdir()):
-        shards.rmdir()
+    # an earlier format's files: format 1's shards, format 2's category files
+    for directory, pattern in (("shards", "shard-*.tsv"), ("categories", "*.txt")):
+        for stale in (root / directory).glob(pattern):
+            stale.unlink()
+        if (root / directory).is_dir() and not any((root / directory).iterdir()):
+            (root / directory).rmdir()
 
-    for name, array in zip(_ARRAYS, (corpus.doc_ids, corpus.offsets, corpus.slots)):
+    arrays = (corpus.doc_ids, corpus.offsets, corpus.slots, category_offsets, category_members)
+    for name, array in zip(_ARRAYS, arrays):
         np.save(root / name, array)
-    for name, lines in zip(_LINES, (corpus.vocabulary, corpus.titles)):
+    for name, lines in zip(_LINES, (corpus.vocabulary, corpus.titles, names)):
         (root / name).write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
-
-    for name, ids in categories.items():
-        file_name = _category_file_name(name)
-        header = [quote(name, safe="") + "\n"] if "+" in file_name else []
-        text = "".join([*header, *(f"{doc_id}\n" for doc_id in sorted(ids))])
-        (root / "categories" / file_name).write_text(text, encoding="utf-8")
 
     manifest = {"format_version": _FORMAT_VERSION, "doc_count": corpus.doc_count}
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-
-
-def _parse_id(raw: str, path: Path, lineno: int) -> int:
-    try:
-        doc_id = int(raw)
-        if not -(2**63) <= doc_id < 2**63:
-            raise ValueError
-        return doc_id
-    except ValueError:
-        raise CorpusFormatError(f"corrupt category file {path} at line {lineno}: bad id {raw!r}") from None
 
 
 def _read(path: Path, parse: Callable[[IO[bytes]], Any]) -> Any:
@@ -570,8 +560,8 @@ def load_corpus(path: str | Path) -> tuple[Corpus, CategoryIndex]:
 
     Raises :class:`CorpusFormatError` naming the store file that is
     missing, does not parse or disagrees with the rest (a store of another
-    format than 2 is ingested again), and the file and line of a
-    category-file line that is not an id.
+    format than 3 is ingested again), and ``ValueError`` naming a category
+    and a member id that is not a stored document.
     """
     root = Path(path)
 
@@ -582,12 +572,12 @@ def load_corpus(path: str | Path) -> tuple[Corpus, CategoryIndex]:
     manifest = _read(root / "manifest.json", json.load)
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != _FORMAT_VERSION:
-        raise CorpusFormatError(f"{root} holds store format {version!r}, not 2: re-ingest the dump")
+        raise CorpusFormatError(f"{root} holds store format {version!r}, not {_FORMAT_VERSION}: re-ingest the dump")
     arrays = [_read(root / name, partial(np.load, allow_pickle=False)) for name in _ARRAYS]
     for (name, dtype), array in zip(_ARRAYS.items(), arrays):
         check(name, isinstance(array, np.ndarray) and array.dtype == dtype and array.ndim == 1, "wrong dtype")
-    doc_ids, offsets, slots = arrays
-    vocabulary, titles = (_read(root / name, _lines) for name in _LINES)
+    doc_ids, offsets, slots, category_offsets, category_members = arrays
+    vocabulary, titles, names = (_read(root / name, _lines) for name in _LINES)
 
     rows = {"doc_ids.npy": len(doc_ids), "offsets.npy": len(offsets) - 1, "titles.txt": len(titles)}
     for name, count in rows.items():
@@ -602,20 +592,19 @@ def load_corpus(path: str | Path) -> tuple[Corpus, CategoryIndex]:
     check("vocabulary.txt", all(a < b for a, b in zip(vocabulary, vocabulary[1:])), "tokens are not ascending")
     corpus = Corpus(tuple(titles), tuple(vocabulary), doc_ids, offsets, slots)
 
-    mapping: dict[str, list[int]] = {}
-    categories_dir = root / "categories"
-    if categories_dir.is_dir():
-        for cat_file in sorted(categories_dir.glob("*.txt")):
-            lines = cat_file.read_text(encoding="utf-8").split("\n")
-            bounded = "+" in cat_file.stem  # then the encoded name is the first line
-            name = unquote(lines[0].strip() if bounded else cat_file.stem)
-            if bounded and _category_file_name(name) != cat_file.name:
-                raise CorpusFormatError(f"corrupt category file {cat_file}: no name matches it")
-            mapping[name] = [
-                _parse_id(line, cat_file, lineno)
-                for lineno, line in enumerate(lines, 1)
-                if lineno > bounded and line and not line.isspace()
-            ]
-    categories = CategoryIndex.from_mapping(mapping)
+    check("categories.txt", all(a < b for a, b in zip(names, names[1:])), "names are not ascending and unique")
+    # an empty category is an empty row, so offsets may repeat
+    check("category_offsets.npy",
+          len(category_offsets) == len(names) + 1 and category_offsets[0] == 0
+          and category_offsets[-1] == len(category_members) and (np.diff(category_offsets) >= 0).all(),
+          "not one more entry than names, starting at 0, never decreasing and ending at the member count")
+    rising = np.diff(category_members) > 0
+    ends = category_offsets[1:-1]
+    rising[ends[(ends > 0) & (ends < len(category_members))] - 1] = True  # where one row ends and the next begins
+    check("category_members.npy", rising.all(), "a category's ids are not ascending and unique")
+    bounds, members = category_offsets.tolist(), category_members.tolist()
+    categories = CategoryIndex.from_mapping(
+        {name: members[start:end] for name, start, end in zip(names, bounds, bounds[1:])}
+    )
     categories.validate_against(corpus)
     return corpus, categories

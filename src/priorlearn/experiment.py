@@ -22,6 +22,7 @@ import re
 from array import array
 from dataclasses import dataclass, field
 from itertools import count, repeat
+from string import Formatter
 from typing import ClassVar, Mapping
 from urllib.parse import quote
 
@@ -317,10 +318,19 @@ def export_review_list(
 
     Titles from both lists are pooled, deduplicated, and sorted, so the
     page carries no trace of which model proposed which article, nor any
-    scores.
+    scores. ``link_template`` names no replacement field but ``{title}``,
+    which may take a conversion and a format spec; raises ``ValueError``
+    naming a template with any other field, in a spec too.
     """
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
+    formatter = Formatter()
+    for _, name, spec, _ in formatter.parse(link_template):
+        # {0} or {other} has no value and {title.upper} would link a method's repr;
+        # a spec may hold fields of its own, as in {title:{0}}
+        inner = [field for _, field, _, _ in formatter.parse(spec or "")]
+        if {name, *inner} - {"title", None}:
+            raise ValueError(f"link template {link_template!r} has a replacement field other than {{title}}")
     names = sorted(
         {titles[doc_id] for doc_id in a.ids[:top_n].tolist()}
         | {titles[doc_id] for doc_id in b.ids[:top_n].tolist()}

@@ -32,10 +32,6 @@ class ConfusionCounts:
         if min(self.tp, self.fp, self.tn, self.fn) < 0:
             raise ValueError("confusion counts must be nonnegative")
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 def ppv(counts: ConfusionCounts) -> float:
     """Positive predictive value tp/(tp+fp); 0 when nothing was predicted positive."""
@@ -63,9 +59,6 @@ class PpvProfile:
 
     entries: tuple[tuple[int, int, float], ...]
     """(rank, cumulative hits, cumulative ppv) triples."""
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def ppv_profile(ranked_ids: Sequence[int], truth: AbstractSet[int], K: int) -> PpvProfile:

@@ -34,6 +34,13 @@ def _write_format_1_store(root: Path) -> None:
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+def _write_format_2_store(root: Path) -> None:
+    """A store as format 2 wrote it, as far as a re-store meets it: one file per category."""
+    (root / "categories").mkdir(parents=True)
+    (root / "categories" / "X.txt").write_text("1\n")
+    (root / "manifest.json").write_text(json.dumps({"format_version": 2, "doc_count": 2}, indent=2) + "\n")
+
+
 def _child_env() -> dict:
     """Environment in which a child imports the package this test imported."""
     src = str(Path(priorlearn.__file__).parents[1])
@@ -65,12 +72,13 @@ class TestArgumentHandling:
         assert main(["ingest", str(tmp_path / "no.xml"), "--out", str(tmp_path / "s")]) == 2
 
     def test_unwritable_category_file_is_data_error(self, tmp_path, capsys):
-        # a directory where a category file goes: the store can neither remove nor write it
-        (tmp_path / "s" / "categories" / "Optimization.txt").mkdir(parents=True)
+        # a directory where the category names go: the store can neither remove nor write it
+        (tmp_path / "s" / "categories.txt").mkdir(parents=True)
         assert main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:")
-        assert "Optimization.txt" in err
+        assert "categories.txt" in err
+        assert not (tmp_path / "s" / "manifest.json").exists()
 
     @pytest.mark.parametrize(
         "body, cause",
@@ -97,17 +105,17 @@ class TestArgumentHandling:
                      "--lambda-neg", "1", "--lambda-pos", "1", "--out", str(tmp_path / "o")])
         assert code == 2
 
-    def test_bad_category_line_names_its_file_and_line(self, tmp_path, capsys):
+    def test_damaged_category_members_is_data_error_naming_the_file(self, tmp_path, capsys):
         assert main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s")]) == 0
         capsys.readouterr()
-        cat_file = tmp_path / "s" / "categories" / "Optimization.txt"
-        cat_file.write_text("1\nx\n")
+        members = tmp_path / "s" / "category_members.npy"
+        members.write_bytes(members.read_bytes()[:-8])
         code = main(["search", "--corpus", str(tmp_path / "s"), "--category", "Optimization",
                      "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:")
-        assert f"{cat_file} at line 2: bad id 'x'" in err
+        assert f"corrupt store file {members}" in err
 
     def test_non_finite_lambda_is_data_error(self, tmp_path, capsys):
         assert main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s")]) == 0
@@ -225,10 +233,21 @@ class TestStoreFormat:
     def test_format_1_store_is_data_error_asking_for_a_re_ingest(self, tmp_path, capsys):
         _write_format_1_store(tmp_path / "s")
         assert self._search(tmp_path) == 2
-        assert "store format 1, not 2: re-ingest the dump" in capsys.readouterr().err
+        assert "store format 1, not 3: re-ingest the dump" in capsys.readouterr().err
 
     def test_re_ingest_over_a_format_1_store_leaves_a_fresh_tree(self, tmp_path):
         _write_format_1_store(tmp_path / "s")
+        for out in ("s", "fresh"):
+            assert main(["ingest", str(DATA / "e2e_dump.xml"), "--out", str(tmp_path / out)]) == 0
+        assert _tree(tmp_path / "s") == _tree(tmp_path / "fresh")
+
+    def test_format_2_store_is_data_error_asking_for_a_re_ingest(self, tmp_path, capsys):
+        _write_format_2_store(tmp_path / "s")
+        assert self._search(tmp_path) == 2
+        assert "store format 2, not 3: re-ingest the dump" in capsys.readouterr().err
+
+    def test_re_ingest_over_a_format_2_store_leaves_a_fresh_tree(self, tmp_path):
+        _write_format_2_store(tmp_path / "s")
         for out in ("s", "fresh"):
             assert main(["ingest", str(DATA / "e2e_dump.xml"), "--out", str(tmp_path / out)]) == 0
         assert _tree(tmp_path / "s") == _tree(tmp_path / "fresh")
@@ -338,6 +357,18 @@ class TestEndToEndGolden:
         )
         assert code == 2
         assert "top_n must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("template", ["https://x/{0}", "https://x/{title.upper}"])
+    def test_report_rejects_a_link_template_field_other_than_title(self, run_dir, tmp_path, capsys, template):
+        code = main(
+            ["report", "--baseline", str(run_dir / "baseline" / "predictions.csv"),
+             "--study", str(run_dir / "study" / "predictions.csv"),
+             "--truth", str(DATA / "e2e_truth.txt"), "--eval-k", "5", "--link-template", template,
+             "--out", str(tmp_path / "report")]
+        )
+        assert code == 2
+        assert f"link template {template!r}" in capsys.readouterr().err
         assert not (tmp_path / "report").exists()
 
     def test_rerun_of_report_is_idempotent(self, run_dir):

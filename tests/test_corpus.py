@@ -355,7 +355,17 @@ class TestIngest:
         assert len(first_seen) < sum(len(doc.tokens) for doc in corpus)
 
 
-STORE_FILES = ["manifest.json", "doc_ids.npy", "offsets.npy", "slots.npy", "vocabulary.txt", "titles.txt"]
+STORE_FILES = [
+    "manifest.json",
+    "doc_ids.npy",
+    "offsets.npy",
+    "slots.npy",
+    "vocabulary.txt",
+    "titles.txt",
+    "categories.txt",
+    "category_offsets.npy",
+    "category_members.npy",
+]
 
 
 def _tree(root: Path) -> dict:
@@ -400,9 +410,7 @@ class TestCorpusStore:
     def test_every_doc_in_exactly_one_row(self, tmp_path):
         corpus, cats = _toy_corpus()
         store_corpus(corpus, cats, tmp_path / "s")
-        assert sorted(p.name for p in (tmp_path / "s").iterdir()) == [
-            "categories", "doc_ids.npy", "manifest.json", "offsets.npy", "slots.npy", "titles.txt", "vocabulary.txt"
-        ]
+        assert sorted(p.name for p in (tmp_path / "s").iterdir()) == sorted(STORE_FILES)
         assert np.load(tmp_path / "s" / "doc_ids.npy").tolist() == corpus.ids() == [1, 2, 7, 10]
         assert (tmp_path / "s" / "titles.txt").read_text() == "One\nTwo\nSeven & co\nTen\n"
         vocabulary = (tmp_path / "s" / "vocabulary.txt").read_text().split("\n")[:-1]
@@ -435,53 +443,68 @@ class TestCorpusStore:
             store_corpus(corpus, CategoryIndex.from_mapping({"Apples": [1]}), tmp_path / "s")
         write_text = Path.write_text
 
-        def disk_full_at_zebras(path, *args, **kwargs):
-            if path.name == "Zebras.txt":
+        def disk_full_at_categories(path, *args, **kwargs):
+            if path.name == "categories.txt":
                 raise OSError(errno.ENOSPC, "No space left on device", str(path))
             return write_text(path, *args, **kwargs)
 
-        # fails part-way: after the index, titles and the Apples file are written
-        monkeypatch.setattr(Path, "write_text", disk_full_at_zebras)
+        # fails part-way: after the arrays, the category rows and the titles are written
+        monkeypatch.setattr(Path, "write_text", disk_full_at_categories)
         with pytest.raises(OSError):
             store_corpus(corpus, CategoryIndex.from_mapping({"Apples": [1], "Zebras": [1]}), tmp_path / "s")
-        assert (tmp_path / "s" / "categories" / "Apples.txt").is_file()
+        assert np.load(tmp_path / "s" / "category_members.npy").tolist() == [1, 1]
+        assert (tmp_path / "s" / "titles.txt").is_file()
         with pytest.raises(CorpusFormatError, match="missing manifest"):
             load_corpus(tmp_path / "s")
 
     def test_titles_with_other_line_breaks_round_trip(self, tmp_path):
-        # str.splitlines breaks a line at each of these; a line of titles.txt ends at "\n" only
-        breaks = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r\x85"]
+        # str.splitlines breaks a line at each of these; a line of titles.txt or categories.txt ends at "\n" only
+        breaks = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r\x85", "\t"]
         docs = [Document(i, f"{brk}a{brk}b{brk}", frozenset({"alpha"})) for i, brk in enumerate(breaks, 1)]
-        store_corpus(Corpus.from_documents(docs), CategoryIndex.from_mapping({"C": [1]}), tmp_path / "s")
-        loaded, _ = load_corpus(tmp_path / "s")
+        cats = CategoryIndex.from_mapping({f"{brk}C{brk}": [i] for i, brk in enumerate(breaks, 1)})
+        store_corpus(Corpus.from_documents(docs), cats, tmp_path / "s")
+        loaded, loaded_cats = load_corpus(tmp_path / "s")
         assert [loaded.get(doc.id) for doc in docs] == docs
+        assert loaded_cats.items() == cats.items()
 
-    def test_long_category_names_get_bounded_file_names(self, tmp_path):
+    def test_store_refuses_a_newline_in_a_title_or_category_name(self, tmp_path):
+        docs = [Document(1, "One", frozenset({"alpha"})), Document(2, "T\nwo", frozenset({"beta"}))]
+        with pytest.raises(CorpusFormatError, match="document 2: title contains a newline"):
+            store_corpus(Corpus.from_documents(docs), CategoryIndex.from_mapping({}), tmp_path / "s")
+        cats = CategoryIndex.from_mapping({"Fine": [1], "Bro\nken": [1]})
+        with pytest.raises(CorpusFormatError, match=re.escape("category 'Bro\\nken': name contains a newline")):
+            store_corpus(Corpus.from_documents(docs[:1]), cats, tmp_path / "s")
+        assert not (tmp_path / "s" / "manifest.json").exists()
+
+    def test_long_category_names_round_trip_in_the_same_nine_files(self, tmp_path):
         cjk = "".join(map(chr, range(0x4E00, 0x4E00 + 30)))
-        # the two euro names share the kept 200-character prefix of their encodings
+        # longer than a file name may be once percent-encoded, and sharing long prefixes
         names = {"Short": [1], cjk: [1], "\u20ac" * 84: [1], "\u20ac" * 84 + "x": [1], "x" * 251: [1], "x" * 252: [1]}
         doc = Document(1, "One", frozenset({"alpha"}))
         store_corpus(Corpus.from_documents([doc]), CategoryIndex.from_mapping(names), tmp_path / "s")
-        files = sorted((tmp_path / "s" / "categories").iterdir())
-        assert len(files) == len(names)
-        assert max(len(path.name.encode()) for path in files) <= 255
-        assert {"Short.txt", "x" * 251 + ".txt"} <= {path.name for path in files}
         _, cats = load_corpus(tmp_path / "s")
         assert cats.items() == CategoryIndex.from_mapping(names).items()
-        bounded = next(path for path in files if "+" in path.name)
-        header = bounded.read_text().split("\n")[0]
-        bounded.write_text(f"{header}\n1\nx\n")  # the header is line 1
-        with pytest.raises(CorpusFormatError, match=re.escape(f"{bounded.name} at line 3: bad id 'x'")):
-            load_corpus(tmp_path / "s")
-        bounded.write_text("Other\n1\n")
-        with pytest.raises(CorpusFormatError, match="corrupt category file"):
-            load_corpus(tmp_path / "s")
+        assert sorted(p.name for p in (tmp_path / "s").iterdir()) == sorted(STORE_FILES)
+        assert all(p.is_file() for p in (tmp_path / "s").iterdir())
 
-    def test_category_files_sorted_and_quoted(self, tmp_path):
+    def test_categories_stored_as_sorted_names_and_member_rows(self, tmp_path):
         corpus, cats = _toy_corpus()
         store_corpus(corpus, cats, tmp_path / "s")
-        cat_file = tmp_path / "s" / "categories" / "Fancy%2FCategory%20Name.txt"
-        assert cat_file.read_text() == "1\n10\n"
+        assert (tmp_path / "s" / "categories.txt").read_text() == "Fancy/Category Name\nOther\n"
+        assert np.load(tmp_path / "s" / "category_offsets.npy").tolist() == [0, 2, 3]
+        assert np.load(tmp_path / "s" / "category_members.npy").tolist() == [1, 10, 2]
+
+    def test_empty_category_round_trips(self, tmp_path):
+        corpus, _ = _toy_corpus()
+        # empty rows first, between two rows whose ids fall and last
+        cats = CategoryIndex.from_mapping({"Empty": [], "Full": [10, 1], "Middle": [], "Then": [2], "Zero": []})
+        store_corpus(corpus, cats, tmp_path / "s")
+        assert np.load(tmp_path / "s" / "category_offsets.npy").tolist() == [0, 0, 2, 2, 3, 3]
+        _, loaded_cats = load_corpus(tmp_path / "s")
+        assert loaded_cats.items() == cats.items()
+        store_corpus(corpus, CategoryIndex.from_mapping({}), tmp_path / "none")
+        _, loaded_cats = load_corpus(tmp_path / "none")
+        assert loaded_cats.items() == []
 
     @pytest.mark.parametrize("name", STORE_FILES)
     def test_missing_store_file_named_in_error(self, tmp_path, name):
@@ -502,6 +525,11 @@ class TestCorpusStore:
             pytest.param("manifest.json", lambda path: path.write_text("{not json"), id="manifest"),
             pytest.param("titles.txt", lambda path: path.write_bytes(b"One\nTwo\n\xff\nTen\n"), id="not-utf-8"),
             pytest.param("titles.txt", lambda path: path.write_text("One\nTwo\nSeven & co\nTen"), id="no-newline"),
+            pytest.param("categories.txt", lambda path: path.write_bytes(b"Other\n\xff\n"), id="names-not-utf-8"),
+            pytest.param("category_offsets.npy", lambda path: np.save(path, np.zeros(3)), id="float-offsets"),
+            pytest.param(
+                "category_members.npy", lambda path: path.write_bytes(path.read_bytes()[:-8]), id="truncated-members"
+            ),
         ],
     )
     def test_store_file_that_does_not_parse_is_named(self, tmp_path, name, damage):
@@ -530,13 +558,40 @@ class TestCorpusStore:
     def test_ids_ascend_and_are_unique(self, tmp_path, ids):
         self._check_rejects(tmp_path, "doc_ids.npy", np.array(ids, dtype=np.int64), "ascending and unique")
 
+    # the toy store's categories hold [1, 10] and [2]: offsets [0, 2, 3]
+    @pytest.mark.parametrize(
+        "offsets",
+        [
+            pytest.param([1, 2, 3], id="start"),
+            pytest.param([0, 4, 3], id="down"),
+            pytest.param([0, 2, 2], id="end"),
+            pytest.param([0, 1, 2, 3], id="too-long"),
+            pytest.param([0, 3], id="too-short"),
+        ],
+    )
+    def test_category_offsets_start_at_zero_never_decrease_and_end_at_the_member_count(self, tmp_path, offsets):
+        array = np.array(offsets, dtype=np.int64)
+        self._check_rejects(tmp_path, "category_offsets.npy", array, "ending at the member count")
+
+    @pytest.mark.parametrize("members", [[10, 1, 2], [1, 1, 2]])
+    def test_each_category_row_ascends_and_is_unique(self, tmp_path, members):
+        self._check_rejects(tmp_path, "category_members.npy", np.array(members, dtype=np.int64), "ascending and unique")
+
+    @pytest.mark.parametrize("names", ["Other\nFancy/Category Name\n", "Other\nOther\n"])
+    def test_category_names_ascend_and_are_unique(self, tmp_path, names):
+        corpus, cats = _toy_corpus()
+        store_corpus(corpus, cats, tmp_path / "s")
+        (tmp_path / "s" / "categories.txt").write_text(names)
+        with pytest.raises(CorpusFormatError, match="categories.txt: names are not ascending and unique"):
+            load_corpus(tmp_path / "s")
+
     @pytest.mark.parametrize(
         "name, damage",
         [
             ("titles.txt", lambda path: path.write_text("One\nTwo\nSeven & co\n")),
             ("doc_ids.npy", lambda path: np.save(path, np.array([1, 2, 7, 10, 11], dtype=np.int64))),
             ("offsets.npy", lambda path: np.save(path, np.array([0, 3, 6, 12], dtype=np.int64))),
-            ("doc_ids.npy", lambda path: path.with_name("manifest.json").write_text('{"format_version": 2, "doc_count": 5}')),
+            ("doc_ids.npy", lambda path: path.with_name("manifest.json").write_text('{"format_version": 3, "doc_count": 5}')),
         ],
     )
     def test_row_counts_agree_with_each_other_and_the_manifest(self, tmp_path, name, damage):
@@ -561,12 +616,12 @@ class TestCorpusStore:
         with pytest.raises(CorpusFormatError, match=f"corrupt store file .*{re.escape(name)}: .*{problem}"):
             load_corpus(tmp_path / "s")
 
-    @pytest.mark.parametrize("version", [1, 3, "2", None])
+    @pytest.mark.parametrize("version", [1, 2, 4, "3", None])
     def test_other_format_versions_ask_for_a_re_ingest(self, tmp_path, version):
         corpus, cats = _toy_corpus()
         store_corpus(corpus, cats, tmp_path / "s")
         (tmp_path / "s" / "manifest.json").write_text(json.dumps({"format_version": version, "doc_count": 4}))
-        with pytest.raises(CorpusFormatError, match=f"store format {re.escape(repr(version))}, not 2: re-ingest"):
+        with pytest.raises(CorpusFormatError, match=f"store format {re.escape(repr(version))}, not 3: re-ingest"):
             load_corpus(tmp_path / "s")
 
     @pytest.mark.parametrize("token", ["", "a b", "a\nb", "tab\t", "\u2028"])
@@ -579,9 +634,8 @@ class TestCorpusStore:
     def test_category_ids_validated_on_load(self, tmp_path):
         corpus, cats = _toy_corpus()
         store_corpus(corpus, cats, tmp_path / "s")
-        bogus = tmp_path / "s" / "categories" / "Bogus.txt"
-        bogus.write_text("999\n")
-        with pytest.raises(ValueError, match="999"):
+        np.save(tmp_path / "s" / "category_members.npy", np.array([1, 999, 2], dtype=np.int64))
+        with pytest.raises(ValueError, match="category 'Fancy/Category Name' references unknown document id 999$"):
             load_corpus(tmp_path / "s")
 
     def test_ingested_fixture_round_trips(self, tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -284,6 +286,14 @@ class TestReviewList:
         ranked = self._ranked([0])
         html = export_review_list(ranked, ranked, titles, top_n=1, link_template="https://x/{title}")
         assert 'href="https://x/Hill_climbing"' in html
+        html = export_review_list(ranked, ranked, titles, top_n=1, link_template="{{x}}/{title!s:>15}")
+        assert 'href="{x}/  Hill_climbing"' in html
+
+    @pytest.mark.parametrize("template", ["{0}", "{}", "{title.upper}", "{title[0]}", "{other}", "{title:{0}}"])
+    def test_link_template_names_no_field_but_title(self, template):
+        ranked = self._ranked([0])
+        with pytest.raises(ValueError, match=re.escape(f"link template 'https://x/{template}'")):
+            export_review_list(ranked, ranked, {0: "Hill climbing"}, top_n=1, link_template=f"https://x/{template}")
 
 
 def _columns(rows):
