@@ -6,13 +6,14 @@ disk: titles, vocabulary, ids and compressed rows of token slots. Every
 corpus is built by :meth:`Corpus.from_rows` from rows of token ids: a
 MediaWiki XML export is ingested straight into such rows, with no
 per-page :class:`Document`, and one is built only when asked for. Category
-membership is kept separately in a :class:`CategoryIndex` that maps a
-category name to the ids of its *direct* members only; the store holds it
-as rows of member ids too, one row per category in name order.
+membership is kept separately in a :class:`CategoryIndex` of the ids of
+each category's *direct* members only. It too is the columns its store
+holds: the names ascending, and one row of member ids per name.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import re
@@ -24,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator
+from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -97,6 +98,12 @@ class _PieceIds(dict):
         return ids
 
 
+def _index(ordered: Sequence[Any], item: Any) -> int:
+    """The position of ``item`` in the ascending ``ordered``, or -1 if it is absent."""
+    i = bisect.bisect_left(ordered, item)
+    return i if i < len(ordered) and ordered[i] == item else -1
+
+
 def tokenize(text: str) -> frozenset[str]:
     """Split ``text`` into its set of normalized tokens.
 
@@ -159,14 +166,14 @@ class Corpus:
         if repeated.size:
             raise ValueError(f"duplicate document id {repeated[0]}")
         token_order = sorted(range(len(tokens)), key=tokens.__getitem__)
-        slot_of_id = np.empty(len(tokens), dtype=np.int64)
-        slot_of_id[token_order] = np.arange(1, len(tokens) + 1)
+        slot_by_id = np.empty(len(tokens), dtype=np.int64)
+        slot_by_id[token_order] = np.arange(1, len(tokens) + 1)
         width = len(tokens) + 1
         row_of = np.empty_like(order)
         row_of[order] = np.arange(len(order))
         # one sort of row * width + slot puts each row's prior slot first,
         # then its token slots ascending
-        keys = np.concatenate((np.arange(len(order)) * width, slot_of_id[ids]))
+        keys = np.concatenate((np.arange(len(order)) * width, slot_by_id[ids]))
         keys[len(order):] += np.repeat(row_of * width, lengths)
         keys.sort()
         offsets = np.zeros(len(order) + 1, dtype=np.int64)
@@ -196,25 +203,24 @@ class Corpus:
         return len(self.titles)
 
     def __contains__(self, doc_id: int) -> bool:
-        return self._row(doc_id) is not None
+        return _index(self.doc_ids, doc_id) >= 0
 
     def __iter__(self) -> Iterator[Document]:
         """Iterate documents in ascending id order."""
         return iter(self._documents)
 
     def get(self, doc_id: int) -> Document:
-        row = self._row(doc_id)
-        if row is None:
+        row = _index(self.doc_ids, doc_id)
+        if row < 0:
             raise KeyError(f"no document with id {doc_id}")
         return self._document(row)
 
     def ids(self) -> list[int]:
         return self.doc_ids.tolist()
 
-    @cached_property
-    def slot_of(self) -> dict[str, int]:
-        """Each token's slot, built when first asked for: ranking maps a model's features by it."""
-        return dict(zip(self.vocabulary, range(1, len(self.vocabulary) + 1)))
+    def slot(self, token: str) -> int:
+        """The slot of ``token``, or 0 if no document holds it."""
+        return _index(self.vocabulary, token) + 1
 
     def row_of_slot(self) -> np.ndarray:
         """The row each entry of ``slots`` belongs to."""
@@ -244,10 +250,6 @@ class Corpus:
         # kept: a caller may iterate the corpus once per use of it
         return tuple(map(self._document, range(self.doc_count)))
 
-    def _row(self, doc_id: int) -> int | None:
-        row = int(np.searchsorted(self.doc_ids, doc_id))
-        return row if row < len(self.doc_ids) and self.doc_ids[row] == doc_id else None
-
     def _document(self, row: int) -> Document:
         slots = self.slots[self.offsets[row] + 1 : self.offsets[row + 1]].tolist()
         # from a set: a frozenset built from a list can size its hash table larger
@@ -255,47 +257,55 @@ class Corpus:
         return Document(id=int(self.doc_ids[row]), title=self.titles[row], tokens=tokens)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CategoryIndex:
-    """Category name -> ids of documents tagged with it directly.
+    """Category name -> ids of documents tagged with it directly, as the store's columns.
 
+    Category ``i`` is ``names[i]``, names ascending, and its member ids are
+    ``member_ids[offsets[i]:offsets[i + 1]]``, ascending and unique; :meth:`members` gives them as a set.
     Membership through subcategories is deliberately *not* folded in;
     subcategory trees are too unreliable to trust for training data.
     """
 
-    _members: dict[str, frozenset[int]] = field(repr=False)
+    names: tuple[str, ...] = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
+    member_ids: np.ndarray = field(repr=False)
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, Iterable[int]]) -> "CategoryIndex":
-        return cls(_members={name: frozenset(ids) for name, ids in mapping.items()})
+        names = tuple(sorted(mapping))
+        rows = [sorted(set(mapping[name])) for name in names]
+        offsets = np.cumsum([0, *map(len, rows)], dtype=np.int64)
+        return cls(names, offsets, np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=offsets[-1]))
 
     def categories(self) -> list[str]:
-        return sorted(self._members)
+        return list(self.names)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._members
+        return _index(self.names, name) >= 0
 
     def members(self, name: str) -> frozenset[int]:
-        try:
-            return self._members[name]
-        except KeyError:
-            raise KeyError(f"unknown category {name!r}") from None
+        i = _index(self.names, name)
+        if i < 0:
+            raise KeyError(f"unknown category {name!r}")
+        return frozenset(self.member_ids[self.offsets[i] : self.offsets[i + 1]].tolist())
 
     def items(self) -> list[tuple[str, frozenset[int]]]:
-        return [(name, self._members[name]) for name in sorted(self._members)]
+        return [(name, self.members(name)) for name in self.names]
 
     def validate_against(self, corpus: Corpus) -> None:
         """Check that every referenced id resolves to a stored document."""
-        ids = np.fromiter(itertools.chain.from_iterable(self._members.values()), dtype=np.int64)
-        unknown = ids[~np.isin(ids, corpus.doc_ids)]
+        unknown = np.flatnonzero(~np.isin(self.member_ids, corpus.doc_ids))
         if unknown.size:
-            name = next(name for name, members in self._members.items() if unknown[0] in members)
-            raise ValueError(f"category {name!r} references unknown document id {unknown[0]}")
+            # the last row starting at or before the entry: an empty row starts where the next does
+            name = self.names[np.searchsorted(self.offsets, unknown[0], side="right") - 1]
+            raise ValueError(f"category {name!r} references unknown document id {self.member_ids[unknown[0]]}")
 
 
 # --- MediaWiki dump ingestion ------------------------------------------------
 
-_CATEGORY_RE = re.compile(r"\[\[\s*Category\s*:\s*([^\]|#]+)", re.IGNORECASE)
+#: A category link: its name, then the rest of the link on its line through its closing ``]]``, if any.
+_CATEGORY_RE = re.compile(r"\[\[\s*Category\s*:\s*([^\]|#]+)[^\[\]\n]*(?:\]\])?", re.IGNORECASE)
 _HEADING_RE = re.compile(r"^\s*=+\s*(.*?)\s*=+\s*$")
 _REDIRECT_RE = re.compile(r"^\s*#REDIRECT", re.IGNORECASE)
 _DISAMBIG_RE = re.compile(r"\{\{\s*(disambiguation|disambig|dab)\s*[|}]", re.IGNORECASE)
@@ -306,8 +316,8 @@ def _local_name(tag: str) -> str:
 
 
 def _children(elem: ET.Element) -> dict[str, ET.Element]:
-    """The direct children of ``elem`` by local name, the first of each name."""
-    return {_local_name(child.tag): child for child in reversed(elem)}
+    """The direct children of ``elem`` by local name, the last of each: revisions are listed oldest first."""
+    return {_local_name(child.tag): child for child in elem}
 
 
 def _page_text(page: dict[str, ET.Element]) -> str:
@@ -371,15 +381,15 @@ def ingest_wiki_dump(
 ) -> tuple[Corpus, CategoryIndex]:
     """Ingest a MediaWiki pages XML export into a corpus and category index.
 
-    Only article pages (namespace 0) are kept; redirects and pages
-    carrying a disambiguation template are skipped. Category links are
-    extracted from the full wikitext, then the body is truncated at its
-    "References" heading and tokenized as by :func:`tokenize`, each distinct
-    whitespace piece of the dump once. Articles whose retained body is
-    shorter than ``min_bytes`` (UTF-8 bytes, measured after truncation)
-    are excluded. Each page is dropped once processed, and only its id,
-    title and token ids are kept, as one row of the corpus; no
-    :class:`Document` is built.
+    Only article pages (namespace 0) are kept, each at its last revision;
+    redirects and pages carrying a disambiguation template are skipped.
+    Category links are extracted from the full wikitext; the body is cut at
+    its "References" heading, cleared of the category links left in it and
+    tokenized as by :func:`tokenize`, each distinct whitespace piece of the
+    dump once. Articles whose body, so cut and cleared, is shorter than
+    ``min_bytes`` (UTF-8 bytes) are excluded. Each page is dropped once
+    processed, and only its id, title and token ids are kept, as one row
+    of the corpus; no :class:`Document` is built.
 
     ``skipped``, when given, is filled with per-reason skip counts
     (``namespace:N``, ``redirect``, ``disambiguation``,
@@ -455,7 +465,7 @@ def _ingest_page(
         raise IngestError(f"page {title!r}: id {id_elem.text!r} is not a 64-bit integer") from None
 
     page_categories = extract_categories(text)
-    body = truncate_at_references(text)
+    body = _CATEGORY_RE.sub("", truncate_at_references(text))  # a category link would leak the label
     if len(body.encode("utf-8")) < min_bytes:
         skipped["below_min_bytes"] += 1
         return
@@ -503,18 +513,13 @@ def store_corpus(corpus: Corpus, categories: CategoryIndex, path: str | Path) ->
     for doc_id, title in zip(corpus.ids(), corpus.titles):
         if "\n" in title:
             raise CorpusFormatError(f"document {doc_id}: title contains a newline")
-    names = categories.categories()
-    for name in names:
+    for name in categories.names:
         if "\n" in name:
             raise CorpusFormatError(f"category {name!r}: name contains a newline")
     for slot, token in enumerate(corpus.vocabulary, 1):
         if token.split() != [token]:
             row = corpus.row_of_slot()[np.flatnonzero(corpus.slots == slot)[0]]
             raise CorpusFormatError(f"document {corpus.doc_ids[row]}: token {token!r} is empty or has whitespace")
-    members = [sorted(categories.members(name)) for name in names]
-    category_offsets = np.zeros(len(members) + 1, dtype=np.int64)
-    np.cumsum([len(ids) for ids in members], out=category_offsets[1:])
-    category_members = np.fromiter(itertools.chain.from_iterable(members), dtype=np.int64)
 
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
@@ -526,10 +531,10 @@ def store_corpus(corpus: Corpus, categories: CategoryIndex, path: str | Path) ->
         if (root / directory).is_dir() and not any((root / directory).iterdir()):
             (root / directory).rmdir()
 
-    arrays = (corpus.doc_ids, corpus.offsets, corpus.slots, category_offsets, category_members)
+    arrays = (corpus.doc_ids, corpus.offsets, corpus.slots, categories.offsets, categories.member_ids)
     for name, array in zip(_ARRAYS, arrays):
         np.save(root / name, array)
-    for name, lines in zip(_LINES, (corpus.vocabulary, corpus.titles, names)):
+    for name, lines in zip(_LINES, (corpus.vocabulary, corpus.titles, categories.names)):
         (root / name).write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
 
     manifest = {"format_version": _FORMAT_VERSION, "doc_count": corpus.doc_count}
@@ -602,9 +607,6 @@ def load_corpus(path: str | Path) -> tuple[Corpus, CategoryIndex]:
     ends = category_offsets[1:-1]
     rising[ends[(ends > 0) & (ends < len(category_members))] - 1] = True  # where one row ends and the next begins
     check("category_members.npy", rising.all(), "a category's ids are not ascending and unique")
-    bounds, members = category_offsets.tolist(), category_members.tolist()
-    categories = CategoryIndex.from_mapping(
-        {name: members[start:end] for name, start, end in zip(names, bounds, bounds[1:])}
-    )
+    categories = CategoryIndex(tuple(names), category_offsets, category_members)
     categories.validate_against(corpus)
     return corpus, categories

@@ -21,7 +21,7 @@ import math
 import re
 from array import array
 from dataclasses import dataclass, field
-from itertools import count, repeat
+from itertools import count
 from string import Formatter
 from typing import ClassVar, Mapping
 from urllib.parse import quote
@@ -186,9 +186,7 @@ def _log_weights(positive: bool, model: CountModel, hp: Hyperparameters, corpus:
     holds ``0.0``.
     """
     weights = np.zeros(len(corpus.vocabulary) + 1)
-    slots = np.fromiter(
-        map(corpus.slot_of.get, model.features, repeat(0)), dtype=np.int64, count=len(model.features)
-    )
+    slots = np.fromiter(map(corpus.slot, model.features), dtype=np.int64, count=len(model.features))
     found = slots > 0
     weights[slots[found]] = list(map(math.log, cond_probs(positive, model, hp)[found].tolist()))
     weights[0] = math.log(class_prior(positive, model, hp))

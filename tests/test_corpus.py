@@ -206,6 +206,33 @@ class TestIngest:
         assert corpus.get(7).tokens == {"alpha", "beta", "gamma", "delta"}
         assert cats.members("Hidden gems") == {7}
 
+    def test_category_links_left_in_the_body_are_not_tokenized(self):
+        # one link above the references heading, one on a page with no such heading
+        pages = _wrap_pages(
+            _page(1, "Above", LONG_BODY + "[[Category:Zebra stripes]]\n== References ==\nrefs"),
+            _page(2, "Headless", LONG_BODY + "\n[[Category:Okapi_herds|sort key]] "),
+        )
+        corpus, cats = ingest_wiki_dump(pages)
+        assert corpus.get(1).tokens == corpus.get(2).tokens == {"alpha", "beta", "gamma", "delta"}
+        assert cats.items() == [("Okapi herds", frozenset({2})), ("Zebra stripes", frozenset({1}))]
+
+    def test_min_bytes_measured_after_link_removal(self):
+        body = "kept words here [[Category:" + "Long name " * 50 + "]]"
+        skipped = Counter()
+        corpus, cats = ingest_wiki_dump(_wrap_pages(_page(1, "T", body)), skipped=skipped)
+        assert corpus.doc_count == 0 and cats.items() == [] and skipped["below_min_bytes"] == 1
+
+    def test_the_last_revision_is_read(self):
+        # a history export lists a page's revisions oldest first
+        revisions = "".join(
+            f"<revision><id>{rid}</id><text>{LONG_BODY}{word} [[Category:{name}]]</text></revision>"
+            for rid, word, name in ((1, "stale", "Old"), (2, "fresh", "New"))
+        )
+        pages = _wrap_pages(f"<page><title>T</title><ns>0</ns><id>5</id>{revisions}</page>")
+        corpus, cats = ingest_wiki_dump(pages)
+        assert corpus.get(5).tokens == {"alpha", "beta", "gamma", "delta", "fresh"}
+        assert cats.items() == [("New", frozenset({5}))]
+
     def test_category_pointing_at_dropped_page_is_pruned(self):
         pages = _wrap_pages(
             _page(1, "Kept", LONG_BODY + " [[Category:Mixed]]"),
@@ -291,7 +318,7 @@ class TestIngest:
             for pid in sorted(texts)
         ]
         expected = Corpus.from_documents(documents)
-        assert corpus.vocabulary == expected.vocabulary and corpus.slot_of == expected.slot_of
+        assert corpus.vocabulary == expected.vocabulary
         for name in ("doc_ids", "offsets", "slots"):
             assert getattr(corpus, name).dtype == getattr(expected, name).dtype, name
             assert np.array_equal(getattr(corpus, name), getattr(expected, name)), name
@@ -493,6 +520,11 @@ class TestCorpusStore:
         assert (tmp_path / "s" / "categories.txt").read_text() == "Fancy/Category Name\nOther\n"
         assert np.load(tmp_path / "s" / "category_offsets.npy").tolist() == [0, 2, 3]
         assert np.load(tmp_path / "s" / "category_members.npy").tolist() == [1, 10, 2]
+        _, loaded_cats = load_corpus(tmp_path / "s")
+        columns = {"category_offsets.npy": loaded_cats.offsets, "category_members.npy": loaded_cats.member_ids}
+        for name, column in columns.items():
+            stored = np.load(tmp_path / "s" / name)
+            assert column.dtype == stored.dtype and np.array_equal(column, stored), name
 
     def test_empty_category_round_trips(self, tmp_path):
         corpus, _ = _toy_corpus()
@@ -685,7 +717,8 @@ class TestCorpusValidation:
 
     def test_unknown_id_is_named_with_its_category(self):
         corpus, _ = _toy_corpus()
-        bad = CategoryIndex.from_mapping({"A": [1, 2], "B": [7, 42, 10], "C": [10]})
+        # 42 is the first entry of B's row, which starts where the empty row before it does
+        bad = CategoryIndex.from_mapping({"A": [1, 2], "Aside": [], "B": [99, 42], "C": [10]})
         with pytest.raises(ValueError, match="category 'B' references unknown document id 42$"):
             bad.validate_against(corpus)
 

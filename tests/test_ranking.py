@@ -89,13 +89,14 @@ def test_log_weights_are_math_log_of_the_oracle_ratios():
     vocab = [f"t{i:02d}" for i in range(30)]
     corpus = _corpus([_draw(rng, vocab, int(rng.integers(1, 25))) for _ in range(50)])
     model, oracle = _models(corpus, range(1, 21), range(21, 51))
+    slot = {token: s for s, token in enumerate(corpus.vocabulary, 1)}
     for lam_neg, lam_pos in zip(DEFAULT_GRID.values, reversed(DEFAULT_GRID.values)):
         hp = Hyperparameters(lam_neg, lam_pos)
         for positive in (True, False):
-            expected = np.zeros(len(corpus.slot_of) + 1)
+            expected = np.zeros(len(corpus.vocabulary) + 1)
             expected[0] = math.log(class_prior(positive, oracle, hp))
             for token in oracle.features:
-                expected[corpus.slot_of[token]] = math.log(cond_prob(token, positive, oracle, hp))
+                expected[slot[token]] = math.log(cond_prob(token, positive, oracle, hp))
             assert np.array_equal(_log_weights(positive, model, hp, corpus), expected), (hp, positive)
 
 
@@ -124,12 +125,18 @@ def test_exclusions_covering_everything_and_absent_ids():
 
 
 def test_model_from_another_corpus():
-    training = _corpus([{"only", "here", "a"}, {"a", "b"}, {"b", "elsewhere"}], first_id=500)
-    model, oracle = _models(training, [500, 501], [502])
-    corpus = _corpus([{"a"}, {"b", "c"}, {"c", "d"}, {"a", "b", "z"}])
-    assert not {"only", "here"} & set(corpus.slot_of)
-    for hp in PRIORS:
-        assert_bit_identical(rank_corpus(corpus, model, hp), scalar_ranking(corpus, oracle, hp))
+    cases = [
+        ([{"only", "here", "a"}, {"a", "b"}, {"b", "elsewhere"}], [{"a"}, {"b", "c"}, {"c", "d"}, {"a", "b", "z"}]),
+        # a feature after every corpus token, and one that is a proper prefix of a corpus token
+        ([{"zzz", "ca", "a"}, {"a", "b"}, {"b", "elsewhere"}], [{"a"}, {"b", "cat"}, {"cat", "d"}, {"a", "b", "z"}]),
+    ]
+    for training_sets, token_sets in cases:
+        training = _corpus(training_sets, first_id=500)
+        model, oracle = _models(training, [500, 501], [502])
+        corpus = _corpus(token_sets)
+        assert len(set(model.features) - set(corpus.vocabulary)) == 2
+        for hp in PRIORS:
+            assert_bit_identical(rank_corpus(corpus, model, hp), scalar_ranking(corpus, oracle, hp))
 
 
 def test_exact_ties_rank_by_ascending_id():
@@ -156,9 +163,8 @@ def test_non_ascii_tokens_follow_str_order():
     rng = np.random.default_rng(11)
     token_sets = [_draw(rng, vocab, int(rng.integers(1, 8))) for _ in range(60)]
     corpus = _corpus(token_sets)
-    slots = corpus.slot_of
-    assert list(slots) == sorted(slots)
-    assert "a" in slots and "a\x00" in slots
+    assert list(corpus.vocabulary) == sorted(corpus.vocabulary)
+    assert "a" in corpus.vocabulary and "a\x00" in corpus.vocabulary
     model, oracle = _models(corpus, range(1, 21), range(21, 41))
     for hp in PRIORS:
         assert_bit_identical(rank_corpus(corpus, model, hp), scalar_ranking(corpus, oracle, hp))
@@ -181,29 +187,17 @@ def test_random_corpora_match_oracle():
         )
 
 
-def test_slot_of_built_once_and_reused_across_models():
-    corpus = _corpus([{"a", "b"}, {"b", "c"}, {"c", "d"}, {"a", "d"}, {"e"}])
-    first, first_oracle = _models(corpus, [1], [3])
-    second, second_oracle = _models(corpus, [2, 4], [5])
-    assert "slot_of" not in vars(corpus)  # counting needs no token -> slot map
-    assert_bit_identical(
-        rank_corpus(corpus, first, BAYES_LAPLACE), scalar_ranking(corpus, first_oracle, BAYES_LAPLACE)
-    )
-    slot_of = vars(corpus)["slot_of"]
-    assert slot_of == {"a": 1, "b": 2, "c": 3, "d": 4, "e": 5}
-    hp = Hyperparameters(3.0, 0.5)
-    assert_bit_identical(rank_corpus(corpus, second, hp), scalar_ranking(corpus, second_oracle, hp))
-    assert vars(corpus)["slot_of"] is slot_of
-
-
-def test_slot_of_built_only_by_ranking(tmp_path):
+def test_ranking_keeps_only_the_columns_on_a_loaded_corpus(tmp_path):
     syn = make_synthetic_corpus(seed=0, vocab_size=200, n_members=20, pool_size=400)
     store_corpus(syn.corpus, syn.categories, tmp_path / "store")
     corpus, categories = load_corpus(tmp_path / "store")
-    assert "slot_of" not in vars(corpus)
     spec = ExperimentSpec(corpus=corpus, categories=categories, category=CATEGORY, seeds=(0, 1))
-    result = learn_priors(spec)
-    assert "slot_of" not in vars(corpus)
-    training = make_training_set(corpus, categories, CATEGORY, 0)
-    rank_corpus(corpus, training_model(corpus, training), result.hyperparameters)
-    assert "slot_of" in vars(corpus)
+    hp = learn_priors(spec).hyperparameters
+    trainings = [make_training_set(corpus, categories, CATEGORY, seed) for seed in (0, 1)]
+    rankings = [rank_corpus(corpus, training_model(corpus, training), hp) for training in trainings]
+    assert set(vars(corpus)) == {"titles", "vocabulary", "doc_ids", "offsets", "slots"}
+    for training, ranked in zip(trainings, rankings):
+        oracle = dict_model(
+            [corpus.get(i) for i in training.positive_ids], [corpus.get(i) for i in training.negative_ids]
+        )
+        assert_bit_identical(ranked, scalar_ranking(corpus, oracle, hp))

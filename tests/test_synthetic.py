@@ -13,7 +13,7 @@ from priorlearn.synthetic import TOKENS_PER_DOC, make_synthetic_corpus
 def _assert_same_corpus(syn, ref):
     assert [(d.id, d.title, d.tokens) for d in syn.corpus] == [(d.id, d.title, d.tokens) for d in ref.corpus]
     corpus, expected = syn.corpus, Corpus.from_documents(list(ref.corpus))
-    assert corpus.vocabulary == expected.vocabulary and corpus.slot_of == expected.slot_of
+    assert corpus.vocabulary == expected.vocabulary
     for name in ("doc_ids", "offsets", "slots"):
         assert getattr(corpus, name).dtype == getattr(expected, name).dtype, name
         assert np.array_equal(getattr(corpus, name), getattr(expected, name)), name
