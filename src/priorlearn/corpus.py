@@ -284,11 +284,15 @@ class CategoryIndex:
     def __contains__(self, name: str) -> bool:
         return _index(self.names, name) >= 0
 
-    def members(self, name: str) -> frozenset[int]:
+    def row(self, name: str) -> np.ndarray:
+        """The member ids of ``name``, ascending: its slice of ``member_ids``."""
         i = _index(self.names, name)
         if i < 0:
             raise KeyError(f"unknown category {name!r}")
-        return frozenset(self.member_ids[self.offsets[i] : self.offsets[i + 1]].tolist())
+        return self.member_ids[self.offsets[i] : self.offsets[i + 1]]
+
+    def members(self, name: str) -> frozenset[int]:
+        return frozenset(self.row(name).tolist())
 
     def items(self) -> list[tuple[str, frozenset[int]]]:
         return [(name, self.members(name)) for name in self.names]
@@ -304,8 +308,8 @@ class CategoryIndex:
 
 # --- MediaWiki dump ingestion ------------------------------------------------
 
-#: A category link: its name, then the rest of the link on its line through its closing ``]]``, if any.
-_CATEGORY_RE = re.compile(r"\[\[\s*Category\s*:\s*([^\]|#]+)[^\[\]\n]*(?:\]\])?", re.IGNORECASE)
+#: A category link, all on one line as a title holds no newline: its name, then the rest through its ``]]``, if any.
+_CATEGORY_RE = re.compile(r"\[\[[^\S\n]*Category[^\S\n]*:[^\S\n]*([^\]|#\n]+)[^\[\]\n]*(?:\]\])?", re.IGNORECASE)
 _HEADING_RE = re.compile(r"^\s*=+\s*(.*?)\s*=+\s*$")
 _REDIRECT_RE = re.compile(r"^\s*#REDIRECT", re.IGNORECASE)
 _DISAMBIG_RE = re.compile(r"\{\{\s*(disambiguation|disambig|dab)\s*[|}]", re.IGNORECASE)

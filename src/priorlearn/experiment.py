@@ -42,6 +42,7 @@ from .search import (
     DEFAULT_GRID,
     Cell,
     CellScore,
+    ClassHalves,
     Grid,
     LooEvaluator,
     MoveRecord,
@@ -150,26 +151,25 @@ def sample_negatives(
     non-member ids, using numpy's PCG64 stream for ``seed``; identical
     inputs always yield the identical sample.
     """
-    members = categories.members(category)
-    pool = [doc_id for doc_id in corpus.ids() if doc_id not in members]
+    pool = corpus.doc_ids[~np.isin(corpus.doc_ids, categories.row(category))]
     if len(pool) < k:
         raise ValueError(f"only {len(pool)} non-members available, need {k}")
     # one draw per step i from [i, len(pool)), all in one call: the same stream
     swaps = np.random.default_rng(seed).integers(np.arange(k), len(pool)).tolist()
     for i, j in enumerate(swaps):
         pool[i], pool[j] = pool[j], pool[i]
-    return frozenset(pool[:k])
+    return frozenset(pool[:k].tolist())
 
 
 def make_training_set(
     corpus: Corpus, categories: CategoryIndex, category: str, seed: int
 ) -> TrainingSet:
     """All direct members as positives, an equal-size seeded negative sample."""
-    positives = sorted(categories.members(category))
+    positives = tuple(categories.row(category).tolist())
     if not positives:
         raise ValueError(f"category {category!r} has no members")
     negatives = sorted(sample_negatives(corpus, categories, category, len(positives), seed))
-    return TrainingSet(positive_ids=tuple(positives), negative_ids=tuple(negatives), seed=seed)
+    return TrainingSet(positive_ids=positives, negative_ids=tuple(negatives), seed=seed)
 
 
 def training_model(corpus: Corpus, training: TrainingSet) -> CountModel:
@@ -263,20 +263,27 @@ class PriorSearchResult:
 def learn_priors(spec: ExperimentSpec) -> PriorSearchResult:
     """Multi-start search under every seed, then cross-seed aggregation.
 
-    Each seed gets its own training set, model, and memo; the nine
-    searches of one seed share that seed's memo. The aggregate winner is
-    the cell with the best mean ppv over the back-filled union of
-    explored cells (see :func:`~priorlearn.search.aggregate_over_seeds`).
-    ``evaluations`` counts the search evaluations, not the back-fills.
+    Every seed's training set is drawn first. The positives are the same
+    under every seed, so one positive class over them and the union of all
+    seeds' negatives serves every seed's evaluator, each half computed once
+    per grid value. Each seed gets its own model, negative class and memo,
+    which its nine searches share. The aggregate winner is the cell with
+    the best mean ppv over the back-filled union of explored cells (see
+    :func:`~priorlearn.search.aggregate_over_seeds`). ``evaluations``
+    counts the search evaluations, not the back-fills.
     """
     starts = spec.start_cells()
+    trainings = [make_training_set(spec.corpus, spec.categories, spec.category, seed) for seed in spec.seeds]
+    positives, union = trainings[0].positive_ids, np.unique(np.concatenate([t.negative_ids for t in trainings]))
+    positive = ClassHalves(build_counts(spec.corpus, positives, union.tolist()), True)
     memos: list[dict[Cell, CellScore]] = []
     evaluators: list[LooEvaluator] = []
     move_logs: list[tuple[MoveRecord, ...]] = []
     evaluations = 0
-    for seed in spec.seeds:
-        training = make_training_set(spec.corpus, spec.categories, spec.category, seed)
-        evaluator = LooEvaluator(training_model(spec.corpus, training))
+    for training in trainings:
+        # a model's folds are its positives, then its negatives in id order, as are the union's
+        columns = np.append(np.arange(len(positives)), len(positives) + np.searchsorted(union, training.negative_ids))
+        evaluator = LooEvaluator(training_model(spec.corpus, training), positive=(positive, columns))
         memo: dict[Cell, CellScore] = {}
         moves: list[MoveRecord] = []
         multi_start_search(starts, evaluator, memo=memo, move_log=moves)

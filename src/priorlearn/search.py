@@ -7,10 +7,11 @@ positive predictive value, with sensitivity as tie-breaker. A fold's LOO
 log odds are a positive half in lambda_pos alone minus a negative half in
 lambda_neg alone, each computed once per grid value: a log table over the
 counts, taken through padded tables of like-length folds' counts and
-summed per fold. A radial hill climber sweeps the 5x5 window around the
-current best cell, recentering on improvement and stopping when a full
-sweep yields no replacement. Cell scores are memoized in a plain ``dict``
-from cell to score, so starts share work and the memo maps the terrain.
+summed per fold; seeds with the same positives share the positive halves.
+A radial hill climber sweeps the 5x5 window around the current best cell,
+recentering on improvement and stopping when a full sweep yields no
+replacement. Cell scores are memoized in a plain ``dict`` from cell to
+score, so starts share work and the memo maps the terrain.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "MoveRecord",
     "DEFAULT_START_LAMBDAS",
     "default_starts",
+    "ClassHalves",
     "LooEvaluator",
     "radial_gradient_search",
     "multi_start_search",
@@ -114,26 +116,32 @@ class SearchOutcome(NamedTuple):
 Evaluator = Callable[[Cell], CellScore]
 
 
-class LooEvaluator:
-    """Leave-one-out cell scorer for one training model.
+class ClassHalves:
+    """One class's leave-one-out halves over the folds of a training model.
 
-    Per fold, log odds = ``half(pos, lambda_pos) - half(neg, lambda_neg)``:
-    the class-prior denominators cancel, and a half depends on its class's
-    counts and pseudo-count alone. Folds, longest first, are grouped so no
-    group's table pads to more than twice its tokens. Per class and group an
-    ``int32`` table holds a column per fold, its counts less its own document
+    A fold's half is its log class size plus its log conditionals, with
+    the fold's own document taken out of the class. Folds, longest first,
+    are grouped so no group's table pads to more than twice its tokens.
+    Per group an ``int32`` table holds a column per fold, its counts
     padded with ``top`` (one past the largest count), and a spare all-pad
-    column. A half, computed once and kept, sums ``log(lam + arange(top))``
-    (``0.0`` at ``top``) down each column row by row, bit for bit as
-    ``bincount`` adds a fold's tokens: numpy 2.4 reduces axis 0 of a C-order
-    array that way when it has two or more columns, one column pairwise.
+    column. A half, computed once per grid index and kept, sums
+    ``log(lam + arange(top))`` (``0.0`` at ``top``) down each column row
+    by row, bit for bit as ``bincount`` adds a fold's tokens: numpy 2.4
+    reduces axis 0 of a C-order array that way when it has two or more
+    columns, one column pairwise. So a fold's half depends on its own
+    column alone, not on the other folds or on ``top``.
     """
 
-    def __init__(self, model: CountModel):
-        n_folds, n_pos, n_tokens = model.n_folds, model.n_pos, np.diff(model.fold_offsets)
-        self._n_pos, self._n_tokens = n_pos, n_tokens.astype(np.float64)
+    def __init__(self, model: CountModel, positive: bool):
+        n_folds, n_tokens = model.n_folds, np.diff(model.fold_offsets)
+        own = (np.arange(n_folds) < model.n_pos) == positive  # positives come first
+        counts, size = (model.pos_count, model.n_pos) if positive else (model.neg_count, model.n_neg)
+        fold_counts = counts[model.fold_features] - np.repeat(own, n_tokens)
+        self._top = int(fold_counts.max(initial=0)) + 1
+        padded = np.append(fold_counts, self._top).astype(np.int32)
+        self._size, self._n_tokens = size - own.astype(np.float64), n_tokens.astype(np.float64)
         self._order = np.argsort(-n_tokens, kind="stable")  # longest fold first
-        positions, start, pad = [], 0, len(model.fold_features)  # per group: each table cell's token or pad
+        self._tables, start, pad = [], 0, len(fold_counts)  # per group: each table cell's count or pad
         while start < n_folds:
             folds = self._order[start:]
             lengths = n_tokens[folds]
@@ -142,36 +150,49 @@ class LooEvaluator:
             start += len(folds)
             rows = np.arange(lengths[0])[:, None]
             at = np.append(model.fold_offsets[folds], pad) + rows
-            positions.append(np.where(rows < np.append(n_tokens[folds], 0), at, pad))
-        # per class: the group tables, their pad index and each fold's class size, the fold itself removed
-        self._class_counts: dict[bool, tuple[list[np.ndarray], int, np.ndarray]] = {}
-        for positive, counts, size in ((True, model.pos_count, n_pos), (False, model.neg_count, model.n_neg)):
-            own = (np.arange(n_folds) < n_pos) == positive  # positives come first
-            fold_counts = counts[model.fold_features] - np.repeat(own, n_tokens)
-            top = int(fold_counts.max(initial=0)) + 1
-            padded = np.append(fold_counts, top).astype(np.int32)
-            self._class_counts[positive] = ([padded[at] for at in positions], top, size - own.astype(np.float64))
-        self._halves: dict[tuple[bool, int], np.ndarray] = {}
+            self._tables.append(padded[np.where(rows < np.append(n_tokens[folds], 0), at, pad)])
+        self._halves: dict[int, np.ndarray] = {}
 
-    def _half(self, positive: bool, index: int) -> np.ndarray:
-        """One class's per-fold log score under the grid's ``index``-th pseudo-count."""
-        half = self._halves.get((positive, index))
+    def __call__(self, index: int) -> np.ndarray:
+        """Each fold's log score under the grid's ``index``-th pseudo-count."""
+        half = self._halves.get(index)
         if half is None:
             lam = DEFAULT_GRID[index]
-            tables, top, size = self._class_counts[positive]
-            log_norm = np.log(lam + size)
-            logs = np.append(np.log(lam + np.arange(top)), 0.0)
-            token_logs = np.empty(len(size))
-            token_logs[self._order] = np.concatenate([np.take(logs, table).sum(axis=0)[:-1] for table in tables])
-            half = self._halves[(positive, index)] = log_norm + (token_logs - self._n_tokens * log_norm)
+            log_norm = np.log(lam + self._size)
+            logs = np.append(np.log(lam + np.arange(self._top)), 0.0)
+            token_logs = np.empty(len(self._size))
+            token_logs[self._order] = np.concatenate([np.take(logs, table).sum(axis=0)[:-1] for table in self._tables])
+            half = self._halves[index] = log_norm + (token_logs - self._n_tokens * log_norm)
         return half
+
+
+class LooEvaluator:
+    """Leave-one-out cell scorer for one training model.
+
+    Per fold, log odds = ``half(pos, lambda_pos) - half(neg, lambda_neg)``:
+    the class-prior denominators cancel, and a half depends on its class's
+    counts and pseudo-count alone (:class:`ClassHalves`). Models with the
+    same positives may share a positive class: ``positive`` is one over
+    folds that include all of this model's, with the column of each of
+    this model's folds in it. By default the evaluator builds its own.
+    """
+
+    def __init__(self, model: CountModel, positive: tuple[ClassHalves, np.ndarray] | None = None):
+        self._n_pos = model.n_pos
+        self._positive, self._columns = positive or (ClassHalves(model, True), slice(None))
+        self._negative, self._taken = ClassHalves(model, False), {}
+
+    def _halves(self, cell: Cell) -> tuple[np.ndarray, np.ndarray]:
+        if cell.y not in self._taken:  # this model's columns of the half, gathered once per grid index
+            self._taken[cell.y] = self._positive(cell.y)[self._columns]
+        return self._taken[cell.y], self._negative(cell.x)
 
     def log_odds(self, cell: Cell) -> np.ndarray:
         """Per-fold LOO posterior log odds under the cell's priors."""
-        return self._half(True, cell.y) - self._half(False, cell.x)
+        return np.subtract(*self._halves(cell))
 
     def __call__(self, cell: Cell) -> CellScore:
-        predicted = self.log_odds(cell) > 0.0
+        predicted = np.greater(*self._halves(cell))  # log odds > 0.0, for finite halves
         tp = int(np.count_nonzero(predicted[: self._n_pos]))  # positives come first
         fp = int(np.count_nonzero(predicted[self._n_pos :]))
         counts = ConfusionCounts(tp=tp, fp=fp, tn=len(predicted) - self._n_pos - fp, fn=self._n_pos - tp)

@@ -121,6 +121,11 @@ class TestExtractCategories:
     def test_deduplicated(self):
         assert extract_categories("[[Category:A]] [[Category:A]]") == ["A"]
 
+    def test_a_link_ends_at_its_line(self):
+        text = "intro [[Category:Foo\nmore body text here\nand [[Link]] end"
+        assert extract_categories(text) == ["Foo"]
+        assert extract_categories("intro [[Category:\nnext line\n[[\nCategory:X]]") == []
+
 
 def _wrap_pages(*pages: str) -> io.BytesIO:
     xml = (
@@ -215,6 +220,12 @@ class TestIngest:
         corpus, cats = ingest_wiki_dump(pages)
         assert corpus.get(1).tokens == corpus.get(2).tokens == {"alpha", "beta", "gamma", "delta"}
         assert cats.items() == [("Okapi herds", frozenset({2})), ("Zebra stripes", frozenset({1}))]
+
+    def test_unclosed_link_removes_only_its_own_line(self):
+        body = LONG_BODY + "\n[[Category:Foo\nzebra okapi\nand [[Link]] end"
+        corpus, cats = ingest_wiki_dump(_wrap_pages(_page(1, "T", body)))
+        assert corpus.get(1).tokens == {"alpha", "beta", "gamma", "delta", "zebra", "okapi", "and", "link", "end"}
+        assert cats.items() == [("Foo", frozenset({1}))]
 
     def test_min_bytes_measured_after_link_removal(self):
         body = "kept words here [[Category:" + "Long name " * 50 + "]]"

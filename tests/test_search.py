@@ -15,13 +15,15 @@ from oracles import (
     two_bump_surface,
     unimodal_surface,
 )
-from priorlearn.corpus import Document
-from priorlearn.experiment import make_training_set, training_model
+import priorlearn.experiment as experiment
+from priorlearn.corpus import CategoryIndex, Corpus, Document
+from priorlearn.experiment import ExperimentSpec, learn_priors, make_training_set, training_model
 from priorlearn.model import Hyperparameters
 from priorlearn.search import (
     DEFAULT_GRID,
     Cell,
     CellScore,
+    ClassHalves,
     LooEvaluator,
     aggregate_over_seeds,
     cross_seed_mean_scores,
@@ -163,6 +165,12 @@ class TestEvaluatePriors:
         assert evaluator(Cell(3, 3)) == expected
 
 
+@pytest.fixture(scope="module")
+def wide():
+    """A 1,000-member category over a 4,000-document pool: the search-wide benchmark's corpus."""
+    return make_synthetic_corpus(seed=0, n_members=1000, pool_size=4000)
+
+
 def _assert_every_half_matches_oracle(model, oracle):
     """Cells (i, i) and (i, 202 - i) for every i: each half of both classes, paired two ways."""
     evaluator, last = LooEvaluator(model), len(DEFAULT_GRID) - 1
@@ -172,11 +180,6 @@ def _assert_every_half_matches_oracle(model, oracle):
 
 
 class TestWholeGridBitIdentity:
-    @pytest.fixture(scope="class")
-    def wide(self):
-        """A 1,000-member category over a 4,000-document pool."""
-        return make_synthetic_corpus(seed=0, n_members=1000, pool_size=4000)
-
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_wide_category_training_sets(self, wide, seed):
         corpus = wide.corpus
@@ -216,10 +219,88 @@ class TestWholeGridBitIdentity:
         model = train(positives, negatives)
         n_tokens = len(model.fold_features)
         assert model.n_folds * np.diff(model.fold_offsets).max() > 8 * n_tokens  # one table: 8x the tokens
-        tables = LooEvaluator(model)._class_counts[True][0]
+        tables = ClassHalves(model, True)._tables
         assert len(tables) >= 4 and min(t.shape[1] for t in tables) == 2
         assert sum(t.shape[0] * (t.shape[1] - 1) for t in tables) <= 2 * n_tokens  # spare columns aside
         _assert_every_half_matches_oracle(model, dict_model(positives, negatives))
+
+
+def _recorded_evaluators(monkeypatch):
+    """The evaluators ``learn_priors`` builds from now on, in seed order."""
+    built = []
+
+    class Recording(LooEvaluator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(experiment, "LooEvaluator", Recording)
+    return built
+
+
+def _positive_half(evaluator, index):
+    return evaluator._halves(Cell(0, index))[0]
+
+
+class TestSharedPositiveClass:
+    def test_log_table_entries_do_not_depend_on_its_length(self):
+        # the shared positive class can count one past a seed's own top; their common entries must match
+        for lam in DEFAULT_GRID.values:
+            full = np.log(lam + np.arange(4100)).view(np.int64)
+            for top in (*range(1, 258), 1000, 2047, 4099):
+                assert np.array_equal(np.log(lam + np.arange(top)).view(np.int64), full[:top]), (lam, top)
+
+    def test_search_wide_positive_halves_equal_standalone_evaluators(self, wide, monkeypatch):
+        spec = ExperimentSpec(corpus=wide.corpus, categories=wide.categories, category=CATEGORY, seeds=tuple(range(20)))
+        evaluators = _recorded_evaluators(monkeypatch)
+        learn_priors(spec)
+        assert len(evaluators) == 20
+        for seed, shared in zip(spec.seeds, evaluators):
+            training = make_training_set(wide.corpus, wide.categories, CATEGORY, seed)
+            alone = LooEvaluator(training_model(wide.corpus, training))
+            for index in range(len(DEFAULT_GRID)):
+                expected = _positive_half(alone, index).view(np.int64)
+                assert np.array_equal(_positive_half(shared, index).view(np.int64), expected), (seed, index)
+
+    def test_a_seed_without_the_commonest_positive_feature(self, monkeypatch):
+        # every positive holds "a"; a negative holding it counts 2 (top 3), a positive fold only 1
+        docs = [
+            _doc(1, {"a", "b"}), _doc(2, {"a", "c"}),
+            _doc(3, {"a", "x"}), _doc(4, {"x"}), _doc(5, {"b", "y"}), _doc(6, {"c", "z"}),
+        ]
+        corpus, categories = Corpus.from_documents(docs), CategoryIndex.from_mapping({"C": [1, 2]})
+        negatives = {seed: make_training_set(corpus, categories, "C", seed).negative_ids for seed in range(20)}
+        lacking = next(seed for seed, ids in negatives.items() if 3 not in ids)
+        holding = next(seed for seed, ids in negatives.items() if 3 in ids)
+        evaluators = _recorded_evaluators(monkeypatch)
+        learn_priors(ExperimentSpec(corpus=corpus, categories=categories, category="C", seeds=(lacking, holding)))
+        training = make_training_set(corpus, categories, "C", lacking)
+        own, evaluator = ClassHalves(training_model(corpus, training), True), evaluators[0]
+        assert (own._top, evaluator._positive._top) == (2, 3)
+        oracle = dict_model([corpus.get(i) for i in training.positive_ids], [corpus.get(i) for i in training.negative_ids])
+        last = len(DEFAULT_GRID) - 1
+        for i in range(len(DEFAULT_GRID)):
+            for cell in (Cell(i, i), Cell(i, last - i)):
+                assert np.array_equal(evaluator.log_odds(cell), per_cell_log_odds(oracle, cell)), cell
+
+    def test_each_positive_half_is_computed_once_per_grid_index(self, monkeypatch):
+        syn = make_synthetic_corpus(seed=0, vocab_size=200, n_members=20, pool_size=400)
+        spec = ExperimentSpec(corpus=syn.corpus, categories=syn.categories, category=CATEGORY, seeds=(0, 1, 2, 3))
+        computed, call = [], ClassHalves.__call__
+
+        def counting(self, index):
+            if index not in self._halves:
+                computed.append((self, index))
+            return call(self, index)
+
+        monkeypatch.setattr(ClassHalves, "__call__", counting)
+        evaluators = _recorded_evaluators(monkeypatch)
+        result = learn_priors(spec)
+        shared = evaluators[0]._positive
+        assert all(evaluator._positive is shared for evaluator in evaluators)
+        per_seed = [{cell.y for cell in memo} for memo in result.memos]
+        assert sorted(index for halves, index in computed if halves is shared) == sorted(set().union(*per_seed))
+        assert sum(map(len, per_seed)) > len(set().union(*per_seed))  # seeds do share grid indexes
 
 
 class TestRadialGradientSearch:
