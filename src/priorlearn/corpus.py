@@ -315,23 +315,6 @@ _REDIRECT_RE = re.compile(r"^\s*#REDIRECT", re.IGNORECASE)
 _DISAMBIG_RE = re.compile(r"\{\{\s*(disambiguation|disambig|dab)\s*[|}]", re.IGNORECASE)
 
 
-def _local_name(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
-
-
-def _children(elem: ET.Element) -> dict[str, ET.Element]:
-    """The direct children of ``elem`` by local name, the last of each: revisions are listed oldest first."""
-    return {_local_name(child.tag): child for child in elem}
-
-
-def _page_text(page: dict[str, ET.Element]) -> str:
-    revision = page.get("revision")
-    if revision is None:
-        return ""
-    text = _children(revision).get("text")
-    return text.text or "" if text is not None else ""
-
-
 def _normalize_title(raw: str) -> str:
     return " ".join(raw.split())
 
@@ -385,8 +368,11 @@ def ingest_wiki_dump(
 ) -> tuple[Corpus, CategoryIndex]:
     """Ingest a MediaWiki pages XML export into a corpus and category index.
 
-    Only article pages (namespace 0) are kept, each at its last revision;
-    redirects and pages carrying a disambiguation template are skipped.
+    Elements are matched in the root element's namespace, as real exports
+    use one default namespace (or none): a page or field tagged in any
+    other namespace is not read. Only article pages (namespace 0) are kept,
+    each at its last revision; redirects and pages carrying a
+    disambiguation template are skipped.
     Category links are extracted from the full wikitext; the body is cut at
     its "References" heading, cleared of the category links left in it and
     tokenized as by :func:`tokenize`, each distinct whitespace piece of the
@@ -412,9 +398,10 @@ def ingest_wiki_dump(
     try:
         events = ET.iterparse(reader, events=("start", "end"))
         _, root = next(events)
+        ns = root.tag[: root.tag.find("}") + 1]  # "{uri}", or "" with no namespace
         for event, elem in events:
-            if event == "end" and _local_name(elem.tag) == "page":
-                kept = _ingest_page(_children(elem), min_bytes, categories, skipped)
+            if event == "end" and elem.tag == ns + "page":
+                kept = _ingest_page(elem, ns, min_bytes, categories, skipped)
                 elem.clear()
                 root.clear()  # a cleared page would otherwise stay on as the root's child
                 if kept is not None:
@@ -435,38 +422,38 @@ def ingest_wiki_dump(
 
 
 def _ingest_page(
-    page: dict[str, ET.Element],
+    page: ET.Element,
+    ns: str,
     min_bytes: int,
     categories: dict[str, set[int]],
     skipped: Counter,
 ) -> tuple[int, str, str] | None:
     """The id, title and retained body of a page to keep, its categories recorded; else ``None``, its skip counted."""
-    ns_elem = page.get("ns")
-    ns = ns_elem.text.strip() if ns_elem is not None and ns_elem.text else "0"
-    if ns != "0":
-        skipped[f"namespace:{ns}"] += 1
+    namespace = (page.findtext(ns + "ns") or "0").strip()
+    if namespace != "0":
+        skipped[f"namespace:{namespace}"] += 1
         return
 
-    text = _page_text(page)
-    if "redirect" in page or _REDIRECT_RE.match(text):
+    revisions = page.findall(ns + "revision")  # oldest first
+    text = (revisions[-1].findtext(ns + "text") or "") if revisions else ""
+    if page.find(ns + "redirect") is not None or _REDIRECT_RE.match(text):
         skipped["redirect"] += 1
         return
     if _DISAMBIG_RE.search(text):
         skipped["disambiguation"] += 1
         return
 
-    id_elem = page.get("id")
-    title_elem = page.get("title")
-    if id_elem is None or id_elem.text is None or title_elem is None or title_elem.text is None:
+    raw_id, raw_title = page.findtext(ns + "id"), page.findtext(ns + "title")
+    if not raw_id or not raw_title:
         skipped["incomplete_page"] += 1
         return
-    title = _normalize_title(title_elem.text)
+    title = _normalize_title(raw_title)
     try:
-        doc_id = int(id_elem.text)
+        doc_id = int(raw_id)
         if not -(2**63) <= doc_id < 2**63:  # the store's ids are read back as int64
             raise ValueError
     except ValueError:
-        raise IngestError(f"page {title!r}: id {id_elem.text!r} is not a 64-bit integer") from None
+        raise IngestError(f"page {title!r}: id {raw_id!r} is not a 64-bit integer") from None
 
     page_categories = extract_categories(text)
     body = _CATEGORY_RE.sub("", truncate_at_references(text))  # a category link would leak the label

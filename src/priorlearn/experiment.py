@@ -101,6 +101,8 @@ class ExperimentSpec:
         if not self.seeds:
             raise ValueError("need at least one seed")
         for i, seed in enumerate(self.seeds):
+            if seed < 0:
+                raise ValueError(f"seed {seed} is negative")
             if seed in self.seeds[:i]:
                 raise ValueError(f"seed {seed} is repeated; each seed draws one negative sample")
         if self.top_n < 1:
@@ -327,6 +329,8 @@ def export_review_list(
     which may take a conversion and a format spec; raises ``ValueError``
     naming a template with any other field, in a spec too.
     """
+    import html  # its entity table, ~0.5 MB: only a process writing a review page pays its import
+
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
     formatter = Formatter()
@@ -347,13 +351,9 @@ def export_review_list(
     ]
     for title in names:
         href = link_template.format(title=quote(title.replace(" ", "_")))
-        lines.append(f'<li><a href="{href}">{_escape_html(title)}</a></li>')
+        lines.append(f'<li><a href="{href}">{html.escape(title, quote=False)}</a></li>')
     lines += ["</ul>", "</body></html>", ""]
     return "\n".join(lines)
-
-
-def _escape_html(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 _CSV_HEADER = "rank,doc_id,title,log_odds,p_pos"

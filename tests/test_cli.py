@@ -135,6 +135,16 @@ class TestArgumentHandling:
         assert "seed 0 is repeated" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", [["search"], ["classify", "--lambda-neg", "1", "--lambda-pos", "1"]])
+    def test_negative_seed_is_data_error_naming_it(self, tmp_path, capsys, command):
+        assert main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s")]) == 0
+        capsys.readouterr()
+        code = main([*command, "--corpus", str(tmp_path / "s"), "--category", "Optimization",
+                     "--seeds", "-1", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "seed -1 is negative" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_start_pair_is_usage_error(self, tmp_path, capsys):
         main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s")])
         code = main(["search", "--corpus", str(tmp_path / "s"), "--category", "Optimization",

@@ -253,6 +253,40 @@ class TestIngest:
         assert cats.members("Mixed") == {1}
         assert "Only dropped" not in cats
 
+    def test_fields_are_matched_in_the_root_namespace(self):
+        uri = "http://www.mediawiki.org/xml/export-0.10/"
+        pages = (
+            _page(1, "Keeper", LONG_BODY + "[[Category:Kept]]")
+            + _page(2, "Talk:Keeper", LONG_BODY, ns=1)
+            + _page(3, "Moved", LONG_BODY, redirect=True)
+            + _page(4, "Short", "tiny [[Category:Dropped]]")
+            + "<page><ns>0</ns><id>5</id><revision><text>" + LONG_BODY + "</text></revision></page>"
+        )
+        prefixed = re.sub(r"<(/?)(?=\w)", r"<\1mw:", pages)
+        exports = [
+            f"<mediawiki>{pages}</mediawiki>",
+            f'<mediawiki xmlns="{uri}">{pages}</mediawiki>',
+            f'<mw:mediawiki xmlns:mw="{uri}">{prefixed}</mw:mediawiki>',
+        ]
+        results = []
+        for export in exports:
+            skipped = Counter()
+            corpus, cats = ingest_wiki_dump(io.BytesIO(export.encode("utf-8")), skipped=skipped)
+            arrays = (corpus.doc_ids, corpus.offsets, corpus.slots)
+            columns = (corpus.titles, corpus.vocabulary, *(column.tolist() for column in arrays))
+            results.append((columns, cats.items(), skipped))
+        assert results[0] == results[1] == results[2]
+        assert results[0][1] == [("Kept", frozenset({1}))]
+        assert results[0][2] == Counter(
+            {"namespace:1": 1, "redirect": 1, "below_min_bytes": 1, "incomplete_page": 1}
+        )
+
+    def test_a_page_in_another_namespace_is_not_read(self):
+        page = _page(1, "Elsewhere", LONG_BODY).replace("<page>", '<page xmlns="urn:other">', 1)
+        skipped = Counter()
+        corpus, _ = ingest_wiki_dump(_wrap_pages(page, _page(2, "Keeper", LONG_BODY)), skipped=skipped)
+        assert corpus.ids() == [2] and not skipped
+
     def test_malformed_xml_names_byte_offset(self):
         stream = io.BytesIO(b"<mediawiki><page><title>Broken</title>")
         with pytest.raises(IngestError, match=r"byte \d+"):

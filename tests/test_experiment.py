@@ -134,6 +134,13 @@ class TestExperimentSpec:
                 corpus=separable.corpus, categories=separable.categories, category=CATEGORY, seeds=seeds
             )
 
+    @pytest.mark.parametrize("seeds", [(-1,), (0, 2, -7)])
+    def test_negative_seed_rejected_naming_it(self, separable, seeds):
+        with pytest.raises(ValueError, match=f"seed {seeds[-1]} is negative"):
+            ExperimentSpec(
+                corpus=separable.corpus, categories=separable.categories, category=CATEGORY, seeds=seeds
+            )
+
 
 class TestRankCorpus:
     def test_total_order_and_exclusion(self, separable):
