@@ -110,10 +110,13 @@ def _read_truth(path: str) -> frozenset[int]:
 
 def _read_predictions(path: str) -> tuple[experiment.RankedPredictions, dict[int, str]]:
     try:
-        text = Path(path).read_bytes().decode("utf-8")  # a quoted title may hold a CR
+        with open(path, encoding="utf-8", newline="\n") as lines:  # a quoted title may hold a CR
+            return experiment.read_predictions_csv(lines)
     except OSError as exc:
         raise CorpusFormatError(f"cannot read predictions {path}: {exc}") from exc
-    return experiment.read_predictions_csv(text)
+    except UnicodeDecodeError:  # its position counts from the start of the block being decoded
+        Path(path).read_bytes().decode("utf-8")  # raises it again, placed in the whole file
+        raise
 
 
 def _write(path: Path, text: str) -> None:

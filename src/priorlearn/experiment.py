@@ -16,14 +16,13 @@ rerun with the same inputs reproduces every output byte.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import re
 from array import array
 from dataclasses import dataclass, field
 from itertools import count
 from string import Formatter
-from typing import ClassVar, Mapping
+from typing import ClassVar, Iterable, Mapping
 from urllib.parse import quote
 
 import numpy as np
@@ -157,10 +156,12 @@ def sample_negatives(
     if len(pool) < k:
         raise ValueError(f"only {len(pool)} non-members available, need {k}")
     # one draw per step i from [i, len(pool)), all in one call: the same stream
-    swaps = np.random.default_rng(seed).integers(np.arange(k), len(pool)).tolist()
-    for i, j in enumerate(swaps):
-        pool[i], pool[j] = pool[j], pool[i]
-    return frozenset(pool[:k].tolist())
+    swaps = np.random.default_rng(seed).integers(np.arange(k), len(pool))
+    touched, slots = np.unique(np.append(np.arange(k), swaps), return_inverse=True)  # 0 .. k-1 come first
+    ids = pool[touched].tolist()  # the swaps run on these Python ints, not on the whole pool
+    for i, j in enumerate(slots[k:].tolist()):
+        ids[i], ids[j] = ids[j], ids[i]
+    return frozenset(ids[:k])
 
 
 def make_training_set(
@@ -266,33 +267,28 @@ def learn_priors(spec: ExperimentSpec) -> PriorSearchResult:
     """Multi-start search under every seed, then cross-seed aggregation.
 
     Every seed's training set is drawn first. The positives are the same
-    under every seed, so one positive class over them and the union of all
-    seeds' negatives serves every seed's evaluator, each half computed once
-    per grid value. Each seed gets its own model, negative class and memo,
-    which its nine searches share. The aggregate winner is the cell with
-    the best mean ppv over the back-filled union of explored cells (see
-    :func:`~priorlearn.search.aggregate_over_seeds`). ``evaluations``
-    counts the search evaluations, not the back-fills.
+    under every seed, so one model over them and the union of all seeds'
+    negatives holds every seed's folds, and each seed's evaluator is its
+    columns of it. One positive class over the union serves every seed,
+    each half computed once per grid value. Each seed gets its own
+    negative class and memo, which its nine searches share. The aggregate
+    winner is the cell with the best mean ppv over the back-filled union
+    of explored cells (see :func:`~priorlearn.search.aggregate_over_seeds`).
+    ``evaluations`` counts the search evaluations, not the back-fills.
     """
-    starts = spec.start_cells()
     trainings = [make_training_set(spec.corpus, spec.categories, spec.category, seed) for seed in spec.seeds]
-    positives, union = trainings[0].positive_ids, np.unique(np.concatenate([t.negative_ids for t in trainings]))
-    positive = ClassHalves(build_counts(spec.corpus, positives, union.tolist()), True)
-    memos: list[dict[Cell, CellScore]] = []
-    evaluators: list[LooEvaluator] = []
-    move_logs: list[tuple[MoveRecord, ...]] = []
-    evaluations = 0
-    for training in trainings:
-        # a model's folds are its positives, then its negatives in id order, as are the union's
-        columns = np.append(np.arange(len(positives)), len(positives) + np.searchsorted(union, training.negative_ids))
-        evaluator = LooEvaluator(training_model(spec.corpus, training), positive=(positive, columns))
-        memo: dict[Cell, CellScore] = {}
-        moves: list[MoveRecord] = []
-        multi_start_search(starts, evaluator, memo=memo, move_log=moves)
-        memos.append(memo)
-        evaluators.append(evaluator)
-        move_logs.append(tuple(moves))
-        evaluations += len(memo)
+    positives, union = trainings[0].positive_ids, np.array(sorted(set().union(*(t.negative_ids for t in trainings))))
+    model = build_counts(spec.corpus, positives, union.tolist())
+    positive = ClassHalves(model, True)
+    # a seed's folds are its positives, then its negatives in id order, as are the union's
+    head = np.arange(len(positives))
+    columns = [np.append(head, len(head) + np.searchsorted(union, t.negative_ids)) for t in trainings]
+    evaluators = [LooEvaluator(model, seed_columns, positive) for seed_columns in columns]
+    del model  # the evaluators hold all the search needs
+    memos, move_logs = [{} for _ in evaluators], [[] for _ in evaluators]
+    for evaluator, memo, moves in zip(evaluators, memos, move_logs):
+        multi_start_search(spec.start_cells(), evaluator, memo=memo, move_log=moves)
+    evaluations = sum(map(len, memos))
     cell, means = aggregate_over_seeds(memos, evaluators)
     return PriorSearchResult(
         cell=cell,
@@ -301,7 +297,7 @@ def learn_priors(spec: ExperimentSpec) -> PriorSearchResult:
         memos=tuple(memos),
         mean_scores=means,
         evaluations=evaluations,
-        move_logs=tuple(move_logs),
+        move_logs=tuple(map(tuple, move_logs)),
     )
 
 
@@ -381,14 +377,15 @@ def _csv_field(text: str) -> str:
     return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
 
 
-def read_predictions_csv(text: str) -> tuple[RankedPredictions, dict[int, str]]:
+def read_predictions_csv(lines: Iterable[str]) -> tuple[RankedPredictions, dict[int, str]]:
     """Parse a predictions CSV back into its ranking columns and an id->title map.
 
-    ``text`` must be the file's text with its line breaks untranslated.
-    Each row is parsed as it is read. Raises ``ValueError`` naming the
-    line or row that does not parse, or the row that repeats a doc id.
+    ``lines`` are the file's lines with their line breaks untranslated, as
+    from the file opened with ``newline="\\n"``. Each row is parsed as it
+    is read. Raises ``ValueError`` naming the line or row that does not
+    parse, or the row that repeats a doc id.
     """
-    reader = csv.reader(io.StringIO(text), strict=True)
+    reader = csv.reader(lines, strict=True)
     ids, log_odds, p_pos, titles = array("q"), array("d"), array("d"), {}
     try:
         header = next(reader, None)

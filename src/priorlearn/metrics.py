@@ -14,7 +14,9 @@ __all__ = [
     "ConfusionCounts",
     "PpvProfile",
     "ppv",
+    "ppv_of",
     "sensitivity",
+    "sensitivity_of",
     "ppv_at_k",
     "ppv_profile",
     "profile_to_csv",
@@ -34,15 +36,21 @@ class ConfusionCounts:
 
 
 def ppv(counts: ConfusionCounts) -> float:
+    return ppv_of(counts.tp, counts.fp)
+
+
+def ppv_of(tp: int, fp: int) -> float:
     """Positive predictive value tp/(tp+fp); 0 when nothing was predicted positive."""
-    predicted = counts.tp + counts.fp
-    return counts.tp / predicted if predicted else 0.0
+    return tp / (tp + fp) if tp + fp else 0.0
 
 
 def sensitivity(counts: ConfusionCounts) -> float:
+    return sensitivity_of(counts.tp, counts.fn)
+
+
+def sensitivity_of(tp: int, fn: int) -> float:
     """Sensitivity tp/(tp+fn); 0 when there are no positive cases."""
-    actual = counts.tp + counts.fn
-    return counts.tp / actual if actual else 0.0
+    return tp / (tp + fn) if tp + fn else 0.0
 
 
 def ppv_at_k(ranked_ids: Sequence[int], truth: AbstractSet[int], k: int) -> float:

@@ -7,7 +7,8 @@ positive predictive value, with sensitivity as tie-breaker. A fold's LOO
 log odds are a positive half in lambda_pos alone minus a negative half in
 lambda_neg alone, each computed once per grid value: a log table over the
 counts, taken through padded tables of like-length folds' counts and
-summed per fold; seeds with the same positives share the positive halves.
+summed per fold. Each seed of an experiment is its columns of one union
+model, whose positive halves all seeds share.
 A radial hill climber sweeps the 5x5 window around the current best cell,
 recentering on improvement and stopping when a full sweep yields no
 replacement. Cell scores are memoized in a plain ``dict`` from cell to
@@ -21,7 +22,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .metrics import ConfusionCounts, ppv, sensitivity
+from .metrics import ppv_of, sensitivity_of
 from .model import CountModel, Hyperparameters
 
 __all__ = [
@@ -93,6 +94,8 @@ class MoveRecord(NamedTuple):
     to_score: CellScore
 
 
+_WINDOW = tuple((i, j) for i in range(-2, 3) for j in range(-2, 3) if (i, j) != (0, 0))  # 5x5 less the center
+
 #: The nine (lambda_neg, lambda_pos) start values for multi-start search.
 DEFAULT_START_LAMBDAS: tuple[tuple[float, float], ...] = (
     (1, 1), (1, 8), (1, 15),
@@ -117,8 +120,10 @@ Evaluator = Callable[[Cell], CellScore]
 
 
 class ClassHalves:
-    """One class's leave-one-out halves over the folds of a training model.
+    """One class's leave-one-out halves over some folds of a training model.
 
+    The folds are ``model``'s at ``columns``, positives first, all of
+    them by default; the class is counted over its own folds among them.
     A fold's half is its log class size plus its log conditionals, with
     the fold's own document taken out of the class. Folds, longest first,
     are grouped so no group's table pads to more than twice its tokens.
@@ -132,25 +137,31 @@ class ClassHalves:
     column alone, not on the other folds or on ``top``.
     """
 
-    def __init__(self, model: CountModel, positive: bool):
-        n_folds, n_tokens = model.n_folds, np.diff(model.fold_offsets)
-        own = (np.arange(n_folds) < model.n_pos) == positive  # positives come first
-        counts, size = (model.pos_count, model.n_pos) if positive else (model.neg_count, model.n_neg)
-        fold_counts = counts[model.fold_features] - np.repeat(own, n_tokens)
+    def __init__(self, model: CountModel, positive: bool, columns: np.ndarray | None = None):
+        columns = np.arange(model.n_folds) if columns is None else columns
+        n_tokens = np.diff(model.fold_offsets)[columns]
+        offsets = np.concatenate(([0], np.cumsum(n_tokens)))  # of the folds' rows, one after another
+        shift = np.repeat(model.fold_offsets[columns] - offsets[:-1], n_tokens)  # from those rows to model's
+        features = model.fold_features[np.arange(offsets[-1]) + shift]
+        own = (columns < model.n_pos) == positive  # positives come first
+        own_tokens = np.repeat(own, n_tokens)
+        counts = np.bincount(features[own_tokens], minlength=len(model.features)).astype(np.int32)
+        fold_counts = counts[features] - own_tokens  # int32, as the tables are
         self._top = int(fold_counts.max(initial=0)) + 1
-        padded = np.append(fold_counts, self._top).astype(np.int32)
-        self._size, self._n_tokens = size - own.astype(np.float64), n_tokens.astype(np.float64)
+        padded = np.append(fold_counts, np.int32(self._top))
+        self._size, self._n_tokens = np.count_nonzero(own) - own.astype(np.float64), n_tokens.astype(np.float64)
         self._order = np.argsort(-n_tokens, kind="stable")  # longest fold first
         self._tables, start, pad = [], 0, len(fold_counts)  # per group: each table cell's count or pad
-        while start < n_folds:
+        while start < len(columns):
             folds = self._order[start:]
             lengths = n_tokens[folds]
             if len(folds) * lengths[0] > 2 * lengths.sum():  # split off the folds over half the longest
                 folds = folds[: np.count_nonzero(2 * lengths > lengths[0])]
             start += len(folds)
             rows = np.arange(lengths[0])[:, None]
-            at = np.append(model.fold_offsets[folds], pad) + rows
-            self._tables.append(padded[np.where(rows < np.append(n_tokens[folds], 0), at, pad)])
+            at = np.append(offsets[folds], pad) + rows
+            at[rows >= np.append(n_tokens[folds], 0)] = pad
+            self._tables.append(padded[at])
         self._halves: dict[int, np.ndarray] = {}
 
     def __call__(self, index: int) -> np.ndarray:
@@ -167,20 +178,20 @@ class ClassHalves:
 
 
 class LooEvaluator:
-    """Leave-one-out cell scorer for one training model.
+    """Leave-one-out cell scorer for the folds of ``model`` at ``columns``.
 
-    Per fold, log odds = ``half(pos, lambda_pos) - half(neg, lambda_neg)``:
-    the class-prior denominators cancel, and a half depends on its class's
-    counts and pseudo-count alone (:class:`ClassHalves`). Models with the
-    same positives may share a positive class: ``positive`` is one over
-    folds that include all of this model's, with the column of each of
-    this model's folds in it. By default the evaluator builds its own.
+    Those are all of its positives, then some negatives (all folds by
+    default). Per fold, log odds = ``half(pos, lambda_pos) - half(neg,
+    lambda_neg)``: the class-prior denominators cancel, and a half depends
+    on its class's counts and pseudo-count alone (:class:`ClassHalves`).
+    Training sets with the same positives may share a positive class,
+    ``positive``, over all of ``model``'s folds; by default it is built.
     """
 
-    def __init__(self, model: CountModel, positive: tuple[ClassHalves, np.ndarray] | None = None):
-        self._n_pos = model.n_pos
-        self._positive, self._columns = positive or (ClassHalves(model, True), slice(None))
-        self._negative, self._taken = ClassHalves(model, False), {}
+    def __init__(self, model: CountModel, columns: np.ndarray | None = None, positive: ClassHalves | None = None):
+        self._n_pos, self._negative, self._taken = model.n_pos, ClassHalves(model, False, columns), {}
+        self._positive = ClassHalves(model, True, columns) if positive is None else positive
+        self._columns = slice(None) if positive is None or columns is None else columns  # of the shared class
 
     def _halves(self, cell: Cell) -> tuple[np.ndarray, np.ndarray]:
         if cell.y not in self._taken:  # this model's columns of the half, gathered once per grid index
@@ -194,9 +205,8 @@ class LooEvaluator:
     def __call__(self, cell: Cell) -> CellScore:
         predicted = np.greater(*self._halves(cell))  # log odds > 0.0, for finite halves
         tp = int(np.count_nonzero(predicted[: self._n_pos]))  # positives come first
-        fp = int(np.count_nonzero(predicted[self._n_pos :]))
-        counts = ConfusionCounts(tp=tp, fp=fp, tn=len(predicted) - self._n_pos - fp, fn=self._n_pos - tp)
-        return CellScore(ppv=ppv(counts), sensitivity=sensitivity(counts))
+        fp = int(np.count_nonzero(predicted)) - tp
+        return CellScore(ppv=ppv_of(tp, fp), sensitivity=sensitivity_of(tp, self._n_pos - tp))
 
 
 def radial_gradient_search(
@@ -235,20 +245,17 @@ def radial_gradient_search(
     while True:
         improved = False
         cx, cy = best
-        for i in range(-2, 3):
-            for j in range(-2, 3):
-                if i == 0 and j == 0:
-                    continue
-                nx, ny = cx + i, cy + j
-                if not (0 <= nx < size and 0 <= ny < size):
-                    continue
-                neighbor = Cell(nx, ny)
-                neighbor_score = lookup(neighbor)
-                if neighbor_score > best_score:
-                    if move_log is not None:
-                        move_log.append(MoveRecord(best, best_score, neighbor, neighbor_score))
-                    best, best_score = neighbor, neighbor_score
-                    improved = True
+        for i, j in _WINDOW:
+            nx, ny = cx + i, cy + j
+            if not (0 <= nx < size and 0 <= ny < size):
+                continue
+            neighbor = Cell(nx, ny)
+            neighbor_score = lookup(neighbor)
+            if neighbor_score > best_score:
+                if move_log is not None:
+                    move_log.append(MoveRecord(best, best_score, neighbor, neighbor_score))
+                best, best_score = neighbor, neighbor_score
+                improved = True
         if not improved:
             return SearchOutcome(best, best_score)
 
@@ -291,24 +298,19 @@ def cross_seed_mean_scores(
     The union of cells explored under any seed is back-filled: a cell
     missing from some seed's memo is evaluated under that seed (and
     stored), so every mean covers every seed and the means are
-    comparable.
+    comparable. A mean adds the seeds' scores in seed order.
     """
     if not memos:
         raise ValueError("need at least one memo")
     if len(memos) != len(evaluators):
         raise ValueError(f"{len(memos)} memos but {len(evaluators)} evaluators")
-    means: dict[Cell, CellScore] = {}
-    for cell in sorted(set().union(*memos)):
-        ppv_sum = 0.0
-        sens_sum = 0.0
-        for memo, evaluator in zip(memos, evaluators):
-            score = memo.get(cell)
-            if score is None:
-                score = memo[cell] = evaluator(cell)
-            ppv_sum += score.ppv
-            sens_sum += score.sensitivity
-        means[cell] = CellScore(ppv=ppv_sum / len(memos), sensitivity=sens_sum / len(memos))
-    return means
+    cells = sorted(set().union(*memos))
+    for memo, evaluator in zip(memos, evaluators):
+        memo.update((cell, evaluator(cell)) for cell in cells if cell not in memo)
+    # seeds x (ppv, sensitivity) per cell, with no list per seed; cumsum adds seed after seed, as np.sum need not
+    scores = np.fromiter((v for memo in memos for c in cells for v in memo[c]), float, 2 * len(cells) * len(memos))
+    means = scores.reshape(len(memos), -1).cumsum(axis=0)[-1] / len(memos)
+    return dict(zip(cells, map(CellScore._make, means.reshape(-1, 2).tolist())))
 
 
 def aggregate_over_seeds(

@@ -5,12 +5,13 @@ exact rational arithmetic for posteriors, full retraining for held-out
 folds, dense numpy grids for search surfaces, a string-token count model
 of ``dict``s built straight from ``Document``s with its scalar ``score``
 and ``loo_score`` for corpus rankings and grid cells, both halves of the
-LOO log odds recomputed for every cell, one swap per draw for negative
-sampling, float means and one draw of every index for bootstrap
-resamples, one character at a time for punctuation stripping,
-``scipy.stats`` for the Welch t-test, one ``csv`` module row per
-document for the predictions CSV, one ``Generator.choice`` call per
-document for the synthetic corpus.
+LOO log odds recomputed for every cell, the cross-seed means summed one
+cell and one seed at a time, one swap per draw (or one draw call and the
+whole pool swapped in place) for negative sampling, float means and one
+draw of every index for bootstrap resamples, one character at a time for
+punctuation stripping, ``scipy.stats`` for the Welch t-test, one ``csv``
+module row per document for the predictions CSV, one
+``Generator.choice`` call per document for the synthetic corpus.
 Nothing imports the code paths under test beyond plain data types.
 """
 
@@ -345,6 +346,35 @@ def scalar_sample_negatives(corpus, categories, category, k, seed):
         j = int(rng.integers(i, len(pool)))
         pool[i], pool[j] = pool[j], pool[i]
     return frozenset(int(doc_id) for doc_id in pool[:k])
+
+
+def array_swap_sample_negatives(corpus, categories, category, k, seed):
+    """Partial Fisher-Yates shuffle, all draws in one call, each swap on the whole pool array."""
+    pool = corpus.doc_ids[~np.isin(corpus.doc_ids, categories.row(category))]
+    swaps = np.random.default_rng(seed).integers(np.arange(k), len(pool)).tolist()
+    for i, j in enumerate(swaps):
+        pool[i], pool[j] = pool[j], pool[i]
+    return frozenset(pool[:k].tolist())
+
+
+def loop_cross_seed_mean_scores(memos, evaluators):
+    """Cross-seed means one cell at a time, each a float sum over the seeds in order.
+
+    A cell missing from a seed's memo is evaluated and stored, as
+    ``cross_seed_mean_scores`` back-fills.
+    """
+    means = {}
+    for cell in sorted(set().union(*memos)):
+        ppv_sum = 0.0
+        sens_sum = 0.0
+        for memo, evaluator in zip(memos, evaluators):
+            score = memo.get(cell)
+            if score is None:
+                score = memo[cell] = evaluator(cell)
+            ppv_sum += score.ppv
+            sens_sum += score.sensitivity
+        means[cell] = CellScore(ppv=ppv_sum / len(memos), sensitivity=sens_sum / len(memos))
+    return means
 
 
 def mean_bootstrap_ci(outcomes, B=10_000, alpha=0.05, seed=0):

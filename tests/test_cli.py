@@ -99,6 +99,22 @@ class TestArgumentHandling:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and cause in err
 
+    @pytest.mark.parametrize("rows", [0, 2000])  # the bad byte in the first block read, and well past it
+    def test_predictions_not_utf8_are_data_error(self, tmp_path, capsys, rows):
+        predictions = tmp_path / "predictions.csv"
+        body = "".join(f"{i},{i},Title {i},0.5,0.6\n" for i in range(1, rows + 1)).encode("utf-8")
+        data = b"rank,doc_id,title,log_odds,p_pos\n" + body + b"9999,9999,Bad \xff,0.5,0.6\n"
+        predictions.write_bytes(data)
+        bad = data.index(b"\xff")  # the position the message names is in the whole file
+        (tmp_path / "truth.txt").write_text("5\n")
+        for command in (["evaluate", "--predictions", str(predictions), "--eval-k", "1"],
+                        ["report", "--baseline", str(predictions), "--study", str(predictions)]):
+            code = main([*command, "--truth", str(tmp_path / "truth.txt"), "--out", str(tmp_path / "o")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and f"can't decode byte 0xff in position {bad}:" in err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_category_is_data_error(self, tmp_path, capsys):
         assert main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s")]) == 0
         code = main(["classify", "--corpus", str(tmp_path / "s"), "--category", "Nope",
@@ -302,7 +318,8 @@ class TestCarriageReturnTitles:
         assert main(["classify", "--corpus", str(tmp_path / "s"), "--category", "Cat", "--lambda-neg", "1",
                      "--lambda-pos", "1", "--out", str(tmp_path / "c")]) == 0
         predictions = tmp_path / "c" / "predictions.csv"
-        _, titles = read_predictions_csv(predictions.read_bytes().decode("utf-8"))
+        with open(predictions, encoding="utf-8", newline="\n") as lines:
+            _, titles = read_predictions_csv(lines)
         assert titles == {doc.id: doc.title for doc in docs[2:]}
         (tmp_path / "truth.txt").write_text("3\n5\n7\n")
         assert main(["evaluate", "--predictions", str(predictions), "--truth", str(tmp_path / "truth.txt"),

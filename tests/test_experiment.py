@@ -1,9 +1,11 @@
+import io
 import re
 
 import numpy as np
 import pytest
 
 from oracles import (
+    array_swap_sample_negatives,
     entries,
     reader_predictions_csv,
     scalar_sample_negatives,
@@ -112,6 +114,14 @@ class TestSampleNegatives:
         corpus, cats = _flat_corpus(n_docs, n_members)
         for seed in range(50):
             assert sample_negatives(corpus, cats, "Cat", k, seed) == scalar_sample_negatives(
+                corpus, cats, "Cat", k, seed
+            ), seed
+
+    @pytest.mark.parametrize("n_docs,n_members,k", [(2, 1, 1), (3, 1, 1), (40, 10, 30), (40, 10, 7), (900, 100, 800), (5000, 1000, 1000)])
+    def test_same_draws_as_swapping_the_whole_pool(self, n_docs, n_members, k):
+        corpus, cats = _flat_corpus(n_docs, n_members)
+        for seed in range(40):
+            assert sample_negatives(corpus, cats, "Cat", k, seed) == array_swap_sample_negatives(
                 corpus, cats, "Cat", k, seed
             ), seed
 
@@ -340,7 +350,7 @@ class TestPredictionsCsv:
             ranked = rank_corpus(corpus, model, hp, frozenset(training.positive_ids))
             text = predictions_to_csv(ranked, titles)
             assert text == writer_predictions_csv(entries(ranked), titles)
-            back, back_titles = read_predictions_csv(text)
+            back, back_titles = read_predictions_csv(io.StringIO(text))
             _assert_same_columns(back, ranked)
             assert (entries(back), back_titles) == reader_predictions_csv(text)
 
@@ -353,7 +363,7 @@ class TestPredictionsCsv:
         ranked = _columns(list(zip(ids.tolist(), (1 / (1 + np.exp(-log_odds))).tolist(), log_odds.tolist())))
         text = predictions_to_csv(ranked, titles)
         assert text == writer_predictions_csv(entries(ranked), titles)
-        back, back_titles = read_predictions_csv(text)
+        back, back_titles = read_predictions_csv(io.StringIO(text))
         _assert_same_columns(back, ranked)
         assert back_titles == titles
         assert back.positives_predicted == ranked.positives_predicted
@@ -363,19 +373,19 @@ class TestPredictionsCsv:
         ranked = _columns([(1, 0.75, 1.0), (2, 0.5, 0.0), (3, 0.25, -1.0), (4, 0.125, -2.0)])
         text = predictions_to_csv(ranked, titles)
         assert text.split("\n")[1:3] == ['1,1,"a\rb",1.0,0.75', '2,2,"\r",0.0,0.5']
-        back, back_titles = read_predictions_csv(text)
+        back, back_titles = read_predictions_csv(io.StringIO(text))
         _assert_same_columns(back, ranked)
         assert back_titles == titles
 
     def test_empty_ranking(self):
         text = predictions_to_csv(_columns([]), {})
         assert text == "rank,doc_id,title,log_odds,p_pos\n"
-        back, back_titles = read_predictions_csv(text)
+        back, back_titles = read_predictions_csv(io.StringIO(text))
         assert len(back) == 0 and back.ids.dtype == np.int64 and back_titles == {}
 
     def test_header_rejected_when_unknown(self):
         with pytest.raises(ValueError, match="header"):
-            read_predictions_csv("a,b\n1,2\n")
+            read_predictions_csv(io.StringIO("a,b\n1,2\n"))
 
     @pytest.mark.parametrize(
         "body, where",
@@ -388,4 +398,4 @@ class TestPredictionsCsv:
     )
     def test_unparsable_rows_name_their_line(self, body, where):
         with pytest.raises(ValueError, match=where):
-            read_predictions_csv("rank,doc_id,title,log_odds,p_pos\n" + body)
+            read_predictions_csv(io.StringIO("rank,doc_id,title,log_odds,p_pos\n" + body))

@@ -10,6 +10,7 @@ from oracles import (
     evaluate_priors,
     is_local_max,
     loo_score,
+    loop_cross_seed_mean_scores,
     per_cell_log_odds,
     surface_evaluator,
     two_bump_surface,
@@ -18,7 +19,7 @@ from oracles import (
 import priorlearn.experiment as experiment
 from priorlearn.corpus import CategoryIndex, Corpus, Document
 from priorlearn.experiment import ExperimentSpec, learn_priors, make_training_set, training_model
-from priorlearn.model import Hyperparameters
+from priorlearn.model import Hyperparameters, build_counts
 from priorlearn.search import (
     DEFAULT_GRID,
     Cell,
@@ -242,6 +243,38 @@ def _positive_half(evaluator, index):
     return evaluator._halves(Cell(0, index))[0]
 
 
+def _negative_half(evaluator, index):
+    return evaluator._halves(Cell(index, 0))[1]
+
+
+def _assert_same_class(got, want):
+    """Two ``ClassHalves`` over the same folds: the same count tables, sizes and fold lengths."""
+    assert got._top == want._top and np.array_equal(got._order, want._order)
+    assert np.array_equal(got._size.view(np.int64), want._size.view(np.int64))
+    assert np.array_equal(got._n_tokens.view(np.int64), want._n_tokens.view(np.int64))
+    assert len(got._tables) == len(want._tables)
+    for a, b in zip(got._tables, want._tables):
+        assert a.dtype == b.dtype == np.int32 and np.array_equal(a, b)
+
+
+class TestClassHalvesColumns:
+    def test_equals_the_class_of_build_counts_over_the_chosen_folds(self):
+        rng = np.random.default_rng(21)
+        for _ in range(25):
+            positives, negatives = random_training_docs(rng, int(rng.integers(1, 12)), int(rng.integers(0, 30)))
+            corpus = Corpus.from_documents([*positives, *negatives])
+            model = build_counts(corpus, [d.id for d in positives], [d.id for d in negatives])
+            # any subset of the negatives, in any order, none at all included
+            chosen = rng.permutation(len(negatives))[: int(rng.integers(0, len(negatives) + 1))]
+            columns = np.append(np.arange(model.n_pos), model.n_pos + chosen)
+            alone = build_counts(corpus, [d.id for d in positives], [negatives[i].id for i in chosen.tolist()])
+            for positive in (True, False):
+                _assert_same_class(ClassHalves(model, positive, columns), ClassHalves(alone, positive))
+            evaluator, oracle = LooEvaluator(model, columns), dict_model(positives, [negatives[i] for i in chosen.tolist()])
+            for cell in (Cell(0, 202), Cell(3, 3), Cell(120, 40)):
+                assert np.array_equal(evaluator.log_odds(cell), per_cell_log_odds(oracle, cell)), cell
+
+
 class TestSharedPositiveClass:
     def test_log_table_entries_do_not_depend_on_its_length(self):
         # the shared positive class can count one past a seed's own top; their common entries must match
@@ -282,6 +315,52 @@ class TestSharedPositiveClass:
         for i in range(len(DEFAULT_GRID)):
             for cell in (Cell(i, i), Cell(i, last - i)):
                 assert np.array_equal(evaluator.log_odds(cell), per_cell_log_odds(oracle, cell)), cell
+
+    def test_search_wide_negative_halves_equal_standalone_evaluators(self, wide, monkeypatch):
+        spec = ExperimentSpec(corpus=wide.corpus, categories=wide.categories, category=CATEGORY, seeds=tuple(range(20)))
+        evaluators = _recorded_evaluators(monkeypatch)
+        learn_priors(spec)
+        assert len(evaluators) == 20
+        for seed in spec.seeds:
+            shared = evaluators.pop(0)  # each seed's halves are freed once checked
+            training = make_training_set(wide.corpus, wide.categories, CATEGORY, seed)
+            alone = ClassHalves(training_model(wide.corpus, training), False)
+            for index in range(len(DEFAULT_GRID)):
+                expected = alone(index).view(np.int64)
+                assert np.array_equal(_negative_half(shared, index).view(np.int64), expected), (seed, index)
+
+    def test_search_wide_fold_rows_and_counts_equal_build_counts(self, wide, monkeypatch):
+        spec = ExperimentSpec(corpus=wide.corpus, categories=wide.categories, category=CATEGORY, seeds=tuple(range(20)))
+        evaluators = _recorded_evaluators(monkeypatch)
+        learn_priors(spec)
+        assert len(evaluators) == 20
+        for seed, shared in zip(spec.seeds, evaluators):
+            training = make_training_set(wide.corpus, wide.categories, CATEGORY, seed)
+            _assert_same_class(shared._negative, ClassHalves(training_model(wide.corpus, training), False))
+            assert shared._n_pos == len(training.positive_ids)
+
+    def test_a_feature_only_one_seed_draws_among_its_negatives(self, monkeypatch):
+        # 3 is the one non-member holding "b", a positive feature; no other seed's negatives count it
+        docs = [
+            _doc(1, {"a", "b"}), _doc(2, {"a", "c"}),
+            _doc(3, {"b", "x"}), _doc(4, {"a", "x"}), _doc(5, {"c", "y"}), _doc(6, {"z"}), _doc(7, {"a", "c"}),
+        ]
+        corpus, categories = Corpus.from_documents(docs), CategoryIndex.from_mapping({"C": [1, 2]})
+        negatives = {seed: make_training_set(corpus, categories, "C", seed).negative_ids for seed in range(40)}
+        holding = next(seed for seed, ids in negatives.items() if 3 in ids)
+        seeds = (*[seed for seed, ids in negatives.items() if 3 not in ids][:3], holding)
+        evaluators = _recorded_evaluators(monkeypatch)
+        learn_priors(ExperimentSpec(corpus=corpus, categories=categories, category="C", seeds=seeds))
+        last = len(DEFAULT_GRID) - 1
+        for seed, evaluator in zip(seeds, evaluators):
+            training = make_training_set(corpus, categories, "C", seed)
+            alone = ClassHalves(training_model(corpus, training), False)
+            oracle = dict_model([corpus.get(i) for i in training.positive_ids], [corpus.get(i) for i in training.negative_ids])
+            for index in range(len(DEFAULT_GRID)):
+                expected = alone(index).view(np.int64)
+                assert np.array_equal(_negative_half(evaluator, index).view(np.int64), expected), (seed, index)
+                for cell in (Cell(index, index), Cell(index, last - index)):
+                    assert np.array_equal(evaluator.log_odds(cell), per_cell_log_odds(oracle, cell)), (seed, cell)
 
     def test_each_positive_half_is_computed_once_per_grid_index(self, monkeypatch):
         syn = make_synthetic_corpus(seed=0, vocab_size=200, n_members=20, pool_size=400)
@@ -514,6 +593,35 @@ class TestAggregateOverSeeds:
     def test_empty_memo_list_rejected(self):
         with pytest.raises(ValueError):
             aggregate_over_seeds([], [])
+
+    @pytest.mark.parametrize("n_seeds, n_cells", [(25, 1), (1, 40), (5, 300), (20, 450)])
+    def test_means_equal_a_loop_over_seeds_bit_for_bit(self, n_seeds, n_cells):
+        rng = np.random.default_rng(n_seeds * 1000 + n_cells)
+        cells = sorted({Cell(*map(int, xy)) for xy in rng.integers(0, 203, (n_cells, 2))})
+
+        def evaluator(seed):
+            # ratios of small counts, as LOO scores are, and a few that are not
+            def evaluate(cell):
+                r = np.random.default_rng([seed, cell.x, cell.y])
+                tp, fp, fn = r.integers(0, 1000, 3).tolist()
+                return CellScore(tp / (tp + fp) if tp + fp else 0.0, r.random() if cell.x % 7 == 0 else tp / (tp + fn or 1))
+            return evaluate
+
+        evaluators = [evaluator(seed) for seed in range(n_seeds)]
+        # every seed explores part of the cells, in its own order; the first one none of them
+        memos = []
+        for seed, evaluate in enumerate(evaluators):
+            explored = [] if seed == 0 and n_seeds > 1 else rng.permutation(len(cells))[: int(rng.integers(1, len(cells) + 1))]
+            memos.append({cells[i]: evaluate(cells[i]) for i in explored})
+        copies = [dict(memo) for memo in memos]
+        means = cross_seed_mean_scores(memos, evaluators)
+        expected = loop_cross_seed_mean_scores(copies, evaluators)
+        assert list(means) == list(expected)
+        assert n_cells > 1 or list(means) == cells  # a one-cell union
+        got, want = np.array(list(means.values())), np.array(list(expected.values()))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert all(type(value) is float for score in means.values() for value in score)
+        assert [list(memo.items()) for memo in memos] == [list(memo.items()) for memo in copies]
 
     def test_tie_breaks_toward_sensitivity_then_cell(self):
         def evaluate_a(cell):
