@@ -15,13 +15,13 @@ to demo_output/ next to this script.
 from pathlib import Path
 
 from priorlearn.experiment import (
+    PRNG_NAME,
     ExperimentSpec,
     export_review_list,
     learn_priors,
     make_training_set,
     predictions_to_csv,
     rank_corpus,
-    run_manifest,
     training_model,
 )
 from priorlearn.metrics import ppv_at_k
@@ -84,8 +84,10 @@ print(f"two-sided Welch t-test p = {p_value:.2g}")
 print("\n-- blinded review page --")
 html = export_review_list(baseline, study, titles, top_n=spec.top_n)
 (out / "review.html").write_text(html)
-manifest = run_manifest(spec, lam, baseline, study)
 print(f"merged top-{spec.top_n} lists into {html.count('<li>')} alphabetized links "
       f"(no scores, no model names)")
 print(f"artifacts written to {out}/")
-print(f"run manifest: {manifest}")
+print(f"run manifest: category {spec.category!r}, seeds {list(spec.seeds)}, "
+      f"starts {[list(cell) for cell in spec.start_cells()]}, prng {PRNG_NAME}, "
+      f"learned ({lam.lambda_neg}, {lam.lambda_pos}), positives predicted: "
+      f"baseline {baseline.positives_predicted}, study {study.positives_predicted}")

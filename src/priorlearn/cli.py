@@ -136,7 +136,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     with dump.open("rb") as stream:
         corpus, categories = ingest_wiki_dump(stream, min_bytes=args.min_bytes, skipped=skipped)
     store_corpus(corpus, categories, args.out)
-    print(f"ingested {corpus.doc_count} documents, {len(categories.categories())} categories")
+    print(f"ingested {corpus.doc_count} documents, {len(categories.names)} categories")
     for reason in sorted(skipped):
         print(f"skipped {reason}: {skipped[reason]}")
     return EXIT_OK
@@ -220,7 +220,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if not 1 <= args.eval_k <= len(ranked):
         raise CorpusFormatError(f"eval-k {args.eval_k} out of range 1..{len(ranked)}")
     profile = metrics.ppv_profile(ranked.doc_ids(), truth, args.eval_k)
-    k, hits, value = profile.entries[-1]
+    k, hits, value = profile[-1]
     out = Path(args.out)
     _write(out / "profile.csv", metrics.profile_to_csv(profile))
     _write_json(out / "evaluation.json", {"k": k, "hits": hits, "ppv": value})

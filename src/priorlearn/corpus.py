@@ -278,9 +278,6 @@ class CategoryIndex:
         offsets = np.cumsum([0, *map(len, rows)], dtype=np.int64)
         return cls(names, offsets, np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=offsets[-1]))
 
-    def categories(self) -> list[str]:
-        return list(self.names)
-
     def __contains__(self, name: str) -> bool:
         return _index(self.names, name) >= 0
 

@@ -2,11 +2,11 @@
 
 An experiment fixes a category and a list of PRNG seeds. Every direct
 member of the category becomes a positive training case; an equal
-number of negatives is sampled per seed from the non-members. The
-baseline branch classifies the corpus under the add-one (Bayes-Laplace)
-priors; the study branch first learns (lambda_neg, lambda_pos) by
-multi-start grid search under every seed, aggregates the score terrain
-across seeds, and classifies under the winning pair.
+number of negatives is sampled per seed from the non-members.
+:func:`classify_corpus` ranks the corpus under given priors: the
+baseline's are add-one (Bayes-Laplace), and the study's come from
+:func:`learn_priors`, which runs a multi-start grid search under every
+seed and aggregates the score terrain across seeds.
 
 All randomness flows from the explicit seeds through a fixed, published
 generator (numpy PCG64 driving a partial Fisher-Yates shuffle), so a
@@ -29,7 +29,6 @@ import numpy as np
 
 from .corpus import CategoryIndex, Corpus
 from .model import (
-    BAYES_LAPLACE,
     CountModel,
     Hyperparameters,
     build_counts,
@@ -63,13 +62,10 @@ __all__ = [
     "training_model",
     "rank_corpus",
     "classify_corpus",
-    "run_baseline",
     "learn_priors",
-    "run_study",
     "export_review_list",
     "predictions_to_csv",
     "read_predictions_csv",
-    "run_manifest",
 ]
 
 #: Recorded in run manifests: sampling algorithm and generator identity.
@@ -245,11 +241,6 @@ def classify_corpus(
     return model, ranked
 
 
-def run_baseline(spec: ExperimentSpec) -> RankedPredictions:
-    """Rank the corpus under add-one priors (see :func:`classify_corpus`)."""
-    return classify_corpus(spec, BAYES_LAPLACE)[1]
-
-
 @dataclass(frozen=True)
 class PriorSearchResult:
     """Learned priors plus the artifacts of the per-seed searches."""
@@ -299,15 +290,6 @@ def learn_priors(spec: ExperimentSpec) -> PriorSearchResult:
         evaluations=evaluations,
         move_logs=tuple(map(tuple, move_logs)),
     )
-
-
-def run_study(spec: ExperimentSpec) -> tuple[Hyperparameters, RankedPredictions]:
-    """Learn priors across the spec's seeds, then rank the corpus with them.
-
-    The ranking is :func:`classify_corpus`'s, as in the baseline branch.
-    """
-    result = learn_priors(spec)
-    return result.hyperparameters, classify_corpus(spec, result.hyperparameters)[1]
 
 
 def export_review_list(
@@ -409,23 +391,3 @@ def read_predictions_csv(lines: Iterable[str]) -> tuple[RankedPredictions, dict[
     columns = (np.frombuffer(column, dtype=column.typecode) for column in (ids, p_pos, log_odds))
     return RankedPredictions(*columns), titles
 
-
-def run_manifest(
-    spec: ExperimentSpec,
-    learned: Hyperparameters,
-    baseline: RankedPredictions,
-    study: RankedPredictions,
-) -> dict:
-    """Summary of one full experiment, suitable for JSON serialization."""
-    return {
-        "category": spec.category,
-        "seeds": list(spec.seeds),
-        "starts": [[cell.x, cell.y] for cell in spec.start_cells()],
-        "prng": PRNG_NAME,
-        "learned_lambda_neg": learned.lambda_neg,
-        "learned_lambda_pos": learned.lambda_pos,
-        "positives_predicted": {
-            "baseline": baseline.positives_predicted,
-            "study": study.positives_predicted,
-        },
-    }

@@ -1,5 +1,7 @@
 """Ranked-retrieval evaluation: PPV (precision), sensitivity, PPV@k.
 
+Every top-k count is one outcome vector's: PPV@k is its count of ones
+over k, the profile its running count, each a Python int over the rank.
 PPV of an empty positive-prediction set is defined as 0 rather than
 undefined, so a hyperparameter search is steered away from degenerate
 settings that predict nothing positive.
@@ -7,36 +9,18 @@ settings that predict nothing positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import AbstractSet, Sequence
 
+import numpy as np
+
 __all__ = [
-    "ConfusionCounts",
-    "PpvProfile",
-    "ppv",
     "ppv_of",
-    "sensitivity",
     "sensitivity_of",
+    "outcome_vector",
     "ppv_at_k",
     "ppv_profile",
     "profile_to_csv",
 ]
-
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int = 0
-    fp: int = 0
-    tn: int = 0
-    fn: int = 0
-
-    def __post_init__(self) -> None:
-        if min(self.tp, self.fp, self.tn, self.fn) < 0:
-            raise ValueError("confusion counts must be nonnegative")
-
-
-def ppv(counts: ConfusionCounts) -> float:
-    return ppv_of(counts.tp, counts.fp)
 
 
 def ppv_of(tp: int, fp: int) -> float:
@@ -44,46 +28,29 @@ def ppv_of(tp: int, fp: int) -> float:
     return tp / (tp + fp) if tp + fp else 0.0
 
 
-def sensitivity(counts: ConfusionCounts) -> float:
-    return sensitivity_of(counts.tp, counts.fn)
-
-
 def sensitivity_of(tp: int, fn: int) -> float:
     """Sensitivity tp/(tp+fn); 0 when there are no positive cases."""
     return tp / (tp + fn) if tp + fn else 0.0
 
 
-def ppv_at_k(ranked_ids: Sequence[int], truth: AbstractSet[int], k: int) -> float:
-    """Fraction of the top ``k`` ranked ids that are true positives."""
+def outcome_vector(ranked_ids: Sequence[int], truth: AbstractSet[int], k: int) -> np.ndarray:
+    """Bit per rank 1..k: 1 iff that prediction is in the truth set."""
     if not 1 <= k <= len(ranked_ids):
         raise ValueError(f"k={k} out of range 1..{len(ranked_ids)}")
-    hits = sum(1 for doc_id in ranked_ids[:k] if doc_id in truth)
-    return hits / k
+    return np.array([1 if doc_id in truth else 0 for doc_id in ranked_ids[:k]], dtype=np.int8)
 
 
-@dataclass(frozen=True)
-class PpvProfile:
-    """Cumulative PPV at every rank 1..K of a ranked prediction list."""
-
-    entries: tuple[tuple[int, int, float], ...]
-    """(rank, cumulative hits, cumulative ppv) triples."""
+def ppv_at_k(ranked_ids: Sequence[int], truth: AbstractSet[int], k: int) -> float:
+    """Fraction of the top ``k`` ranked ids that are true positives."""
+    return int(np.count_nonzero(outcome_vector(ranked_ids, truth, k))) / k
 
 
-def ppv_profile(ranked_ids: Sequence[int], truth: AbstractSet[int], K: int) -> PpvProfile:
-    """Cumulative PPV profile over the top ``K`` ranks."""
-    if not 1 <= K <= len(ranked_ids):
-        raise ValueError(f"K={K} out of range 1..{len(ranked_ids)}")
-    entries = []
-    hits = 0
-    for k, doc_id in enumerate(ranked_ids[:K], start=1):
-        hits += doc_id in truth
-        entries.append((k, hits, hits / k))
-    return PpvProfile(entries=tuple(entries))
+def ppv_profile(ranked_ids: Sequence[int], truth: AbstractSet[int], K: int) -> tuple[tuple[int, int, float], ...]:
+    """(rank, cumulative hits, cumulative ppv) at every rank 1..``K``."""
+    hits = np.cumsum(outcome_vector(ranked_ids, truth, K)).tolist()
+    return tuple((k, n, n / k) for k, n in enumerate(hits, start=1))
 
 
-def profile_to_csv(profile: PpvProfile) -> str:
+def profile_to_csv(profile: Sequence[tuple[int, int, float]]) -> str:
     """CSV rendering (rank, hits, ppv) for external plotting."""
-    lines = ["rank,hits,ppv"]
-    for rank, hits, value in profile.entries:
-        lines.append(f"{rank},{hits},{value!r}")
-    return "\n".join(lines) + "\n"
+    return "rank,hits,ppv\n" + "".join(f"{rank},{hits},{value!r}\n" for rank, hits, value in profile)

@@ -184,14 +184,14 @@ class LooEvaluator:
     default). Per fold, log odds = ``half(pos, lambda_pos) - half(neg,
     lambda_neg)``: the class-prior denominators cancel, and a half depends
     on its class's counts and pseudo-count alone (:class:`ClassHalves`).
-    Training sets with the same positives may share a positive class,
-    ``positive``, over all of ``model``'s folds; by default it is built.
+    The positive class covers all of ``model``'s folds, read at ``columns``;
+    training sets with the same positives may share it (``positive``).
     """
 
     def __init__(self, model: CountModel, columns: np.ndarray | None = None, positive: ClassHalves | None = None):
         self._n_pos, self._negative, self._taken = model.n_pos, ClassHalves(model, False, columns), {}
-        self._positive = ClassHalves(model, True, columns) if positive is None else positive
-        self._columns = slice(None) if positive is None or columns is None else columns  # of the shared class
+        self._positive = ClassHalves(model, True) if positive is None else positive
+        self._columns = slice(None) if columns is None else columns  # of the positive class's folds
 
     def _halves(self, cell: Cell) -> tuple[np.ndarray, np.ndarray]:
         if cell.y not in self._taken:  # this model's columns of the half, gathered once per grid index

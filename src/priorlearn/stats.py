@@ -1,13 +1,13 @@
 """Uncertainty estimates over top-k outcome vectors.
 
-An outcome vector holds one bit per rank: 1 iff that prediction was a
-true positive, so its mean is the PPV at k. Confidence intervals come
-from the plain percentile bootstrap; model comparison uses a two-sided
-Welch t-test on the two bit vectors. The test's arithmetic is numpy's;
-its Student-t tail is ``scipy.special.stdtr``, the kernel
-``scipy.stats.ttest_ind`` calls itself, so the p-value equals
-``ttest_ind(a, b, equal_var=False).pvalue`` bit for bit without importing
-``scipy.stats``.
+An outcome vector (:func:`~priorlearn.metrics.outcome_vector`, re-exported
+here) holds one bit per rank: 1 iff that prediction was a true positive,
+so its mean is the PPV at k. Confidence intervals come from the plain
+percentile bootstrap; model comparison uses a two-sided Welch t-test on
+the two bit vectors. The test's arithmetic is numpy's; its Student-t tail
+is ``scipy.special.stdtr``, the kernel ``scipy.stats.ttest_ind`` calls
+itself, so the p-value equals ``ttest_ind(a, b, equal_var=False).pvalue``
+bit for bit without importing ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -15,10 +15,12 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import AbstractSet, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import stdtr
+
+from .metrics import outcome_vector
 
 __all__ = [
     "BootstrapCI",
@@ -35,13 +37,6 @@ class BootstrapCI:
     hi: float
     B: int
     alpha: float
-
-
-def outcome_vector(ranked_ids: Sequence[int], truth: AbstractSet[int], k: int) -> np.ndarray:
-    """Bit per rank 1..k: 1 iff that prediction is in the truth set."""
-    if not 1 <= k <= len(ranked_ids):
-        raise ValueError(f"k={k} out of range 1..{len(ranked_ids)}")
-    return np.array([1 if doc_id in truth else 0 for doc_id in ranked_ids[:k]], dtype=np.int8)
 
 
 _BLOCK = 1 << 16  # indices per block of bootstrap_ci's resample draws

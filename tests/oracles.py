@@ -9,10 +9,12 @@ LOO log odds recomputed for every cell, the cross-seed means summed one
 cell and one seed at a time, one swap per draw (or one draw call and the
 whole pool swapped in place) for negative sampling, float means and one
 draw of every index for bootstrap resamples, one character at a time for
-punctuation stripping, ``scipy.stats`` for the Welch t-test, one ``csv``
-module row per document for the predictions CSV, one
-``Generator.choice`` call per document for the synthetic corpus.
-Nothing imports the code paths under test beyond plain data types.
+punctuation stripping, ``scipy.stats`` for the Welch t-test, one rank
+at a time for the top-k counts, one ``csv`` module row per document for
+the predictions CSV, one ``Generator.choice`` call per document for the
+synthetic corpus. Nothing imports the code paths under test beyond plain
+data types and the two ratio formulas ``ppv_of`` and ``sensitivity_of``,
+which ``tests/test_metrics.py`` checks on hand-counted cases.
 """
 
 import csv
@@ -30,7 +32,7 @@ import numpy as np
 from scipy import stats as sps
 
 from priorlearn.corpus import CategoryIndex, Corpus, Document
-from priorlearn.metrics import ConfusionCounts, ppv, sensitivity
+from priorlearn.metrics import ppv_of, sensitivity_of
 from priorlearn.search import DEFAULT_GRID, Cell, CellScore
 from priorlearn.stats import BootstrapCI
 from priorlearn.synthetic import (
@@ -252,7 +254,7 @@ def evaluate_priors(cell, model):
     yield (ppv, sensitivity). The reference for ``LooEvaluator``.
     """
     hp = DEFAULT_GRID.hyperparameters(cell)
-    tp = fp = tn = fn = 0
+    tp = fp = fn = 0
     for fold in range(model.n_folds):
         predicted = loo_score(fold, model, hp).log_odds > 0.0
         actual = model.doc_labels[fold]
@@ -262,10 +264,36 @@ def evaluate_priors(cell, model):
             fp += 1
         elif actual:
             fn += 1
-        else:
-            tn += 1
-    counts = ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
-    return CellScore(ppv=ppv(counts), sensitivity=sensitivity(counts))
+    return CellScore(ppv=ppv_of(tp, fp), sensitivity=sensitivity_of(tp, fn))
+
+
+def _check_k(ranked_ids, k):
+    if not 1 <= k <= len(ranked_ids):
+        raise ValueError(f"k={k} out of range 1..{len(ranked_ids)}")
+
+
+def loop_outcome_vector(ranked_ids, truth, k):
+    """Bit per rank 1..k, one membership test per rank."""
+    _check_k(ranked_ids, k)
+    return np.array([1 if doc_id in truth else 0 for doc_id in ranked_ids[:k]], dtype=np.int8)
+
+
+def loop_ppv_at_k(ranked_ids, truth, k):
+    """Hits in the top ``k`` counted one rank at a time, over ``k``."""
+    _check_k(ranked_ids, k)
+    hits = sum(1 for doc_id in ranked_ids[:k] if doc_id in truth)
+    return hits / k
+
+
+def loop_ppv_profile(ranked_ids, truth, K):
+    """(rank, cumulative hits, cumulative ppv) per rank, hits added one rank at a time."""
+    _check_k(ranked_ids, K)
+    entries = []
+    hits = 0
+    for k, doc_id in enumerate(ranked_ids[:K], start=1):
+        hits += doc_id in truth
+        entries.append((k, hits, hits / k))
+    return tuple(entries)
 
 
 def per_cell_log_odds(model, cell):

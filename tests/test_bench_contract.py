@@ -20,7 +20,8 @@ import workloads  # noqa: E402
 from tracer import Tracer, instrument  # noqa: E402
 
 from priorlearn import cli  # noqa: E402
-from priorlearn.experiment import ExperimentSpec, learn_priors, run_baseline  # noqa: E402
+from priorlearn.experiment import ExperimentSpec, classify_corpus, learn_priors  # noqa: E402
+from priorlearn.model import BAYES_LAPLACE  # noqa: E402
 from priorlearn.synthetic import CATEGORY, make_synthetic_corpus  # noqa: E402
 
 
@@ -31,7 +32,7 @@ def test_search_and_ranking_spans_fire():
     )
     with instrument(Tracer()) as tracer:
         learn_priors(spec)
-        run_baseline(spec)
+        classify_corpus(spec, BAYES_LAPLACE)
     recorded = {name for name, _, _, _ in tracer.spans}
     for name in (
         "search.aggregate_over_seeds",

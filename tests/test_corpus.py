@@ -502,7 +502,7 @@ class TestCorpusStore:
         store_corpus(Corpus.from_documents([doc]), CategoryIndex.from_mapping({"New": [1]}), tmp_path / "s")
         store_corpus(Corpus.from_documents([doc]), CategoryIndex.from_mapping({"New": [1]}), tmp_path / "fresh")
         loaded, cats = load_corpus(tmp_path / "s")
-        assert cats.categories() == ["New"]
+        assert cats.names == ("New",)
         assert list(loaded) == [doc]
         (tmp_path / "s" / "notes.txt").unlink()
         assert _tree(tmp_path / "s") == _tree(tmp_path / "fresh")

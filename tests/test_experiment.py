@@ -15,15 +15,13 @@ from priorlearn.corpus import CategoryIndex, Corpus, Document
 from priorlearn.experiment import (
     ExperimentSpec,
     RankedPredictions,
+    classify_corpus,
     export_review_list,
     learn_priors,
     make_training_set,
     predictions_to_csv,
     rank_corpus,
     read_predictions_csv,
-    run_baseline,
-    run_manifest,
-    run_study,
     sample_negatives,
     training_model,
 )
@@ -199,6 +197,12 @@ class TestRankCorpus:
         assert len(ranked.doc_ids()) == syn.corpus.doc_count
 
 
+def _study(spec):
+    """Learn priors across the spec's seeds, then rank the corpus with them."""
+    learned = learn_priors(spec).hyperparameters
+    return learned, classify_corpus(spec, learned)[1]
+
+
 class TestBranches:
     def test_both_branches_surface_all_hidden_positives(self, separable):
         spec = ExperimentSpec(
@@ -208,8 +212,8 @@ class TestBranches:
             seeds=(0, 1),
             top_n=20,
         )
-        baseline = run_baseline(spec)
-        learned, study = run_study(spec)
+        baseline = classify_corpus(spec, BAYES_LAPLACE)[1]
+        learned, study = _study(spec)
         n_truth = len(separable.truth)
         assert set(baseline.doc_ids()[:n_truth]) == separable.truth
         assert set(study.doc_ids()[:n_truth]) == separable.truth
@@ -218,7 +222,7 @@ class TestBranches:
         spec = ExperimentSpec(
             corpus=separable.corpus, categories=separable.categories, category=CATEGORY, seeds=(0,)
         )
-        baseline = run_baseline(spec)
+        baseline = classify_corpus(spec, BAYES_LAPLACE)[1]
         training = make_training_set(spec.corpus, spec.categories, CATEGORY, 0)
         model = training_model(spec.corpus, training)
         forced = rank_corpus(
@@ -236,7 +240,7 @@ class TestBranches:
         titles = {doc.id: doc.title for doc in separable.corpus}
         runs = []
         for _ in range(2):
-            learned, ranked = run_study(spec)
+            learned, ranked = _study(spec)
             runs.append((learned, predictions_to_csv(ranked, titles)))
         assert runs[0] == runs[1]
 
@@ -252,19 +256,6 @@ class TestBranches:
             assert Cell(3, 3) in memo
         assert result.mean_scores[result.cell].ppv >= result.mean_scores[Cell(3, 3)].ppv
         assert result.mean_ppv == result.mean_scores[result.cell].ppv
-
-    def test_run_manifest_fields(self, separable):
-        spec = ExperimentSpec(
-            corpus=separable.corpus, categories=separable.categories, category=CATEGORY, seeds=(0,)
-        )
-        baseline = run_baseline(spec)
-        learned, study = run_study(spec)
-        manifest = run_manifest(spec, learned, baseline, study)
-        assert manifest["category"] == CATEGORY
-        assert manifest["seeds"] == [0]
-        assert len(manifest["starts"]) == 9
-        assert manifest["positives_predicted"]["baseline"] == baseline.positives_predicted
-        assert manifest["positives_predicted"]["study"] == study.positives_predicted
 
 
 class TestReviewList:

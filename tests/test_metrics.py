@@ -3,46 +3,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import loop_outcome_vector, loop_ppv_at_k, loop_ppv_profile
+from priorlearn import stats
 from priorlearn.metrics import (
-    ConfusionCounts,
-    ppv,
+    outcome_vector,
     ppv_at_k,
+    ppv_of,
     ppv_profile,
     profile_to_csv,
-    sensitivity,
+    sensitivity_of,
 )
 
 
 class TestPpv:
     def test_top250_anchor(self):
-        assert ppv(ConfusionCounts(tp=72, fp=178)) == 0.288
+        assert ppv_of(tp=72, fp=178) == 0.288
 
     def test_empty_prediction_set_is_zero(self):
-        assert ppv(ConfusionCounts(tp=0, fp=0, tn=5, fn=5)) == 0.0
+        assert ppv_of(tp=0, fp=0) == 0.0
 
     def test_perfect_list(self):
-        assert ppv(ConfusionCounts(tp=250, fp=0)) == 1.0
+        assert ppv_of(tp=250, fp=0) == 1.0
 
     def test_scale_free(self):
-        a = ConfusionCounts(tp=3, fp=7, tn=11, fn=2)
-        doubled = ConfusionCounts(tp=6, fp=14, tn=22, fn=4)
-        assert ppv(a) == ppv(doubled)
-        assert sensitivity(a) == sensitivity(doubled)
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
-            ConfusionCounts(tp=-1)
+        assert ppv_of(tp=3, fp=7) == ppv_of(tp=6, fp=14)
+        assert sensitivity_of(tp=3, fn=2) == sensitivity_of(tp=6, fn=4)
 
 
 class TestSensitivity:
     def test_half(self):
-        assert sensitivity(ConfusionCounts(tp=5, fn=5)) == 0.5
+        assert sensitivity_of(tp=5, fn=5) == 0.5
 
     def test_zero_hits(self):
-        assert sensitivity(ConfusionCounts(tp=0, fn=10)) == 0.0
+        assert sensitivity_of(tp=0, fn=10) == 0.0
 
     def test_no_positive_cases(self):
-        assert sensitivity(ConfusionCounts(tp=0, fp=3, tn=2, fn=0)) == 0.0
+        assert sensitivity_of(tp=0, fn=0) == 0.0
 
 
 class TestPpvAtK:
@@ -72,22 +68,22 @@ class TestPpvAtK:
 class TestPpvProfile:
     def test_all_truth_constant_one(self):
         profile = ppv_profile([4, 5, 6], {4, 5, 6}, 3)
-        assert [p for _, _, p in profile.entries] == [1.0, 1.0, 1.0]
+        assert [p for _, _, p in profile] == [1.0, 1.0, 1.0]
 
     def test_no_truth_constant_zero(self):
         profile = ppv_profile([4, 5, 6], set(), 3)
-        assert [p for _, _, p in profile.entries] == [0.0, 0.0, 0.0]
+        assert [p for _, _, p in profile] == [0.0, 0.0, 0.0]
 
     def test_alternating_hits(self):
         profile = ppv_profile([1, 2, 3, 4], {1, 3}, 4)
-        assert [p for _, _, p in profile.entries] == [1.0, 0.5, 2 / 3, 0.5]
+        assert [p for _, _, p in profile] == [1.0, 0.5, 2 / 3, 0.5]
 
     def test_hit_count_is_integer_scaled_ppv(self):
         rng = np.random.default_rng(11)
         ranked = list(rng.permutation(200))
         truth = set(int(x) for x in rng.choice(200, size=37, replace=False))
         profile = ppv_profile(ranked, truth, 200)
-        for k, hits, value in profile.entries:
+        for k, hits, value in profile:
             assert hits == round(value * k)
             assert 0.0 <= value <= 1.0
 
@@ -97,7 +93,7 @@ class TestPpvProfile:
         ranked = list(range(len(bits)))
         truth = {i for i, hit in enumerate(bits) if hit}
         profile = ppv_profile(ranked, truth, len(bits))
-        values = [p for _, _, p in profile.entries]
+        values = [p for _, _, p in profile]
         for k, (a, b) in enumerate(zip(values, values[1:]), start=2):
             assert abs(b - a) <= 1.0 / k + 1e-12
 
@@ -109,3 +105,46 @@ class TestPpvProfile:
         assert lines[1] == "1,1,1.0"
         assert lines[2] == "2,1,0.5"
         assert len(lines) == 5
+
+
+def _random_rankings():
+    """Random rankings of 1 to 400 ids, each with a random, a full and an empty truth set."""
+    rng = np.random.default_rng(21)
+    for size in (1, 2, 37, 250, 400):
+        ranked = [int(x) for x in rng.permutation(3 * size)[:size]]
+        picked = {int(x) for x in rng.choice(3 * size, size=size, replace=False)}
+        yield pytest.param(ranked, picked, id=f"random-truth-{size}")
+        yield pytest.param(ranked, set(ranked), id=f"all-hits-{size}")
+        yield pytest.param(ranked, set(), id=f"empty-truth-{size}")
+
+
+class TestOneTopKCount:
+    """Every top-k count equals the per-rank loops of ``oracles``, bit for bit."""
+
+    @pytest.mark.parametrize("ranked, truth", list(_random_rankings()))
+    def test_equals_per_rank_loops(self, ranked, truth):
+        rng = np.random.default_rng(len(ranked) + len(truth))
+        for k in sorted({1, len(ranked), int(rng.integers(1, len(ranked) + 1))}):
+            expected = loop_ppv_at_k(ranked, truth, k)
+            value = ppv_at_k(ranked, truth, k)
+            assert type(value) is float and value.hex() == expected.hex()
+            profile, reference = ppv_profile(ranked, truth, k), loop_ppv_profile(ranked, truth, k)
+            assert [tuple(map(type, entry)) for entry in profile] == [(int, int, float)] * k
+            assert [(r, h, v.hex()) for r, h, v in profile] == [(r, h, v.hex()) for r, h, v in reference]
+            assert profile[-1][2].hex() == expected.hex()
+            bits = loop_outcome_vector(ranked, truth, k)
+            for vector in (outcome_vector(ranked, truth, k), stats.outcome_vector(ranked, truth, k)):
+                assert vector.dtype == bits.dtype == np.int8
+                assert vector.tobytes() == bits.tobytes()
+
+    def test_stats_reexports_the_metrics_count(self):
+        assert stats.outcome_vector is outcome_vector
+
+    @pytest.mark.parametrize(
+        "count",
+        [ppv_at_k, ppv_profile, outcome_vector, pytest.param(stats.outcome_vector, id="stats.outcome_vector")],
+    )
+    @pytest.mark.parametrize("k", [0, -1, 4])
+    def test_k_out_of_range_raises(self, count, k):
+        with pytest.raises(ValueError):
+            count([1, 2, 3], {1}, k)
