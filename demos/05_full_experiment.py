@@ -88,6 +88,6 @@ print(f"merged top-{spec.top_n} lists into {html.count('<li>')} alphabetized lin
       f"(no scores, no model names)")
 print(f"artifacts written to {out}/")
 print(f"run manifest: category {spec.category!r}, seeds {list(spec.seeds)}, "
-      f"starts {[list(cell) for cell in spec.start_cells()]}, prng {PRNG_NAME}, "
+      f"starts {[list(cell) for cell in spec.starts]}, prng {PRNG_NAME}, "
       f"learned ({lam.lambda_neg}, {lam.lambda_pos}), positives predicted: "
       f"baseline {baseline.positives_predicted}, study {study.positives_predicted}")

@@ -12,6 +12,7 @@ import json
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import Callable, TextIO, TypeVar
 
 from . import experiment, metrics, search
 from .corpus import CorpusFormatError, IngestError, ingest_wiki_dump, load_corpus, store_corpus
@@ -19,6 +20,8 @@ from .model import Hyperparameters, model_manifest
 from .search import Cell, DEFAULT_GRID
 
 __all__ = ["main"]
+
+T = TypeVar("T")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -97,26 +100,28 @@ def _parse_starts(text: str) -> tuple[Cell, ...]:
     return tuple(cells)
 
 
-def _read_truth(path: str) -> frozenset[int]:
+def _read_text(path: str, read: Callable[[TextIO], T]) -> T:
+    """``read`` of the UTF-8 file at ``path``; a value it cannot read is a data error naming the file."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").split()
-    except OSError as exc:
-        raise CorpusFormatError(f"cannot read truth file {path}: {exc}") from exc
-    try:
-        return frozenset(int(line) for line in lines)
+        with open(path, encoding="utf-8", newline="\n") as text:  # a quoted title may hold a CR
+            return read(text)
+    except UnicodeDecodeError:  # its position counts from the start of the block being decoded
+        try:
+            Path(path).read_bytes().decode("utf-8")  # raises it again, placed in the whole file
+        except UnicodeDecodeError as exc:
+            raise CorpusFormatError(f"{path}: {exc}") from None
+        raise
     except ValueError as exc:
-        raise CorpusFormatError(f"truth file {path} must hold one doc id per line: {exc}") from exc
+        raise CorpusFormatError(f"{path}: {exc}") from None
+
+
+def _read_truth(path: str) -> frozenset[int]:
+    """The doc ids of a file holding one per line."""
+    return _read_text(path, lambda text: frozenset(map(int, text.read().split())))
 
 
 def _read_predictions(path: str) -> tuple[experiment.RankedPredictions, dict[int, str]]:
-    try:
-        with open(path, encoding="utf-8", newline="\n") as lines:  # a quoted title may hold a CR
-            return experiment.read_predictions_csv(lines)
-    except OSError as exc:
-        raise CorpusFormatError(f"cannot read predictions {path}: {exc}") from exc
-    except UnicodeDecodeError:  # its position counts from the start of the block being decoded
-        Path(path).read_bytes().decode("utf-8")  # raises it again, placed in the whole file
-        raise
+    return _read_text(path, experiment.read_predictions_csv)
 
 
 def _write(path: Path, text: str) -> None:
@@ -130,10 +135,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     skipped: Counter = Counter()
-    dump = Path(args.dump)
-    if not dump.is_file():
-        raise CorpusFormatError(f"dump file not found: {dump}")
-    with dump.open("rb") as stream:
+    with open(args.dump, "rb") as stream:
         corpus, categories = ingest_wiki_dump(stream, min_bytes=args.min_bytes, skipped=skipped)
     store_corpus(corpus, categories, args.out)
     print(f"ingested {corpus.doc_count} documents, {len(categories.names)} categories")
@@ -142,22 +144,19 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_spec(args: argparse.Namespace, starts: tuple[Cell, ...] | None = None) -> experiment.ExperimentSpec:
+def _load_spec(args: argparse.Namespace, **fields) -> experiment.ExperimentSpec:
     corpus, categories = load_corpus(args.corpus)
-    if args.category not in categories:
-        raise CorpusFormatError(f"category {args.category!r} not present in {args.corpus}")
     return experiment.ExperimentSpec(
         corpus=corpus,
         categories=categories,
         category=args.category,
         seeds=tuple(args.seeds),
-        starts=starts,
+        **fields,
     )
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    starts = _parse_starts(args.starts) if args.starts else None
-    spec = _load_spec(args, starts)
+    spec = _load_spec(args, starts=_parse_starts(args.starts) if args.starts else search.default_starts())
     result = experiment.learn_priors(spec)
     out = Path(args.out)
     _write_json(
@@ -165,7 +164,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         {
             "category": spec.category,
             "seeds": list(spec.seeds),
-            "starts": [[c.x, c.y] for c in spec.start_cells()],
+            "starts": [[c.x, c.y] for c in spec.starts],
             "prng": experiment.PRNG_NAME,
             "cell": [result.cell.x, result.cell.y],
             "lambda_neg": result.hyperparameters.lambda_neg,
@@ -217,8 +216,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     ranked, _ = _read_predictions(args.predictions)
     truth = _read_truth(args.truth)
-    if not 1 <= args.eval_k <= len(ranked):
-        raise CorpusFormatError(f"eval-k {args.eval_k} out of range 1..{len(ranked)}")
     profile = metrics.ppv_profile(ranked.doc_ids(), truth, args.eval_k)
     k, hits, value = profile[-1]
     out = Path(args.out)
@@ -235,10 +232,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     study, study_titles = _read_predictions(args.study)
     truth = _read_truth(args.truth)
     k = args.eval_k
-    for name, ranked in (("baseline", baseline), ("study", study)):
-        if not 1 <= k <= len(ranked):
-            raise CorpusFormatError(f"eval-k {k} out of range for {name} predictions")
-
     v_base = stats.outcome_vector(baseline.doc_ids(), truth, k)
     v_study = stats.outcome_vector(study.doc_ids(), truth, k)
     ci_base = stats.bootstrap_ci(v_base, B=args.bootstrap_b, alpha=args.alpha, seed=args.bootstrap_seed)

@@ -345,19 +345,6 @@ def truncate_at_references(text: str) -> str:
     return text
 
 
-class _CountingReader:
-    """File wrapper that tracks bytes consumed, for parse-error reporting."""
-
-    def __init__(self, stream: IO[bytes]):
-        self._stream = stream
-        self.bytes_read = 0
-
-    def read(self, size: int = -1) -> bytes:
-        data = self._stream.read(size)
-        self.bytes_read += len(data)
-        return data
-
-
 def ingest_wiki_dump(
     stream: IO[bytes],
     min_bytes: int = 300,
@@ -382,18 +369,17 @@ def ingest_wiki_dump(
     (``namespace:N``, ``redirect``, ``disambiguation``,
     ``below_min_bytes``, ``incomplete_page``).
 
-    Raises :class:`IngestError` on malformed XML, naming the byte offset
-    reached in the input, or on a page id that is not a 64-bit integer,
-    naming the page, and ``ValueError`` naming a page id kept twice.
+    Raises :class:`IngestError` on malformed XML, naming its line and
+    column, or on a page id that is not a 64-bit integer, naming the page,
+    and ``ValueError`` naming a page id kept twice.
     """
     if skipped is None:
         skipped = Counter()
-    reader = _CountingReader(stream)
     piece_ids = _PieceIds()
     doc_ids, titles, lengths, ids = array("q"), [], array("q"), array("i")
     categories: dict[str, set[int]] = {}
     try:
-        events = ET.iterparse(reader, events=("start", "end"))
+        events = ET.iterparse(stream, events=("start", "end"))
         _, root = next(events)
         ns = root.tag[: root.tag.find("}") + 1]  # "{uri}", or "" with no namespace
         for event, elem in events:
@@ -409,7 +395,7 @@ def ingest_wiki_dump(
                     lengths.append(len(row))
                     ids.extend(row)
     except ET.ParseError as exc:
-        raise IngestError(f"malformed XML near byte {reader.bytes_read}: {exc}") from exc
+        raise IngestError(f"malformed XML: {exc}") from exc
 
     tokens = piece_ids.tokens
     piece_ids.clear()  # free the pieces before indexing: most of the memory on a dump of distinct pieces

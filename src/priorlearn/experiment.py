@@ -87,7 +87,7 @@ class ExperimentSpec:
     category: str
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     grid: ClassVar[Grid] = DEFAULT_GRID
-    starts: tuple[Cell, ...] | None = None
+    starts: tuple[Cell, ...] = field(default_factory=default_starts)
     top_n: int = 1000
 
     def __post_init__(self) -> None:
@@ -103,9 +103,6 @@ class ExperimentSpec:
         if self.top_n < 1:
             raise ValueError("top_n must be >= 1")
 
-    def start_cells(self) -> tuple[Cell, ...]:
-        return self.starts if self.starts is not None else default_starts()
-
 
 @dataclass(frozen=True)
 class TrainingSet:
@@ -113,7 +110,6 @@ class TrainingSet:
 
     positive_ids: tuple[int, ...]
     negative_ids: tuple[int, ...]
-    seed: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +164,7 @@ def make_training_set(
     if not positives:
         raise ValueError(f"category {category!r} has no members")
     negatives = sorted(sample_negatives(corpus, categories, category, len(positives), seed))
-    return TrainingSet(positive_ids=positives, negative_ids=tuple(negatives), seed=seed)
+    return TrainingSet(positive_ids=positives, negative_ids=tuple(negatives))
 
 
 def training_model(corpus: Corpus, training: TrainingSet) -> CountModel:
@@ -278,7 +274,7 @@ def learn_priors(spec: ExperimentSpec) -> PriorSearchResult:
     del model  # the evaluators hold all the search needs
     memos, move_logs = [{} for _ in evaluators], [[] for _ in evaluators]
     for evaluator, memo, moves in zip(evaluators, memos, move_logs):
-        multi_start_search(spec.start_cells(), evaluator, memo=memo, move_log=moves)
+        multi_start_search(spec.starts, evaluator, memo=memo, move_log=moves)
     evaluations = sum(map(len, memos))
     cell, means = aggregate_over_seeds(memos, evaluators)
     return PriorSearchResult(

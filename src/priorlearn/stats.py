@@ -35,8 +35,6 @@ __all__ = [
 class BootstrapCI:
     lo: float
     hi: float
-    B: int
-    alpha: float
 
 
 _BLOCK = 1 << 16  # indices per block of bootstrap_ci's resample draws
@@ -71,7 +69,7 @@ def bootstrap_ci(
     draws = (rng.integers(0, v.size, size=(min(rows, B - start), v.size)) for start in range(0, B, rows))
     means = np.concatenate([np.count_nonzero(bits[idx], axis=1) for idx in draws]) / v.size
     lo, hi = np.quantile(means, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return BootstrapCI(lo=float(lo), hi=float(hi), B=B, alpha=alpha)
+    return BootstrapCI(lo=float(lo), hi=float(hi))
 
 
 def significance_test(a: Sequence[int] | np.ndarray, b: Sequence[int] | np.ndarray) -> float:

@@ -411,7 +411,7 @@ def mean_bootstrap_ci(outcomes, B=10_000, alpha=0.05, seed=0):
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, v.size, size=(B, v.size))
     lo, hi = np.quantile(v[idx].mean(axis=1), [alpha / 2.0, 1.0 - alpha / 2.0])
-    return BootstrapCI(lo=float(lo), hi=float(hi), B=B, alpha=alpha)
+    return BootstrapCI(lo=float(lo), hi=float(hi))
 
 
 def one_draw_bootstrap_ci(outcomes, B=10_000, alpha=0.05, seed=0):
@@ -421,7 +421,7 @@ def one_draw_bootstrap_ci(outcomes, B=10_000, alpha=0.05, seed=0):
     idx = rng.integers(0, v.size, size=(B, v.size))
     means = np.count_nonzero(v.astype(bool)[idx], axis=1) / v.size
     lo, hi = np.quantile(means, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return BootstrapCI(lo=float(lo), hi=float(hi), B=B, alpha=alpha)
+    return BootstrapCI(lo=float(lo), hi=float(hi))
 
 
 def tally_counts(positives, negatives):

@@ -48,6 +48,13 @@ def _child_env() -> dict:
     return {**os.environ, "PYTHONPATH": path}
 
 
+def _two_predictions(root: Path) -> Path:
+    """A predictions file ranking two documents."""
+    path = root / "predictions.csv"
+    path.write_text("rank,doc_id,title,log_odds,p_pos\n1,5,Five,0.5,0.6\n2,7,Seven,0.25,0.55\n")
+    return path
+
+
 class TestArgumentHandling:
     def test_no_args_prints_help_and_exits_usage(self, capsys):
         assert main([]) == 1
@@ -70,6 +77,35 @@ class TestArgumentHandling:
 
     def test_missing_dump_is_data_error(self, tmp_path, capsys):
         assert main(["ingest", str(tmp_path / "no.xml"), "--out", str(tmp_path / "s")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(tmp_path / "no.xml") in err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("missing", ["truth", "predictions"])
+    def test_missing_input_file_is_data_error_naming_it(self, tmp_path, capsys, missing):
+        files = {"truth": tmp_path / "truth.txt", "predictions": _two_predictions(tmp_path)}
+        files["truth"].write_text("5\n")
+        files[missing] = tmp_path / "absent.txt"
+        predictions, truth = str(files["predictions"]), str(files["truth"])
+        for command in (["evaluate", "--predictions", predictions, "--eval-k", "1"],
+                        ["report", "--baseline", predictions, "--study", predictions, "--eval-k", "1"]):
+            assert main([*command, "--truth", truth, "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and str(files[missing]) in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("eval_k", [0, 3])  # the ranking holds 2
+    def test_eval_k_out_of_range_is_data_error(self, tmp_path, capsys, eval_k):
+        predictions = str(_two_predictions(tmp_path))
+        (tmp_path / "truth.txt").write_text("5\n")
+        for command in (["evaluate", "--predictions", predictions],
+                        ["report", "--baseline", predictions, "--study", predictions]):
+            code = main([*command, "--truth", str(tmp_path / "truth.txt"), "--eval-k", str(eval_k),
+                         "--out", str(tmp_path / "o")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and f"k={eval_k} out of range 1..2" in err
+        assert not (tmp_path / "o").exists()
 
     def test_unwritable_category_file_is_data_error(self, tmp_path, capsys):
         # a directory where the category names go: the store can neither remove nor write it
@@ -113,13 +149,32 @@ class TestArgumentHandling:
             assert code == 2
             err = capsys.readouterr().err
             assert err.startswith("data error:") and f"can't decode byte 0xff in position {bad}:" in err
+            assert str(predictions) in err
+        assert not (tmp_path / "o").exists()
+
+    def test_truth_not_utf8_is_data_error_naming_it(self, tmp_path, capsys):
+        predictions = str(_two_predictions(tmp_path))
+        truth = tmp_path / "truth.txt"
+        truth.write_bytes(b"1\n\xff2\n")
+        for command in (["evaluate", "--predictions", predictions],
+                        ["report", "--baseline", predictions, "--study", predictions]):
+            code = main([*command, "--truth", str(truth), "--eval-k", "1", "--out", str(tmp_path / "o")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and "can't decode byte 0xff in position 2:" in err
+            assert str(truth) in err
         assert not (tmp_path / "o").exists()
 
     def test_unknown_category_is_data_error(self, tmp_path, capsys):
         assert main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s")]) == 0
-        code = main(["classify", "--corpus", str(tmp_path / "s"), "--category", "Nope",
-                     "--lambda-neg", "1", "--lambda-pos", "1", "--out", str(tmp_path / "o")])
-        assert code == 2
+        capsys.readouterr()
+        for command in (["search"], ["classify", "--lambda-neg", "1", "--lambda-pos", "1"]):
+            code = main([*command, "--corpus", str(tmp_path / "s"), "--category", "Nope",
+                         "--out", str(tmp_path / "o")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and "category 'Nope'" in err
+        assert not (tmp_path / "o").exists()
 
     def test_damaged_category_members_is_data_error_naming_the_file(self, tmp_path, capsys):
         assert main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s")]) == 0

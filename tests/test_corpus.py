@@ -287,9 +287,9 @@ class TestIngest:
         corpus, _ = ingest_wiki_dump(_wrap_pages(page, _page(2, "Keeper", LONG_BODY)), skipped=skipped)
         assert corpus.ids() == [2] and not skipped
 
-    def test_malformed_xml_names_byte_offset(self):
+    def test_malformed_xml_names_line_and_column(self):
         stream = io.BytesIO(b"<mediawiki><page><title>Broken</title>")
-        with pytest.raises(IngestError, match=r"byte \d+"):
+        with pytest.raises(IngestError, match=r"line \d+, column \d+"):
             ingest_wiki_dump(stream)
 
     @pytest.mark.parametrize("raw_id", ["abc", "1" * 31, str(2**63), str(-(2**63) - 1)])
