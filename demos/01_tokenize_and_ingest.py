@@ -35,8 +35,8 @@ with dump.open("rb") as stream:
 print(f"kept {corpus.doc_count} of 3 pages; skipped: {dict(skipped)}")
 for doc in corpus:
     print(f"  id={doc.id} title={doc.title!r} tokens={sorted(doc.tokens)}")
-for name, ids in categories.items():
-    print(f"  category {name!r} -> {sorted(ids)}")
+for name in categories.names:
+    print(f"  category {name!r} -> {sorted(categories.members(name))}")
 
 print("\n-- the store (the corpus columns, categories) round-trips exactly --")
 with tempfile.TemporaryDirectory() as root:

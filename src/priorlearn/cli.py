@@ -232,8 +232,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
     study, study_titles = _read_predictions(args.study)
     truth = _read_truth(args.truth)
     k = args.eval_k
-    v_base = stats.outcome_vector(baseline.doc_ids(), truth, k)
-    v_study = stats.outcome_vector(study.doc_ids(), truth, k)
+    vectors = []
+    for path, ranked in ((args.baseline, baseline), (args.study, study)):
+        try:
+            vectors.append(stats.outcome_vector(ranked.doc_ids(), truth, k))
+        except ValueError as exc:  # k past its ranking: name the file it came from
+            raise CorpusFormatError(f"{path}: {exc}") from None
+    v_base, v_study = vectors
     ci_base = stats.bootstrap_ci(v_base, B=args.bootstrap_b, alpha=args.alpha, seed=args.bootstrap_seed)
     ci_study = stats.bootstrap_ci(v_study, B=args.bootstrap_b, alpha=args.alpha, seed=args.bootstrap_seed)
     p_value = stats.significance_test(v_base, v_study)

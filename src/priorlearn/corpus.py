@@ -291,9 +291,6 @@ class CategoryIndex:
     def members(self, name: str) -> frozenset[int]:
         return frozenset(self.row(name).tolist())
 
-    def items(self) -> list[tuple[str, frozenset[int]]]:
-        return [(name, self.members(name)) for name in self.names]
-
     def validate_against(self, corpus: Corpus) -> None:
         """Check that every referenced id resolves to a stored document."""
         unknown = np.flatnonzero(~np.isin(self.member_ids, corpus.doc_ids))

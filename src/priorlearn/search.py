@@ -7,8 +7,9 @@ positive predictive value, with sensitivity as tie-breaker. A fold's LOO
 log odds are a positive half in lambda_pos alone minus a negative half in
 lambda_neg alone, each computed once per grid value: a log table over the
 counts, taken through padded tables of like-length folds' counts and
-summed per fold. Each seed of an experiment is its columns of one union
-model, whose positive halves all seeds share.
+summed per fold. The folds are split into tables where a table's fixed
+cost buys back more than its padding. Each seed of an experiment is its
+columns of one union model, whose positive halves all seeds share.
 A radial hill climber sweeps the 5x5 window around the current best cell,
 recentering on improvement and stopping when a full sweep yields no
 replacement. Cell scores are memoized in a plain ``dict`` from cell to
@@ -119,6 +120,40 @@ class SearchOutcome(NamedTuple):
 Evaluator = Callable[[Cell], CellScore]
 
 
+#: What summing one more table costs beyond its cells, in cells: a ``take``
+#: plus column sum took ~8 us for a 45x2 ``int32`` table and ~2 ns per cell
+#: (~190 us for 45x2,001), numpy 2.4 on a shared 2-vCPU x86 host.
+_TABLE_CELLS = 4000
+
+
+def _fold_groups(lengths: np.ndarray) -> list[int]:
+    """Where each group ends in fold ``lengths`` sorted longest first.
+
+    The groups are contiguous and minimise ``tables * _TABLE_CELLS +
+    cells``, a group's table being its longest length by its folds plus
+    a spare column. A cut inside a run of equal lengths never lowers
+    that, so a dynamic programme over the runs finds the least, keeping
+    the longer last group on a tie.
+    """
+    ends = np.flatnonzero(np.diff(lengths, append=-1)) + 1  # of each run of equal lengths
+    starts = ends - np.diff(ends, prepend=0)
+    rows = lengths[starts]
+    # runs i..j make a table of rows[i] * (ends[j] - starts[i] + 1) cells; the part fixed by run i:
+    head = rows * (1 - starts)
+    before = np.empty(len(ends), np.int64)  # per run: the least cost of the runs before it, plus its head
+    first, cost = [], 0  # per run: the first run of the last group in the best split up to it
+    for j, end in enumerate(ends.tolist()):
+        before[j] = cost + head[j]
+        costs = before[: j + 1] + rows[: j + 1] * end
+        first.append(int(costs.argmin()))
+        cost = int(costs[first[-1]]) + _TABLE_CELLS
+    cuts, j = [], len(ends)
+    while j:
+        cuts.append(int(ends[j - 1]))
+        j = first[j - 1]
+    return cuts[::-1]
+
+
 class ClassHalves:
     """One class's leave-one-out halves over some folds of a training model.
 
@@ -126,7 +161,8 @@ class ClassHalves:
     them by default; the class is counted over its own folds among them.
     A fold's half is its log class size plus its log conditionals, with
     the fold's own document taken out of the class. Folds, longest first,
-    are grouped so no group's table pads to more than twice its tokens.
+    are split into the contiguous groups that are cheapest to sum, a
+    table's fixed cost weighed against its padded cells (:func:`_fold_groups`).
     Per group an ``int32`` table holds a column per fold, its counts
     padded with ``top`` (one past the largest count), and a spare all-pad
     column. A half, computed once per grid index and kept, sums
@@ -152,13 +188,9 @@ class ClassHalves:
         self._size, self._n_tokens = np.count_nonzero(own) - own.astype(np.float64), n_tokens.astype(np.float64)
         self._order = np.argsort(-n_tokens, kind="stable")  # longest fold first
         self._tables, start, pad = [], 0, len(fold_counts)  # per group: each table cell's count or pad
-        while start < len(columns):
-            folds = self._order[start:]
-            lengths = n_tokens[folds]
-            if len(folds) * lengths[0] > 2 * lengths.sum():  # split off the folds over half the longest
-                folds = folds[: np.count_nonzero(2 * lengths > lengths[0])]
-            start += len(folds)
-            rows = np.arange(lengths[0])[:, None]
+        for end in _fold_groups(n_tokens[self._order]):
+            folds, start = self._order[start:end], end
+            rows = np.arange(n_tokens[folds[0]])[:, None]
             at = np.append(offsets[folds], pad) + rows
             at[rows >= np.append(n_tokens[folds], 0)] = pad
             self._tables.append(padded[at])
@@ -234,14 +266,10 @@ def radial_gradient_search(
     if memo is None:
         memo = {}
 
-    def lookup(cell: Cell) -> CellScore:
-        score = memo.get(cell)
-        if score is None:
-            score = memo[cell] = evaluator(cell)
-        return score
-
-    best = start
-    best_score = lookup(start)
+    get = memo.get
+    best, best_score = start, get(start)
+    if best_score is None:
+        best_score = memo[start] = evaluator(start)
     while True:
         improved = False
         cx, cy = best
@@ -249,12 +277,15 @@ def radial_gradient_search(
             nx, ny = cx + i, cy + j
             if not (0 <= nx < size and 0 <= ny < size):
                 continue
-            neighbor = Cell(nx, ny)
-            neighbor_score = lookup(neighbor)
-            if neighbor_score > best_score:
+            score = get((nx, ny))  # a plain tuple finds its Cell: same hash, equal
+            if score is None:
+                neighbor = Cell(nx, ny)
+                score = memo[neighbor] = evaluator(neighbor)
+            if score > best_score:
+                neighbor = Cell(nx, ny)
                 if move_log is not None:
-                    move_log.append(MoveRecord(best, best_score, neighbor, neighbor_score))
-                best, best_score = neighbor, neighbor_score
+                    move_log.append(MoveRecord(best, best_score, neighbor, score))
+                best, best_score = neighbor, score
                 improved = True
         if not improved:
             return SearchOutcome(best, best_score)

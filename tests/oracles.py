@@ -12,9 +12,12 @@ draw of every index for bootstrap resamples, one character at a time for
 punctuation stripping, ``scipy.stats`` for the Welch t-test, one rank
 at a time for the top-k counts, one ``csv`` module row per document for
 the predictions CSV, one ``Generator.choice`` call per document for the
-synthetic corpus. Nothing imports the code paths under test beyond plain
-data types and the two ratio formulas ``ppv_of`` and ``sensitivity_of``,
-which ``tests/test_metrics.py`` checks on hand-counted cases.
+synthetic corpus, a ``Cell`` built for every neighbour the hill climber
+looks up, the fixed twice-the-tokens rule for the LOO fold tables, and
+one ``members`` call per name for a category index's entries. Nothing
+imports the code paths under test beyond plain data types and the two
+ratio formulas ``ppv_of`` and ``sensitivity_of``, which
+``tests/test_metrics.py`` checks on hand-counted cases.
 """
 
 import csv
@@ -33,7 +36,7 @@ from scipy import stats as sps
 
 from priorlearn.corpus import CategoryIndex, Corpus, Document
 from priorlearn.metrics import ppv_of, sensitivity_of
-from priorlearn.search import DEFAULT_GRID, Cell, CellScore
+from priorlearn.search import DEFAULT_GRID, Cell, CellScore, MoveRecord, SearchOutcome
 from priorlearn.stats import BootstrapCI
 from priorlearn.synthetic import (
     CATEGORY,
@@ -494,6 +497,73 @@ def is_local_max(cell: Cell, ppv: np.ndarray, sens: np.ndarray, radius: int = 2)
                 if (float(ppv[x, y]), float(sens[x, y])) > here:
                     return False
     return True
+
+
+def cell_per_neighbor_radial_search(start, evaluator, memo=None, move_log=None):
+    """``radial_gradient_search`` building a ``Cell`` for every neighbour it looks up."""
+    size = len(DEFAULT_GRID)
+    if not (0 <= start.x < size and 0 <= start.y < size):
+        raise ValueError(f"start {start} out of bounds for the {size}x{size} grid")
+    if memo is None:
+        memo = {}
+
+    def lookup(cell):
+        score = memo.get(cell)
+        if score is None:
+            score = memo[cell] = evaluator(cell)
+        return score
+
+    best = start
+    best_score = lookup(start)
+    while True:
+        improved = False
+        cx, cy = best
+        for i in range(-2, 3):
+            for j in range(-2, 3):
+                nx, ny = cx + i, cy + j
+                if (i, j) == (0, 0) or not (0 <= nx < size and 0 <= ny < size):
+                    continue
+                neighbor = Cell(nx, ny)
+                neighbor_score = lookup(neighbor)
+                if neighbor_score > best_score:
+                    if move_log is not None:
+                        move_log.append(MoveRecord(best, best_score, neighbor, neighbor_score))
+                    best, best_score = neighbor, neighbor_score
+                    improved = True
+        if not improved:
+            return SearchOutcome(best, best_score)
+
+
+# --- LOO fold tables ----------------------------------------------------------
+
+
+def twice_the_tokens_fold_groups(lengths):
+    """Group ends over fold ``lengths``, longest first, so no table pads to more than twice its tokens.
+
+    A group takes every fold left when padding them to the longest costs at
+    most twice their tokens, else the folds longer than half the longest.
+    """
+    ends, start = [], 0
+    while start < len(lengths):
+        rest = lengths[start:]
+        over_half = np.count_nonzero(2 * rest > rest[0])
+        start += over_half if len(rest) * rest[0] > 2 * rest.sum() else len(rest)
+        ends.append(start)
+    return ends
+
+
+def fold_split_cost(lengths, ends, table_cells):
+    """``tables * table_cells + cells``: a group's table is its longest length by its folds plus a spare column."""
+    starts = [0, *ends[:-1]]
+    return sum(table_cells + int(lengths[a]) * (b - a + 1) for a, b in zip(starts, ends))
+
+
+# --- category index entries ---------------------------------------------------
+
+
+def category_items(index):
+    """Every (name, member id set) of a category index, names ascending."""
+    return [(name, index.members(name)) for name in index.names]
 
 
 def per_character_tokenize(text):

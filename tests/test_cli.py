@@ -107,6 +107,19 @@ class TestArgumentHandling:
             assert err.startswith("data error:") and f"k={eval_k} out of range 1..2" in err
         assert not (tmp_path / "o").exists()
 
+    def test_report_eval_k_past_one_ranking_names_its_file(self, tmp_path, capsys):
+        two = str(_two_predictions(tmp_path))
+        one = tmp_path / "one.csv"
+        one.write_text("rank,doc_id,title,log_odds,p_pos\n1,5,Five,0.5,0.6\n")
+        (tmp_path / "truth.txt").write_text("5\n")
+        for baseline, study in ((two, str(one)), (str(one), two)):
+            code = main(["report", "--baseline", baseline, "--study", study, "--truth", str(tmp_path / "truth.txt"),
+                         "--eval-k", "2", "--out", str(tmp_path / "o")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"data error: {one}: k=2 out of range 1..1")
+        assert not (tmp_path / "o").exists()
+
     def test_unwritable_category_file_is_data_error(self, tmp_path, capsys):
         # a directory where the category names go: the store can neither remove nor write it
         (tmp_path / "s" / "categories.txt").mkdir(parents=True)

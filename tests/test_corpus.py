@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import priorlearn.corpus as corpus_module
-from oracles import per_character_tokenize
+from oracles import category_items, per_character_tokenize
 from priorlearn.corpus import (
     CategoryIndex,
     Corpus,
@@ -159,7 +159,7 @@ class TestIngest:
             "hill", "climbing", "picks", "the", "best", "nearby", "value", "then",
             "repeats", "alpha", "beta", "gamma", "delta",
         }
-        assert cats.items() == [
+        assert category_items(cats) == [
             ("Optimization", frozenset({11})),
             ("Search methods", frozenset({11})),
         ]
@@ -219,19 +219,19 @@ class TestIngest:
         )
         corpus, cats = ingest_wiki_dump(pages)
         assert corpus.get(1).tokens == corpus.get(2).tokens == {"alpha", "beta", "gamma", "delta"}
-        assert cats.items() == [("Okapi herds", frozenset({2})), ("Zebra stripes", frozenset({1}))]
+        assert category_items(cats) == [("Okapi herds", frozenset({2})), ("Zebra stripes", frozenset({1}))]
 
     def test_unclosed_link_removes_only_its_own_line(self):
         body = LONG_BODY + "\n[[Category:Foo\nzebra okapi\nand [[Link]] end"
         corpus, cats = ingest_wiki_dump(_wrap_pages(_page(1, "T", body)))
         assert corpus.get(1).tokens == {"alpha", "beta", "gamma", "delta", "zebra", "okapi", "and", "link", "end"}
-        assert cats.items() == [("Foo", frozenset({1}))]
+        assert category_items(cats) == [("Foo", frozenset({1}))]
 
     def test_min_bytes_measured_after_link_removal(self):
         body = "kept words here [[Category:" + "Long name " * 50 + "]]"
         skipped = Counter()
         corpus, cats = ingest_wiki_dump(_wrap_pages(_page(1, "T", body)), skipped=skipped)
-        assert corpus.doc_count == 0 and cats.items() == [] and skipped["below_min_bytes"] == 1
+        assert corpus.doc_count == 0 and category_items(cats) == [] and skipped["below_min_bytes"] == 1
 
     def test_the_last_revision_is_read(self):
         # a history export lists a page's revisions oldest first
@@ -242,7 +242,7 @@ class TestIngest:
         pages = _wrap_pages(f"<page><title>T</title><ns>0</ns><id>5</id>{revisions}</page>")
         corpus, cats = ingest_wiki_dump(pages)
         assert corpus.get(5).tokens == {"alpha", "beta", "gamma", "delta", "fresh"}
-        assert cats.items() == [("New", frozenset({5}))]
+        assert category_items(cats) == [("New", frozenset({5}))]
 
     def test_category_pointing_at_dropped_page_is_pruned(self):
         pages = _wrap_pages(
@@ -274,7 +274,7 @@ class TestIngest:
             corpus, cats = ingest_wiki_dump(io.BytesIO(export.encode("utf-8")), skipped=skipped)
             arrays = (corpus.doc_ids, corpus.offsets, corpus.slots)
             columns = (corpus.titles, corpus.vocabulary, *(column.tolist() for column in arrays))
-            results.append((columns, cats.items(), skipped))
+            results.append((columns, category_items(cats), skipped))
         assert results[0] == results[1] == results[2]
         assert results[0][1] == [("Kept", frozenset({1}))]
         assert results[0][2] == Counter(
@@ -375,7 +375,7 @@ class TestIngest:
         assert corpus.doc_count == 0 and corpus.vocabulary == ()
         store_corpus(corpus, cats, tmp_path / "s")
         loaded, loaded_cats = load_corpus(tmp_path / "s")
-        assert loaded.ids() == [] and list(loaded) == [] and loaded_cats.items() == []
+        assert loaded.ids() == [] and list(loaded) == [] and category_items(loaded_cats) == []
 
     def test_repeated_page_id_is_named(self):
         pages = _wrap_pages(_page(4, "A", LONG_BODY), _page(9, "B", LONG_BODY), _page(4, "C", LONG_BODY))
@@ -466,7 +466,7 @@ class TestCorpusStore:
         assert loaded.ids() == corpus.ids() and loaded.titles == corpus.titles
         for doc in corpus:
             assert loaded.get(doc.id) == doc
-        assert loaded_cats.items() == cats.items()
+        assert category_items(loaded_cats) == category_items(cats)
 
     def test_reserialization_is_byte_identical(self, tmp_path):
         corpus, cats = _toy_corpus()
@@ -537,7 +537,7 @@ class TestCorpusStore:
         store_corpus(Corpus.from_documents(docs), cats, tmp_path / "s")
         loaded, loaded_cats = load_corpus(tmp_path / "s")
         assert [loaded.get(doc.id) for doc in docs] == docs
-        assert loaded_cats.items() == cats.items()
+        assert category_items(loaded_cats) == category_items(cats)
 
     def test_store_refuses_a_newline_in_a_title_or_category_name(self, tmp_path):
         docs = [Document(1, "One", frozenset({"alpha"})), Document(2, "T\nwo", frozenset({"beta"}))]
@@ -555,7 +555,7 @@ class TestCorpusStore:
         doc = Document(1, "One", frozenset({"alpha"}))
         store_corpus(Corpus.from_documents([doc]), CategoryIndex.from_mapping(names), tmp_path / "s")
         _, cats = load_corpus(tmp_path / "s")
-        assert cats.items() == CategoryIndex.from_mapping(names).items()
+        assert category_items(cats) == category_items(CategoryIndex.from_mapping(names))
         assert sorted(p.name for p in (tmp_path / "s").iterdir()) == sorted(STORE_FILES)
         assert all(p.is_file() for p in (tmp_path / "s").iterdir())
 
@@ -578,10 +578,10 @@ class TestCorpusStore:
         store_corpus(corpus, cats, tmp_path / "s")
         assert np.load(tmp_path / "s" / "category_offsets.npy").tolist() == [0, 0, 2, 2, 3, 3]
         _, loaded_cats = load_corpus(tmp_path / "s")
-        assert loaded_cats.items() == cats.items()
+        assert category_items(loaded_cats) == category_items(cats)
         store_corpus(corpus, CategoryIndex.from_mapping({}), tmp_path / "none")
         _, loaded_cats = load_corpus(tmp_path / "none")
-        assert loaded_cats.items() == []
+        assert category_items(loaded_cats) == []
 
     @pytest.mark.parametrize("name", STORE_FILES)
     def test_missing_store_file_named_in_error(self, tmp_path, name):
@@ -721,7 +721,7 @@ class TestCorpusStore:
         store_corpus(corpus, cats, tmp_path / "s")
         loaded, loaded_cats = load_corpus(tmp_path / "s")
         assert loaded.get(11) == corpus.get(11)
-        assert loaded_cats.items() == cats.items()
+        assert category_items(loaded_cats) == category_items(cats)
 
     @given(
         st.dictionaries(
@@ -739,7 +739,7 @@ class TestCorpusStore:
         store_corpus(corpus, cats, root)
         loaded, loaded_cats = load_corpus(root)
         assert {d.id: d for d in loaded} == {d.id: d for d in corpus}
-        assert loaded_cats.items() == cats.items()
+        assert category_items(loaded_cats) == category_items(cats)
 
 
 class TestCorpusValidation:

@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 
 from conftest import random_training_docs, train
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     brute_force_argmax,
+    cell_per_neighbor_radial_search,
     dict_model,
     evaluate_priors,
+    fold_split_cost,
     is_local_max,
     loo_score,
     loop_cross_seed_mean_scores,
     per_cell_log_odds,
     surface_evaluator,
+    twice_the_tokens_fold_groups,
     two_bump_surface,
     unimodal_surface,
 )
@@ -34,6 +39,7 @@ from priorlearn.search import (
     multi_start_search,
     radial_gradient_search,
 )
+from priorlearn.search import _TABLE_CELLS, _fold_groups
 from priorlearn.synthetic import CATEGORY, make_synthetic_corpus
 
 
@@ -44,10 +50,14 @@ def _doc(i, tokens):
 class CountingEvaluator:
     def __init__(self, fn):
         self.fn = fn
-        self.calls = 0
+        self.cells = []  # each cell asked for, in order
+
+    @property
+    def calls(self):
+        return len(self.cells)
 
     def __call__(self, cell):
-        self.calls += 1
+        self.cells.append(cell)
         return self.fn(cell)
 
 
@@ -207,8 +217,8 @@ class TestWholeGridBitIdentity:
         _assert_every_half_matches_oracle(train(positives, []), dict_model(positives, []))
 
     def test_heavy_tailed_fold_lengths(self):
-        # a few long documents among many short ones, as in a real dump: the long
-        # folds get tables of their own, some of them one fold wide
+        # a few long documents among many short ones, as in a real dump: the split
+        # must cost no more than the fixed twice-the-tokens rule it replaced
         rng = np.random.default_rng(11)
         vocab = [f"t{i:03d}" for i in range(600)]
 
@@ -218,12 +228,30 @@ class TestWholeGridBitIdentity:
 
         positives, negatives = [doc(i) for i in range(40)], [doc(100 + i) for i in range(40)]
         model = train(positives, negatives)
-        n_tokens = len(model.fold_features)
-        assert model.n_folds * np.diff(model.fold_offsets).max() > 8 * n_tokens  # one table: 8x the tokens
-        tables = ClassHalves(model, True)._tables
-        assert len(tables) >= 4 and min(t.shape[1] for t in tables) == 2
-        assert sum(t.shape[0] * (t.shape[1] - 1) for t in tables) <= 2 * n_tokens  # spare columns aside
+        lengths = np.sort(np.diff(model.fold_offsets))[::-1]
+        assert model.n_folds * lengths[0] > 8 * lengths.sum()  # one table: 8x the tokens
+        ends = _fold_groups(lengths)
+        assert [t.shape[1] - 1 for t in ClassHalves(model, True)._tables] == np.diff(ends, prepend=0).tolist()
+        old = twice_the_tokens_fold_groups(lengths)
+        assert fold_split_cost(lengths, ends, _TABLE_CELLS) <= fold_split_cost(lengths, old, _TABLE_CELLS)
         _assert_every_half_matches_oracle(model, dict_model(positives, negatives))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 30), min_size=1, max_size=11))
+def test_fold_groups_are_the_least_cost_contiguous_split(values):
+    # lengths up to 3,000 so a table's cells can outweigh its fixed cost; repeats make runs
+    lengths = np.array(sorted(values, reverse=True)) * 100
+    ends = _fold_groups(lengths)
+    assert ends[-1] == len(lengths) and all(a < b for a, b in zip([0, *ends], ends))
+    splits = [
+        [*(i + 1 for i in range(len(lengths) - 1) if cut >> i & 1), len(lengths)]
+        for cut in range(2 ** (len(lengths) - 1))
+    ]
+    costs = [fold_split_cost(lengths, split, _TABLE_CELLS) for split in splits]
+    assert fold_split_cost(lengths, ends, _TABLE_CELLS) == min(costs)
+    if costs.count(min(costs)) == 1:
+        assert ends == splits[costs.index(min(costs))]
 
 
 def _recorded_evaluators(monkeypatch):
@@ -468,6 +496,36 @@ class TestRadialGradientSearch:
             assert record.to_score > record.from_score
         text = moves_to_log(moves)
         assert len(text.splitlines()) == len(moves)
+
+
+def _assert_same_searches(starts, evaluate):
+    """Both loops from each start in turn, over one memo per loop: the same calls, memo, moves and outcomes."""
+    runs = []
+    for search in (radial_gradient_search, cell_per_neighbor_radial_search):
+        evaluator, memo, moves = CountingEvaluator(evaluate), {}, []
+        outcomes = [search(start, evaluator, memo=memo, move_log=moves) for start in starts]
+        runs.append((evaluator.cells, list(memo.items()), moves, outcomes))
+        assert all(type(cell) is Cell for cell in evaluator.cells)
+        assert all(type(cell) is Cell for cell in memo)
+        assert all(type(m.from_cell) is type(m.to_cell) is Cell for m in moves)
+        assert all(type(outcome.best) is Cell for outcome in outcomes)
+    assert runs[0] == runs[1]
+
+
+class TestSearchLoopOracle:
+    def test_random_terrains(self):
+        rng = np.random.default_rng(5)
+        for _ in range(12):
+            ppv, _ = two_bump_surface(rng)
+            # rounded so plateaus and sensitivity ties occur
+            ppv, sens = np.round(ppv, 2), np.round(rng.random(ppv.shape), 1)
+            starts = [Cell(int(x), int(y)) for x, y in rng.integers(0, 203, (6, 2))]
+            _assert_same_searches([*starts, Cell(0, 0), Cell(202, 202), *default_starts()], surface_evaluator(ppv, sens))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_search_wide_seeds(self, wide, seed):
+        training = make_training_set(wide.corpus, wide.categories, CATEGORY, seed)
+        _assert_same_searches(default_starts(), LooEvaluator(training_model(wide.corpus, training)))
 
 
 class TestMemoTable:
