@@ -14,7 +14,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Callable, TextIO, TypeVar
 
-from . import experiment, metrics, search
+from . import experiment, metrics, search, stats
 from .corpus import CorpusFormatError, IngestError, ingest_wiki_dump, load_corpus, store_corpus
 from .model import Hyperparameters, model_manifest
 from .search import Cell, DEFAULT_GRID
@@ -226,8 +226,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from . import stats  # scipy.special: only this command pays its import
-
     baseline, baseline_titles = _read_predictions(args.baseline)
     study, study_titles = _read_predictions(args.study)
     truth = _read_truth(args.truth)

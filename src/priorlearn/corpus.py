@@ -5,10 +5,10 @@ lowercase tokens. A :class:`Corpus` is the columns its store holds on
 disk: titles, vocabulary, ids and compressed rows of token slots. Every
 corpus is built by :meth:`Corpus.from_rows` from rows of token ids: a
 MediaWiki XML export is ingested straight into such rows, with no
-per-page :class:`Document`, and one is built only when asked for. Category
-membership is kept separately in a :class:`CategoryIndex` of the ids of
-each category's *direct* members only. It too is the columns its store
-holds: the names ascending, and one row of member ids per name.
+per-page :class:`Document`; documents are built only to iterate a corpus.
+Category membership is kept separately in a :class:`CategoryIndex` of the
+ids of each category's *direct* members only. It too is the columns its
+store holds: the names ascending, and one row of member ids per name.
 """
 
 from __future__ import annotations
@@ -137,9 +137,9 @@ class Corpus:
     in ascending order. Token ``vocabulary[s - 1]`` has slot ``s``, and the
     vocabulary follows Python ``str`` order, the order :func:`sorted` gives
     a token set. Every producer builds the corpus through
-    :meth:`from_rows`; a :class:`Document` is built only for :meth:`get`,
-    and for iteration once per corpus, then kept. The corpus is safe to
-    share read-only across any number of workers.
+    :meth:`from_rows`; a :class:`Document` is built only for iteration,
+    once per corpus, then kept. The corpus is safe to share read-only
+    across any number of workers.
     """
 
     titles: tuple[str, ...] = field(repr=False)
@@ -209,12 +209,6 @@ class Corpus:
         """Iterate documents in ascending id order."""
         return iter(self._documents)
 
-    def get(self, doc_id: int) -> Document:
-        row = _index(self.doc_ids, doc_id)
-        if row < 0:
-            raise KeyError(f"no document with id {doc_id}")
-        return self._document(row)
-
     def ids(self) -> list[int]:
         return self.doc_ids.tolist()
 
@@ -248,13 +242,13 @@ class Corpus:
     @cached_property
     def _documents(self) -> tuple[Document, ...]:
         # kept: a caller may iterate the corpus once per use of it
-        return tuple(map(self._document, range(self.doc_count)))
-
-    def _document(self, row: int) -> Document:
-        slots = self.slots[self.offsets[row] + 1 : self.offsets[row + 1]].tolist()
-        # from a set: a frozenset built from a list can size its hash table larger
-        tokens = frozenset({self.vocabulary[slot - 1] for slot in slots})
-        return Document(id=int(self.doc_ids[row]), title=self.titles[row], tokens=tokens)
+        documents = []
+        for row, title in enumerate(self.titles):
+            slots = self.slots[self.offsets[row] + 1 : self.offsets[row + 1]].tolist()
+            # from a set: a frozenset built from a list can size its hash table larger
+            tokens = frozenset({self.vocabulary[slot - 1] for slot in slots})
+            documents.append(Document(id=int(self.doc_ids[row]), title=title, tokens=tokens))
+        return tuple(documents)
 
 
 @dataclass(frozen=True, eq=False)

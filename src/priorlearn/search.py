@@ -338,10 +338,8 @@ def cross_seed_mean_scores(
     cells = sorted(set().union(*memos))
     for memo, evaluator in zip(memos, evaluators):
         memo.update((cell, evaluator(cell)) for cell in cells if cell not in memo)
-    # seeds x (ppv, sensitivity) per cell, with no list per seed; cumsum adds seed after seed, as np.sum need not
-    scores = np.fromiter((v for memo in memos for c in cells for v in memo[c]), float, 2 * len(cells) * len(memos))
-    means = scores.reshape(len(memos), -1).cumsum(axis=0)[-1] / len(memos)
-    return dict(zip(cells, map(CellScore._make, means.reshape(-1, 2).tolist())))
+    n = len(memos)
+    return {c: CellScore(sum(m[c].ppv for m in memos) / n, sum(m[c].sensitivity for m in memos) / n) for c in cells}
 
 
 def aggregate_over_seeds(

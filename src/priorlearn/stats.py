@@ -7,7 +7,9 @@ percentile bootstrap; model comparison uses a two-sided Welch t-test on
 the two bit vectors. The test's arithmetic is numpy's; its Student-t tail
 is ``scipy.special.stdtr``, the kernel ``scipy.stats.ttest_ind`` calls
 itself, so the p-value equals ``ttest_ind(a, b, equal_var=False).pvalue``
-bit for bit without importing ``scipy.stats``.
+bit for bit without importing ``scipy.stats``. Importing this module loads
+no scipy module: only :func:`significance_test` imports ``stdtr``, when it
+computes a p-value.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import stdtr
 
 from .metrics import outcome_vector
 
@@ -78,6 +79,8 @@ def significance_test(a: Sequence[int] | np.ndarray, b: Sequence[int] | np.ndarr
     Degenerate inputs (both variances zero) yield p = 1 for equal means
     and p = 0 otherwise.
     """
+    from scipy.special import stdtr  # ~26 MB of RSS: loaded only by a caller who asks for a p-value
+
     x = np.asarray(a, dtype=np.float64)
     y = np.asarray(b, dtype=np.float64)
     if x.size < 2 or y.size < 2:

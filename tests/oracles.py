@@ -13,13 +13,15 @@ punctuation stripping, ``scipy.stats`` for the Welch t-test, one rank
 at a time for the top-k counts, one ``csv`` module row per document for
 the predictions CSV, one ``Generator.choice`` call per document for the
 synthetic corpus, a ``Cell`` built for every neighbour the hill climber
-looks up, the fixed twice-the-tokens rule for the LOO fold tables, and
-one ``members`` call per name for a category index's entries. Nothing
+looks up, the fixed twice-the-tokens rule for the LOO fold tables, one
+``members`` call per name for a category index's entries, and a corpus's
+iteration for one document by id. Nothing
 imports the code paths under test beyond plain data types and the two
 ratio formulas ``ppv_of`` and ``sensitivity_of``, which
 ``tests/test_metrics.py`` checks on hand-counted cases.
 """
 
+import bisect
 import csv
 import io
 import math
@@ -564,6 +566,15 @@ def fold_split_cost(lengths, ends, table_cells):
 def category_items(index):
     """Every (name, member id set) of a category index, names ascending."""
     return [(name, index.members(name)) for name in index.names]
+
+
+def document(corpus, doc_id):
+    """The corpus's document with id ``doc_id``, bisected out of its iteration (ids ascending)."""
+    docs = list(corpus)
+    i = bisect.bisect_left(docs, doc_id, key=lambda doc: doc.id)
+    if i == len(docs) or docs[i].id != doc_id:
+        raise KeyError(f"no document with id {doc_id}")
+    return docs[i]
 
 
 def per_character_tokenize(text):

@@ -20,6 +20,7 @@ from conftest import posteriors, random_training_docs, train
 from oracles import (
     brute_force_argmax,
     category_items,
+    document,
     exact_posterior,
     is_local_max,
     retrained_loo_posterior,
@@ -339,7 +340,7 @@ def test_criterion_11_ingestion():
     with (DATA / "mini_dump.xml").open("rb") as stream:
         corpus, cats = ingest_wiki_dump(stream, min_bytes=300, skipped=skipped)
     assert corpus.doc_count == 1
-    doc = corpus.get(11)
+    doc = document(corpus, 11)
     assert doc.title == "Hill climbing"
     assert doc.tokens == {
         "hill", "climbing", "picks", "the", "best", "nearby", "value", "then",

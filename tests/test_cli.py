@@ -243,13 +243,17 @@ class TestArgumentHandling:
         assert "ingest" in proc.stderr
 
     def test_import_does_not_load_scipy(self):
-        # only the report command needs scipy.special; the others never load scipy
-        code = "import sys, priorlearn.cli\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
+        # only stats.significance_test imports scipy.special, when it computes a p-value
+        modules = sorted(f"priorlearn.{path.stem}" for path in Path(priorlearn.__file__).parent.glob("*.py"))
+        assert "priorlearn.stats" in modules
+        for module in modules:  # each in a fresh process
+            code = (
+                f"import sys\ntry:\n    import {module}\nexcept SystemExit:  # priorlearn.__main__ runs the CLI\n    pass\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            )
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+            assert proc.returncode == 0, (module, proc.stderr)
+            assert proc.stdout == "[]\n", module
 
 
 class TestIngestCommand:
@@ -436,6 +440,31 @@ class TestEndToEndGolden:
         assert set(produced) == set(golden)
         for rel in sorted(golden):
             assert produced[rel] == golden[rel], f"binary mismatch in {rel}"
+
+    def test_only_report_loads_scipy(self, run_dir, tmp_path):
+        # each command in turn in one child process, noting whether scipy is loaded after it
+        code = (
+            "import json, sys\nfrom priorlearn.cli import main\n"
+            "runs = [(main(argv), any(m.split('.')[0] == 'scipy' for m in sys.modules)) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps(runs))"
+        )
+        truth = str(DATA / "e2e_truth.txt")
+        commands = [
+            ["evaluate", "--predictions", str(run_dir / "study" / "predictions.csv"), "--truth", truth,
+             "--eval-k", "5", "--out", str(tmp_path / "evaluate")],
+            ["search", "--corpus", str(run_dir / "store"), "--category", "Toy solvers",
+             "--seeds", "0", "1", "--out", str(tmp_path / "search")],
+            ["report", "--baseline", str(run_dir / "baseline" / "predictions.csv"),
+             "--study", str(run_dir / "study" / "predictions.csv"), "--truth", truth,
+             "--eval-k", "5", "--top-n", "5", "--out", str(tmp_path / "report")],
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(commands)], capture_output=True, text=True, env=_child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[0, False], [0, False], [0, True]]
+        for name in ("evaluate", "search", "report"):
+            assert _tree_bytes(tmp_path / name) == _tree_bytes(DATA / "golden" / name), name
 
     def test_review_page_is_blinded(self, run_dir):
         html = (run_dir / "report" / "review.html").read_text()

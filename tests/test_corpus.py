@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import priorlearn.corpus as corpus_module
-from oracles import category_items, per_character_tokenize
+from oracles import category_items, document, per_character_tokenize
 from priorlearn.corpus import (
     CategoryIndex,
     Corpus,
@@ -153,7 +153,7 @@ class TestIngest:
         with (DATA / "mini_dump.xml").open("rb") as stream:
             corpus, cats = ingest_wiki_dump(stream, skipped=skipped)
         assert corpus.doc_count == 1
-        doc = corpus.get(11)
+        doc = document(corpus, 11)
         assert doc.title == "Hill climbing"
         assert doc.tokens == {
             "hill", "climbing", "picks", "the", "best", "nearby", "value", "then",
@@ -208,7 +208,7 @@ class TestIngest:
     def test_categories_survive_truncation(self):
         body = LONG_BODY + "\n== References ==\nrefs\n[[Category:Hidden gems]]"
         corpus, cats = ingest_wiki_dump(_wrap_pages(_page(7, "T", body)))
-        assert corpus.get(7).tokens == {"alpha", "beta", "gamma", "delta"}
+        assert document(corpus, 7).tokens == {"alpha", "beta", "gamma", "delta"}
         assert cats.members("Hidden gems") == {7}
 
     def test_category_links_left_in_the_body_are_not_tokenized(self):
@@ -218,13 +218,13 @@ class TestIngest:
             _page(2, "Headless", LONG_BODY + "\n[[Category:Okapi_herds|sort key]] "),
         )
         corpus, cats = ingest_wiki_dump(pages)
-        assert corpus.get(1).tokens == corpus.get(2).tokens == {"alpha", "beta", "gamma", "delta"}
+        assert document(corpus, 1).tokens == document(corpus, 2).tokens == {"alpha", "beta", "gamma", "delta"}
         assert category_items(cats) == [("Okapi herds", frozenset({2})), ("Zebra stripes", frozenset({1}))]
 
     def test_unclosed_link_removes_only_its_own_line(self):
         body = LONG_BODY + "\n[[Category:Foo\nzebra okapi\nand [[Link]] end"
         corpus, cats = ingest_wiki_dump(_wrap_pages(_page(1, "T", body)))
-        assert corpus.get(1).tokens == {"alpha", "beta", "gamma", "delta", "zebra", "okapi", "and", "link", "end"}
+        assert document(corpus, 1).tokens == {"alpha", "beta", "gamma", "delta", "zebra", "okapi", "and", "link", "end"}
         assert category_items(cats) == [("Foo", frozenset({1}))]
 
     def test_min_bytes_measured_after_link_removal(self):
@@ -241,7 +241,7 @@ class TestIngest:
         )
         pages = _wrap_pages(f"<page><title>T</title><ns>0</ns><id>5</id>{revisions}</page>")
         corpus, cats = ingest_wiki_dump(pages)
-        assert corpus.get(5).tokens == {"alpha", "beta", "gamma", "delta", "fresh"}
+        assert document(corpus, 5).tokens == {"alpha", "beta", "gamma", "delta", "fresh"}
         assert category_items(cats) == [("New", frozenset({5}))]
 
     def test_category_pointing_at_dropped_page_is_pruned(self):
@@ -465,7 +465,7 @@ class TestCorpusStore:
         assert loaded.doc_count == corpus.doc_count
         assert loaded.ids() == corpus.ids() and loaded.titles == corpus.titles
         for doc in corpus:
-            assert loaded.get(doc.id) == doc
+            assert document(loaded, doc.id) == doc
         assert category_items(loaded_cats) == category_items(cats)
 
     def test_reserialization_is_byte_identical(self, tmp_path):
@@ -536,7 +536,7 @@ class TestCorpusStore:
         cats = CategoryIndex.from_mapping({f"{brk}C{brk}": [i] for i, brk in enumerate(breaks, 1)})
         store_corpus(Corpus.from_documents(docs), cats, tmp_path / "s")
         loaded, loaded_cats = load_corpus(tmp_path / "s")
-        assert [loaded.get(doc.id) for doc in docs] == docs
+        assert [document(loaded, doc.id) for doc in docs] == docs
         assert category_items(loaded_cats) == category_items(cats)
 
     def test_store_refuses_a_newline_in_a_title_or_category_name(self, tmp_path):
@@ -720,7 +720,7 @@ class TestCorpusStore:
             corpus, cats = ingest_wiki_dump(stream)
         store_corpus(corpus, cats, tmp_path / "s")
         loaded, loaded_cats = load_corpus(tmp_path / "s")
-        assert loaded.get(11) == corpus.get(11)
+        assert document(loaded, 11) == document(corpus, 11)
         assert category_items(loaded_cats) == category_items(cats)
 
     @given(
@@ -782,8 +782,8 @@ class TestCorpusValidation:
         assert made == [3, 11, 40]
         assert [doc.id for doc in corpus] == [3, 11, 40]
         assert made == [3, 11, 40]  # kept from the first iteration
-        assert corpus.get(40) == docs[0] and 11 in corpus and 12 not in corpus
-        assert made == [3, 11, 40, 40]  # get builds its own row
+        assert document(corpus, 40) == docs[0] and 11 in corpus and 12 not in corpus
+        assert made == [3, 11, 40]  # a lookup reads the kept documents
 
     def test_loaded_corpus_builds_a_document_only_when_asked(self, tmp_path, monkeypatch):
         made = []
@@ -798,7 +798,5 @@ class TestCorpusValidation:
         loaded, _ = load_corpus(tmp_path / "s")
         assert loaded.ids() == [1, 2, 7, 10] and 7 in loaded and 8 not in loaded
         assert made == []
-        assert loaded.get(7) == Document(7, "Seven & co", frozenset({"delta"}))
-        assert made == [7]
-        with pytest.raises(KeyError, match="no document with id 8"):
-            loaded.get(8)
+        assert document(loaded, 7) == Document(7, "Seven & co", frozenset({"delta"}))
+        assert made == [1, 2, 7, 10]  # iteration builds each document once

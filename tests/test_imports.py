@@ -4,7 +4,9 @@ A name counts as used when the module's code reads it anywhere, in a
 function body or an annotation too, and as exported when the module's
 ``__all__`` lists it. ``from __future__`` imports bind no name. A leftover
 import after its last caller goes, such as a constant only a deleted
-wrapper read, fails here.
+wrapper read, fails here. So does an import inside a function that
+``DEFERRED`` does not list with its reason, and a module other than
+``stats`` that names scipy.
 """
 
 import ast
@@ -55,6 +57,29 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("module, name", sorted(ALLOWED))
 def test_each_allowed_import_is_still_unused(module, name):
     assert name in unused_imports((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
+#: (module, function, imported module) of each import inside a function, each with its reason.
+DEFERRED = {
+    ("experiment", "export_review_list", "html"): "its entity table: only a process writing a review page loads it",
+    ("stats", "significance_test", "scipy.special"): "scipy: only a caller who asks for a p-value loads it",
+}
+
+
+def test_every_function_level_import_is_listed():
+    found = {
+        (path.stem, function.name, node.module if isinstance(node, ast.ImportFrom) else node.names[0].name)
+        for path in MODULES
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    }
+    assert found == set(DEFERRED)
+
+
+def test_no_module_but_stats_names_scipy():
+    assert [path.stem for path in MODULES if "scipy" in path.read_text(encoding="utf-8")] == ["stats"]
 
 
 class TestChecker:

@@ -10,6 +10,7 @@ from conftest import posteriors, random_training_docs, train
 from oracles import (
     cond_prob,
     dict_model,
+    document,
     exact_posterior,
     loo_score,
     positive_posterior,
@@ -151,8 +152,8 @@ class TestBuildCounts:
         training = make_training_set(corpus, acceptance.categories, CATEGORY, seed)
         assert_matches_dict_model(
             training_model(corpus, training),
-            [corpus.get(i) for i in training.positive_ids],
-            [corpus.get(i) for i in training.negative_ids],
+            [document(corpus, i) for i in training.positive_ids],
+            [document(corpus, i) for i in training.negative_ids],
         )
 
     def test_matches_dict_model_on_random_corpora(self):

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import class_prior, cond_prob, dict_model, entries, scalar_ranking
+from oracles import class_prior, cond_prob, dict_model, document, entries, scalar_ranking
 from priorlearn.corpus import Corpus, Document, load_corpus, store_corpus
 from priorlearn.experiment import (
     ExperimentSpec,
@@ -57,7 +57,7 @@ def _models(training, positive_ids, negative_ids):
     """The count model of these training-corpus ids and its ``dict`` oracle."""
     return (
         build_counts(training, positive_ids, negative_ids),
-        dict_model([training.get(i) for i in positive_ids], [training.get(i) for i in negative_ids]),
+        dict_model([document(training, i) for i in positive_ids], [document(training, i) for i in negative_ids]),
     )
 
 
@@ -72,7 +72,7 @@ def test_acceptance_corpus_matches_oracle(acceptance, seed):
     training = make_training_set(corpus, acceptance.categories, CATEGORY, seed)
     model = training_model(corpus, training)
     oracle = dict_model(
-        [corpus.get(i) for i in training.positive_ids], [corpus.get(i) for i in training.negative_ids]
+        [document(corpus, i) for i in training.positive_ids], [document(corpus, i) for i in training.negative_ids]
     )
     exclude = frozenset(training.positive_ids)
     for hp in PRIORS:
@@ -198,6 +198,6 @@ def test_ranking_keeps_only_the_columns_on_a_loaded_corpus(tmp_path):
     assert set(vars(corpus)) == {"titles", "vocabulary", "doc_ids", "offsets", "slots"}
     for training, ranked in zip(trainings, rankings):
         oracle = dict_model(
-            [corpus.get(i) for i in training.positive_ids], [corpus.get(i) for i in training.negative_ids]
+            [document(corpus, i) for i in training.positive_ids], [document(corpus, i) for i in training.negative_ids]
         )
         assert_bit_identical(ranked, scalar_ranking(corpus, oracle, hp))

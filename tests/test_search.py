@@ -10,6 +10,7 @@ from oracles import (
     brute_force_argmax,
     cell_per_neighbor_radial_search,
     dict_model,
+    document,
     evaluate_priors,
     fold_split_cost,
     is_local_max,
@@ -141,7 +142,7 @@ class TestEvaluatePriors:
         training = make_training_set(corpus, acceptance.categories, CATEGORY, seed)
         model = training_model(corpus, training)
         oracle = dict_model(
-            [corpus.get(i) for i in training.positive_ids], [corpus.get(i) for i in training.negative_ids]
+            [document(corpus, i) for i in training.positive_ids], [document(corpus, i) for i in training.negative_ids]
         )
         last = len(DEFAULT_GRID) - 1
         cells = [*default_starts(), Cell(0, 0), Cell(0, last), Cell(last, 0), Cell(last, last)]
@@ -196,7 +197,7 @@ class TestWholeGridBitIdentity:
         corpus = wide.corpus
         training = make_training_set(corpus, wide.categories, CATEGORY, seed)
         oracle = dict_model(
-            [corpus.get(i) for i in training.positive_ids], [corpus.get(i) for i in training.negative_ids]
+            [document(corpus, i) for i in training.positive_ids], [document(corpus, i) for i in training.negative_ids]
         )
         _assert_every_half_matches_oracle(training_model(corpus, training), oracle)
 
@@ -338,7 +339,7 @@ class TestSharedPositiveClass:
         training = make_training_set(corpus, categories, "C", lacking)
         own, evaluator = ClassHalves(training_model(corpus, training), True), evaluators[0]
         assert (own._top, evaluator._positive._top) == (2, 3)
-        oracle = dict_model([corpus.get(i) for i in training.positive_ids], [corpus.get(i) for i in training.negative_ids])
+        oracle = dict_model([document(corpus, i) for i in training.positive_ids], [document(corpus, i) for i in training.negative_ids])
         last = len(DEFAULT_GRID) - 1
         for i in range(len(DEFAULT_GRID)):
             for cell in (Cell(i, i), Cell(i, last - i)):
@@ -383,7 +384,7 @@ class TestSharedPositiveClass:
         for seed, evaluator in zip(seeds, evaluators):
             training = make_training_set(corpus, categories, "C", seed)
             alone = ClassHalves(training_model(corpus, training), False)
-            oracle = dict_model([corpus.get(i) for i in training.positive_ids], [corpus.get(i) for i in training.negative_ids])
+            oracle = dict_model([document(corpus, i) for i in training.positive_ids], [document(corpus, i) for i in training.negative_ids])
             for index in range(len(DEFAULT_GRID)):
                 expected = alone(index).view(np.int64)
                 assert np.array_equal(_negative_half(evaluator, index).view(np.int64), expected), (seed, index)
