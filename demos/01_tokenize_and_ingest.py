@@ -3,9 +3,9 @@
 Documents are reduced to Boolean token sets: split on whitespace, strip
 punctuation from both ends of each piece (interior punctuation stays),
 lowercase, deduplicate. The MediaWiki adapter additionally drops
-redirects and non-article namespaces, truncates each article at its
-"References" heading, applies a minimum-size filter, and files category
-links into a separate index.
+redirects and non-article namespaces, cuts HTML comments and <nowiki>
+spans, truncates each article at its "References" heading, applies a
+minimum-size filter, and files category links into a separate index.
 
 Run from the repository root:
 

@@ -296,9 +296,18 @@ class CategoryIndex:
 
 # --- MediaWiki dump ingestion ------------------------------------------------
 
+#: An HTML comment, which MediaWiki drops before it reads any markup; one left open runs to the end.
+_COMMENT_RE = re.compile(r"<!--.*?(?:-->|\Z)", re.DOTALL)
 #: A category link, all on one line as a title holds no newline: its name, then the rest through its ``]]``, if any.
-_CATEGORY_RE = re.compile(r"\[\[[^\S\n]*Category[^\S\n]*:[^\S\n]*([^\]|#\n]+)[^\[\]\n]*(?:\]\])?", re.IGNORECASE)
+_CATEGORY_LINK = r"\[\[[^\S\n]*Category[^\S\n]*:[^\S\n]*([^\]|#\n]+)[^\[\]\n]*(?:\]\])?"
+_CATEGORY_RE = re.compile(_CATEGORY_LINK, re.IGNORECASE)
+#: A closed ``<nowiki>`` span or a ``<nowiki/>``, which MediaWiki renders as no markup, or else a category link.
+#: Searched only where a ``<`` occurs, as it takes ~3x the time of the bare link.
+_NOWIKI_OR_CATEGORY_RE = re.compile(rf"<nowiki>.*?</nowiki>|<nowiki\s*/>|{_CATEGORY_LINK}", re.IGNORECASE | re.DOTALL)
 _HEADING_RE = re.compile(r"^\s*=+\s*(.*?)\s*=+\s*$")
+#: The line breaks of ``str.splitlines``; it also takes ``\r\n`` as one.
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_BREAK_RE = re.compile(f"\r\n|[{_BREAKS}]")
 _REDIRECT_RE = re.compile(r"^\s*#REDIRECT", re.IGNORECASE)
 _DISAMBIG_RE = re.compile(r"\{\{\s*(disambiguation|disambig|dab)\s*[|}]", re.IGNORECASE)
 
@@ -311,10 +320,25 @@ def _normalize_category(raw: str) -> str:
     return " ".join(raw.replace("_", " ").split())
 
 
+def _uncommented(text: str) -> str:
+    return _COMMENT_RE.sub("", text) if "<!--" in text else text
+
+
+def _links(text: str) -> re.Pattern:
+    """The pattern of the category links in ``text``, and of the nowiki spans that hide some."""
+    return _NOWIKI_OR_CATEGORY_RE if "<" in text else _CATEGORY_RE
+
+
 def extract_categories(text: str) -> list[str]:
-    """Category names linked from wikitext, normalized, in order of appearance."""
+    """Category names linked from wikitext, normalized, in order of appearance.
+
+    A link in an HTML comment or a ``<nowiki>`` span is none, as MediaWiki renders neither.
+    """
     seen = []
-    for match in _CATEGORY_RE.finditer(text):
+    text = _uncommented(text)
+    for match in _links(text).finditer(text):
+        if match.group(1) is None:  # a nowiki span
+            continue
         name = _normalize_category(match.group(1))
         if name and name not in seen:
             seen.append(name)
@@ -326,14 +350,27 @@ def truncate_at_references(text: str) -> str:
 
     The match is case-insensitive on the heading title with surrounding
     ``=`` markers and whitespace ignored. Articles without such a heading
-    are kept whole.
+    are kept whole. Lines end where :meth:`str.splitlines` ends them.
     """
-    lines = text.splitlines(keepends=True)
-    for i, line in enumerate(lines):
-        m = _HEADING_RE.match(line)
+    heading = text.find("=")
+    while heading >= 0:
+        start = heading  # the line's start, if only whitespace comes before the ``=`` on it
+        while start and text[start - 1].isspace() and text[start - 1] not in _BREAKS:
+            start -= 1
+        if start and text[start - 1] not in _BREAKS:
+            heading = text.find("=", heading + 1)
+            continue
+        line_break = _BREAK_RE.search(text, heading)
+        end = line_break.end() if line_break else len(text)
+        m = _HEADING_RE.match(text[start:end])
         if m and m.group(1).strip().lower() == "references":
-            return "".join(lines[:i])
+            return text[:start]
+        heading = text.find("=", end)
     return text
+
+
+#: Kept bodies sent to the tokenizer worker in one message.
+_BATCH_PAGES = 256
 
 
 def ingest_wiki_dump(
@@ -347,8 +384,9 @@ def ingest_wiki_dump(
     use one default namespace (or none): a page or field tagged in any
     other namespace is not read. Only article pages (namespace 0) are kept,
     each at its last revision; redirects and pages carrying a
-    disambiguation template are skipped.
-    Category links are extracted from the full wikitext; the body is cut at
+    disambiguation template are skipped. HTML comments and ``<nowiki>``
+    spans are cut from the wikitext, as MediaWiki renders neither.
+    Category links are extracted from the rest; the body is cut at
     its "References" heading, cleared of the category links left in it and
     tokenized as by :func:`tokenize`, each distinct whitespace piece of the
     dump once. Articles whose body, so cut and cleared, is shorter than
@@ -356,43 +394,98 @@ def ingest_wiki_dump(
     processed, and only its id, title and token ids are kept, as one row
     of the corpus; no :class:`Document` is built.
 
+    The bodies are tokenized in one worker process, forked (so this needs
+    Linux or macOS), in dump order while this process reads on; the
+    worker has ended by the time this returns or raises.
+
     ``skipped``, when given, is filled with per-reason skip counts
     (``namespace:N``, ``redirect``, ``disambiguation``,
     ``below_min_bytes``, ``incomplete_page``).
 
     Raises :class:`IngestError` on malformed XML, naming its line and
     column, or on a page id that is not a 64-bit integer, naming the page,
-    and ``ValueError`` naming a page id kept twice.
+    ``ValueError`` naming a page id kept twice, and ``RuntimeError``
+    naming the exit code of a worker that ended early.
     """
+    import multiprocessing  # ~25 ms: of the commands, only ingest pays for it
+
     if skipped is None:
         skipped = Counter()
-    piece_ids = _PieceIds()
-    doc_ids, titles, lengths, ids = array("q"), [], array("q"), array("i")
+    doc_ids, titles, batch = array("q"), [], []
     categories: dict[str, set[int]] = {}
+    # fork: spawn and forkserver import numpy again in the worker, 150-370 ms
+    # against 5-12 ms. Forking after numpy's BLAS has started a thread is
+    # safe here, as the worker runs pure-Python tokenization alone: it takes
+    # no lock and calls no BLAS.
+    context = multiprocessing.get_context("fork")
+    to_worker, to_parent = context.Pipe()
+    worker = context.Process(target=_tokenize_bodies, args=(to_parent, to_worker))
+    worker.start()
+    to_parent.close()
     try:
         events = ET.iterparse(stream, events=("start", "end"))
         _, root = next(events)
         ns = root.tag[: root.tag.find("}") + 1]  # "{uri}", or "" with no namespace
+        page = ns + "page"
         for event, elem in events:
-            if event == "end" and elem.tag == ns + "page":
+            if event == "end" and elem.tag == page:
                 kept = _ingest_page(elem, ns, min_bytes, categories, skipped)
                 elem.clear()
                 root.clear()  # a cleared page would otherwise stay on as the root's child
                 if kept is not None:
                     doc_id, title, body = kept
-                    row = piece_ids(body)
                     doc_ids.append(doc_id)
                     titles.append(title)
-                    lengths.append(len(row))
-                    ids.extend(row)
+                    batch.append(body)
+                    if len(batch) == _BATCH_PAGES:
+                        _exchange(worker, to_worker.send, batch)  # blocks while the worker is a batch behind
+                        batch = []
+        _exchange(worker, to_worker.send, batch)
+        _exchange(worker, to_worker.send, None)
+        tokens, lengths, ids = _exchange(worker, to_worker.recv)
     except ET.ParseError as exc:
         raise IngestError(f"malformed XML: {exc}") from exc
+    finally:
+        worker.kill()
+        worker.join()
+        to_worker.close()
 
-    tokens = piece_ids.tokens
-    piece_ids.clear()  # free the pieces before indexing: most of the memory on a dump of distinct pieces
     corpus = Corpus.from_rows(tokens, doc_ids, titles, lengths, ids)
     # a page's categories are recorded only once it is kept, so every member id is a row
     return corpus, CategoryIndex.from_mapping(categories)
+
+
+def _tokenize_bodies(to_parent: Any, to_worker: Any) -> None:
+    """The tokenizer worker: each body's token ids, in order, until ``None``; then ``(tokens, lengths, ids)`` back.
+
+    The memo of pieces lives here, so token ids follow first sight as one
+    process would give them.
+    """
+    # the parent's end, forked here too: held open, the parent's death would
+    # never read as the end of the pipe, and this worker would wait forever
+    to_worker.close()
+    piece_ids = _PieceIds()
+    lengths, ids = array("q"), array("i")
+    try:
+        for batch in iter(to_parent.recv, None):
+            for body in batch:
+                row = piece_ids(body)
+                lengths.append(len(row))
+                ids.extend(row)
+        tokens = piece_ids.tokens
+        piece_ids.clear()  # free the pieces before pickling the reply: most of the memory on a dump of distinct pieces
+        to_parent.send((tokens, lengths, ids))
+    except (EOFError, ConnectionError, KeyboardInterrupt):
+        pass  # the parent has ended, or was interrupted and ends this worker
+
+
+def _exchange(worker: Any, call: Callable, *args: Any) -> Any:
+    """``call(*args)``, a send or receive on the pipe to ``worker``; a broken pipe raises naming its exit code."""
+    try:
+        return call(*args)
+    except (EOFError, ConnectionError):
+        worker.join()  # the worker's end closes only as it exits
+        raise RuntimeError(f"the tokenizer worker exited with code {worker.exitcode}") from None
 
 
 def _ingest_page(
@@ -429,9 +522,11 @@ def _ingest_page(
     except ValueError:
         raise IngestError(f"page {title!r}: id {raw_id!r} is not a 64-bit integer") from None
 
+    text = _uncommented(text)
     page_categories = extract_categories(text)
-    body = _CATEGORY_RE.sub("", truncate_at_references(text))  # a category link would leak the label
-    if len(body.encode("utf-8")) < min_bytes:
+    # a category link would leak the label; a nowiki span goes with the links
+    body = _links(text).sub("", truncate_at_references(text))
+    if len(body) < min_bytes and len(body.encode("utf-8")) < min_bytes:  # a character is at least one byte
         skipped["below_min_bytes"] += 1
         return
 

@@ -15,7 +15,8 @@ the predictions CSV, one ``Generator.choice`` call per document for the
 synthetic corpus, a ``Cell`` built for every neighbour the hill climber
 looks up, the fixed twice-the-tokens rule for the LOO fold tables, one
 ``members`` call per name for a category index's entries, and a corpus's
-iteration for one document by id. Nothing
+iteration for one document by id, one ``str.splitlines`` line at a time
+for the References cut. Nothing
 imports the code paths under test beyond plain data types and the two
 ratio formulas ``ppv_of`` and ``sensitivity_of``, which
 ``tests/test_metrics.py`` checks on hand-counted cases.
@@ -25,6 +26,7 @@ import bisect
 import csv
 import io
 import math
+import re
 import string
 import unicodedata
 import warnings
@@ -598,6 +600,22 @@ def per_character_tokenize(text):
         if start < end:
             tokens.add(piece[start:end].lower())
     return tokens
+
+
+def splitlines_truncate_at_references(text):
+    """The text before its first line that is a heading titled "references", matched line by line.
+
+    Lines are those of ``str.splitlines(keepends=True)``, and a line is
+    such a heading when ``^\\s*=+\\s*(.*?)\\s*=+\\s*$`` matches it whole and
+    its title, stripped and lowercased, is ``references``. The reference
+    for ``corpus.truncate_at_references``.
+    """
+    lines = text.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        m = re.match(r"^\s*=+\s*(.*?)\s*=+\s*$", line)
+        if m and m.group(1).strip().lower() == "references":
+            return "".join(lines[:i])
+    return text
 
 
 def welch_p_value(a, b):

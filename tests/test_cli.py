@@ -1,7 +1,11 @@
+import contextlib
+import ctypes
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +50,23 @@ def _child_env() -> dict:
     src = str(Path(priorlearn.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+PR_SET_CHILD_SUBREAPER = 36  # <linux/prctl.h>
+
+
+def _live_group_members(pgid: int) -> list[int]:
+    """The processes of process group ``pgid`` that have not exited, read from /proc."""
+    members = []
+    for entry in os.listdir("/proc"):
+        try:
+            # the fields after the command name, which is in parentheses: state, parent, group
+            state, _, group = Path("/proc", entry, "stat").read_text().rpartition(")")[2].split()[:3]
+        except (OSError, ValueError):  # not a process, or one that has just ended
+            continue
+        if int(group) == pgid and state != "Z":
+            members.append(int(entry))
+    return members
 
 
 def _two_predictions(root: Path) -> Path:
@@ -295,6 +316,54 @@ class TestIngestCommand:
         assert main(["ingest", str(dump), "--out", str(tmp_path / "s")]) == 2
         assert "duplicate document id 6" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc and sets a Linux subreaper")
+    def test_a_killed_ingest_leaves_no_worker(self, tmp_path):
+        body = " ".join(f"w{i % 997}" for i in range(150))
+        dump = tmp_path / "dump.xml"
+        dump.write_text(
+            "<mediawiki>"
+            + "".join(f"<page><title>P{pid}</title><ns>0</ns><id>{pid}</id><revision><text>{body} u{pid}</text>"
+                      "</revision></page>" for pid in range(1, 15_001))
+            + "</mediawiki>",
+            encoding="utf-8",
+        )
+        # a container's init may not reap orphans, and an unreaped one still counts in its process
+        # group: as their subreaper, this process reaps the orphaned worker itself
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        assert prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0) == 0
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "priorlearn", "ingest", str(dump), "--out", str(tmp_path / "s")],
+            env=_child_env(), start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while not (workers := [pid for pid in _live_group_members(proc.pid) if pid != proc.pid]):
+                assert proc.poll() is None and time.monotonic() < deadline, "no worker started"
+                time.sleep(0.005)
+            os.kill(proc.pid, signal.SIGKILL)
+            assert proc.wait(timeout=10) == -signal.SIGKILL
+            assert not (tmp_path / "s" / "manifest.json").exists()  # killed mid-run
+            deadline = time.monotonic() + 2
+            while True:
+                for pid in workers:
+                    with contextlib.suppress(ChildProcessError):
+                        os.waitpid(pid, os.WNOHANG)
+                try:
+                    os.killpg(proc.pid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, "a worker outlived its killed ingest by 2 s"
+                time.sleep(0.01)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            for pid in workers:
+                with contextlib.suppress(ChildProcessError):
+                    os.waitpid(pid, 0)
+            prctl(PR_SET_CHILD_SUBREAPER, 0, 0, 0, 0)
 
     def test_long_non_ascii_categories_survive_ingest_and_search(self, tmp_path, capsys):
         # 30 CJK characters percent-encode to 270 bytes, 84 euro signs to 756

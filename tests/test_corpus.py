@@ -1,11 +1,16 @@
+import contextlib
 import errno
 import io
 import json
+import multiprocessing
+import os
 import re
+import signal
 import string
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -13,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import priorlearn.corpus as corpus_module
-from oracles import category_items, document, per_character_tokenize
+from oracles import category_items, document, per_character_tokenize, splitlines_truncate_at_references
 from priorlearn.corpus import (
     CategoryIndex,
     Corpus,
@@ -93,6 +98,16 @@ class TestTokenize:
             assert t == t.strip()
 
 
+#: The line breaks of ``str.splitlines``, ``\r\n`` among them as one.
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+#: Pieces of headings and of the lines around them: ``\x1f`` and U+00A0 are whitespace but no line break, and
+#: ``ſ`` and the Kelvin sign match ``s`` and ``k`` under ``re.IGNORECASE`` while ``str.lower`` keeps them.
+HEADING_FRAGMENTS = [
+    "=", "==", " ", "\t", "\x1f", "\xa0", "x", "References", "REFERENCES", "references", "Referenceſ",
+    "\u212aey", "Ref", "erences", *LINE_BREAKS,
+]
+
+
 class TestReferencesTruncation:
     def test_drops_heading_and_tail(self):
         text = "body text\n== References ==\ntail\n[[Category:X]]\n"
@@ -109,6 +124,20 @@ class TestReferencesTruncation:
     def test_absent_heading_keeps_whole_body(self):
         assert truncate_at_references("no headings here") == "no headings here"
 
+    @pytest.mark.parametrize("line_break", LINE_BREAKS)
+    def test_every_splitlines_break_starts_a_line(self, line_break):
+        assert truncate_at_references(f"a{line_break} == References ==\nb") == f"a{line_break}"
+
+    def test_only_whitespace_may_come_before_the_heading_on_its_line(self):
+        for text in ("a\x1f== References ==", "a = b\n x == References ==", "a\nb== References =="):
+            assert truncate_at_references(text) == text
+        assert truncate_at_references("a\n\x1f\xa0 == References ==") == "a\n"
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(HEADING_FRAGMENTS), max_size=14).map("".join))
+    def test_matches_the_splitlines_oracle(self, text):
+        assert truncate_at_references(text) == splitlines_truncate_at_references(text)
+
 
 class TestExtractCategories:
     def test_basic_and_sortkey_forms(self):
@@ -120,6 +149,28 @@ class TestExtractCategories:
 
     def test_deduplicated(self):
         assert extract_categories("[[Category:A]] [[Category:A]]") == ["A"]
+
+    def test_a_link_in_a_comment_is_none(self):
+        assert extract_categories("a <!-- [[Category:Commented]] --> b [[Category:Kept]]") == ["Kept"]
+
+    def test_an_unclosed_comment_runs_to_the_end(self):
+        assert extract_categories("[[Category:Kept]] <!-- [[Category:Lost]]\n--\n[[Category:Also lost]]") == ["Kept"]
+
+    def test_a_comment_inside_a_link_is_dropped_first(self):
+        assert extract_categories("[[Cate<!-- split -->gory:Joined]]") == ["Joined"]
+
+    def test_a_link_in_a_nowiki_span_is_none(self):
+        text = "<nowiki>[[Category:Nowiki]]</nowiki> <NoWiki>[[Category:Upper]]</NOWIKI> [[Category:Kept]]"
+        assert extract_categories(text) == ["Kept"]
+
+    def test_only_a_closed_nowiki_span_is_cut(self):
+        assert extract_categories("<nowiki>[[Category:Open]]") == ["Open"]
+
+    def test_an_empty_nowiki_tag_breaks_a_link(self):
+        assert extract_categories("[[<nowiki/>Category:Broken]] [[<nowiki />Category:Spaced]]") == []
+
+    def test_a_link_to_a_category_page_is_no_membership(self):
+        assert extract_categories("see [[:Category:Foo]] and [[ :Category:Bar|bar]]") == []
 
     def test_a_link_ends_at_its_line(self):
         text = "intro [[Category:Foo\nmore body text here\nand [[Link]] end"
@@ -232,6 +283,21 @@ class TestIngest:
         skipped = Counter()
         corpus, cats = ingest_wiki_dump(_wrap_pages(_page(1, "T", body)), skipped=skipped)
         assert corpus.doc_count == 0 and category_items(cats) == [] and skipped["below_min_bytes"] == 1
+
+    def test_comments_and_nowiki_spans_are_neither_labels_nor_tokens(self):
+        body = (
+            LONG_BODY + "<!-- zebra [[Category:Commented]] -->\n<nowiki>okapi [[Category:Nowiki]]</nowiki>"
+            "\n[[Category:Kept]] <!-- giraffe [[Category:Open comment]]\n== References ==\nrefs"
+        )
+        corpus, cats = ingest_wiki_dump(_wrap_pages(_page(1, "T", escape(body))))
+        assert document(corpus, 1).tokens == {"alpha", "beta", "gamma", "delta"}
+        assert category_items(cats) == [("Kept", frozenset({1}))]
+
+    def test_min_bytes_measured_after_the_comment_cut(self):
+        body = "kept words here <!--" + LONG_BODY + "-->"
+        skipped = Counter()
+        corpus, _ = ingest_wiki_dump(_wrap_pages(_page(1, "T", escape(body))), skipped=skipped)
+        assert corpus.doc_count == 0 and skipped["below_min_bytes"] == 1
 
     def test_the_last_revision_is_read(self):
         # a history export lists a page's revisions oldest first
@@ -425,6 +491,112 @@ class TestIngest:
             for token in doc.tokens:
                 assert first_seen.setdefault(token, token) is token
         assert len(first_seen) < sum(len(doc.tokens) for doc in corpus)
+
+
+@contextlib.contextmanager
+def _within(seconds: int):
+    """Raise ``TimeoutError`` in the block once ``seconds`` pass, so that a hang fails the test."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+B = corpus_module._BATCH_PAGES
+#: A page of each skip reason, given an id, with that reason.
+SKIPPED_PAGES = [
+    (lambda pid: _page(pid, f"Talk {pid}", LONG_BODY, ns=1), "namespace:1"),
+    (lambda pid: _page(pid, f"Category {pid}", LONG_BODY, ns=14), "namespace:14"),
+    (lambda pid: _page(pid, f"Moved {pid}", LONG_BODY, redirect=True), "redirect"),
+    (lambda pid: _page(pid, f"Redirect {pid}", "#REDIRECT [[Elsewhere]] " + LONG_BODY), "redirect"),
+    (lambda pid: _page(pid, f"Mercury {pid}", "{{disambig}} " + LONG_BODY), "disambiguation"),
+    (lambda pid: _page(pid, f"Stub {pid}", "tiny body"), "below_min_bytes"),
+    (lambda pid: f"<page><ns>0</ns><id>{pid}</id><revision><text>{LONG_BODY}</text></revision></page>",
+     "incomplete_page"),
+]
+
+
+def _dump_of(kept: int, seed: int = 0) -> tuple[io.BytesIO, dict[int, str]]:
+    """A dump of ``kept`` articles of words new and seen, each followed by a page of the next skip reason.
+
+    Returns the dump and each kept page's text by id.
+    """
+    rng = np.random.default_rng(seed)
+    words = [f"{left}{case(f'w{i}')}{right}" for i in range(400) for left, right, case in
+             [("", "", str), ("«", "»", str.upper), ("(", "),", str.title)]]
+    texts, pages = {}, [make(-1 - i) for i, (make, _) in enumerate(SKIPPED_PAGES)]
+    for pid in range(1, kept + 1):
+        texts[pid] = " ".join(rng.choice(words, 90))
+        pages += [_page(pid, f"P{pid}", texts[pid]), SKIPPED_PAGES[pid % len(SKIPPED_PAGES)][0](10**6 + pid)]
+    return _wrap_pages(*pages), texts
+
+
+class TestTokenizerWorker:
+    @pytest.mark.parametrize("kept", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+    def test_rows_are_the_oracle_documents_across_batch_boundaries(self, kept):
+        stream, texts = _dump_of(kept, seed=kept)
+        skipped = Counter()
+        corpus, _ = ingest_wiki_dump(stream, skipped=skipped)
+        documents = [Document(pid, f"P{pid}", frozenset(per_character_tokenize(texts[pid]))) for pid in texts]
+        expected = Corpus.from_documents(documents)
+        assert corpus.vocabulary == expected.vocabulary and corpus.titles == expected.titles
+        for name in ("doc_ids", "offsets", "slots"):
+            assert np.array_equal(getattr(corpus, name), getattr(expected, name)), name
+        reasons = [reason for _, reason in SKIPPED_PAGES]
+        assert skipped == Counter(reasons) + Counter(reasons[pid % len(reasons)] for pid in texts)
+
+    def test_no_worker_outlives_a_successful_ingest(self):
+        with _within(60):
+            ingest_wiki_dump(_dump_of(B + 1)[0])
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("failure", ["malformed XML", "bad page id", "duplicate id", "interrupt"])
+    def test_no_worker_outlives_a_failed_ingest(self, failure, monkeypatch):
+        stream, _ = _dump_of(2 * B + 1)
+        xml = stream.getvalue()
+        error = IngestError
+        if failure == "malformed XML":
+            xml = xml[: len(xml) // 2]
+        elif failure == "bad page id":
+            xml = xml.replace(b"<ns>0</ns><id>300</id>", b"<ns>0</ns><id>x300</id>", 1)
+        elif failure == "duplicate id":
+            xml = xml.replace(b"<ns>0</ns><id>300</id>", b"<ns>0</ns><id>3</id>", 1)
+            error = ValueError
+        else:
+            pages = iter(range(400))
+            ingest_page = corpus_module._ingest_page
+
+            def interrupted(*args):
+                if next(pages) == 300:
+                    raise KeyboardInterrupt
+                return ingest_page(*args)
+
+            monkeypatch.setattr(corpus_module, "_ingest_page", interrupted)
+            error = KeyboardInterrupt
+        with _within(60), pytest.raises(error):
+            ingest_wiki_dump(io.BytesIO(xml))
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_ends_early_is_named_by_its_exit_code(self, monkeypatch):
+        def drain_then_exit(to_parent, to_worker):
+            to_worker.close()
+            for _ in iter(to_parent.recv, None):
+                pass
+            os._exit(4)
+
+        # each applied before the fork, so the worker runs it: one ends before a send, one before its reply
+        for worker, code in ((lambda *ends: os._exit(3), 3), (drain_then_exit, 4)):
+            monkeypatch.setattr(corpus_module, "_tokenize_bodies", worker)
+            with _within(60), pytest.raises(RuntimeError, match=f"^the tokenizer worker exited with code {code}$"):
+                ingest_wiki_dump(_dump_of(2 * B + 1)[0])
+            assert multiprocessing.active_children() == []
 
 
 STORE_FILES = [
