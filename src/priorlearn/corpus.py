@@ -29,6 +29,9 @@ from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+#: Slots per block of rows (:meth:`Corpus.row_blocks`): ranking and the store's slot checks take a block at a time.
+_BLOCK_SLOTS = 1 << 16
+
 __all__ = [
     "Document",
     "Corpus",
@@ -216,9 +219,19 @@ class Corpus:
         """The slot of ``token``, or 0 if no document holds it."""
         return _index(self.vocabulary, token) + 1
 
-    def row_of_slot(self) -> np.ndarray:
-        """The row each entry of ``slots`` belongs to."""
-        return np.repeat(np.arange(len(self.doc_ids)), np.diff(self.offsets))
+    def row_blocks(self) -> Iterator[tuple[int, int]]:
+        """The rows in blocks ``[a, b)``, in order: the most whole rows from ``a`` whose slots fit ``_BLOCK_SLOTS``.
+
+        A row longer than the budget is a block of its own. A pass over
+        ``slots`` one block at a time holds temporaries of one block, not of
+        the whole array.
+        """
+        a, rows = 0, len(self.offsets) - 1
+        while a < rows:
+            # the last row end at most the budget past row a's start, or else a's own end
+            b = max(a + 1, int(np.searchsorted(self.offsets, self.offsets[a] + _BLOCK_SLOTS, side="right")) - 1)
+            yield a, b
+            a = b
 
     def token_rows(self, doc_ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """The token slots of the given documents, without slot 0, as compressed rows.
@@ -506,6 +519,7 @@ def _ingest_page(
     if page.find(ns + "redirect") is not None or _REDIRECT_RE.match(text):
         skipped["redirect"] += 1
         return
+    text = _uncommented(text)  # a commented-out template renders as nothing
     if _DISAMBIG_RE.search(text):
         skipped["disambiguation"] += 1
         return
@@ -522,7 +536,6 @@ def _ingest_page(
     except ValueError:
         raise IngestError(f"page {title!r}: id {raw_id!r} is not a 64-bit integer") from None
 
-    text = _uncommented(text)
     page_categories = extract_categories(text)
     # a category link would leak the label; a nowiki span goes with the links
     body = _links(text).sub("", truncate_at_references(text))
@@ -578,7 +591,8 @@ def store_corpus(corpus: Corpus, categories: CategoryIndex, path: str | Path) ->
             raise CorpusFormatError(f"category {name!r}: name contains a newline")
     for slot, token in enumerate(corpus.vocabulary, 1):
         if token.split() != [token]:
-            row = corpus.row_of_slot()[np.flatnonzero(corpus.slots == slot)[0]]
+            # the last row starting at or before the token's first entry
+            row = np.searchsorted(corpus.offsets, np.flatnonzero(corpus.slots == slot)[0], side="right") - 1
             raise CorpusFormatError(f"document {corpus.doc_ids[row]}: token {token!r} is empty or has whitespace")
 
     root = Path(path)
@@ -649,13 +663,16 @@ def load_corpus(path: str | Path) -> tuple[Corpus, CategoryIndex]:
         check(name, count == manifest.get("doc_count"), f"{count} rows, not the manifest's doc_count")
     check("offsets.npy", offsets[0] == 0 and offsets[-1] == len(slots) and (np.diff(offsets) > 0).all(),
           "offsets do not start at 0, increase strictly and end at the slot count")
-    ascending = np.diff(slots) > 0
-    ascending[offsets[1:-1] - 1] = True  # where one row ends and the next begins
-    check("slots.npy", ascending.all() and (slots[offsets[:-1]] == 0).all(), "a row is not 0, then ascending")
-    check("slots.npy", not (slots > len(vocabulary)).any(), "a slot is past the last token's")
+    corpus = Corpus(tuple(titles), tuple(vocabulary), doc_ids, offsets, slots)
+    for a, b in corpus.row_blocks():
+        block, block_offsets = slots[offsets[a] : offsets[b]], offsets[a : b + 1] - offsets[a]
+        ascending = np.diff(block) > 0
+        ascending[block_offsets[1:-1] - 1] = True  # where one row ends and the next begins
+        check("slots.npy", ascending.all() and (block[block_offsets[:-1]] == 0).all(), "a row is not 0, then ascending")
+    # a reduction, with no temporary the size of slots
+    check("slots.npy", slots.max(initial=0) <= len(vocabulary), "a slot is past the last token's")
     check("doc_ids.npy", (np.diff(doc_ids) > 0).all(), "ids are not ascending and unique")
     check("vocabulary.txt", all(a < b for a, b in zip(vocabulary, vocabulary[1:])), "tokens are not ascending")
-    corpus = Corpus(tuple(titles), tuple(vocabulary), doc_ids, offsets, slots)
 
     check("categories.txt", all(a < b for a, b in zip(names, names[1:])), "names are not ascending and unique")
     # an empty category is an empty row, so offsets may repeat

@@ -196,7 +196,8 @@ def rank_corpus(
 ) -> RankedPredictions:
     """Score every corpus document outside ``exclude_ids`` and rank them.
 
-    All documents are scored at once over the corpus's token rows. A
+    Documents are scored over the corpus's token rows, one block of rows
+    at a time (:meth:`~priorlearn.corpus.Corpus.row_blocks`). A
     document's log score per class is the ``bincount`` sum of its row: the
     log prior, then the log conditional of each token in sorted order. The
     ``+0.0`` of a non-feature token leaves the strictly negative sum
@@ -205,15 +206,14 @@ def rank_corpus(
     :func:`~priorlearn.model.positive_posteriors` on the sorted log odds)
     to normalizing each document's two log scores by max-subtraction.
     """
-    rows = corpus.row_of_slot()
-    log_pos, log_neg = (
-        np.bincount(
-            rows, weights=_log_weights(positive, model, hp, corpus)[corpus.slots],
-            minlength=len(corpus.doc_ids),
-        )
-        for positive in (True, False)
-    )
-    del rows  # one int per slot; not kept past the sums
+    weights = [_log_weights(positive, model, hp, corpus) for positive in (True, False)]
+    log_pos, log_neg = sums = np.empty((2, len(corpus.doc_ids)))
+    for a, b in corpus.row_blocks():
+        # bincount adds each row's weights in order, so a block's sums are the whole array's
+        rows = np.repeat(np.arange(b - a), np.diff(corpus.offsets[a : b + 1]))
+        block = corpus.slots[corpus.offsets[a] : corpus.offsets[b]]
+        for out, class_weights in zip(sums, weights):
+            out[a:b] = np.bincount(rows, weights=class_weights[block], minlength=b - a)
     excluded = np.fromiter(exclude_ids, dtype=np.int64, count=len(exclude_ids))
     keep = ~np.isin(corpus.doc_ids, excluded)
     doc_ids, log_odds = corpus.doc_ids[keep], (log_pos - log_neg)[keep]
@@ -332,6 +332,7 @@ def export_review_list(
 
 _CSV_HEADER = "rank,doc_id,title,log_odds,p_pos"
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
+_CSV_BLOCK = 4096  # ranks per block of predictions_to_csv's rows
 
 
 def predictions_to_csv(ranked: RankedPredictions, titles: Mapping[int, str]) -> str:
@@ -342,13 +343,18 @@ def predictions_to_csv(ranked: RankedPredictions, titles: Mapping[int, str]) -> 
     doubled, as ``csv.writer(lineterminator="\\n")`` does, except that
     writer leaves a CR unquoted, which no reader can parse back.
     """
-    rows = [
-        f"{rank},{doc_id},{_csv_field(titles[doc_id])},{log_odds!r},{p_pos!r}\n"
-        for rank, doc_id, log_odds, p_pos in zip(
-            count(1), ranked.ids.tolist(), ranked.log_odds.tolist(), ranked.p_pos.tolist()
-        )
-    ]
-    return _CSV_HEADER + "\n" + "".join(rows)
+    blocks = [_CSV_HEADER + "\n"]
+    # a block of ranks at a time: the Python numbers and row strings of every rank at once outweigh the text
+    for start in range(0, len(ranked), _CSV_BLOCK):
+        end = start + _CSV_BLOCK
+        blocks.append("".join([
+            f"{rank},{doc_id},{_csv_field(titles[doc_id])},{log_odds!r},{p_pos!r}\n"
+            for rank, doc_id, log_odds, p_pos in zip(
+                count(start + 1), ranked.ids[start:end].tolist(), ranked.log_odds[start:end].tolist(),
+                ranked.p_pos[start:end].tolist(),
+            )
+        ]))
+    return "".join(blocks)
 
 
 def _csv_field(text: str) -> str:

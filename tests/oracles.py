@@ -20,6 +20,10 @@ for the References cut. Nothing
 imports the code paths under test beyond plain data types and the two
 ratio formulas ``ppv_of`` and ``sensitivity_of``, which
 ``tests/test_metrics.py`` checks on hand-counted cases.
+
+Two test tools sit at the end: :func:`seeded_rows_corpus`, the seeded
+rows of the scale probe, and :func:`peak_bytes`, one call's tracemalloc
+peak.
 """
 
 import bisect
@@ -28,6 +32,7 @@ import io
 import math
 import re
 import string
+import tracemalloc
 import unicodedata
 import warnings
 from dataclasses import dataclass
@@ -677,3 +682,38 @@ def choice_synthetic_corpus(seed=0, vocab_size=2000, n_members=200, pool_size=20
     corpus = Corpus.from_documents(documents)
     categories = CategoryIndex.from_mapping({CATEGORY: range(1, n_members + 1)})
     return SyntheticCorpus(corpus=corpus, categories=categories, truth=frozenset(truth))
+
+
+# --- test tools -----------------------------------------------------------------
+
+
+def seeded_rows_corpus(n_docs, row_length=100, vocab_size=2_000_000, seed=0):
+    """The scale probe's corpus of ``n_docs`` rows of ``row_length`` distinct token ids, through ``Corpus.from_rows``.
+
+    Document ``i``, from 1, is titled ``Doc i``; its ids are
+    ``rng.integers(0, vocab_size // row_length) * row_length + j`` for each
+    ``j < row_length``, so distinct. Only the ids some row holds become
+    tokens. The one category, ``Members``, holds documents 1 to 1,000.
+    """
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, vocab_size // row_length, (n_docs, row_length)) * row_length + np.arange(row_length)
+    held, ids = np.unique(ids, return_inverse=True)
+    doc_ids = np.arange(1, n_docs + 1)
+    corpus = Corpus.from_rows(
+        [f"t{token}" for token in held.tolist()],
+        doc_ids,
+        [f"Doc {i}" for i in doc_ids.tolist()],
+        np.full(n_docs, row_length),
+        ids.ravel(),
+    )
+    return corpus, CategoryIndex.from_mapping({"Members": doc_ids[:1000].tolist()})
+
+
+def peak_bytes(call, *args, **kwargs):
+    """The tracemalloc peak, in bytes, of ``call(*args, **kwargs)``, its result included."""
+    tracemalloc.start()
+    try:
+        call(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

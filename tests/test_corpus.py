@@ -7,7 +7,6 @@ import os
 import re
 import signal
 import string
-import tracemalloc
 from collections import Counter
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -18,7 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import priorlearn.corpus as corpus_module
-from oracles import category_items, document, per_character_tokenize, splitlines_truncate_at_references
+from oracles import (
+    category_items,
+    document,
+    peak_bytes,
+    per_character_tokenize,
+    seeded_rows_corpus,
+    splitlines_truncate_at_references,
+)
 from priorlearn.corpus import (
     CategoryIndex,
     Corpus,
@@ -250,6 +256,13 @@ class TestIngest:
         assert corpus.doc_count == 0
         assert skipped["disambiguation"] == 1
 
+    def test_a_commented_out_disambiguation_template_skips_nothing(self):
+        pages = _wrap_pages(_page(1, "Mercury", escape(LONG_BODY + "<!-- {{disambiguation}} -->")))
+        skipped = Counter()
+        corpus, _ = ingest_wiki_dump(pages, skipped=skipped)
+        assert corpus.ids() == [1] and skipped == Counter()
+        assert document(corpus, 1).tokens == {"alpha", "beta", "gamma", "delta"}
+
     def test_min_bytes_measured_after_truncation(self):
         # body clears the threshold only if the references tail is counted
         body = "kept words here\n== References ==\n" + LONG_BODY
@@ -373,36 +386,24 @@ class TestIngest:
         assert corpus.ids() == [-(2**63), 2**63 - 1]
 
     def test_memory_does_not_grow_with_skipped_pages(self):
-        def peak_bytes(n_pages):
-            pages = _wrap_pages(*(_page(pid, f"Talk {pid}", "x", ns=1) for pid in range(n_pages)))
-            tracemalloc.start()
-            try:
-                ingest_wiki_dump(pages)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        def pages(n_pages):
+            return _wrap_pages(*(_page(pid, f"Talk {pid}", "x", ns=1) for pid in range(n_pages)))
 
-        peak_bytes(10)  # first-call allocations (compiled patterns, caches) out of the way
-        small, large = peak_bytes(1000), peak_bytes(8000)
+        peak_bytes(ingest_wiki_dump, pages(10))  # first-call allocations (compiled patterns, caches) out of the way
+        small, large = peak_bytes(ingest_wiki_dump, pages(1000)), peak_bytes(ingest_wiki_dump, pages(8000))
         # a cleared page kept as the root's child costs ~70 bytes: 7,000 more ~0.5 MB
         assert large < small + 100_000
 
     def test_memory_per_kept_page_is_its_index_row(self):
         words = [f"word{i}" for i in range(1000)]
 
-        def peak_bytes(n_pages):
+        def pages(n_pages):
             rng = np.random.default_rng(n_pages)
             bodies = (" ".join(words[j] for j in rng.choice(len(words), 40, replace=False)) for _ in range(n_pages))
-            pages = _wrap_pages(*(_page(pid, f"Page {pid}", body) for pid, body in enumerate(bodies, 1)))
-            tracemalloc.start()
-            try:
-                ingest_wiki_dump(pages, min_bytes=0)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return _wrap_pages(*(_page(pid, f"Page {pid}", body) for pid, body in enumerate(bodies, 1)))
 
-        peak_bytes(10)
-        small, large = peak_bytes(1000), peak_bytes(8000)
+        peak_bytes(ingest_wiki_dump, pages(10), min_bytes=0)
+        small, large = (peak_bytes(ingest_wiki_dump, pages(n), min_bytes=0) for n in (1000, 8000))
         # per kept page of 40 tokens: ~2.6 KB at the peak as a frozenset Document, ~0.9 KB as
         # a row of 40 token ids plus the index sort's keys
         assert large < small + 7000 * 1500
@@ -449,18 +450,12 @@ class TestIngest:
             ingest_wiki_dump(pages)
 
     def test_pages_below_a_wrapper_drop_their_text(self):
-        def peak_bytes(n_pages):
+        def stream(n_pages):
             pages = "".join(_page(pid, f"Talk {pid}", "x" * 2000, ns=1) for pid in range(n_pages))
-            stream = _wrap_pages(f"<group>{pages}</group>")
-            tracemalloc.start()
-            try:
-                ingest_wiki_dump(stream)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return _wrap_pages(f"<group>{pages}</group>")
 
-        peak_bytes(10)
-        small, large = peak_bytes(500), peak_bytes(4000)
+        peak_bytes(ingest_wiki_dump, stream(10))
+        small, large = peak_bytes(ingest_wiki_dump, stream(500)), peak_bytes(ingest_wiki_dump, stream(4000))
         # the wrapper still holds each cleared page (~70 bytes); their texts would add ~7 MB
         assert large < small + 3500 * 500
 
@@ -850,6 +845,41 @@ class TestCorpusStore:
         with pytest.raises(CorpusFormatError, match=f"{re.escape(name)}: .* rows, not the manifest's doc_count"):
             load_corpus(tmp_path / "s")
 
+    def test_a_bad_row_first_or_last_in_its_block_is_rejected(self, tmp_path, monkeypatch):
+        corpus, cats = _toy_corpus()
+        store_corpus(corpus, cats, tmp_path / "s")
+        rows = [[0, 2, 3], [0, 3, 5], [0, 4], [0, 1, 2, 4]]  # 12 slots; the vocabulary has 5 tokens
+        damages = [
+            (lambda row: [*row[:-2], row[-1], row[-2]], "not 0, then ascending"),
+            (lambda row: [*row[:-1], row[-2]], "not 0, then ascending"),
+            (lambda row: [1, *row[1:]], "not 0, then ascending"),
+            (lambda row: [*row[:-1], 6], "past the last token"),
+        ]
+        edges = set()
+        for budget in range(1, 13):
+            monkeypatch.setattr(corpus_module, "_BLOCK_SLOTS", budget)
+            for a, b in corpus.row_blocks():
+                if b - a > 1:
+                    edges |= {(a, "first"), (b - 1, "last")}
+            for bad in range(len(rows)):
+                for damage, problem in damages:
+                    slots = [slot for i, row in enumerate(rows) for slot in (damage(row) if i == bad else row)]
+                    np.save(tmp_path / "s" / "slots.npy", np.array(slots, dtype=np.int32))
+                    with pytest.raises(CorpusFormatError, match=f"slots.npy: .*{problem}"):
+                        load_corpus(tmp_path / "s")
+        # every row has been the first or the last of a block of several rows, and the inner rows both
+        assert edges == {(0, "first"), (1, "first"), (1, "last"), (2, "first"), (2, "last"), (3, "last")}
+
+    def test_load_peak_beyond_the_slots_is_flat_in_the_slots_per_row(self, tmp_path):
+        def peak_over_slots(row_length):
+            corpus, cats = seeded_rows_corpus(2000, row_length, vocab_size=40_000)
+            store_corpus(corpus, cats, tmp_path / str(row_length))
+            return peak_bytes(load_corpus, tmp_path / str(row_length)) - corpus.slots.nbytes
+
+        small, large = peak_over_slots(100), peak_over_slots(400)
+        # np.diff of every slot and its mask would add 5 bytes for each of the 600,000 more slots
+        assert large < small + 500_000
+
     def test_vocabulary_ascends(self, tmp_path):
         corpus, cats = _toy_corpus()
         store_corpus(corpus, cats, tmp_path / "s")
@@ -877,6 +907,14 @@ class TestCorpusStore:
     def test_store_rejects_a_token_that_is_empty_or_holds_whitespace(self, tmp_path, token):
         docs = [Document(1, "One", frozenset({"alpha"})), Document(2, "T", frozenset({token, "c"}))]
         with pytest.raises(CorpusFormatError, match=f"document 2: token {re.escape(repr(token))}"):
+            store_corpus(Corpus.from_documents(docs), CategoryIndex.from_mapping({}), tmp_path / "s")
+        # first held by the first of three rows, so a row found one off names another id
+        docs = [
+            Document(3, "F", frozenset({"a", token})),
+            Document(5, "G", frozenset({token})),
+            Document(7, "H", frozenset({"b"})),
+        ]
+        with pytest.raises(CorpusFormatError, match=f"document 3: token {re.escape(repr(token))}"):
             store_corpus(Corpus.from_documents(docs), CategoryIndex.from_mapping({}), tmp_path / "s")
         assert not (tmp_path / "s" / "manifest.json").exists()
 
@@ -912,6 +950,25 @@ class TestCorpusStore:
         loaded, loaded_cats = load_corpus(root)
         assert {d.id: d for d in loaded} == {d.id: d for d in corpus}
         assert category_items(loaded_cats) == category_items(cats)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("budget", [1, 2, 4, 6, 9, 50])
+    def test_blocks_are_the_most_whole_rows_within_the_budget(self, monkeypatch, budget):
+        monkeypatch.setattr(corpus_module, "_BLOCK_SLOTS", budget)
+        lengths = [3, 0, 5, 1, 1, 8, 0, 0, 2, 4]  # tokens per row; a row holds one slot more
+        corpus = Corpus.from_documents(
+            Document(i, f"d{i}", frozenset(f"t{j}" for j in range(n))) for i, n in enumerate(lengths)
+        )
+        blocks = list(corpus.row_blocks())
+        assert [a for a, _ in blocks] == [0, *(b for _, b in blocks[:-1])] and blocks[-1][1] == len(lengths)
+        for a, b in blocks:
+            slots = corpus.offsets[b] - corpus.offsets[a]
+            assert slots <= budget or b - a == 1
+            assert b == len(lengths) or corpus.offsets[b + 1] - corpus.offsets[a] > budget
+
+    def test_an_empty_corpus_has_no_block(self):
+        assert list(Corpus.from_documents([]).row_blocks()) == []
 
 
 class TestCorpusValidation:

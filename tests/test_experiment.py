@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     array_swap_sample_negatives,
     entries,
+    peak_bytes,
     reader_predictions_csv,
     scalar_sample_negatives,
     writer_predictions_csv,
@@ -367,6 +368,19 @@ class TestPredictionsCsv:
         back, back_titles = read_predictions_csv(io.StringIO(text))
         _assert_same_columns(back, ranked)
         assert back_titles == titles
+
+    def test_peak_beyond_the_text_is_flat_in_the_ranks(self):
+        def peak_over_text(n):
+            log_odds = np.linspace(40.0, -40.0, n)
+            ranked = _columns(list(zip(range(n), (1 / (1 + np.exp(-log_odds))).tolist(), log_odds.tolist())))
+            titles = {i: f"Article {i}" for i in range(n)}
+            text = predictions_to_csv(ranked, titles)
+            # the blocks' texts, then their join
+            return peak_bytes(predictions_to_csv, ranked, titles) - 2 * len(text)
+
+        small, large = peak_over_text(5000), peak_over_text(20_000)
+        # every rank's row string and Python numbers at once would add ~120 bytes for each of 15,000 more ranks
+        assert large < small + 500_000
 
     def test_empty_ranking(self):
         text = predictions_to_csv(_columns([]), {})

@@ -12,7 +12,17 @@ import math
 import numpy as np
 import pytest
 
-from oracles import class_prior, cond_prob, dict_model, document, entries, scalar_ranking
+import priorlearn.corpus as corpus_module
+from oracles import (
+    class_prior,
+    cond_prob,
+    dict_model,
+    document,
+    entries,
+    peak_bytes,
+    scalar_ranking,
+    seeded_rows_corpus,
+)
 from priorlearn.corpus import Corpus, Document, load_corpus, store_corpus
 from priorlearn.experiment import (
     ExperimentSpec,
@@ -170,7 +180,8 @@ def test_non_ascii_tokens_follow_str_order():
         assert_bit_identical(rank_corpus(corpus, model, hp), scalar_ranking(corpus, oracle, hp))
 
 
-def test_random_corpora_match_oracle():
+def _random_cases():
+    """20 seeded random corpora, each with a model, its oracle, priors and exclusions."""
     rng = np.random.default_rng(5)
     for _ in range(20):
         vocab = [f"t{i}" for i in range(int(rng.integers(1, 40)))]
@@ -182,9 +193,42 @@ def test_random_corpora_match_oracle():
         model, oracle = _models(corpus, range(1, n_pos + 1), range(n_pos + 1, len(token_sets) + 1))
         hp = Hyperparameters(float(rng.uniform(0.01, 200)), float(rng.uniform(0.01, 200)))
         exclude = set(rng.choice(len(token_sets) + 5, size=3).tolist())
+        yield corpus, model, oracle, hp, exclude
+
+
+def test_random_corpora_match_oracle():
+    for corpus, model, oracle, hp, exclude in _random_cases():
         assert_bit_identical(
             rank_corpus(corpus, model, hp, exclude), scalar_ranking(corpus, oracle, hp, exclude)
         )
+
+
+@pytest.mark.parametrize("budget", [3, 7, 16])
+def test_random_corpora_match_oracle_in_blocks_of_a_few_slots(monkeypatch, budget):
+    monkeypatch.setattr(corpus_module, "_BLOCK_SLOTS", budget)
+    shapes = set()
+    for corpus, model, oracle, hp, exclude in _random_cases():
+        for a, b in corpus.row_blocks():
+            # several rows, the next one past the budget; or one row longer than the budget
+            shapes.add("rows" if b - a > 1 else "long" if corpus.offsets[b] - corpus.offsets[a] > budget else "")
+        assert_bit_identical(
+            rank_corpus(corpus, model, hp, exclude), scalar_ranking(corpus, oracle, hp, exclude)
+        )
+    assert {"rows", "long"} <= shapes
+
+
+def test_ranking_peak_is_flat_in_the_slots_per_row():
+    # one model from another corpus, so its features and weights are the same for both
+    training, _ = seeded_rows_corpus(300, 20, vocab_size=40_000, seed=1)
+    model = build_counts(training, range(1, 101), range(101, 301))
+
+    def peak(row_length):
+        corpus, _ = seeded_rows_corpus(2000, row_length, vocab_size=40_000)
+        return peak_bytes(rank_corpus, corpus, model, BAYES_LAPLACE)
+
+    small, large = peak(100), peak(400)
+    # a row index and a gathered weight per slot would add 16 bytes for each of the 600,000 more slots
+    assert large < small + 500_000
 
 
 def test_ranking_keeps_only_the_columns_on_a_loaded_corpus(tmp_path):
