@@ -12,7 +12,7 @@ import json
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Callable, TextIO, TypeVar
+from typing import AbstractSet, Callable, TextIO, TypeVar
 
 from . import experiment, metrics, search, stats
 from .corpus import CorpusFormatError, IngestError, ingest_wiki_dump, load_corpus, store_corpus
@@ -120,8 +120,11 @@ def _read_truth(path: str) -> frozenset[int]:
     return _read_text(path, lambda text: frozenset(map(int, text.read().split())))
 
 
-def _read_predictions(path: str) -> tuple[experiment.RankedPredictions, dict[int, str]]:
-    return _read_text(path, experiment.read_predictions_csv)
+def _read_predictions(
+    path: str, title_ranks: int, title_ids: AbstractSet[int] = frozenset()
+) -> tuple[experiment.RankedPredictions, dict[int, str]]:
+    """The ranking in ``path``, with the titles :func:`~priorlearn.experiment.read_predictions_csv` keeps."""
+    return _read_text(path, lambda text: experiment.read_predictions_csv(text, title_ranks, title_ids))
 
 
 def _write(path: Path, text: str) -> None:
@@ -214,9 +217,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    ranked, _ = _read_predictions(args.predictions)
+    ranked, _ = _read_predictions(args.predictions, title_ranks=0)
     truth = _read_truth(args.truth)
-    profile = metrics.ppv_profile(ranked.doc_ids(), truth, args.eval_k)
+    profile = metrics.ppv_profile(ranked.ids, truth, args.eval_k)
     k, hits, value = profile[-1]
     out = Path(args.out)
     _write(out / "profile.csv", metrics.profile_to_csv(profile))
@@ -226,14 +229,15 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    baseline, baseline_titles = _read_predictions(args.baseline)
-    study, study_titles = _read_predictions(args.study)
+    # only the titles the review page lists; where both files title an id, the study's is listed
+    baseline, baseline_titles = _read_predictions(args.baseline, args.top_n)
+    study, study_titles = _read_predictions(args.study, args.top_n, baseline_titles.keys())
     truth = _read_truth(args.truth)
     k = args.eval_k
     vectors = []
     for path, ranked in ((args.baseline, baseline), (args.study, study)):
         try:
-            vectors.append(stats.outcome_vector(ranked.doc_ids(), truth, k))
+            vectors.append(stats.outcome_vector(ranked.ids, truth, k))
         except ValueError as exc:  # k past its ranking: name the file it came from
             raise CorpusFormatError(f"{path}: {exc}") from None
     v_base, v_study = vectors

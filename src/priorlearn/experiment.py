@@ -22,7 +22,7 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import count
 from string import Formatter
-from typing import ClassVar, Iterable, Mapping
+from typing import AbstractSet, ClassVar, Iterable, Mapping
 from urllib.parse import quote
 
 import numpy as np
@@ -361,16 +361,22 @@ def _csv_field(text: str) -> str:
     return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
 
 
-def read_predictions_csv(lines: Iterable[str]) -> tuple[RankedPredictions, dict[int, str]]:
+def read_predictions_csv(
+    lines: Iterable[str], title_ranks: int | None = None, title_ids: AbstractSet[int] = frozenset()
+) -> tuple[RankedPredictions, dict[int, str]]:
     """Parse a predictions CSV back into its ranking columns and an id->title map.
 
     ``lines`` are the file's lines with their line breaks untranslated, as
     from the file opened with ``newline="\\n"``. Each row is parsed as it
-    is read. Raises ``ValueError`` naming the line or row that does not
-    parse, or the row that repeats a doc id.
+    is read into the three columns. The map holds the title of every row,
+    or, given ``title_ranks``, only of the first ``title_ranks`` rows and
+    of the rows whose id is in ``title_ids``. Raises ``ValueError`` naming
+    the line or row that does not parse, or the row that repeats a doc id;
+    of these faults, the first in the file.
     """
     reader = csv.reader(lines, strict=True)
     ids, log_odds, p_pos, titles = array("q"), array("d"), array("d"), {}
+    last_titled = math.inf if title_ranks is None else title_ranks + 1  # the line of the last row titled by rank
     try:
         header = next(reader, None)
         if header != _CSV_HEADER.split(","):
@@ -382,14 +388,30 @@ def read_predictions_csv(lines: Iterable[str]) -> tuple[RankedPredictions, dict[
             doc_id = int(doc_id)
             if not -(2**63) <= doc_id < 2**63:
                 raise ValueError(f"predictions CSV row {number}: doc id {doc_id} is too large for int64")
-            if doc_id in titles:
-                raise ValueError(f"predictions CSV row {number}: doc id {doc_id} is repeated")
-            ids.append(doc_id)
+            ids.append(doc_id)  # before the floats: a row repeating an id is reported as a repeat
             log_odds.append(float(row_log_odds))
             p_pos.append(float(row_p_pos))
-            titles[doc_id] = title
+            if number <= last_titled or doc_id in title_ids:
+                titles[doc_id] = title
+    # a repeat in the rows read so far comes before the fault that stopped the reading
     except csv.Error as exc:
+        _reject_repeated_ids(ids)
         raise ValueError(f"unreadable predictions CSV at line {reader.line_num}: {exc}") from None
+    except ValueError:
+        _reject_repeated_ids(ids)
+        raise
+    _reject_repeated_ids(ids)
     columns = (np.frombuffer(column, dtype=column.typecode) for column in (ids, p_pos, log_odds))
     return RankedPredictions(*columns), titles
+
+
+def _reject_repeated_ids(ids: array) -> None:
+    """Raise ``ValueError`` naming the first predictions CSV row whose doc id an earlier row holds."""
+    column = np.frombuffer(ids, dtype=np.int64)
+    order = np.argsort(column, kind="stable")  # equal ids stay in row order
+    sorted_ids = column[order]
+    later = order[1:][sorted_ids[1:] == sorted_ids[:-1]]
+    if len(later):
+        row = int(later.min())
+        raise ValueError(f"predictions CSV row {row + 2}: doc id {ids[row]} is repeated") from None
 

@@ -33,19 +33,25 @@ def sensitivity_of(tp: int, fn: int) -> float:
     return tp / (tp + fn) if tp + fn else 0.0
 
 
-def outcome_vector(ranked_ids: Sequence[int], truth: AbstractSet[int], k: int) -> np.ndarray:
-    """Bit per rank 1..k: 1 iff that prediction is in the truth set."""
+def outcome_vector(ranked_ids: Sequence[int] | np.ndarray, truth: AbstractSet[int], k: int) -> np.ndarray:
+    """Bit per rank 1..k: 1 iff that prediction is in the truth set.
+
+    ``ranked_ids`` may be a ranking's int64 id column: only its first
+    ``k`` entries are read.
+    """
     if not 1 <= k <= len(ranked_ids):
         raise ValueError(f"k={k} out of range 1..{len(ranked_ids)}")
     return np.array([1 if doc_id in truth else 0 for doc_id in ranked_ids[:k]], dtype=np.int8)
 
 
-def ppv_at_k(ranked_ids: Sequence[int], truth: AbstractSet[int], k: int) -> float:
+def ppv_at_k(ranked_ids: Sequence[int] | np.ndarray, truth: AbstractSet[int], k: int) -> float:
     """Fraction of the top ``k`` ranked ids that are true positives."""
     return int(np.count_nonzero(outcome_vector(ranked_ids, truth, k))) / k
 
 
-def ppv_profile(ranked_ids: Sequence[int], truth: AbstractSet[int], K: int) -> tuple[tuple[int, int, float], ...]:
+def ppv_profile(
+    ranked_ids: Sequence[int] | np.ndarray, truth: AbstractSet[int], K: int
+) -> tuple[tuple[int, int, float], ...]:
     """(rank, cumulative hits, cumulative ppv) at every rank 1..``K``."""
     hits = np.cumsum(outcome_vector(ranked_ids, truth, K)).tolist()
     return tuple((k, n, n / k) for k, n in enumerate(hits, start=1))

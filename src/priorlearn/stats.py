@@ -79,7 +79,9 @@ def significance_test(a: Sequence[int] | np.ndarray, b: Sequence[int] | np.ndarr
     Degenerate inputs (both variances zero) yield p = 1 for equal means
     and p = 0 otherwise.
     """
-    from scipy.special import stdtr  # ~26 MB of RSS: loaded only by a caller who asks for a p-value
+    # loaded only by a caller who asks for a p-value: +23 MB of RSS after a bare import of
+    # priorlearn.cli, +16 MB on the peak of `report` over 20,000-row rankings (scipy 1.17, Linux)
+    from scipy.special import stdtr
 
     x = np.asarray(a, dtype=np.float64)
     y = np.asarray(b, dtype=np.float64)

@@ -717,3 +717,15 @@ def peak_bytes(call, *args, **kwargs):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def retained_bytes(call, *args, **kwargs):
+    """The bytes, under tracemalloc, that ``call(*args, **kwargs)`` leaves allocated while its result is held."""
+    tracemalloc.start()
+    try:
+        result = call(*args, **kwargs)
+        retained = tracemalloc.get_traced_memory()[0]
+        del result
+        return retained
+    finally:
+        tracemalloc.stop()

@@ -13,6 +13,7 @@ import pytest
 
 import priorlearn
 import priorlearn.corpus as corpus_module
+import priorlearn.experiment as experiment_module
 from priorlearn.cli import main
 from priorlearn.corpus import CategoryIndex, Corpus, Document, store_corpus
 from priorlearn.experiment import read_predictions_csv
@@ -466,6 +467,36 @@ class TestCarriageReturnTitles:
         assert main(["evaluate", "--predictions", str(predictions), "--truth", str(tmp_path / "truth.txt"),
                      "--eval-k", "3", "--out", str(tmp_path / "e")]) == 0
         assert json.loads((tmp_path / "e" / "evaluation.json").read_text())["hits"] == 3
+
+
+class TestTitlesRead:
+    def _run(self, tmp_path, monkeypatch, argv):
+        """``main(argv)``, and the titles each predictions file read kept."""
+        kept = []
+
+        def read(lines, *args):
+            ranked, titles = read_predictions_csv(lines, *args)
+            kept.append(titles)
+            return ranked, titles
+
+        monkeypatch.setattr(experiment_module, "read_predictions_csv", read)
+        (tmp_path / "truth.txt").write_text("20\n")
+        assert main([*argv, "--truth", str(tmp_path / "truth.txt"), "--eval-k", "2", "--out", str(tmp_path / "o")]) == 0
+        return kept
+
+    def test_report_lists_the_study_title_of_an_id_only_the_baseline_ranks_within_top_n(self, tmp_path, monkeypatch):
+        header = "rank,doc_id,title,log_odds,p_pos\n"
+        baseline, study = tmp_path / "baseline.csv", tmp_path / "study.csv"
+        baseline.write_text(header + "1,10,A,0.5,0.6\n2,11,Eleven,0.25,0.55\n3,12,Twelve,0.125,0.5\n")
+        study.write_text(header + "1,20,Twenty,0.5,0.6\n2,21,Twenty-one,0.25,0.55\n3,10,B,0.125,0.5\n")
+        kept = self._run(tmp_path, monkeypatch,
+                         ["report", "--baseline", str(baseline), "--study", str(study), "--top-n", "1"])
+        assert kept == [{10: "A"}, {20: "Twenty", 10: "B"}]
+        review = (tmp_path / "o" / "review.html").read_text()
+        assert ">B</a>" in review and ">Twenty</a>" in review and ">A</a>" not in review
+
+    def test_evaluate_keeps_no_title(self, tmp_path, monkeypatch):
+        assert self._run(tmp_path, monkeypatch, ["evaluate", "--predictions", str(_two_predictions(tmp_path))]) == [{}]
 
 
 @pytest.fixture(scope="module")

@@ -9,6 +9,7 @@ from oracles import (
     entries,
     peak_bytes,
     reader_predictions_csv,
+    retained_bytes,
     scalar_sample_negatives,
     writer_predictions_csv,
 )
@@ -382,6 +383,35 @@ class TestPredictionsCsv:
         # every rank's row string and Python numbers at once would add ~120 bytes for each of 15,000 more ranks
         assert large < small + 500_000
 
+    def test_titles_kept_within_the_rank_bound_or_among_the_named_ids(self):
+        titles = {9: "Nine", 4: "Four", 7: "Seven", 2: "Two", 5: "Five"}
+        ranked = _columns([(9, 0.9, 2.0), (4, 0.8, 1.5), (7, 0.7, 1.0), (2, 0.6, 0.5), (5, 0.5, 0.0)])
+        text = predictions_to_csv(ranked, titles)
+        for title_ranks, title_ids, kept in [
+            (None, frozenset(), titles),
+            (None, {2}, titles),
+            (0, frozenset(), {}),
+            (-1, {4}, {4: "Four"}),
+            (2, frozenset(), {9: "Nine", 4: "Four"}),
+            (2, {5, 9, 8}, {9: "Nine", 4: "Four", 5: "Five"}),
+            (5, frozenset(), titles),
+            (6, frozenset(), titles),
+        ]:
+            back, back_titles = read_predictions_csv(io.StringIO(text), title_ranks, title_ids)
+            _assert_same_columns(back, ranked)
+            assert back_titles == kept, (title_ranks, title_ids)
+
+    def test_memory_retained_under_a_title_bound_is_the_three_columns(self):
+        def retained(n):
+            log_odds = np.linspace(40.0, -40.0, n)
+            ranked = _columns(list(zip(range(n), (1 / (1 + np.exp(-log_odds))).tolist(), log_odds.tolist())))
+            text = predictions_to_csv(ranked, {i: f"Article {i}" for i in range(n)})
+            return retained_bytes(read_predictions_csv, io.StringIO(text), 100)
+
+        small, large = retained(5000), retained(20_000)
+        # the columns hold 24 bytes a row; a title and its map entry for each row would add ~130
+        assert large - small < 40 * 15_000
+
     def test_empty_ranking(self):
         text = predictions_to_csv(_columns([]), {})
         assert text == "rank,doc_id,title,log_odds,p_pos\n"
@@ -404,3 +434,27 @@ class TestPredictionsCsv:
     def test_unparsable_rows_name_their_line(self, body, where):
         with pytest.raises(ValueError, match=where):
             read_predictions_csv(io.StringIO("rank,doc_id,title,log_odds,p_pos\n" + body))
+
+    @pytest.mark.parametrize("title_ranks", [None, 1])
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1,7,x,0.5,0.6\n2,7,x,0.5,0.6\n3,8,y,0.5\n", "predictions CSV row 3: doc id 7 is repeated"),
+            ("1,7,x,0.5,0.6\n2,7,x,bad,0.6\n", "predictions CSV row 3: doc id 7 is repeated"),
+            ('1,7,x,0.5,0.6\n2,7,x,0.5,0.6\n3,8,"open,0.5,0.6\n', "predictions CSV row 3: doc id 7 is repeated"),
+            ("1,7,x,0.5,0.6\n2,8,y,0.5\n3,7,x,0.5,0.6\n", "predictions CSV row 3 does not have 5 fields"),
+            ("1,9,x,0.5,0.6\n2,7,y,0.5,0.6\n3,9,x,0.5,0.6\n4,7,y,0.5,0.6\n",
+             "predictions CSV row 4: doc id 9 is repeated"),
+            ("1,7,x,0.5,0.6\n2,7,x,0.5,0.6\n3,seven,y,0.5,0.6\n", "predictions CSV row 3: doc id 7 is repeated"),
+            ("1,7,x,0.5,0.6\n2,7,x,0.5,0.6\n3,99999999999999999999,y,0.5,0.6\n",
+             "predictions CSV row 3: doc id 7 is repeated"),
+            ("1,7,x,0.5,0.6\n2,8,y,0.5,0.6\n3,seven,y,0.5,0.6\n4,7,x,0.5,0.6\n",
+             "invalid literal for int() with base 10: 'seven'"),
+            ('1,7,x,0.5,0.6\n2,8,"open,0.5,0.6\n3,7,x,0.5,0.6\n',
+             "unreadable predictions CSV at line 4: unexpected end of data"),
+        ],
+    )
+    def test_the_first_fault_in_the_file_is_reported(self, body, message, title_ranks):
+        with pytest.raises(ValueError) as caught:
+            read_predictions_csv(io.StringIO("rank,doc_id,title,log_odds,p_pos\n" + body), title_ranks)
+        assert str(caught.value) == message

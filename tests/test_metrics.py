@@ -137,6 +137,17 @@ class TestOneTopKCount:
                 assert vector.dtype == bits.dtype == np.int8
                 assert vector.tobytes() == bits.tobytes()
 
+    @pytest.mark.parametrize("ranked, truth", list(_random_rankings()))
+    def test_an_id_column_counts_as_its_list(self, ranked, truth):
+        column = np.array(ranked, dtype=np.int64)
+        for k in sorted({1, len(ranked) // 2 or 1, len(ranked)}):
+            assert ppv_at_k(column, truth, k).hex() == ppv_at_k(ranked, truth, k).hex()
+            assert repr(ppv_profile(column, truth, k)) == repr(ppv_profile(ranked, truth, k))
+            assert outcome_vector(column, truth, k).tobytes() == outcome_vector(ranked, truth, k).tobytes()
+        for k in (0, len(ranked) + 1):
+            with pytest.raises(ValueError, match=rf"^k={k} out of range 1\.\.{len(ranked)}$"):
+                outcome_vector(column, truth, k)
+
     def test_stats_reexports_the_metrics_count(self):
         assert stats.outcome_vector is outcome_vector
 
