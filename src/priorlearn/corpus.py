@@ -23,13 +23,13 @@ import xml.etree.ElementTree as ET
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-#: Slots per block of rows (:meth:`Corpus.row_blocks`): ranking and the store's slot checks take a block at a time.
+#: Slots per block of rows (:meth:`Corpus.row_blocks`): iteration, ranking and the store's checks go a block at a time.
 _BLOCK_SLOTS = 1 << 16
 
 __all__ = [
@@ -141,8 +141,9 @@ class Corpus:
     vocabulary follows Python ``str`` order, the order :func:`sorted` gives
     a token set. Every producer builds the corpus through
     :meth:`from_rows`; a :class:`Document` is built only for iteration,
-    once per corpus, then kept. The corpus is safe to share read-only
-    across any number of workers.
+    on each pass, a block of rows at a time, and kept by nobody but the
+    caller. The corpus is safe to share read-only across any number of
+    workers.
     """
 
     titles: tuple[str, ...] = field(repr=False)
@@ -209,8 +210,15 @@ class Corpus:
         return _index(self.doc_ids, doc_id) >= 0
 
     def __iter__(self) -> Iterator[Document]:
-        """Iterate documents in ascending id order."""
-        return iter(self._documents)
+        """Iterate documents in ascending id order, built a block of rows (:meth:`row_blocks`) at a time."""
+        for a, b in self.row_blocks():
+            slots = self.slots[self.offsets[a] : self.offsets[b]]
+            # row a + i is tokens[bounds[i]:bounds[i + 1]]: tokens drops the slot 0 that begins each row
+            bounds = (self.offsets[a : b + 1] - self.offsets[a] - np.arange(b - a + 1)).tolist()
+            tokens = list(map(self.vocabulary.__getitem__, (slots[slots > 0] - 1).tolist()))
+            for doc_id, title, start, end in zip(self.doc_ids[a:b].tolist(), self.titles[a:b], bounds, bounds[1:]):
+                # from a set: a frozenset built from a list can size its hash table larger
+                yield Document(id=doc_id, title=title, tokens=frozenset(set(tokens[start:end])))
 
     def ids(self) -> list[int]:
         return self.doc_ids.tolist()
@@ -251,17 +259,6 @@ class Corpus:
         np.cumsum(lengths, out=offsets[1:])
         take = np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
         return self.slots[take], offsets
-
-    @cached_property
-    def _documents(self) -> tuple[Document, ...]:
-        # kept: a caller may iterate the corpus once per use of it
-        documents = []
-        for row, title in enumerate(self.titles):
-            slots = self.slots[self.offsets[row] + 1 : self.offsets[row + 1]].tolist()
-            # from a set: a frozenset built from a list can size its hash table larger
-            tokens = frozenset({self.vocabulary[slot - 1] for slot in slots})
-            documents.append(Document(id=int(self.doc_ids[row]), title=title, tokens=tokens))
-        return tuple(documents)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,19 +14,19 @@ at a time for the top-k counts, one ``csv`` module row per document for
 the predictions CSV, one ``Generator.choice`` call per document for the
 synthetic corpus, a ``Cell`` built for every neighbour the hill climber
 looks up, the fixed twice-the-tokens rule for the LOO fold tables, one
-``members`` call per name for a category index's entries, and a corpus's
-iteration for one document by id, one ``str.splitlines`` line at a time
-for the References cut. Nothing
+``members`` call per name for a category index's entries, one row of
+the columns at a time for a corpus's documents (its row found by one
+``searchsorted`` for a document by id), and one ``str.splitlines`` line
+at a time for the References cut. Nothing
 imports the code paths under test beyond plain data types and the two
 ratio formulas ``ppv_of`` and ``sensitivity_of``, which
 ``tests/test_metrics.py`` checks on hand-counted cases.
 
-Two test tools sit at the end: :func:`seeded_rows_corpus`, the seeded
-rows of the scale probe, and :func:`peak_bytes`, one call's tracemalloc
-peak.
+Three test tools sit at the end: :func:`seeded_rows_corpus`, the seeded
+rows of the scale probe, :func:`peak_bytes`, one call's tracemalloc
+peak, and :func:`retained_bytes`, what one call leaves allocated.
 """
 
-import bisect
 import csv
 import io
 import math
@@ -575,13 +575,25 @@ def category_items(index):
     return [(name, index.members(name)) for name in index.names]
 
 
+def row_document(corpus, row):
+    """The document of the corpus's row ``row``, read from its slice of the columns."""
+    slots = corpus.slots[corpus.offsets[row] + 1 : corpus.offsets[row + 1]].tolist()
+    # from a set: a frozenset built from a list can size its hash table larger
+    tokens = frozenset({corpus.vocabulary[slot - 1] for slot in slots})
+    return Document(id=int(corpus.doc_ids[row]), title=corpus.titles[row], tokens=tokens)
+
+
+def row_documents(corpus):
+    """Every document of the corpus, ids ascending, built one row at a time."""
+    return [row_document(corpus, row) for row in range(corpus.doc_count)]
+
+
 def document(corpus, doc_id):
-    """The corpus's document with id ``doc_id``, bisected out of its iteration (ids ascending)."""
-    docs = list(corpus)
-    i = bisect.bisect_left(docs, doc_id, key=lambda doc: doc.id)
-    if i == len(docs) or docs[i].id != doc_id:
+    """The corpus's document with id ``doc_id``, its row found by one ``searchsorted`` on the ascending ids."""
+    row = int(np.searchsorted(corpus.doc_ids, doc_id))
+    if row == corpus.doc_count or corpus.doc_ids[row] != doc_id:
         raise KeyError(f"no document with id {doc_id}")
-    return docs[i]
+    return row_document(corpus, row)
 
 
 def per_character_tokenize(text):

@@ -7,6 +7,7 @@ import os
 import re
 import signal
 import string
+import sys
 from collections import Counter
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -16,12 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import priorlearn.corpus as corpus_module
 from oracles import (
     category_items,
     document,
     peak_bytes,
     per_character_tokenize,
+    retained_bytes,
+    row_documents,
     seeded_rows_corpus,
     splitlines_truncate_at_references,
 )
@@ -971,6 +975,58 @@ class TestRowBlocks:
         assert list(Corpus.from_documents([]).row_blocks()) == []
 
 
+def _random_rows_corpus(rng):
+    """A corpus of 1 to 8 rows of 0 to 7 distinct tokens out of 12, its ids in no order, through ``Corpus.from_rows``."""
+    rows = [rng.choice(12, int(rng.integers(0, 8)), replace=False) for _ in range(int(rng.integers(1, 9)))]
+    held, ids = np.unique(np.concatenate(rows), return_inverse=True)
+    doc_ids = rng.permutation(len(rows)) * 3 + 1
+    titles = [f"d{i}" for i in doc_ids.tolist()]
+    return Corpus.from_rows([f"w{t}" for t in held.tolist()], doc_ids, titles, [len(row) for row in rows], ids)
+
+
+def _one_pass(corpus):
+    for _ in corpus:
+        pass
+
+
+class TestIteration:
+    def test_every_pass_is_the_row_documents_at_every_block_budget(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        corpora = [
+            _toy_corpus()[0],
+            Corpus.from_documents([Document(1, "x", frozenset())]),
+            Corpus.from_documents([Document(1, "x", frozenset()), Document(4, "y", frozenset({"b", "a"}))]),
+            *(_random_rows_corpus(rng) for _ in range(30)),
+        ]
+        expected = [row_documents(corpus) for corpus in corpora]
+        longer_rows = multi_row_blocks = 0
+        for budget in range(1, 13):
+            monkeypatch.setattr(corpus_module, "_BLOCK_SLOTS", budget)
+            for corpus, docs in zip(corpora, expected):
+                blocks = list(corpus.row_blocks())
+                longer_rows += any(corpus.offsets[b] - corpus.offsets[a] > budget for a, b in blocks)
+                multi_row_blocks += any(b - a > 1 for a, b in blocks)
+                passed = list(corpus)
+                assert passed == docs
+                assert [sys.getsizeof(doc.tokens) for doc in passed] == [sys.getsizeof(doc.tokens) for doc in docs]
+        assert longer_rows and multi_row_blocks
+
+    def test_a_pass_keeps_no_document(self):
+        _one_pass(seeded_rows_corpus(10, 50)[0])  # first-call allocations out of the way
+        for n_docs in (1000, 4000):
+            corpus, _ = seeded_rows_corpus(n_docs, 50)
+            # a pass that kept its documents would hold ~2.4 KB a row
+            assert retained_bytes(_one_pass, corpus) < 1000
+
+    def test_a_pass_peak_is_flat_in_the_rows(self):
+        def pass_peak(n_docs):
+            return peak_bytes(_one_pass, seeded_rows_corpus(n_docs, 50)[0])
+
+        pass_peak(10)
+        small, large = pass_peak(4000), pass_peak(16_000)
+        assert large < small + 500_000
+
+
 class TestCorpusValidation:
     def test_iteration_ascending_whatever_the_input_order(self):
         docs = [Document(i, f"d{i}", frozenset()) for i in (40, 3, 11, 90, 7)]
@@ -1005,14 +1061,15 @@ class TestCorpusValidation:
 
         docs = [Document(i, f"d{i}", frozenset({f"t{i}"})) for i in (40, 3, 11)]
         monkeypatch.setattr(corpus_module, "Document", counted_document)
+        monkeypatch.setattr(oracles, "Document", counted_document)
         corpus = Corpus.from_documents(docs)
         assert made == []
         assert list(corpus) == [docs[1], docs[2], docs[0]]
         assert made == [3, 11, 40]
         assert [doc.id for doc in corpus] == [3, 11, 40]
-        assert made == [3, 11, 40]  # kept from the first iteration
+        assert made == [3, 11, 40] * 2  # none is kept, so a second pass builds them all again
         assert document(corpus, 40) == docs[0] and 11 in corpus and 12 not in corpus
-        assert made == [3, 11, 40]  # a lookup reads the kept documents
+        assert made == [3, 11, 40] * 2 + [40]  # a lookup builds only its own row's
 
     def test_loaded_corpus_builds_a_document_only_when_asked(self, tmp_path, monkeypatch):
         made = []
@@ -1024,8 +1081,13 @@ class TestCorpusValidation:
         corpus, cats = _toy_corpus()
         store_corpus(corpus, cats, tmp_path / "s")
         monkeypatch.setattr(corpus_module, "Document", counted_document)
+        monkeypatch.setattr(oracles, "Document", counted_document)
         loaded, _ = load_corpus(tmp_path / "s")
         assert loaded.ids() == [1, 2, 7, 10] and 7 in loaded and 8 not in loaded
         assert made == []
         assert document(loaded, 7) == Document(7, "Seven & co", frozenset({"delta"}))
-        assert made == [1, 2, 7, 10]  # iteration builds each document once
+        assert made == [7]  # a lookup builds only its own row's
+        assert [doc.id for doc in loaded] == [1, 2, 7, 10]
+        assert made == [7, 1, 2, 7, 10]
+        assert [doc.id for doc in loaded] == [1, 2, 7, 10]
+        assert made == [7] + [1, 2, 7, 10] * 2  # none is kept, so a second pass builds them all again
