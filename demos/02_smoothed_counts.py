@@ -11,7 +11,7 @@ special case of the same formulas.
 
 import numpy as np
 
-from priorlearn.corpus import Corpus, Document
+from priorlearn.corpus import Corpus
 from priorlearn.experiment import rank_corpus
 from priorlearn.model import (
     CountModel,
@@ -22,6 +22,15 @@ from priorlearn.model import (
     model_manifest,
 )
 
+
+def corpus_of(rows):
+    """The corpus of ``(doc_id, title, tokens)`` rows, through ``Corpus.from_rows``."""
+    tokens = sorted(set().union(*(row_tokens for _, _, row_tokens in rows)))
+    ids = [tokens.index(token) for _, _, row_tokens in rows for token in row_tokens]
+    doc_ids, titles, token_sets = zip(*rows)
+    return Corpus.from_rows(tokens, doc_ids, list(titles), [len(row_tokens) for row_tokens in token_sets], ids)
+
+
 print("-- coin toss with add-one priors --")
 # two tosses observed, both tails: the classic smoothed estimate for an
 # unobserved head is (1 + 0) / (1 + 1 + 2) = 1/4, never zero
@@ -31,17 +40,14 @@ coin = CountModel(n_pos=0, n_neg=2, features=(), pos_count=none, neg_count=none,
 print(f"p(head) after 0 heads in 2 tosses = {class_prior(True, coin, Hyperparameters(1, 1))}")
 
 print("\n-- a six-document training set --")
-positives = [
-    Document(1, "p1", frozenset({"grid", "search", "memo"})),
-    Document(2, "p2", frozenset({"grid", "climb", "memo"})),
-    Document(3, "p3", frozenset({"grid", "search", "climb", "peak"})),
-]
-negatives = [
-    Document(4, "n1", frozenset({"grid", "recipe"})),
-    Document(5, "n2", frozenset({"oven", "recipe"})),
-    Document(6, "n3", frozenset({"search", "warrant"})),
-]
-training = Corpus.from_documents(positives + negatives)
+training = corpus_of([
+    (1, "p1", {"grid", "search", "memo"}),
+    (2, "p2", {"grid", "climb", "memo"}),
+    (3, "p3", {"grid", "search", "climb", "peak"}),
+    (4, "n1", {"grid", "recipe"}),
+    (5, "n2", {"oven", "recipe"}),
+    (6, "n3", {"search", "warrant"}),
+])
 model = build_counts(training, [1, 2, 3], [4, 5, 6])
 print("features are the union of positive documents only:", list(model.features))
 print("('oven', 'recipe', 'warrant' are never counted)")
@@ -58,9 +64,7 @@ print("so noisy negative evidence stops moving the posterior.")
 
 print("\n-- posteriors are computed on the feature intersection --")
 case = {"grid", "search", "unseen-word", "another-one"}
-cases = Corpus.from_documents(
-    [Document(1, "case", frozenset(case)), Document(2, "without", frozenset({"grid", "search"}))]
-)
+cases = corpus_of([(1, "case", case), (2, "without", {"grid", "search"})])
 ranked = rank_corpus(cases, model, Hyperparameters(1, 1))  # columns in rank order
 scored = dict(zip(ranked.ids.tolist(), zip(ranked.p_pos.tolist(), ranked.log_odds.tolist())))
 print(f"case {sorted(case)}")

@@ -16,12 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from priorlearn.corpus import Corpus, Document
-from priorlearn.model import build_counts, positive_posteriors
-from priorlearn.search import DEFAULT_GRID, Cell, LooEvaluator
+from priorlearn.corpus import Corpus
+from priorlearn.model import Hyperparameters, build_counts, positive_posteriors
+from priorlearn.search import DEFAULT_GRID, Cell
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from oracles import dict_model, loo_score  # noqa: E402
+from oracles import dict_model, loo_evaluator, loo_score, row_documents  # noqa: E402
 
 rng = np.random.default_rng(0)
 vocab = np.array([f"w{i:02d}" for i in range(40)])
@@ -29,16 +29,17 @@ w_pos = np.linspace(3, 1, 40); w_pos /= w_pos.sum()
 w_neg = np.linspace(1, 3, 40); w_neg /= w_neg.sum()
 
 
-def draw(doc_id, weights, title):
-    picks = rng.choice(40, size=int(rng.integers(5, 12)), replace=False, p=weights)
-    return Document(doc_id, title, frozenset(vocab[picks]))
+def draw(weights):
+    return rng.choice(40, size=int(rng.integers(5, 12)), replace=False, p=weights)
 
 
-positives = [draw(i, w_pos, f"pos {i}") for i in range(12)]
-negatives = [draw(100 + i, w_neg, f"neg {i}") for i in range(12)]
-training = Corpus.from_documents(positives + negatives)
-model = build_counts(training, [d.id for d in positives], [d.id for d in negatives])
-evaluator = LooEvaluator(model)
+rows = [draw(w_pos) for _ in range(12)] + [draw(w_neg) for _ in range(12)]
+doc_ids = [*range(12), *range(100, 112)]
+titles = [f"pos {i}" for i in range(12)] + [f"neg {i}" for i in range(12)]
+held, ids = np.unique(np.concatenate(rows), return_inverse=True)  # the words some document holds
+training = Corpus.from_rows(vocab[held].tolist(), doc_ids, titles, [len(row) for row in rows], ids)
+model = build_counts(training, doc_ids[:12], doc_ids[12:])
+evaluator = loo_evaluator(model)  # every fold: the 12 positives, then the 12 negatives
 
 print("-- per-fold posteriors with the fold's own counts removed, lambda=(1, 1) --")
 log_odds = evaluator.log_odds(Cell(3, 3))
@@ -51,15 +52,16 @@ for fold in (0, 1, 12, 13):
 
 print("\n-- scoring whole grid cells --")
 for cell in (Cell(2, 2), Cell(3, 3), Cell(10, 3), Cell(50, 3), Cell(202, 3)):
-    lam = DEFAULT_GRID.hyperparameters(cell)
+    lam = Hyperparameters(DEFAULT_GRID[cell.x], DEFAULT_GRID[cell.y])
     cs = evaluator(cell)
     print(f"  lambda=({lam.lambda_neg:>6}, {lam.lambda_pos}) -> ppv={cs.ppv:.3f} sensitivity={cs.sensitivity:.3f}")
 
 print("\n-- the evaluator's log odds agree with one scalar score per fold --")
-reference = dict_model(positives, negatives)
+documents = row_documents(training)  # ids ascending: the positives first
+reference = dict_model(documents[:12], documents[12:])
 worst = 0.0
 for cell in (Cell(3, 3), Cell(0, 202), Cell(120, 7)):
-    hp = DEFAULT_GRID.hyperparameters(cell)
+    hp = Hyperparameters(DEFAULT_GRID[cell.x], DEFAULT_GRID[cell.y])
     for fold, value in enumerate(evaluator.log_odds(cell)):
         worst = max(worst, abs(value - loo_score(fold, reference, hp).log_odds))
 print(f"largest difference over 3 cells x {model.n_folds} folds: {worst:.1e}")

@@ -32,7 +32,7 @@ def evaluate(cell: Cell) -> CellScore:
 print("-- one search, with its accepted moves --")
 moves = []
 memo = {}
-outcome = radial_gradient_search(Cell(3, 3), evaluate, memo=memo, move_log=moves)
+outcome = radial_gradient_search(Cell(3, 3), evaluate, memo, moves)
 print(f"reached {outcome.best} (true peak (50, 70)) in {len(moves)} moves, "
       f"{len(memo)} cell evaluations")
 for record in moves[:3]:
@@ -42,11 +42,11 @@ print("  ...")
 
 print("\n-- nine restarts sharing one memo --")
 shared_memo = {}
-shared = multi_start_search(default_starts(), evaluate, memo=shared_memo)
+shared = multi_start_search(default_starts(), evaluate, shared_memo, [])
 solo_evals = 0
 for start in default_starts():
     solo_memo = {}
-    radial_gradient_search(start, evaluate, memo=solo_memo)
+    radial_gradient_search(start, evaluate, solo_memo, [])
     solo_evals += len(solo_memo)
 print(f"shared memo: best={shared.best}, {len(shared_memo)} evaluations "
       f"vs {solo_evals} for nine independent searches")

@@ -87,14 +87,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _grid_index(value: float) -> int:
+    if value not in DEFAULT_GRID:
+        raise ValueError(f"{value} is not a grid value")
+    return DEFAULT_GRID.index(value)
+
+
 def _parse_starts(text: str) -> tuple[Cell, ...]:
     cells = []
     for pair in text.split(","):
         try:
             raw_neg, raw_pos = pair.split(":")
-            cells.append(
-                Cell(DEFAULT_GRID.index_of(float(raw_neg)), DEFAULT_GRID.index_of(float(raw_pos)))
-            )
+            cells.append(Cell(_grid_index(float(raw_neg)), _grid_index(float(raw_pos))))
         except ValueError as exc:
             raise UsageError(f"bad start pair {pair!r}: {exc}") from exc
     return tuple(cells)
@@ -159,7 +163,7 @@ def _load_spec(args: argparse.Namespace, **fields) -> experiment.ExperimentSpec:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    spec = _load_spec(args, starts=_parse_starts(args.starts) if args.starts else search.default_starts())
+    spec = _load_spec(args, starts=search.default_starts() if args.starts is None else _parse_starts(args.starts))
     result = experiment.learn_priors(spec)
     out = Path(args.out)
     _write_json(
@@ -177,8 +181,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
         },
     )
     for seed, memo in zip(spec.seeds, result.memos):
-        _write(out / f"memo_seed{seed}.csv", search.memo_to_csv(memo, spec.grid))
-    _write(out / "memo_mean.csv", search.memo_to_csv(result.mean_scores, spec.grid))
+        _write(out / f"memo_seed{seed}.csv", search.memo_to_csv(memo))
+    _write(out / "memo_mean.csv", search.memo_to_csv(result.mean_scores))
     log_lines = []
     for seed, moves in zip(spec.seeds, result.move_logs):
         for line in search.moves_to_log(moves).splitlines():
@@ -196,7 +200,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
     hp = Hyperparameters(lambda_neg=args.lambda_neg, lambda_pos=args.lambda_pos)
     model, ranked = experiment.classify_corpus(spec, hp)
-    titles = dict(zip(spec.corpus.ids(), spec.corpus.titles))
+    titles = dict(zip(spec.corpus.doc_ids.tolist(), spec.corpus.titles))
     out = Path(args.out)
     _write(out / "predictions.csv", experiment.predictions_to_csv(ranked, titles))
     _write(out / "model_manifest.txt", model_manifest(model))

@@ -191,17 +191,6 @@ class Corpus:
             keys.astype(np.int32),
         )
 
-    @classmethod
-    def from_documents(cls, documents: Iterable[Document]) -> "Corpus":
-        documents = list(documents)
-        tokens = list(set().union(*(doc.tokens for doc in documents)))
-        id_of = dict(zip(tokens, itertools.count()))
-        rows = itertools.chain.from_iterable(doc.tokens for doc in documents)
-        ids = np.fromiter(map(id_of.__getitem__, rows), dtype=np.int64)
-        lengths = [len(doc.tokens) for doc in documents]
-        doc_ids = [doc.id for doc in documents]
-        return cls.from_rows(tokens, doc_ids, [doc.title for doc in documents], lengths, ids)
-
     @property
     def doc_count(self) -> int:
         return len(self.titles)
@@ -219,9 +208,6 @@ class Corpus:
             for doc_id, title, start, end in zip(self.doc_ids[a:b].tolist(), self.titles[a:b], bounds, bounds[1:]):
                 # from a set: a frozenset built from a list can size its hash table larger
                 yield Document(id=doc_id, title=title, tokens=frozenset(set(tokens[start:end])))
-
-    def ids(self) -> list[int]:
-        return self.doc_ids.tolist()
 
     def slot(self, token: str) -> int:
         """The slot of ``token``, or 0 if no document holds it."""
@@ -580,7 +566,7 @@ def store_corpus(corpus: Corpus, categories: CategoryIndex, path: str | Path) ->
     category name holding ``\\n``, or a token that is empty or holds
     whitespace, raises :class:`CorpusFormatError`.
     """
-    for doc_id, title in zip(corpus.ids(), corpus.titles):
+    for doc_id, title in zip(corpus.doc_ids.tolist(), corpus.titles):
         if "\n" in title:
             raise CorpusFormatError(f"document {doc_id}: title contains a newline")
     for name in categories.names:

@@ -41,7 +41,6 @@ from .search import (
     Cell,
     CellScore,
     ClassHalves,
-    Grid,
     LooEvaluator,
     MoveRecord,
     aggregate_over_seeds,
@@ -86,7 +85,7 @@ class ExperimentSpec:
     categories: CategoryIndex
     category: str
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-    grid: ClassVar[Grid] = DEFAULT_GRID
+    grid: ClassVar[tuple[float, ...]] = DEFAULT_GRID  # kept: the benchmark reads spec.grid
     starts: tuple[Cell, ...] = field(default_factory=default_starts)
     top_n: int = 1000
 
@@ -266,7 +265,7 @@ def learn_priors(spec: ExperimentSpec) -> PriorSearchResult:
     trainings = [make_training_set(spec.corpus, spec.categories, spec.category, seed) for seed in spec.seeds]
     positives, union = trainings[0].positive_ids, np.array(sorted(set().union(*(t.negative_ids for t in trainings))))
     model = build_counts(spec.corpus, positives, union.tolist())
-    positive = ClassHalves(model, True)
+    positive = ClassHalves(model, True, np.arange(model.n_folds))
     # a seed's folds are its positives, then its negatives in id order, as are the union's
     head = np.arange(len(positives))
     columns = [np.append(head, len(head) + np.searchsorted(union, t.negative_ids)) for t in trainings]
@@ -274,12 +273,12 @@ def learn_priors(spec: ExperimentSpec) -> PriorSearchResult:
     del model  # the evaluators hold all the search needs
     memos, move_logs = [{} for _ in evaluators], [[] for _ in evaluators]
     for evaluator, memo, moves in zip(evaluators, memos, move_logs):
-        multi_start_search(spec.starts, evaluator, memo=memo, move_log=moves)
+        multi_start_search(spec.starts, evaluator, memo, moves)
     evaluations = sum(map(len, memos))
     cell, means = aggregate_over_seeds(memos, evaluators)
     return PriorSearchResult(
         cell=cell,
-        hyperparameters=spec.grid.hyperparameters(cell),
+        hyperparameters=Hyperparameters(DEFAULT_GRID[cell.x], DEFAULT_GRID[cell.y]),
         mean_ppv=means[cell].ppv,
         memos=tuple(memos),
         mean_scores=means,
@@ -362,21 +361,20 @@ def _csv_field(text: str) -> str:
 
 
 def read_predictions_csv(
-    lines: Iterable[str], title_ranks: int | None = None, title_ids: AbstractSet[int] = frozenset()
+    lines: Iterable[str], title_ranks: int, title_ids: AbstractSet[int] = frozenset()
 ) -> tuple[RankedPredictions, dict[int, str]]:
     """Parse a predictions CSV back into its ranking columns and an id->title map.
 
     ``lines`` are the file's lines with their line breaks untranslated, as
     from the file opened with ``newline="\\n"``. Each row is parsed as it
-    is read into the three columns. The map holds the title of every row,
-    or, given ``title_ranks``, only of the first ``title_ranks`` rows and
-    of the rows whose id is in ``title_ids``. Raises ``ValueError`` naming
-    the line or row that does not parse, or the row that repeats a doc id;
-    of these faults, the first in the file.
+    is read into the three columns. The map holds the titles of the first
+    ``title_ranks`` rows and of the rows whose id is in ``title_ids``.
+    Raises ``ValueError`` naming the line or row that does not parse, or
+    the row that repeats a doc id; of these faults, the first in the file.
     """
     reader = csv.reader(lines, strict=True)
     ids, log_odds, p_pos, titles = array("q"), array("d"), array("d"), {}
-    last_titled = math.inf if title_ranks is None else title_ranks + 1  # the line of the last row titled by rank
+    last_titled = title_ranks + 1  # the line of the last row titled by rank
     try:
         header = next(reader, None)
         if header != _CSV_HEADER.split(","):

@@ -18,16 +18,14 @@ score, so starts share work and the memo maps the terrain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .metrics import ppv_of, sensitivity_of
-from .model import CountModel, Hyperparameters
+from .model import CountModel
 
 __all__ = [
-    "Grid",
     "DEFAULT_GRID",
     "Cell",
     "CellScore",
@@ -46,32 +44,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Grid:
-    """The ordered candidate values one prior pseudo-count may take."""
-
-    values: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, index: int) -> float:
-        return self.values[index]
-
-    def index_of(self, value: float) -> int:
-        try:
-            return self.values.index(value)
-        except ValueError:
-            raise ValueError(f"{value} is not a grid value") from None
-
-    def hyperparameters(self, cell: "Cell") -> Hyperparameters:
-        """Map a cell to its (lambda_neg, lambda_pos) pair."""
-        return Hyperparameters(lambda_neg=self.values[cell.x], lambda_pos=self.values[cell.y])
-
-
-#: 0.01, 0.1, 0.5, then the naturals 1..200 -- 203 values. Jeffreys' prior
-#: sits at index 2, the Bayes-Laplace baseline at index 3.
-DEFAULT_GRID = Grid(values=(0.01, 0.1, 0.5) + tuple(float(v) for v in range(1, 201)))
+#: The candidate values of one prior pseudo-count, ascending: 0.01, 0.1,
+#: 0.5, then the naturals 1..200 -- 203 values. Jeffreys' prior sits at
+#: index 2, the Bayes-Laplace baseline at index 3.
+DEFAULT_GRID: tuple[float, ...] = (0.01, 0.1, 0.5) + tuple(float(v) for v in range(1, 201))
 
 
 class Cell(NamedTuple):
@@ -106,10 +82,7 @@ DEFAULT_START_LAMBDAS: tuple[tuple[float, float], ...] = (
 
 
 def default_starts() -> tuple[Cell, ...]:
-    return tuple(
-        Cell(DEFAULT_GRID.index_of(float(ln)), DEFAULT_GRID.index_of(float(lp)))
-        for ln, lp in DEFAULT_START_LAMBDAS
-    )
+    return tuple(Cell(DEFAULT_GRID.index(float(ln)), DEFAULT_GRID.index(float(lp))) for ln, lp in DEFAULT_START_LAMBDAS)
 
 
 class SearchOutcome(NamedTuple):
@@ -157,12 +130,12 @@ def _fold_groups(lengths: np.ndarray) -> list[int]:
 class ClassHalves:
     """One class's leave-one-out halves over some folds of a training model.
 
-    The folds are ``model``'s at ``columns``, positives first, all of
-    them by default; the class is counted over its own folds among them.
-    A fold's half is its log class size plus its log conditionals, with
-    the fold's own document taken out of the class. Folds, longest first,
-    are split into the contiguous groups that are cheapest to sum, a
-    table's fixed cost weighed against its padded cells (:func:`_fold_groups`).
+    The folds are ``model``'s at ``columns``, positives first; the class
+    is counted over its own folds among them. A fold's half is its log
+    class size plus its log conditionals, with the fold's own document
+    taken out of the class. Folds, longest first, are split into the
+    contiguous groups that are cheapest to sum, a table's fixed cost
+    weighed against its padded cells (:func:`_fold_groups`).
     Per group an ``int32`` table holds a column per fold, its counts
     padded with ``top`` (one past the largest count), and a spare all-pad
     column. A half, computed once per grid index and kept, sums
@@ -173,8 +146,7 @@ class ClassHalves:
     column alone, not on the other folds or on ``top``.
     """
 
-    def __init__(self, model: CountModel, positive: bool, columns: np.ndarray | None = None):
-        columns = np.arange(model.n_folds) if columns is None else columns
+    def __init__(self, model: CountModel, positive: bool, columns: np.ndarray):
         n_tokens = np.diff(model.fold_offsets)[columns]
         offsets = np.concatenate(([0], np.cumsum(n_tokens)))  # of the folds' rows, one after another
         shift = np.repeat(model.fold_offsets[columns] - offsets[:-1], n_tokens)  # from those rows to model's
@@ -212,18 +184,17 @@ class ClassHalves:
 class LooEvaluator:
     """Leave-one-out cell scorer for the folds of ``model`` at ``columns``.
 
-    Those are all of its positives, then some negatives (all folds by
-    default). Per fold, log odds = ``half(pos, lambda_pos) - half(neg,
-    lambda_neg)``: the class-prior denominators cancel, and a half depends
-    on its class's counts and pseudo-count alone (:class:`ClassHalves`).
-    The positive class covers all of ``model``'s folds, read at ``columns``;
-    training sets with the same positives may share it (``positive``).
+    Those are all of its positives, then some negatives. Per fold, log
+    odds = ``half(pos, lambda_pos) - half(neg, lambda_neg)``: the
+    class-prior denominators cancel, and a half depends on its class's
+    counts and pseudo-count alone (:class:`ClassHalves`). ``positive`` is
+    the positive class over all of ``model``'s folds, read at ``columns``,
+    so training sets with the same positives share it.
     """
 
-    def __init__(self, model: CountModel, columns: np.ndarray | None = None, positive: ClassHalves | None = None):
+    def __init__(self, model: CountModel, columns: np.ndarray, positive: ClassHalves):
         self._n_pos, self._negative, self._taken = model.n_pos, ClassHalves(model, False, columns), {}
-        self._positive = ClassHalves(model, True) if positive is None else positive
-        self._columns = slice(None) if columns is None else columns  # of the positive class's folds
+        self._positive, self._columns = positive, columns  # columns of the positive class's folds
 
     def _halves(self, cell: Cell) -> tuple[np.ndarray, np.ndarray]:
         if cell.y not in self._taken:  # this model's columns of the half, gathered once per grid index
@@ -242,10 +213,7 @@ class LooEvaluator:
 
 
 def radial_gradient_search(
-    start: Cell,
-    evaluator: Evaluator,
-    memo: dict[Cell, CellScore] | None = None,
-    move_log: list[MoveRecord] | None = None,
+    start: Cell, evaluator: Evaluator, memo: dict[Cell, CellScore], move_log: list[MoveRecord]
 ) -> SearchOutcome:
     """Hill-climb from ``start``, sweeping a 5x5 window each cycle.
 
@@ -256,15 +224,14 @@ def radial_gradient_search(
     returned best is a lexicographic local maximum over its in-bounds
     5x5 neighborhood.
 
-    Every evaluated cell is stored in ``memo``. Already-memoized cells are
-    never re-evaluated; their stored scores still take part in the
-    comparisons, so sharing a memo across starts changes no outcome.
+    Every evaluated cell is stored in ``memo``, and every accepted move
+    appended to ``move_log``. Already-memoized cells are never
+    re-evaluated; their stored scores still take part in the comparisons,
+    so sharing a memo across starts changes no outcome.
     """
     size = len(DEFAULT_GRID)
     if not (0 <= start.x < size and 0 <= start.y < size):
         raise ValueError(f"start {start} out of bounds for the {size}x{size} grid")
-    if memo is None:
-        memo = {}
 
     get = memo.get
     best, best_score = start, get(start)
@@ -283,8 +250,7 @@ def radial_gradient_search(
                 score = memo[neighbor] = evaluator(neighbor)
             if score > best_score:
                 neighbor = Cell(nx, ny)
-                if move_log is not None:
-                    move_log.append(MoveRecord(best, best_score, neighbor, score))
+                move_log.append(MoveRecord(best, best_score, neighbor, score))
                 best, best_score = neighbor, score
                 improved = True
         if not improved:
@@ -292,10 +258,7 @@ def radial_gradient_search(
 
 
 def multi_start_search(
-    starts: Sequence[Cell],
-    evaluator: Evaluator,
-    memo: dict[Cell, CellScore] | None = None,
-    move_log: list[MoveRecord] | None = None,
+    starts: Sequence[Cell], evaluator: Evaluator, memo: dict[Cell, CellScore], move_log: list[MoveRecord]
 ) -> SearchOutcome:
     """Run one search per start over a shared memo; keep the best outcome.
 
@@ -306,11 +269,9 @@ def multi_start_search(
     """
     if not starts:
         raise ValueError("starts must be nonempty")
-    if memo is None:
-        memo = {}
     best: SearchOutcome | None = None
     for start in starts:
-        outcome = radial_gradient_search(start, evaluator, memo=memo, move_log=move_log)
+        outcome = radial_gradient_search(start, evaluator, memo, move_log)
         if (
             best is None
             or outcome.best_score > best.best_score
@@ -356,7 +317,8 @@ def aggregate_over_seeds(
     return cell, means
 
 
-def memo_to_csv(scores: Mapping[Cell, CellScore], grid: Grid = DEFAULT_GRID) -> str:
+# grid stays a parameter: the benchmark passes ExperimentSpec.grid
+def memo_to_csv(scores: Mapping[Cell, CellScore], grid: tuple[float, ...] = DEFAULT_GRID) -> str:
     """Render explored cells as CSV: the score terrain for heat-map plotting."""
     lines = ["lambda_neg,lambda_pos,ppv,sensitivity"]
     for cell, score in sorted(scores.items()):

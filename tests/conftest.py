@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import entries
-from priorlearn.corpus import Corpus, Document
+from oracles import entries, from_documents
+from priorlearn.corpus import Document
 from priorlearn.experiment import rank_corpus
 from priorlearn.model import build_counts
 from priorlearn.synthetic import make_synthetic_corpus
@@ -10,13 +10,13 @@ from priorlearn.synthetic import make_synthetic_corpus
 
 def train(positives, negatives):
     """The count model of these documents, through a corpus of them all."""
-    corpus = Corpus.from_documents([*positives, *negatives])
+    corpus = from_documents([*positives, *negatives])
     return build_counts(corpus, [d.id for d in positives], [d.id for d in negatives])
 
 
 def posteriors(cases, model, hp):
     """``(p_pos, log_odds)`` of each case token set, in order, through ``rank_corpus``."""
-    corpus = Corpus.from_documents(Document(i, "", frozenset(c)) for i, c in enumerate(cases))
+    corpus = from_documents(Document(i, "", frozenset(c)) for i, c in enumerate(cases))
     rows = {doc_id: (p_pos, log_odds) for doc_id, p_pos, log_odds in entries(rank_corpus(corpus, model, hp))}
     return [rows[i] for i in range(len(cases))]
 

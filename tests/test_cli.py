@@ -11,11 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import from_documents
 import priorlearn
 import priorlearn.corpus as corpus_module
 import priorlearn.experiment as experiment_module
 from priorlearn.cli import main
-from priorlearn.corpus import CategoryIndex, Corpus, Document, store_corpus
+from priorlearn.corpus import CategoryIndex, Document, store_corpus
 from priorlearn.experiment import read_predictions_csv
 from test_corpus import _tree
 
@@ -251,11 +252,24 @@ class TestArgumentHandling:
         assert "seed -1 is negative" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_bad_start_pair_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "starts, message",
+        [
+            ("1:1,bogus", "bad start pair 'bogus'"),
+            ("", "bad start pair ''"),  # not the default starts
+            ("1:1,", "bad start pair ''"),
+            ("1:1.5", "bad start pair '1:1.5': 1.5 is not a grid value"),
+            ("1:1:1", "bad start pair '1:1:1'"),
+        ],
+    )
+    def test_bad_start_pair_is_usage_error_naming_it(self, tmp_path, capsys, starts, message):
         main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s")])
+        capsys.readouterr()
         code = main(["search", "--corpus", str(tmp_path / "s"), "--category", "Optimization",
-                     "--starts", "1:1,bogus", "--out", str(tmp_path / "o")])
+                     "--starts", starts, "--out", str(tmp_path / "o")])
         assert code == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {message}")
+        assert not (tmp_path / "o").exists()
 
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -455,13 +469,13 @@ class TestCarriageReturnTitles:
         docs = [Document(1, "Member one", frozenset({"mark", "x"})), Document(2, "Member two", frozenset({"mark"}))]
         docs += [Document(i, f"Ti\rtle {i}\r", frozenset({"mark" if i % 2 else "y", "x"})) for i in range(3, 9)]
         docs += [Document(9, 'Both, "\r" and quotes', frozenset({"x"}))]
-        store_corpus(Corpus.from_documents(docs), CategoryIndex.from_mapping({"Cat": [1, 2]}),
+        store_corpus(from_documents(docs), CategoryIndex.from_mapping({"Cat": [1, 2]}),
                      tmp_path / "s")
         assert main(["classify", "--corpus", str(tmp_path / "s"), "--category", "Cat", "--lambda-neg", "1",
                      "--lambda-pos", "1", "--out", str(tmp_path / "c")]) == 0
         predictions = tmp_path / "c" / "predictions.csv"
         with open(predictions, encoding="utf-8", newline="\n") as lines:
-            _, titles = read_predictions_csv(lines)
+            _, titles = read_predictions_csv(lines, len(docs))
         assert titles == {doc.id: doc.title for doc in docs[2:]}
         (tmp_path / "truth.txt").write_text("3\n5\n7\n")
         assert main(["evaluate", "--predictions", str(predictions), "--truth", str(tmp_path / "truth.txt"),

@@ -22,6 +22,7 @@ import priorlearn.corpus as corpus_module
 from oracles import (
     category_items,
     document,
+    from_documents,
     peak_bytes,
     per_character_tokenize,
     retained_bytes,
@@ -249,7 +250,7 @@ class TestIngest:
         )
         skipped = Counter()
         corpus, _ = ingest_wiki_dump(pages, skipped=skipped)
-        assert corpus.ids() == [3]
+        assert corpus.doc_ids.tolist() == [3]
         assert skipped["namespace:1"] == 1
         assert skipped["namespace:14"] == 1
 
@@ -264,7 +265,7 @@ class TestIngest:
         pages = _wrap_pages(_page(1, "Mercury", escape(LONG_BODY + "<!-- {{disambiguation}} -->")))
         skipped = Counter()
         corpus, _ = ingest_wiki_dump(pages, skipped=skipped)
-        assert corpus.ids() == [1] and skipped == Counter()
+        assert corpus.doc_ids.tolist() == [1] and skipped == Counter()
         assert document(corpus, 1).tokens == {"alpha", "beta", "gamma", "delta"}
 
     def test_min_bytes_measured_after_truncation(self):
@@ -368,7 +369,7 @@ class TestIngest:
         page = _page(1, "Elsewhere", LONG_BODY).replace("<page>", '<page xmlns="urn:other">', 1)
         skipped = Counter()
         corpus, _ = ingest_wiki_dump(_wrap_pages(page, _page(2, "Keeper", LONG_BODY)), skipped=skipped)
-        assert corpus.ids() == [2] and not skipped
+        assert corpus.doc_ids.tolist() == [2] and not skipped
 
     def test_malformed_xml_names_line_and_column(self):
         stream = io.BytesIO(b"<mediawiki><page><title>Broken</title>")
@@ -387,7 +388,7 @@ class TestIngest:
             _page(2, "Bottom", LONG_BODY).replace("<id>2</id>", f"<id> {-(2**63)} </id>", 1),
         )
         corpus, _ = ingest_wiki_dump(pages)
-        assert corpus.ids() == [-(2**63), 2**63 - 1]
+        assert corpus.doc_ids.tolist() == [-(2**63), 2**63 - 1]
 
     def test_memory_does_not_grow_with_skipped_pages(self):
         def pages(n_pages):
@@ -433,7 +434,7 @@ class TestIngest:
             Document(pid, f"P{pid}", frozenset(per_character_tokenize(truncate_at_references(texts[pid]))))
             for pid in sorted(texts)
         ]
-        expected = Corpus.from_documents(documents)
+        expected = from_documents(documents)
         assert corpus.vocabulary == expected.vocabulary
         for name in ("doc_ids", "offsets", "slots"):
             assert getattr(corpus, name).dtype == getattr(expected, name).dtype, name
@@ -446,7 +447,7 @@ class TestIngest:
         assert corpus.doc_count == 0 and corpus.vocabulary == ()
         store_corpus(corpus, cats, tmp_path / "s")
         loaded, loaded_cats = load_corpus(tmp_path / "s")
-        assert loaded.ids() == [] and list(loaded) == [] and category_items(loaded_cats) == []
+        assert loaded.doc_ids.tolist() == [] and list(loaded) == [] and category_items(loaded_cats) == []
 
     def test_repeated_page_id_is_named(self):
         pages = _wrap_pages(_page(4, "A", LONG_BODY), _page(9, "B", LONG_BODY), _page(4, "C", LONG_BODY))
@@ -483,7 +484,7 @@ class TestIngest:
         corpus, _ = ingest_wiki_dump(
             _wrap_pages(*(_page(pid, f"P{pid}", text) for pid, text in texts.items())), min_bytes=0
         )
-        assert corpus.ids() == sorted(texts)
+        assert corpus.doc_ids.tolist() == sorted(texts)
         first_seen = {}
         for doc in corpus:
             assert doc.tokens == per_character_tokenize(truncate_at_references(texts[doc.id]))
@@ -544,7 +545,7 @@ class TestTokenizerWorker:
         skipped = Counter()
         corpus, _ = ingest_wiki_dump(stream, skipped=skipped)
         documents = [Document(pid, f"P{pid}", frozenset(per_character_tokenize(texts[pid]))) for pid in texts]
-        expected = Corpus.from_documents(documents)
+        expected = from_documents(documents)
         assert corpus.vocabulary == expected.vocabulary and corpus.titles == expected.titles
         for name in ("doc_ids", "offsets", "slots"):
             assert np.array_equal(getattr(corpus, name), getattr(expected, name)), name
@@ -623,7 +624,7 @@ def _toy_corpus():
         Document(7, "Seven & co", frozenset({"delta"})),
         Document(10, "Ten", frozenset({"alpha", "delta", "2.0"})),
     ]
-    corpus = Corpus.from_documents(docs)
+    corpus = from_documents(docs)
     cats = CategoryIndex.from_mapping({"Fancy/Category Name": [1, 10], "Other": [2]})
     return corpus, cats
 
@@ -634,7 +635,7 @@ class TestCorpusStore:
         store_corpus(corpus, cats, tmp_path / "store")
         loaded, loaded_cats = load_corpus(tmp_path / "store")
         assert loaded.doc_count == corpus.doc_count
-        assert loaded.ids() == corpus.ids() and loaded.titles == corpus.titles
+        assert loaded.doc_ids.tolist() == corpus.doc_ids.tolist() and loaded.titles == corpus.titles
         for doc in corpus:
             assert document(loaded, doc.id) == doc
         assert category_items(loaded_cats) == category_items(cats)
@@ -654,7 +655,7 @@ class TestCorpusStore:
         corpus, cats = _toy_corpus()
         store_corpus(corpus, cats, tmp_path / "s")
         assert sorted(p.name for p in (tmp_path / "s").iterdir()) == sorted(STORE_FILES)
-        assert np.load(tmp_path / "s" / "doc_ids.npy").tolist() == corpus.ids() == [1, 2, 7, 10]
+        assert np.load(tmp_path / "s" / "doc_ids.npy").tolist() == corpus.doc_ids.tolist() == [1, 2, 7, 10]
         assert (tmp_path / "s" / "titles.txt").read_text() == "One\nTwo\nSeven & co\nTen\n"
         vocabulary = (tmp_path / "s" / "vocabulary.txt").read_text().split("\n")[:-1]
         assert vocabulary == ["2.0", "alpha", "beta", "delta", "gamma"]
@@ -665,13 +666,13 @@ class TestCorpusStore:
     def test_restore_leaves_nothing_of_the_old_store(self, tmp_path):
         doc = Document(1, "One", frozenset({"alpha"}))
         store_corpus(
-            Corpus.from_documents([doc, Document(2, "Two", frozenset({"beta"}))]),
+            from_documents([doc, Document(2, "Two", frozenset({"beta"}))]),
             CategoryIndex.from_mapping({"Old": [1]}),
             tmp_path / "s",
         )
         (tmp_path / "s" / "notes.txt").write_text("kept")
-        store_corpus(Corpus.from_documents([doc]), CategoryIndex.from_mapping({"New": [1]}), tmp_path / "s")
-        store_corpus(Corpus.from_documents([doc]), CategoryIndex.from_mapping({"New": [1]}), tmp_path / "fresh")
+        store_corpus(from_documents([doc]), CategoryIndex.from_mapping({"New": [1]}), tmp_path / "s")
+        store_corpus(from_documents([doc]), CategoryIndex.from_mapping({"New": [1]}), tmp_path / "fresh")
         loaded, cats = load_corpus(tmp_path / "s")
         assert cats.names == ("New",)
         assert list(loaded) == [doc]
@@ -681,7 +682,7 @@ class TestCorpusStore:
     @pytest.mark.parametrize("over_good_store", [False, True])
     def test_failed_store_cannot_be_loaded(self, tmp_path, monkeypatch, over_good_store):
         doc = Document(1, "One", frozenset({"alpha"}))
-        corpus = Corpus.from_documents([doc])
+        corpus = from_documents([doc])
         if over_good_store:
             store_corpus(corpus, CategoryIndex.from_mapping({"Apples": [1]}), tmp_path / "s")
         write_text = Path.write_text
@@ -705,7 +706,7 @@ class TestCorpusStore:
         breaks = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r\x85", "\t"]
         docs = [Document(i, f"{brk}a{brk}b{brk}", frozenset({"alpha"})) for i, brk in enumerate(breaks, 1)]
         cats = CategoryIndex.from_mapping({f"{brk}C{brk}": [i] for i, brk in enumerate(breaks, 1)})
-        store_corpus(Corpus.from_documents(docs), cats, tmp_path / "s")
+        store_corpus(from_documents(docs), cats, tmp_path / "s")
         loaded, loaded_cats = load_corpus(tmp_path / "s")
         assert [document(loaded, doc.id) for doc in docs] == docs
         assert category_items(loaded_cats) == category_items(cats)
@@ -713,10 +714,10 @@ class TestCorpusStore:
     def test_store_refuses_a_newline_in_a_title_or_category_name(self, tmp_path):
         docs = [Document(1, "One", frozenset({"alpha"})), Document(2, "T\nwo", frozenset({"beta"}))]
         with pytest.raises(CorpusFormatError, match="document 2: title contains a newline"):
-            store_corpus(Corpus.from_documents(docs), CategoryIndex.from_mapping({}), tmp_path / "s")
+            store_corpus(from_documents(docs), CategoryIndex.from_mapping({}), tmp_path / "s")
         cats = CategoryIndex.from_mapping({"Fine": [1], "Bro\nken": [1]})
         with pytest.raises(CorpusFormatError, match=re.escape("category 'Bro\\nken': name contains a newline")):
-            store_corpus(Corpus.from_documents(docs[:1]), cats, tmp_path / "s")
+            store_corpus(from_documents(docs[:1]), cats, tmp_path / "s")
         assert not (tmp_path / "s" / "manifest.json").exists()
 
     def test_long_category_names_round_trip_in_the_same_nine_files(self, tmp_path):
@@ -724,7 +725,7 @@ class TestCorpusStore:
         # longer than a file name may be once percent-encoded, and sharing long prefixes
         names = {"Short": [1], cjk: [1], "\u20ac" * 84: [1], "\u20ac" * 84 + "x": [1], "x" * 251: [1], "x" * 252: [1]}
         doc = Document(1, "One", frozenset({"alpha"}))
-        store_corpus(Corpus.from_documents([doc]), CategoryIndex.from_mapping(names), tmp_path / "s")
+        store_corpus(from_documents([doc]), CategoryIndex.from_mapping(names), tmp_path / "s")
         _, cats = load_corpus(tmp_path / "s")
         assert category_items(cats) == category_items(CategoryIndex.from_mapping(names))
         assert sorted(p.name for p in (tmp_path / "s").iterdir()) == sorted(STORE_FILES)
@@ -911,7 +912,7 @@ class TestCorpusStore:
     def test_store_rejects_a_token_that_is_empty_or_holds_whitespace(self, tmp_path, token):
         docs = [Document(1, "One", frozenset({"alpha"})), Document(2, "T", frozenset({token, "c"}))]
         with pytest.raises(CorpusFormatError, match=f"document 2: token {re.escape(repr(token))}"):
-            store_corpus(Corpus.from_documents(docs), CategoryIndex.from_mapping({}), tmp_path / "s")
+            store_corpus(from_documents(docs), CategoryIndex.from_mapping({}), tmp_path / "s")
         # first held by the first of three rows, so a row found one off names another id
         docs = [
             Document(3, "F", frozenset({"a", token})),
@@ -919,7 +920,7 @@ class TestCorpusStore:
             Document(7, "H", frozenset({"b"})),
         ]
         with pytest.raises(CorpusFormatError, match=f"document 3: token {re.escape(repr(token))}"):
-            store_corpus(Corpus.from_documents(docs), CategoryIndex.from_mapping({}), tmp_path / "s")
+            store_corpus(from_documents(docs), CategoryIndex.from_mapping({}), tmp_path / "s")
         assert not (tmp_path / "s" / "manifest.json").exists()
 
     def test_category_ids_validated_on_load(self, tmp_path):
@@ -947,7 +948,7 @@ class TestCorpusStore:
     @settings(max_examples=40, deadline=None)
     def test_round_trip_random_corpora(self, tmp_path_factory, mapping):
         docs = [Document(i, f"Doc {i}", frozenset(tokens)) for i, tokens in mapping.items()]
-        corpus = Corpus.from_documents(docs)
+        corpus = from_documents(docs)
         cats = CategoryIndex.from_mapping({"All": list(mapping)} if mapping else {})
         root = tmp_path_factory.mktemp("roundtrip")
         store_corpus(corpus, cats, root)
@@ -961,7 +962,7 @@ class TestRowBlocks:
     def test_blocks_are_the_most_whole_rows_within_the_budget(self, monkeypatch, budget):
         monkeypatch.setattr(corpus_module, "_BLOCK_SLOTS", budget)
         lengths = [3, 0, 5, 1, 1, 8, 0, 0, 2, 4]  # tokens per row; a row holds one slot more
-        corpus = Corpus.from_documents(
+        corpus = from_documents(
             Document(i, f"d{i}", frozenset(f"t{j}" for j in range(n))) for i, n in enumerate(lengths)
         )
         blocks = list(corpus.row_blocks())
@@ -972,7 +973,7 @@ class TestRowBlocks:
             assert b == len(lengths) or corpus.offsets[b + 1] - corpus.offsets[a] > budget
 
     def test_an_empty_corpus_has_no_block(self):
-        assert list(Corpus.from_documents([]).row_blocks()) == []
+        assert list(from_documents([]).row_blocks()) == []
 
 
 def _random_rows_corpus(rng):
@@ -994,8 +995,8 @@ class TestIteration:
         rng = np.random.default_rng(0)
         corpora = [
             _toy_corpus()[0],
-            Corpus.from_documents([Document(1, "x", frozenset())]),
-            Corpus.from_documents([Document(1, "x", frozenset()), Document(4, "y", frozenset({"b", "a"}))]),
+            from_documents([Document(1, "x", frozenset())]),
+            from_documents([Document(1, "x", frozenset()), Document(4, "y", frozenset({"b", "a"}))]),
             *(_random_rows_corpus(rng) for _ in range(30)),
         ]
         expected = [row_documents(corpus) for corpus in corpora]
@@ -1030,14 +1031,14 @@ class TestIteration:
 class TestCorpusValidation:
     def test_iteration_ascending_whatever_the_input_order(self):
         docs = [Document(i, f"d{i}", frozenset()) for i in (40, 3, 11, 90, 7)]
-        corpus = Corpus.from_documents(docs)
-        assert corpus.ids() == [3, 7, 11, 40, 90]
+        corpus = from_documents(docs)
+        assert corpus.doc_ids.tolist() == [3, 7, 11, 40, 90]
         assert [doc.id for doc in corpus] == [3, 7, 11, 40, 90]
 
     def test_duplicate_ids_rejected(self):
         docs = [Document(1, "a", frozenset()), Document(1, "b", frozenset())]
         with pytest.raises(ValueError, match="duplicate"):
-            Corpus.from_documents(docs)
+            from_documents(docs)
 
     def test_category_index_validates_ids(self):
         corpus, _ = _toy_corpus()
@@ -1062,7 +1063,7 @@ class TestCorpusValidation:
         docs = [Document(i, f"d{i}", frozenset({f"t{i}"})) for i in (40, 3, 11)]
         monkeypatch.setattr(corpus_module, "Document", counted_document)
         monkeypatch.setattr(oracles, "Document", counted_document)
-        corpus = Corpus.from_documents(docs)
+        corpus = from_documents(docs)
         assert made == []
         assert list(corpus) == [docs[1], docs[2], docs[0]]
         assert made == [3, 11, 40]
@@ -1083,7 +1084,7 @@ class TestCorpusValidation:
         monkeypatch.setattr(corpus_module, "Document", counted_document)
         monkeypatch.setattr(oracles, "Document", counted_document)
         loaded, _ = load_corpus(tmp_path / "s")
-        assert loaded.ids() == [1, 2, 7, 10] and 7 in loaded and 8 not in loaded
+        assert loaded.doc_ids.tolist() == [1, 2, 7, 10] and 7 in loaded and 8 not in loaded
         assert made == []
         assert document(loaded, 7) == Document(7, "Seven & co", frozenset({"delta"}))
         assert made == [7]  # a lookup builds only its own row's

@@ -1,4 +1,5 @@
-"""Each demo script runs to completion, as its docstring says to run it, and demo 05 writes the committed outputs."""
+"""Each demo script runs to completion, as its docstring says to run it: demos 01-04 print their pinned
+standard output, and demo 05 writes the committed outputs."""
 
 import shutil
 import subprocess
@@ -11,12 +12,13 @@ from test_cli import _child_env
 
 ROOT = Path(__file__).parents[1]
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
+STDOUT = Path(__file__).parent / "data" / "demo_stdout"
 
 
-def _run(demo: Path) -> str:
+def _run(demo: Path) -> bytes:
     """The standard output of ``demo``, run from the repository root; it must exit 0."""
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=_child_env(), cwd=ROOT)
-    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, env=_child_env(), cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
     return proc.stdout
 
 
@@ -24,13 +26,13 @@ def test_all_five_demos_found():
     assert [demo.name[:2] for demo in DEMOS] == ["01", "02", "03", "04", "05"]
 
 
-@pytest.mark.parametrize("demo", DEMOS[1:4], ids=lambda demo: demo.name)
-def test_demo_exits_zero(demo):
-    _run(demo)
+@pytest.mark.parametrize("demo", DEMOS[:4], ids=lambda demo: demo.name)
+def test_demo_prints_the_pinned_stdout(demo):
+    assert _run(demo) == (STDOUT / f"{demo.stem}.txt").read_bytes()
 
 
 def test_demo_01_round_trip_preserves_everything():
-    assert "round trip preserved everything: True" in _run(DEMOS[0]).splitlines()
+    assert "round trip preserved everything: True" in _run(DEMOS[0]).decode().splitlines()
 
 
 def test_demo_05_writes_the_committed_outputs(tmp_path):

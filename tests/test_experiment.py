@@ -7,13 +7,14 @@ import pytest
 from oracles import (
     array_swap_sample_negatives,
     entries,
+    from_documents,
     peak_bytes,
     reader_predictions_csv,
     retained_bytes,
     scalar_sample_negatives,
     writer_predictions_csv,
 )
-from priorlearn.corpus import CategoryIndex, Corpus, Document
+from priorlearn.corpus import CategoryIndex, Document
 from priorlearn.experiment import (
     ExperimentSpec,
     RankedPredictions,
@@ -28,7 +29,7 @@ from priorlearn.experiment import (
     training_model,
 )
 from priorlearn.model import BAYES_LAPLACE, Hyperparameters
-from priorlearn.search import Cell
+from priorlearn.search import DEFAULT_GRID, Cell
 from priorlearn.synthetic import CATEGORY as SYNTHETIC_CATEGORY
 from priorlearn.synthetic import SyntheticCorpus, make_synthetic_corpus
 
@@ -37,7 +38,7 @@ CATEGORY = "Cat"
 
 def _flat_corpus(n_docs: int, n_members: int):
     docs = [Document(i, f"Doc {i}", frozenset({"filler"})) for i in range(n_docs)]
-    corpus = Corpus.from_documents(docs)
+    corpus = from_documents(docs)
     cats = CategoryIndex.from_mapping({"Cat": range(n_members)})
     return corpus, cats
 
@@ -64,7 +65,7 @@ def separable():
         docs.append(Document(doc_id, f"Pool {doc_id}", tokens(hidden)))
         if hidden:
             truth.append(doc_id)
-    corpus = Corpus.from_documents(docs)
+    corpus = from_documents(docs)
     cats = CategoryIndex.from_mapping({CATEGORY: range(1, n_members + 1)})
     fixture = SyntheticCorpus(corpus=corpus, categories=cats, truth=frozenset(truth))
     # the separability claim presumes no mislabeled training negatives
@@ -258,6 +259,7 @@ class TestBranches:
             assert Cell(3, 3) in memo
         assert result.mean_scores[result.cell].ppv >= result.mean_scores[Cell(3, 3)].ppv
         assert result.mean_ppv == result.mean_scores[result.cell].ppv
+        assert result.hyperparameters == Hyperparameters(DEFAULT_GRID[result.cell.x], DEFAULT_GRID[result.cell.y])
 
 
 class TestReviewList:
@@ -343,7 +345,7 @@ class TestPredictionsCsv:
             ranked = rank_corpus(corpus, model, hp, frozenset(training.positive_ids))
             text = predictions_to_csv(ranked, titles)
             assert text == writer_predictions_csv(entries(ranked), titles)
-            back, back_titles = read_predictions_csv(io.StringIO(text))
+            back, back_titles = read_predictions_csv(io.StringIO(text), len(ranked))
             _assert_same_columns(back, ranked)
             assert (entries(back), back_titles) == reader_predictions_csv(text)
 
@@ -356,7 +358,7 @@ class TestPredictionsCsv:
         ranked = _columns(list(zip(ids.tolist(), (1 / (1 + np.exp(-log_odds))).tolist(), log_odds.tolist())))
         text = predictions_to_csv(ranked, titles)
         assert text == writer_predictions_csv(entries(ranked), titles)
-        back, back_titles = read_predictions_csv(io.StringIO(text))
+        back, back_titles = read_predictions_csv(io.StringIO(text), len(ranked))
         _assert_same_columns(back, ranked)
         assert back_titles == titles
         assert back.positives_predicted == ranked.positives_predicted
@@ -366,7 +368,7 @@ class TestPredictionsCsv:
         ranked = _columns([(1, 0.75, 1.0), (2, 0.5, 0.0), (3, 0.25, -1.0), (4, 0.125, -2.0)])
         text = predictions_to_csv(ranked, titles)
         assert text.split("\n")[1:3] == ['1,1,"a\rb",1.0,0.75', '2,2,"\r",0.0,0.5']
-        back, back_titles = read_predictions_csv(io.StringIO(text))
+        back, back_titles = read_predictions_csv(io.StringIO(text), len(ranked))
         _assert_same_columns(back, ranked)
         assert back_titles == titles
 
@@ -388,13 +390,12 @@ class TestPredictionsCsv:
         ranked = _columns([(9, 0.9, 2.0), (4, 0.8, 1.5), (7, 0.7, 1.0), (2, 0.6, 0.5), (5, 0.5, 0.0)])
         text = predictions_to_csv(ranked, titles)
         for title_ranks, title_ids, kept in [
-            (None, frozenset(), titles),
-            (None, {2}, titles),
             (0, frozenset(), {}),
             (-1, {4}, {4: "Four"}),
             (2, frozenset(), {9: "Nine", 4: "Four"}),
             (2, {5, 9, 8}, {9: "Nine", 4: "Four", 5: "Five"}),
             (5, frozenset(), titles),
+            (5, {2}, titles),
             (6, frozenset(), titles),
         ]:
             back, back_titles = read_predictions_csv(io.StringIO(text), title_ranks, title_ids)
@@ -415,12 +416,12 @@ class TestPredictionsCsv:
     def test_empty_ranking(self):
         text = predictions_to_csv(_columns([]), {})
         assert text == "rank,doc_id,title,log_odds,p_pos\n"
-        back, back_titles = read_predictions_csv(io.StringIO(text))
+        back, back_titles = read_predictions_csv(io.StringIO(text), 1)
         assert len(back) == 0 and back.ids.dtype == np.int64 and back_titles == {}
 
     def test_header_rejected_when_unknown(self):
         with pytest.raises(ValueError, match="header"):
-            read_predictions_csv(io.StringIO("a,b\n1,2\n"))
+            read_predictions_csv(io.StringIO("a,b\n1,2\n"), 10)
 
     @pytest.mark.parametrize(
         "body, where",
@@ -433,9 +434,9 @@ class TestPredictionsCsv:
     )
     def test_unparsable_rows_name_their_line(self, body, where):
         with pytest.raises(ValueError, match=where):
-            read_predictions_csv(io.StringIO("rank,doc_id,title,log_odds,p_pos\n" + body))
+            read_predictions_csv(io.StringIO("rank,doc_id,title,log_odds,p_pos\n" + body), 10)
 
-    @pytest.mark.parametrize("title_ranks", [None, 1])
+    @pytest.mark.parametrize("title_ranks", [1, 10])
     @pytest.mark.parametrize(
         "body, message",
         [

@@ -20,7 +20,7 @@ SRC = Path(__file__).parents[1] / "src" / "priorlearn"
 ALLOWED = {
     ("experiment", "cross_seed_mean_scores"): (
         "perfbench/tracer.py patches the name where experiment looks it up; "
-        "it goes with that patch (ROADMAP item 9)"
+        "it goes with that patch, in the next benchmark change (ROADMAP item 6)"
     ),
 }
 

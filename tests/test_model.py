@@ -12,12 +12,14 @@ from oracles import (
     dict_model,
     document,
     exact_posterior,
+    from_documents,
+    loo_evaluator,
     loo_score,
     positive_posterior,
     retrained_loo_posterior,
     tally_counts,
 )
-from priorlearn.corpus import Corpus, Document
+from priorlearn.corpus import Document
 from priorlearn.experiment import make_training_set, rank_corpus, training_model
 from priorlearn.model import (
     CountModel,
@@ -28,7 +30,7 @@ from priorlearn.model import (
     model_manifest,
     positive_posteriors,
 )
-from priorlearn.search import DEFAULT_GRID, Cell, LooEvaluator
+from priorlearn.search import DEFAULT_GRID, Cell
 from priorlearn.synthetic import CATEGORY
 
 HP11 = Hyperparameters(1, 1)
@@ -117,18 +119,18 @@ class TestBuildCounts:
         assert 0 < p_pos < 1
 
     def test_empty_positives_rejected(self):
-        corpus = Corpus.from_documents([_doc(1, {"a"})])
+        corpus = from_documents([_doc(1, {"a"})])
         with pytest.raises(ValueError, match="positives"):
             build_counts(corpus, [], [1])
 
     def test_shared_ids_rejected(self):
-        corpus = Corpus.from_documents([_doc(1, {"a"}), _doc(2, {"b"})])
+        corpus = from_documents([_doc(1, {"a"}), _doc(2, {"b"})])
         with pytest.raises(ValueError, match=r"both sides: \[1\]"):
             build_counts(corpus, [1, 2], [1])
 
     @pytest.mark.parametrize("positive_ids,negative_ids", [([1, 99], [2]), ([1], [2, 99, 0])])
     def test_absent_ids_rejected(self, positive_ids, negative_ids):
-        corpus = Corpus.from_documents([_doc(1, {"a"}), _doc(2, {"b"})])
+        corpus = from_documents([_doc(1, {"a"}), _doc(2, {"b"})])
         with pytest.raises(ValueError, match=r"not in the corpus index: \[.*99\]"):
             build_counts(corpus, positive_ids, negative_ids)
 
@@ -171,7 +173,7 @@ class TestBuildCounts:
             n_neg = int(rng.integers(0, n_docs - n_pos + 1))
             positives = [docs[i] for i in order[:n_pos]]
             negatives = [docs[i] for i in order[n_pos:n_pos + n_neg]]
-            corpus = Corpus.from_documents(docs)
+            corpus = from_documents(docs)
             model = build_counts(corpus, [d.id for d in positives], [d.id for d in negatives])
             assert_matches_dict_model(model, positives, negatives)
 
@@ -198,7 +200,7 @@ class TestCondProb:
 
     def test_always_in_unit_interval(self, six_doc_model):
         model, _, _ = six_doc_model
-        for lam in DEFAULT_GRID.values:
+        for lam in DEFAULT_GRID:
             hp = Hyperparameters(lam, lam)
             for positive in (True, False):
                 probs = cond_probs(positive, model, hp)
@@ -303,7 +305,7 @@ class TestScore:
 
 
 def _cell(lam_neg, lam_pos):
-    return Cell(DEFAULT_GRID.index_of(float(lam_neg)), DEFAULT_GRID.index_of(float(lam_pos)))
+    return Cell(DEFAULT_GRID.index(float(lam_neg)), DEFAULT_GRID.index(float(lam_pos)))
 
 
 class TestLooScore:
@@ -313,7 +315,7 @@ class TestLooScore:
         # one "head" (positive) and one "tail" (negative), no tokens; holding
         # out the tail leaves p(tail) = (1+1-1)/(1+1+2-1) = 1/3
         model = train([_doc(1, set())], [_doc(2, set())])
-        log_odds = LooEvaluator(model).log_odds(_cell(1, 1))
+        log_odds = loo_evaluator(model).log_odds(_cell(1, 1))
         assert math.isclose(1.0 - _p_pos(log_odds[1]), 1 / 3, abs_tol=1e-12)
 
     def test_holding_out_only_carrier_zeroes_count(self):
@@ -324,14 +326,14 @@ class TestLooScore:
             [_doc(4, {"c"})],
         )
         expected = retrained_loo_posterior(0, [{"t", "c"}, {"c"}, {"c"}], [{"c"}], 1, 1)
-        got = _p_pos(LooEvaluator(model).log_odds(_cell(1, 1))[0])
+        got = _p_pos(loo_evaluator(model).log_odds(_cell(1, 1))[0])
         assert math.isclose(got, float(expected), abs_tol=1e-12)
 
     def test_out_of_range_fold_rejected(self, six_doc_model):
         # the evaluator scores exactly the model's folds; the scalar
         # reference refuses any other index
         model, positives, negatives = six_doc_model
-        assert LooEvaluator(model).log_odds(_cell(1, 1)).shape == (6,)
+        assert loo_evaluator(model).log_odds(_cell(1, 1)).shape == (6,)
         oracle = dict_model(positives, negatives)
         with pytest.raises(IndexError):
             loo_score(6, oracle, HP11)
@@ -342,7 +344,7 @@ class TestLooScore:
         model, _, _ = six_doc_model
         arrays = ("pos_count", "neg_count", "fold_offsets", "fold_features")
         before = [getattr(model, name).copy() for name in arrays]
-        LooEvaluator(model).log_odds(_cell(1, 1))
+        loo_evaluator(model).log_odds(_cell(1, 1))
         for name, old in zip(arrays, before):
             assert np.array_equal(getattr(model, name), old), name
 
@@ -350,7 +352,7 @@ class TestLooScore:
     def test_equals_retraining_from_scratch(self, seed, n_pos, n_neg):
         rng = np.random.default_rng(seed)
         positives, negatives = random_training_docs(rng, n_pos, n_neg)
-        evaluator = LooEvaluator(train(positives, negatives))
+        evaluator = loo_evaluator(train(positives, negatives))
         pos_sets = [d.tokens for d in positives]
         neg_sets = [d.tokens for d in negatives]
         for lam_neg, lam_pos in [(1, 1), (Fraction(1, 2), Fraction(1, 2)), (37, 2), (Fraction(1, 100), 150)]:
@@ -362,7 +364,7 @@ class TestLooScore:
 
 
 def _ranked(cases, model, hp):
-    corpus = Corpus.from_documents(Document(i, "", frozenset(c)) for i, c in enumerate(cases))
+    corpus = from_documents(Document(i, "", frozenset(c)) for i, c in enumerate(cases))
     return rank_corpus(corpus, model, hp)
 
 
@@ -438,14 +440,14 @@ class TestMonotonicity:
 
     def test_p_pos_nonincreasing_in_lambda_neg(self, six_doc_model):
         model, _, _ = six_doc_model
-        sweep = [posteriors(self.CASES, model, Hyperparameters(lam, 1.0)) for lam in DEFAULT_GRID.values]
+        sweep = [posteriors(self.CASES, model, Hyperparameters(lam, 1.0)) for lam in DEFAULT_GRID]
         for a, b in zip(sweep, sweep[1:]):
             for (p_a, _), (p_b, _) in zip(a, b):
                 assert p_b <= p_a + 1e-12
 
     def test_p_pos_nondecreasing_in_lambda_pos(self, six_doc_model):
         model, _, _ = six_doc_model
-        sweep = [posteriors(self.CASES, model, Hyperparameters(1.0, lam)) for lam in DEFAULT_GRID.values]
+        sweep = [posteriors(self.CASES, model, Hyperparameters(1.0, lam)) for lam in DEFAULT_GRID]
         for a, b in zip(sweep, sweep[1:]):
             for (p_a, _), (p_b, _) in zip(a, b):
                 assert p_b >= p_a - 1e-12
@@ -455,7 +457,7 @@ class TestMonotonicity:
         cases = [d.tokens for d in positives + negatives]
         counts = [
             _ranked(cases, model, Hyperparameters(lam, 1.0)).positives_predicted
-            for lam in DEFAULT_GRID.values
+            for lam in DEFAULT_GRID
         ]
         for a, b in zip(counts, counts[1:]):
             assert b <= a

@@ -19,11 +19,12 @@ from oracles import (
     dict_model,
     document,
     entries,
+    from_documents,
     peak_bytes,
     scalar_ranking,
     seeded_rows_corpus,
 )
-from priorlearn.corpus import Corpus, Document, load_corpus, store_corpus
+from priorlearn.corpus import Document, load_corpus, store_corpus
 from priorlearn.experiment import (
     ExperimentSpec,
     _log_weights,
@@ -60,7 +61,7 @@ def _corpus(token_sets, first_id=1):
         Document(first_id + i, f"d{first_id + i}", frozenset(tokens))
         for i, tokens in enumerate(token_sets)
     ]
-    return Corpus.from_documents(docs)
+    return from_documents(docs)
 
 
 def _models(training, positive_ids, negative_ids):
@@ -100,7 +101,7 @@ def test_log_weights_are_math_log_of_the_oracle_ratios():
     corpus = _corpus([_draw(rng, vocab, int(rng.integers(1, 25))) for _ in range(50)])
     model, oracle = _models(corpus, range(1, 21), range(21, 51))
     slot = {token: s for s, token in enumerate(corpus.vocabulary, 1)}
-    for lam_neg, lam_pos in zip(DEFAULT_GRID.values, reversed(DEFAULT_GRID.values)):
+    for lam_neg, lam_pos in zip(DEFAULT_GRID, reversed(DEFAULT_GRID)):
         hp = Hyperparameters(lam_neg, lam_pos)
         for positive in (True, False):
             expected = np.zeros(len(corpus.vocabulary) + 1)
@@ -152,8 +153,8 @@ def test_model_from_another_corpus():
 def test_exact_ties_rank_by_ascending_id():
     docs = [Document(doc_id, "t", frozenset({"p", "q"})) for doc_id in (40, 7, 23, 11)]
     docs += [Document(doc_id, "u", frozenset({"q"})) for doc_id in (3, 90)]
-    corpus = Corpus.from_documents(docs)
-    training = Corpus.from_documents(
+    corpus = from_documents(docs)
+    training = from_documents(
         [Document(1000, "m", frozenset({"p", "q"})), Document(1001, "n", frozenset({"q"}))]
     )
     model, oracle = _models(training, [1000], [1001])

@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 from oracles import (
     brute_force_argmax,
     cell_per_neighbor_radial_search,
+    class_halves,
     dict_model,
     document,
     evaluate_priors,
     fold_split_cost,
+    from_documents,
     is_local_max,
+    loo_evaluator,
     loo_score,
     loop_cross_seed_mean_scores,
     per_cell_log_odds,
@@ -23,7 +26,7 @@ from oracles import (
     unimodal_surface,
 )
 import priorlearn.experiment as experiment
-from priorlearn.corpus import CategoryIndex, Corpus, Document
+from priorlearn.corpus import CategoryIndex, Document
 from priorlearn.experiment import ExperimentSpec, learn_priors, make_training_set, training_model
 from priorlearn.model import Hyperparameters, build_counts
 from priorlearn.search import (
@@ -64,12 +67,13 @@ class CountingEvaluator:
 
 class TestGrid:
     def test_exact_sequence(self):
-        expected = [0.01, 0.1, 0.5] + [float(v) for v in range(1, 201)]
-        assert list(DEFAULT_GRID.values) == expected
+        expected = (0.01, 0.1, 0.5) + tuple(float(v) for v in range(1, 201))
+        assert type(DEFAULT_GRID) is tuple and DEFAULT_GRID == expected
         assert len(DEFAULT_GRID) == 203
+        assert all(type(v) is float for v in DEFAULT_GRID)  # memo_to_csv writes each repr: 1.0, not 1
 
     def test_strictly_increasing(self):
-        assert all(a < b for a, b in zip(DEFAULT_GRID.values, DEFAULT_GRID.values[1:]))
+        assert all(a < b for a, b in zip(DEFAULT_GRID, DEFAULT_GRID[1:]))
 
     def test_index_mapping(self):
         assert DEFAULT_GRID[0] == 0.01
@@ -80,12 +84,14 @@ class TestGrid:
             assert DEFAULT_GRID[v + 2] == float(v)
 
     def test_baseline_and_jeffreys_cells(self):
-        assert DEFAULT_GRID.hyperparameters(Cell(3, 3)) == Hyperparameters(1.0, 1.0)
-        assert DEFAULT_GRID.hyperparameters(Cell(2, 2)) == Hyperparameters(0.5, 0.5)
+        assert DEFAULT_GRID.index(0.5) == 2  # Jeffreys
+        assert DEFAULT_GRID.index(1.0) == 3  # Bayes-Laplace, the baseline
+        assert Cell(DEFAULT_GRID.index(1.0), DEFAULT_GRID.index(1.0)) == Cell(3, 3)
 
     def test_unknown_value_rejected(self):
-        with pytest.raises(ValueError):
-            DEFAULT_GRID.index_of(1.5)
+        for value in (1.5, 0.0, 201.0, 0.05):
+            with pytest.raises(ValueError):
+                DEFAULT_GRID.index(value)
 
 
 class TestDefaultStarts:
@@ -104,7 +110,7 @@ class TestEvaluatePriors:
         # negative scores log(2/3) vs log(1/3) -> false alarm
         positives, negatives = [_doc(1, {"a"})], [_doc(2, {"a", "b"})]
         assert evaluate_priors(Cell(3, 3), dict_model(positives, negatives)) == CellScore(0.0, 0.0)
-        assert LooEvaluator(train(positives, negatives))(Cell(3, 3)) == CellScore(0.0, 0.0)
+        assert loo_evaluator(train(positives, negatives))(Cell(3, 3)) == CellScore(0.0, 0.0)
 
     def test_twinned_training_set_is_loo_separable(self):
         positives = [
@@ -113,13 +119,13 @@ class TestEvaluatePriors:
         ]
         negatives = [_doc(10 + i, {"c", "q1", "q2"}) for i in range(4)]
         assert evaluate_priors(Cell(3, 3), dict_model(positives, negatives)) == CellScore(1.0, 1.0)
-        assert LooEvaluator(train(positives, negatives))(Cell(3, 3)) == CellScore(1.0, 1.0)
+        assert loo_evaluator(train(positives, negatives))(Cell(3, 3)) == CellScore(1.0, 1.0)
 
     def test_vectorized_evaluator_matches_reference(self):
         rng = np.random.default_rng(3)
         positives, negatives = random_training_docs(rng, 20, 16)
         model = dict_model(positives, negatives)
-        fast = LooEvaluator(train(positives, negatives))
+        fast = loo_evaluator(train(positives, negatives))
         cells = [Cell(0, 0), Cell(2, 2), Cell(3, 3), Cell(0, 202), Cell(202, 0),
                  Cell(202, 202), Cell(10, 17), Cell(45, 120)]
         for cell in cells:
@@ -129,9 +135,9 @@ class TestEvaluatePriors:
         rng = np.random.default_rng(4)
         positives, negatives = random_training_docs(rng, 12, 12)
         model = dict_model(positives, negatives)
-        fast = LooEvaluator(train(positives, negatives))
+        fast = loo_evaluator(train(positives, negatives))
         for cell in (Cell(3, 3), Cell(0, 202), Cell(150, 2)):
-            hp = DEFAULT_GRID.hyperparameters(cell)
+            hp = Hyperparameters(DEFAULT_GRID[cell.x], DEFAULT_GRID[cell.y])
             odds = fast.log_odds(cell)
             for fold in range(model.n_folds):
                 assert odds[fold] == pytest.approx(loo_score(fold, model, hp).log_odds, abs=1e-12)
@@ -148,12 +154,12 @@ class TestEvaluatePriors:
         cells = [*default_starts(), Cell(0, 0), Cell(0, last), Cell(last, 0), Cell(last, last)]
         rng = np.random.default_rng(seed)
         cells += [Cell(int(x), int(y)) for x, y in rng.integers(0, len(DEFAULT_GRID), size=(20, 2))]
-        warm = LooEvaluator(model)
+        warm = loo_evaluator(model)
         for cell in cells:
             warm.log_odds(cell)  # every half of every cell now cached
         for cell in cells:
             expected = per_cell_log_odds(oracle, cell)
-            assert np.array_equal(LooEvaluator(model).log_odds(cell), expected), ("cold", cell)
+            assert np.array_equal(loo_evaluator(model).log_odds(cell), expected), ("cold", cell)
             assert np.array_equal(warm.log_odds(cell), expected), ("warm", cell)
 
     def test_log_odds_bit_identical_to_per_cell_oracle_on_random_corpora(self):
@@ -161,7 +167,7 @@ class TestEvaluatePriors:
         for _ in range(20):
             n_pos, n_neg = int(rng.integers(1, 30)), int(rng.integers(0, 30))
             positives, negatives = random_training_docs(rng, n_pos, n_neg, vocab_size=int(rng.integers(16, 60)))
-            evaluator, oracle = LooEvaluator(train(positives, negatives)), dict_model(positives, negatives)
+            evaluator, oracle = loo_evaluator(train(positives, negatives)), dict_model(positives, negatives)
             for x, y in rng.integers(0, len(DEFAULT_GRID), size=(5, 2)).tolist():
                 assert np.array_equal(evaluator.log_odds(Cell(x, y)), per_cell_log_odds(oracle, Cell(x, y)))
 
@@ -170,7 +176,7 @@ class TestEvaluatePriors:
         positives, negatives = random_training_docs(rng, 8, 8)
         model = train(positives, negatives)
         expected = evaluate_priors(Cell(3, 3), dict_model(positives, negatives))
-        evaluator = LooEvaluator(model)
+        evaluator = loo_evaluator(model)
         model_ref = weakref.ref(model)
         del model
         assert model_ref() is None
@@ -185,7 +191,7 @@ def wide():
 
 def _assert_every_half_matches_oracle(model, oracle):
     """Cells (i, i) and (i, 202 - i) for every i: each half of both classes, paired two ways."""
-    evaluator, last = LooEvaluator(model), len(DEFAULT_GRID) - 1
+    evaluator, last = loo_evaluator(model), len(DEFAULT_GRID) - 1
     for i in range(len(DEFAULT_GRID)):
         for cell in (Cell(i, i), Cell(i, last - i)):
             assert np.array_equal(evaluator.log_odds(cell), per_cell_log_odds(oracle, cell)), cell
@@ -232,7 +238,7 @@ class TestWholeGridBitIdentity:
         lengths = np.sort(np.diff(model.fold_offsets))[::-1]
         assert model.n_folds * lengths[0] > 8 * lengths.sum()  # one table: 8x the tokens
         ends = _fold_groups(lengths)
-        assert [t.shape[1] - 1 for t in ClassHalves(model, True)._tables] == np.diff(ends, prepend=0).tolist()
+        assert [t.shape[1] - 1 for t in class_halves(model, True)._tables] == np.diff(ends, prepend=0).tolist()
         old = twice_the_tokens_fold_groups(lengths)
         assert fold_split_cost(lengths, ends, _TABLE_CELLS) <= fold_split_cost(lengths, old, _TABLE_CELLS)
         _assert_every_half_matches_oracle(model, dict_model(positives, negatives))
@@ -291,15 +297,16 @@ class TestClassHalvesColumns:
         rng = np.random.default_rng(21)
         for _ in range(25):
             positives, negatives = random_training_docs(rng, int(rng.integers(1, 12)), int(rng.integers(0, 30)))
-            corpus = Corpus.from_documents([*positives, *negatives])
+            corpus = from_documents([*positives, *negatives])
             model = build_counts(corpus, [d.id for d in positives], [d.id for d in negatives])
             # any subset of the negatives, in any order, none at all included
             chosen = rng.permutation(len(negatives))[: int(rng.integers(0, len(negatives) + 1))]
             columns = np.append(np.arange(model.n_pos), model.n_pos + chosen)
             alone = build_counts(corpus, [d.id for d in positives], [negatives[i].id for i in chosen.tolist()])
             for positive in (True, False):
-                _assert_same_class(ClassHalves(model, positive, columns), ClassHalves(alone, positive))
-            evaluator, oracle = LooEvaluator(model, columns), dict_model(positives, [negatives[i] for i in chosen.tolist()])
+                _assert_same_class(ClassHalves(model, positive, columns), class_halves(alone, positive))
+            evaluator = LooEvaluator(model, columns, class_halves(model, True))
+            oracle = dict_model(positives, [negatives[i] for i in chosen.tolist()])
             for cell in (Cell(0, 202), Cell(3, 3), Cell(120, 40)):
                 assert np.array_equal(evaluator.log_odds(cell), per_cell_log_odds(oracle, cell)), cell
 
@@ -307,7 +314,7 @@ class TestClassHalvesColumns:
 class TestSharedPositiveClass:
     def test_log_table_entries_do_not_depend_on_its_length(self):
         # the shared positive class can count one past a seed's own top; their common entries must match
-        for lam in DEFAULT_GRID.values:
+        for lam in DEFAULT_GRID:
             full = np.log(lam + np.arange(4100)).view(np.int64)
             for top in (*range(1, 258), 1000, 2047, 4099):
                 assert np.array_equal(np.log(lam + np.arange(top)).view(np.int64), full[:top]), (lam, top)
@@ -319,7 +326,7 @@ class TestSharedPositiveClass:
         assert len(evaluators) == 20
         for seed, shared in zip(spec.seeds, evaluators):
             training = make_training_set(wide.corpus, wide.categories, CATEGORY, seed)
-            alone = LooEvaluator(training_model(wide.corpus, training))
+            alone = loo_evaluator(training_model(wide.corpus, training))
             for index in range(len(DEFAULT_GRID)):
                 expected = _positive_half(alone, index).view(np.int64)
                 assert np.array_equal(_positive_half(shared, index).view(np.int64), expected), (seed, index)
@@ -330,14 +337,14 @@ class TestSharedPositiveClass:
             _doc(1, {"a", "b"}), _doc(2, {"a", "c"}),
             _doc(3, {"a", "x"}), _doc(4, {"x"}), _doc(5, {"b", "y"}), _doc(6, {"c", "z"}),
         ]
-        corpus, categories = Corpus.from_documents(docs), CategoryIndex.from_mapping({"C": [1, 2]})
+        corpus, categories = from_documents(docs), CategoryIndex.from_mapping({"C": [1, 2]})
         negatives = {seed: make_training_set(corpus, categories, "C", seed).negative_ids for seed in range(20)}
         lacking = next(seed for seed, ids in negatives.items() if 3 not in ids)
         holding = next(seed for seed, ids in negatives.items() if 3 in ids)
         evaluators = _recorded_evaluators(monkeypatch)
         learn_priors(ExperimentSpec(corpus=corpus, categories=categories, category="C", seeds=(lacking, holding)))
         training = make_training_set(corpus, categories, "C", lacking)
-        own, evaluator = ClassHalves(training_model(corpus, training), True), evaluators[0]
+        own, evaluator = class_halves(training_model(corpus, training), True), evaluators[0]
         assert (own._top, evaluator._positive._top) == (2, 3)
         oracle = dict_model([document(corpus, i) for i in training.positive_ids], [document(corpus, i) for i in training.negative_ids])
         last = len(DEFAULT_GRID) - 1
@@ -353,7 +360,7 @@ class TestSharedPositiveClass:
         for seed in spec.seeds:
             shared = evaluators.pop(0)  # each seed's halves are freed once checked
             training = make_training_set(wide.corpus, wide.categories, CATEGORY, seed)
-            alone = ClassHalves(training_model(wide.corpus, training), False)
+            alone = class_halves(training_model(wide.corpus, training), False)
             for index in range(len(DEFAULT_GRID)):
                 expected = alone(index).view(np.int64)
                 assert np.array_equal(_negative_half(shared, index).view(np.int64), expected), (seed, index)
@@ -365,7 +372,7 @@ class TestSharedPositiveClass:
         assert len(evaluators) == 20
         for seed, shared in zip(spec.seeds, evaluators):
             training = make_training_set(wide.corpus, wide.categories, CATEGORY, seed)
-            _assert_same_class(shared._negative, ClassHalves(training_model(wide.corpus, training), False))
+            _assert_same_class(shared._negative, class_halves(training_model(wide.corpus, training), False))
             assert shared._n_pos == len(training.positive_ids)
 
     def test_a_feature_only_one_seed_draws_among_its_negatives(self, monkeypatch):
@@ -374,7 +381,7 @@ class TestSharedPositiveClass:
             _doc(1, {"a", "b"}), _doc(2, {"a", "c"}),
             _doc(3, {"b", "x"}), _doc(4, {"a", "x"}), _doc(5, {"c", "y"}), _doc(6, {"z"}), _doc(7, {"a", "c"}),
         ]
-        corpus, categories = Corpus.from_documents(docs), CategoryIndex.from_mapping({"C": [1, 2]})
+        corpus, categories = from_documents(docs), CategoryIndex.from_mapping({"C": [1, 2]})
         negatives = {seed: make_training_set(corpus, categories, "C", seed).negative_ids for seed in range(40)}
         holding = next(seed for seed, ids in negatives.items() if 3 in ids)
         seeds = (*[seed for seed, ids in negatives.items() if 3 not in ids][:3], holding)
@@ -383,7 +390,7 @@ class TestSharedPositiveClass:
         last = len(DEFAULT_GRID) - 1
         for seed, evaluator in zip(seeds, evaluators):
             training = make_training_set(corpus, categories, "C", seed)
-            alone = ClassHalves(training_model(corpus, training), False)
+            alone = class_halves(training_model(corpus, training), False)
             oracle = dict_model([document(corpus, i) for i in training.positive_ids], [document(corpus, i) for i in training.negative_ids])
             for index in range(len(DEFAULT_GRID)):
                 expected = alone(index).view(np.int64)
@@ -424,12 +431,12 @@ class TestRadialGradientSearch:
         starts = [Cell(int(rng.integers(0, size)), int(rng.integers(0, size))) for _ in range(25)]
         starts += [Cell(0, 0), Cell(202, 202), Cell(50, 70), *default_starts()]
         for start in starts:
-            assert radial_gradient_search(start, evaluate).best == Cell(50, 70), start
+            assert radial_gradient_search(start, evaluate, {}, []).best == Cell(50, 70), start
 
     def test_constant_surface_single_sweep(self):
         evaluator = CountingEvaluator(lambda cell: CellScore(0.5, 0.5))
         memo = {}
-        outcome = radial_gradient_search(Cell(100, 100), evaluator, memo=memo)
+        outcome = radial_gradient_search(Cell(100, 100), evaluator, memo, [])
         assert outcome.best == Cell(100, 100)
         assert len(memo) == 25
         assert evaluator.calls == 25
@@ -437,7 +444,7 @@ class TestRadialGradientSearch:
     def test_constant_surface_at_corner(self):
         evaluator = CountingEvaluator(lambda cell: CellScore(0.5, 0.5))
         memo = {}
-        radial_gradient_search(Cell(0, 0), evaluator, memo=memo)
+        radial_gradient_search(Cell(0, 0), evaluator, memo, [])
         assert len(memo) == evaluator.calls == 9  # 3x3 in-bounds corner window
 
     def test_sensitivity_breaks_ppv_plateau(self):
@@ -445,32 +452,32 @@ class TestRadialGradientSearch:
             sens = 1.0 / (1.0 + (cell.x - 52) ** 2 + (cell.y - 71) ** 2)
             return CellScore(0.5, sens)
 
-        outcome = radial_gradient_search(Cell(50, 70), evaluate)
+        outcome = radial_gradient_search(Cell(50, 70), evaluate, {}, [])
         assert outcome.best == Cell(52, 71)
 
     def test_equal_score_never_moves(self):
         moves = []
         evaluator = lambda cell: CellScore(0.25, 0.75)  # noqa: E731
-        outcome = radial_gradient_search(Cell(5, 5), evaluator, move_log=moves)
+        outcome = radial_gradient_search(Cell(5, 5), evaluator, {}, moves)
         assert outcome.best == Cell(5, 5)
         assert moves == []
 
     def test_out_of_bounds_start_rejected(self):
         with pytest.raises(ValueError):
-            radial_gradient_search(Cell(203, 0), lambda c: CellScore(0, 0))
+            radial_gradient_search(Cell(203, 0), lambda c: CellScore(0, 0), {}, [])
         with pytest.raises(ValueError):
-            radial_gradient_search(Cell(0, -1), lambda c: CellScore(0, 0))
+            radial_gradient_search(Cell(0, -1), lambda c: CellScore(0, 0), {}, [])
 
     def test_memoized_cells_not_reevaluated_but_still_compared(self):
         ppv, sens = unimodal_surface(np.random.default_rng(8))
         peak = brute_force_argmax(ppv, sens)
         memo = {}
         evaluator = CountingEvaluator(surface_evaluator(ppv, sens))
-        first = radial_gradient_search(Cell(0, 0), evaluator, memo=memo)
+        first = radial_gradient_search(Cell(0, 0), evaluator, memo, [])
         assert first.best == peak
         # a second search from the peak finds the whole 5x5 around it memoized
         calls_before = evaluator.calls
-        second = radial_gradient_search(first.best, evaluator, memo=memo)
+        second = radial_gradient_search(first.best, evaluator, memo, [])
         assert second.best == peak
         assert evaluator.calls == calls_before
 
@@ -478,7 +485,7 @@ class TestRadialGradientSearch:
         for seed in range(5):
             ppv, sens = two_bump_surface(np.random.default_rng(seed))
             memo = {}
-            outcome = radial_gradient_search(Cell(101, 101), surface_evaluator(ppv, sens), memo=memo)
+            outcome = radial_gradient_search(Cell(101, 101), surface_evaluator(ppv, sens), memo, [])
             assert is_local_max(outcome.best, ppv, sens)
             # certificate: every in-bounds 5x5 neighbor is memoized and no better
             for dx in range(-2, 3):
@@ -490,7 +497,7 @@ class TestRadialGradientSearch:
     def test_search_log_records_moves(self):
         ppv, sens = unimodal_surface(np.random.default_rng(2))
         moves = []
-        outcome = radial_gradient_search(Cell(10, 10), surface_evaluator(ppv, sens), move_log=moves)
+        outcome = radial_gradient_search(Cell(10, 10), surface_evaluator(ppv, sens), {}, moves)
         assert moves, "expected at least one accepted move"
         assert moves[-1].to_cell == outcome.best
         for record in moves:
@@ -526,7 +533,7 @@ class TestSearchLoopOracle:
     @pytest.mark.parametrize("seed", range(5))
     def test_search_wide_seeds(self, wide, seed):
         training = make_training_set(wide.corpus, wide.categories, CATEGORY, seed)
-        _assert_same_searches(default_starts(), LooEvaluator(training_model(wide.corpus, training)))
+        _assert_same_searches(default_starts(), loo_evaluator(training_model(wide.corpus, training)))
 
 
 class TestMemoTable:
@@ -534,8 +541,8 @@ class TestMemoTable:
         ppv, sens = unimodal_surface(np.random.default_rng(13))
         evaluate = surface_evaluator(ppv, sens)
         memo_a, memo_b = {}, {}
-        a = radial_gradient_search(Cell(40, 40), evaluate, memo=memo_a)
-        b = radial_gradient_search(Cell(40, 40), evaluate, memo=memo_b)
+        a = radial_gradient_search(Cell(40, 40), evaluate, memo_a, [])
+        b = radial_gradient_search(Cell(40, 40), evaluate, memo_b, [])
         assert a == b
         assert list(memo_a.items()) == list(memo_b.items())
 
@@ -555,44 +562,44 @@ class TestMultiStart:
         peak = brute_force_argmax(ppv, sens)
         shared = CountingEvaluator(surface_evaluator(ppv, sens))
         memo = {}
-        outcome = multi_start_search(default_starts(), shared, memo=memo)
+        outcome = multi_start_search(default_starts(), shared, memo, [])
         assert outcome.best == peak
         assert shared.calls == len(memo)
 
         independent_calls = 0
         for start in default_starts():
             solo = CountingEvaluator(surface_evaluator(ppv, sens))
-            assert radial_gradient_search(start, solo).best == peak
+            assert radial_gradient_search(start, solo, {}, []).best == peak
             independent_calls += solo.calls
         assert shared.calls < independent_calls
 
     def test_shared_memo_changes_no_outcome(self):
         ppv, sens = unimodal_surface(np.random.default_rng(22))
         evaluate = surface_evaluator(ppv, sens)
-        shared = multi_start_search(default_starts(), evaluate)
-        solo_bests = {radial_gradient_search(s, evaluate).best for s in default_starts()}
+        shared = multi_start_search(default_starts(), evaluate, {}, [])
+        solo_bests = {radial_gradient_search(s, evaluate, {}, []).best for s in default_starts()}
         assert shared.best in solo_bests
 
     def test_two_basins_higher_peak_wins_when_reached(self):
         ppv, sens = two_bump_surface(np.random.default_rng(30))
         peak = brute_force_argmax(ppv, sens)
         evaluate = surface_evaluator(ppv, sens)
-        outcome = multi_start_search(default_starts(), evaluate)
+        outcome = multi_start_search(default_starts(), evaluate, {}, [])
         assert is_local_max(outcome.best, ppv, sens)
-        reached = {radial_gradient_search(s, evaluate).best for s in default_starts()}
+        reached = {radial_gradient_search(s, evaluate, {}, []).best for s in default_starts()}
         if peak in reached:
             assert outcome.best == peak
 
     def test_empty_starts_rejected(self):
         with pytest.raises(ValueError):
-            multi_start_search([], lambda c: CellScore(0, 0))
+            multi_start_search([], lambda c: CellScore(0, 0), {}, [])
 
     def test_baseline_cell_always_explored_and_dominated(self):
         rng = np.random.default_rng(17)
         positives, negatives = random_training_docs(rng, 12, 12)
-        evaluator = LooEvaluator(train(positives, negatives))
+        evaluator = loo_evaluator(train(positives, negatives))
         memo = {}
-        outcome = multi_start_search(default_starts(), evaluator, memo=memo)
+        outcome = multi_start_search(default_starts(), evaluator, memo, [])
         assert Cell(3, 3) in memo  # a start, hence always evaluated
         assert outcome.best_score >= memo[Cell(3, 3)]
         assert outcome.best_score == memo[outcome.best]
@@ -603,7 +610,7 @@ class TestAggregateOverSeeds:
         ppv, sens = unimodal_surface(np.random.default_rng(41))
         evaluate = surface_evaluator(ppv, sens)
         memo = {}
-        outcome = multi_start_search(default_starts(), evaluate, memo=memo)
+        outcome = multi_start_search(default_starts(), evaluate, memo, [])
         cell, means = aggregate_over_seeds([memo], [evaluate])
         assert cell == outcome.best
         assert means == memo
@@ -641,7 +648,7 @@ class TestAggregateOverSeeds:
         for surface in surfaces:
             evaluate = surface_evaluator(surface, np.zeros_like(surface))
             memo = {}
-            outcome = multi_start_search(default_starts(), evaluate, memo=memo)
+            outcome = multi_start_search(default_starts(), evaluate, memo, [])
             per_seed_bests.add(outcome.best)
             memos.append(memo)
             evaluators.append(evaluate)

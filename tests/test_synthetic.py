@@ -5,14 +5,13 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import category_items, choice_synthetic_corpus
-from priorlearn.corpus import Corpus
+from oracles import category_items, choice_synthetic_corpus, from_documents
 from priorlearn.synthetic import TOKENS_PER_DOC, make_synthetic_corpus
 
 
 def _assert_same_corpus(syn, ref):
     assert [(d.id, d.title, d.tokens) for d in syn.corpus] == [(d.id, d.title, d.tokens) for d in ref.corpus]
-    corpus, expected = syn.corpus, Corpus.from_documents(list(ref.corpus))
+    corpus, expected = syn.corpus, from_documents(list(ref.corpus))
     assert corpus.vocabulary == expected.vocabulary
     for name in ("doc_ids", "offsets", "slots"):
         assert getattr(corpus, name).dtype == getattr(expected, name).dtype, name
