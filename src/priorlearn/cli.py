@@ -131,6 +131,14 @@ def _read_predictions(
     return _read_text(path, lambda text: experiment.read_predictions_csv(text, title_ranks, title_ids))
 
 
+def _at_k(measure: Callable[..., T], path: str, ranked: experiment.RankedPredictions, truth: AbstractSet[int], k: int) -> T:
+    """``measure(ranked.ids, truth, k)`` of the ranking read from ``path``; ``k`` past its end is a data error naming it."""
+    try:
+        return measure(ranked.ids, truth, k)
+    except ValueError as exc:
+        raise CorpusFormatError(f"{path}: {exc}") from None
+
+
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
@@ -183,11 +191,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     for seed, memo in zip(spec.seeds, result.memos):
         _write(out / f"memo_seed{seed}.csv", search.memo_to_csv(memo))
     _write(out / "memo_mean.csv", search.memo_to_csv(result.mean_scores))
-    log_lines = []
-    for seed, moves in zip(spec.seeds, result.move_logs):
-        for line in search.moves_to_log(moves).splitlines():
-            log_lines.append(f"seed={seed} {line}")
-    _write(out / "search_log.txt", "\n".join(log_lines) + ("\n" if log_lines else ""))
+    _write(out / "search_log.txt", "".join(map(search.moves_to_log, spec.seeds, result.move_logs)))
     print(
         f"learned lambda_neg={result.hyperparameters.lambda_neg} "
         f"lambda_pos={result.hyperparameters.lambda_pos} mean_ppv={result.mean_ppv:.4f} "
@@ -223,7 +227,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     ranked, _ = _read_predictions(args.predictions, title_ranks=0)
     truth = _read_truth(args.truth)
-    profile = metrics.ppv_profile(ranked.ids, truth, args.eval_k)
+    profile = _at_k(metrics.ppv_profile, args.predictions, ranked, truth, args.eval_k)
     k, hits, value = profile[-1]
     out = Path(args.out)
     _write(out / "profile.csv", metrics.profile_to_csv(profile))
@@ -238,13 +242,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     study, study_titles = _read_predictions(args.study, args.top_n, baseline_titles.keys())
     truth = _read_truth(args.truth)
     k = args.eval_k
-    vectors = []
-    for path, ranked in ((args.baseline, baseline), (args.study, study)):
-        try:
-            vectors.append(stats.outcome_vector(ranked.ids, truth, k))
-        except ValueError as exc:  # k past its ranking: name the file it came from
-            raise CorpusFormatError(f"{path}: {exc}") from None
-    v_base, v_study = vectors
+    v_base = _at_k(stats.outcome_vector, args.baseline, baseline, truth, k)
+    v_study = _at_k(stats.outcome_vector, args.study, study, truth, k)
     ci_base = stats.bootstrap_ci(v_base, B=args.bootstrap_b, alpha=args.alpha, seed=args.bootstrap_seed)
     ci_study = stats.bootstrap_ci(v_study, B=args.bootstrap_b, alpha=args.alpha, seed=args.bootstrap_seed)
     p_value = stats.significance_test(v_base, v_study)
@@ -314,7 +313,3 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -328,10 +328,9 @@ def _links(text: str) -> re.Pattern:
 def extract_categories(text: str) -> list[str]:
     """Category names linked from wikitext, normalized, in order of appearance.
 
-    A link in an HTML comment or a ``<nowiki>`` span is none, as MediaWiki renders neither.
+    The caller cuts its HTML comments first, once (:func:`ingest_wiki_dump`); a ``<nowiki>`` span links none.
     """
     seen = []
-    text = _uncommented(text)
     for match in _links(text).finditer(text):
         if match.group(1) is None:  # a nowiki span
             continue
@@ -380,8 +379,8 @@ def ingest_wiki_dump(
     use one default namespace (or none): a page or field tagged in any
     other namespace is not read. Only article pages (namespace 0) are kept,
     each at its last revision; redirects and pages carrying a
-    disambiguation template are skipped. HTML comments and ``<nowiki>``
-    spans are cut from the wikitext, as MediaWiki renders neither.
+    disambiguation template are skipped. HTML comments are cut first, in one
+    pass as MediaWiki's, then ``<nowiki>`` spans, as MediaWiki renders neither.
     Category links are extracted from the rest; the body is cut at
     its "References" heading, cleared of the category links left in it and
     tokenized as by :func:`tokenize`, each distinct whitespace piece of the
@@ -502,7 +501,7 @@ def _ingest_page(
     if page.find(ns + "redirect") is not None or _REDIRECT_RE.match(text):
         skipped["redirect"] += 1
         return
-    text = _uncommented(text)  # a commented-out template renders as nothing
+    text = _uncommented(text)  # once, for every rule below: a commented-out template or link renders as nothing
     if _DISAMBIG_RE.search(text):
         skipped["disambiguation"] += 1
         return

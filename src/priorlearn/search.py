@@ -257,6 +257,11 @@ def radial_gradient_search(
             return SearchOutcome(best, best_score)
 
 
+def _pick_order(cell: Cell, score: CellScore) -> tuple[float, float, Cell]:
+    """The key whose least is the pick: higher ppv, then higher sensitivity, then the smaller cell."""
+    return -score.ppv, -score.sensitivity, cell
+
+
 def multi_start_search(
     starts: Sequence[Cell], evaluator: Evaluator, memo: dict[Cell, CellScore], move_log: list[MoveRecord]
 ) -> SearchOutcome:
@@ -269,17 +274,8 @@ def multi_start_search(
     """
     if not starts:
         raise ValueError("starts must be nonempty")
-    best: SearchOutcome | None = None
-    for start in starts:
-        outcome = radial_gradient_search(start, evaluator, memo, move_log)
-        if (
-            best is None
-            or outcome.best_score > best.best_score
-            or (outcome.best_score == best.best_score and outcome.best < best.best)
-        ):
-            best = outcome
-    assert best is not None
-    return best
+    outcomes = [radial_gradient_search(start, evaluator, memo, move_log) for start in starts]
+    return min(outcomes, key=lambda outcome: _pick_order(*outcome))
 
 
 def cross_seed_mean_scores(
@@ -313,7 +309,7 @@ def aggregate_over_seeds(
     coordinates. Returns the winning cell and all the means.
     """
     means = cross_seed_mean_scores(memos, evaluators)
-    cell = min(means, key=lambda c: (-means[c].ppv, -means[c].sensitivity, c))
+    cell = min(means, key=lambda c: _pick_order(c, means[c]))
     return cell, means
 
 
@@ -326,13 +322,11 @@ def memo_to_csv(scores: Mapping[Cell, CellScore], grid: tuple[float, ...] = DEFA
     return "\n".join(lines) + "\n"
 
 
-def moves_to_log(moves: Sequence[MoveRecord]) -> str:
-    """One line per accepted move: from-cell, to-cell, and their scores."""
-    lines = []
-    for m in moves:
-        lines.append(
-            f"({m.from_cell.x},{m.from_cell.y}) ppv={m.from_score.ppv!r} "
-            f"sens={m.from_score.sensitivity!r} -> ({m.to_cell.x},{m.to_cell.y}) "
-            f"ppv={m.to_score.ppv!r} sens={m.to_score.sensitivity!r}"
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+def moves_to_log(seed: int, moves: Sequence[MoveRecord]) -> str:
+    """One line per accepted move under ``seed``: the seed, from-cell, to-cell, and their scores."""
+    return "".join(
+        f"seed={seed} ({m.from_cell.x},{m.from_cell.y}) ppv={m.from_score.ppv!r} "
+        f"sens={m.from_score.sensitivity!r} -> ({m.to_cell.x},{m.to_cell.y}) "
+        f"ppv={m.to_score.ppv!r} sens={m.to_score.sensitivity!r}\n"
+        for m in moves
+    )

@@ -127,7 +127,7 @@ class TestArgumentHandling:
                          "--out", str(tmp_path / "o")])
             assert code == 2
             err = capsys.readouterr().err
-            assert err.startswith("data error:") and f"k={eval_k} out of range 1..2" in err
+            assert err.startswith(f"data error: {predictions}: k={eval_k} out of range 1..2")
         assert not (tmp_path / "o").exists()
 
     def test_report_eval_k_past_one_ranking_names_its_file(self, tmp_path, capsys):

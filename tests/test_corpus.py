@@ -161,15 +161,6 @@ class TestExtractCategories:
     def test_deduplicated(self):
         assert extract_categories("[[Category:A]] [[Category:A]]") == ["A"]
 
-    def test_a_link_in_a_comment_is_none(self):
-        assert extract_categories("a <!-- [[Category:Commented]] --> b [[Category:Kept]]") == ["Kept"]
-
-    def test_an_unclosed_comment_runs_to_the_end(self):
-        assert extract_categories("[[Category:Kept]] <!-- [[Category:Lost]]\n--\n[[Category:Also lost]]") == ["Kept"]
-
-    def test_a_comment_inside_a_link_is_dropped_first(self):
-        assert extract_categories("[[Cate<!-- split -->gory:Joined]]") == ["Joined"]
-
     def test_a_link_in_a_nowiki_span_is_none(self):
         text = "<nowiki>[[Category:Nowiki]]</nowiki> <NoWiki>[[Category:Upper]]</NOWIKI> [[Category:Kept]]"
         assert extract_categories(text) == ["Kept"]
@@ -310,6 +301,25 @@ class TestIngest:
         corpus, cats = ingest_wiki_dump(_wrap_pages(_page(1, "T", escape(body))))
         assert document(corpus, 1).tokens == {"alpha", "beta", "gamma", "delta"}
         assert category_items(cats) == [("Kept", frozenset({1}))]
+
+    @staticmethod
+    def _categories_of(wikitext):
+        """The categories of a page holding ``wikitext`` after a long body."""
+        _, cats = ingest_wiki_dump(_wrap_pages(_page(1, "T", escape(LONG_BODY + wikitext))))
+        return [name for name, _ in category_items(cats)]
+
+    def test_a_link_in_a_comment_is_none(self):
+        assert self._categories_of("a <!-- [[Category:Commented]] --> b [[Category:Kept]]") == ["Kept"]
+
+    def test_an_unclosed_comment_runs_to_the_end(self):
+        assert self._categories_of("[[Category:Kept]] <!-- [[Category:Lost]]\n--\n[[Category:Also lost]]") == ["Kept"]
+
+    def test_a_comment_inside_a_link_is_dropped_first(self):
+        assert self._categories_of("[[Cate<!-- split -->gory:Joined]]") == ["Joined"]
+
+    def test_comments_are_cut_in_one_pass_from_the_left(self):
+        # the pass leaves "<!--[[Category:Kept]]-->": its "<!--" opened no comment, so the link is one
+        assert self._categories_of("<!<!---->--[[Category:Kept]]-->") == ["Kept"]
 
     def test_min_bytes_measured_after_the_comment_cut(self):
         body = "kept words here <!--" + LONG_BODY + "-->"

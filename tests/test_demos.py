@@ -1,6 +1,7 @@
 """Each demo script runs to completion, as its docstring says to run it: demos 01-04 print their pinned
-standard output, and demo 05 writes the committed outputs."""
+standard output, and demo 05 writes the files whose SHA-256 digests are pinned."""
 
+import hashlib
 import shutil
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from test_cli import _child_env
 ROOT = Path(__file__).parents[1]
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 STDOUT = Path(__file__).parent / "data" / "demo_stdout"
+DIGESTS = Path(__file__).parent / "data" / "demo_05_sha256.txt"  # as sha256sum prints them
 
 
 def _run(demo: Path) -> bytes:
@@ -36,11 +38,8 @@ def test_demo_01_round_trip_preserves_everything():
 
 
 def test_demo_05_writes_the_committed_outputs(tmp_path):
-    # run from a copy, so it writes demo_output/ next to the copy and leaves the committed files alone
+    # run from a copy, so it writes demo_output/ next to the copy and nothing into the checkout
     demo = Path(shutil.copy(DEMOS[4], tmp_path))
     _run(demo)
-    committed = ROOT / "demos" / "demo_output"
-    written = sorted(path.name for path in (tmp_path / "demo_output").iterdir())
-    assert written == sorted(path.name for path in committed.iterdir())
-    for name in written:
-        assert (tmp_path / "demo_output" / name).read_bytes() == (committed / name).read_bytes(), name
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (tmp_path / "demo_output").iterdir()}
+    assert written == {name: digest for digest, name in map(str.split, DIGESTS.read_text().splitlines())}

@@ -502,8 +502,10 @@ class TestRadialGradientSearch:
         assert moves[-1].to_cell == outcome.best
         for record in moves:
             assert record.to_score > record.from_score
-        text = moves_to_log(moves)
-        assert len(text.splitlines()) == len(moves)
+        lines = moves_to_log(7, moves).splitlines(keepends=True)
+        assert len(lines) == len(moves)
+        assert all(line.startswith("seed=7 ") and line.endswith("\n") for line in lines)
+        assert moves_to_log(7, []) == ""
 
 
 def _assert_same_searches(starts, evaluate):
@@ -589,6 +591,17 @@ class TestMultiStart:
         reached = {radial_gradient_search(s, evaluate, {}, []).best for s in default_starts()}
         if peak in reached:
             assert outcome.best == peak
+
+    def test_equal_peaks_go_to_the_smaller_cell_in_either_start_order(self):
+        peaks = (Cell(60, 60), Cell(20, 20))
+
+        def evaluate(cell):  # two peaks of one score, each climbing to it from its own side
+            return CellScore(1.0 - min(max(abs(cell.x - p.x), abs(cell.y - p.y)) for p in peaks) / 1000, 0.5)
+
+        starts = (Cell(58, 61), Cell(21, 22))
+        assert [radial_gradient_search(s, evaluate, {}, []).best for s in starts] == list(peaks)
+        for order in (starts, starts[::-1]):
+            assert multi_start_search(order, evaluate, {}, []) == (Cell(20, 20), CellScore(1.0, 0.5))
 
     def test_empty_starts_rejected(self):
         with pytest.raises(ValueError):
