@@ -3,9 +3,11 @@
 Documents are reduced to Boolean token sets: split on whitespace, strip
 punctuation from both ends of each piece (interior punctuation stays),
 lowercase, deduplicate. The MediaWiki adapter additionally drops
-redirects and non-article namespaces, cuts HTML comments and <nowiki>
-spans, truncates each article at its "References" heading, applies a
-minimum-size filter, and files category links into a separate index.
+redirects and non-article namespaces, renders each page once (cutting
+HTML comments, <nowiki> spans and category links, and filing the links
+into a separate index), then on the rendered text drops disambiguation
+pages, truncates each article at its "References" heading and applies a
+minimum-size filter.
 
 Run from the repository root:
 

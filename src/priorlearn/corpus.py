@@ -107,6 +107,14 @@ def _index(ordered: Sequence[Any], item: Any) -> int:
     return i if i < len(ordered) and ordered[i] == item else -1
 
 
+def take_rows(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, offsets)``: row ``i``, ``rows[offsets[i]:offsets[i + 1]]``, is ``values[starts[i]:][:lengths[i]]``."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    take = np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
+    return values[take], offsets
+
+
 def tokenize(text: str) -> frozenset[str]:
     """Split ``text`` into its set of normalized tokens.
 
@@ -240,11 +248,7 @@ class Corpus:
             raise ValueError(f"documents not in the corpus index: {sorted(set(ids[absent].tolist()))}")
         rows = np.searchsorted(self.doc_ids, ids)
         starts = self.offsets[rows] + 1
-        lengths = self.offsets[rows + 1] - starts
-        offsets = np.zeros(len(ids) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        take = np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
-        return self.slots[take], offsets
+        return take_rows(self.slots, starts, self.offsets[rows + 1] - starts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,28 +320,22 @@ def _normalize_category(raw: str) -> str:
     return " ".join(raw.replace("_", " ").split())
 
 
-def _uncommented(text: str) -> str:
-    return _COMMENT_RE.sub("", text) if "<!--" in text else text
+def render(text: str) -> tuple[str, list[str]]:
+    """Wikitext as MediaWiki renders it for ingest's rules, and its category names, normalized, each once, in order.
 
-
-def _links(text: str) -> re.Pattern:
-    """The pattern of the category links in ``text``, and of the nowiki spans that hide some."""
-    return _NOWIKI_OR_CATEGORY_RE if "<" in text else _CATEGORY_RE
-
-
-def extract_categories(text: str) -> list[str]:
-    """Category names linked from wikitext, normalized, in order of appearance.
-
-    The caller cuts its HTML comments first, once (:func:`ingest_wiki_dump`); a ``<nowiki>`` span links none.
+    HTML comments are cut first, in one pass from the left as MediaWiki's; then, in one more pass, closed
+    ``<nowiki>`` spans, ``<nowiki/>`` tags and category links (a link left in would leak its label).
     """
-    seen = []
-    for match in _links(text).finditer(text):
-        if match.group(1) is None:  # a nowiki span
-            continue
-        name = _normalize_category(match.group(1))
-        if name and name not in seen:
-            seen.append(name)
-    return seen
+    text = _COMMENT_RE.sub("", text) if "<!--" in text else text
+    names = []
+
+    def cut(match: re.Match) -> str:
+        name = match.group(1) and _normalize_category(match.group(1))  # None for a nowiki span
+        if name and name not in names:
+            names.append(name)
+        return ""
+
+    return (_NOWIKI_OR_CATEGORY_RE if "<" in text else _CATEGORY_RE).sub(cut, text), names
 
 
 def truncate_at_references(text: str) -> str:
@@ -378,14 +376,14 @@ def ingest_wiki_dump(
     Elements are matched in the root element's namespace, as real exports
     use one default namespace (or none): a page or field tagged in any
     other namespace is not read. Only article pages (namespace 0) are kept,
-    each at its last revision; redirects and pages carrying a
-    disambiguation template are skipped. HTML comments are cut first, in one
-    pass as MediaWiki's, then ``<nowiki>`` spans, as MediaWiki renders neither.
-    Category links are extracted from the rest; the body is cut at
-    its "References" heading, cleared of the category links left in it and
-    tokenized as by :func:`tokenize`, each distinct whitespace piece of the
-    dump once. Articles whose body, so cut and cleared, is shorter than
-    ``min_bytes`` (UTF-8 bytes) are excluded. Each page is dropped once
+    each at its last revision. A redirect, read in the source, is skipped;
+    the rest is rendered once (:func:`render`: comments, ``<nowiki>`` spans
+    and category links cut, the links' names its categories), and every
+    later rule reads that text, in order: a page carrying a disambiguation
+    template is skipped, the body is cut at its "References" heading, one
+    so cut shorter than ``min_bytes`` (UTF-8 bytes) is excluded, and a kept
+    body is tokenized as by :func:`tokenize`, each distinct whitespace piece
+    of the dump once. Each page is dropped once
     processed, and only its id, title and token ids are kept, as one row
     of the corpus; no :class:`Document` is built.
 
@@ -498,10 +496,10 @@ def _ingest_page(
 
     revisions = page.findall(ns + "revision")  # oldest first
     text = (revisions[-1].findtext(ns + "text") or "") if revisions else ""
-    if page.find(ns + "redirect") is not None or _REDIRECT_RE.match(text):
+    if page.find(ns + "redirect") is not None or _REDIRECT_RE.match(text):  # read in the source, as MediaWiki does
         skipped["redirect"] += 1
         return
-    text = _uncommented(text)  # once, for every rule below: a commented-out template or link renders as nothing
+    text, page_categories = render(text)  # once, for every rule below
     if _DISAMBIG_RE.search(text):
         skipped["disambiguation"] += 1
         return
@@ -518,9 +516,7 @@ def _ingest_page(
     except ValueError:
         raise IngestError(f"page {title!r}: id {raw_id!r} is not a 64-bit integer") from None
 
-    page_categories = extract_categories(text)
-    # a category link would leak the label; a nowiki span goes with the links
-    body = _links(text).sub("", truncate_at_references(text))
+    body = truncate_at_references(text)
     if len(body) < min_bytes and len(body.encode("utf-8")) < min_bytes:  # a character is at least one byte
         skipped["below_min_bytes"] += 1
         return

@@ -171,19 +171,20 @@ def training_model(corpus: Corpus, training: TrainingSet) -> CountModel:
     return build_counts(corpus, training.positive_ids, training.negative_ids)
 
 
-def _log_weights(positive: bool, model: CountModel, hp: Hyperparameters, corpus: Corpus) -> np.ndarray:
-    """One class's log term per corpus slot.
+def _log_weights(model: CountModel, hp: Hyperparameters, corpus: Corpus) -> np.ndarray:
+    """Each class's log term per corpus slot, positives' row first, from one map of the features to slots.
 
     Slot 0 holds the log class prior and the slot of each model feature
     found in the corpus vocabulary holds its log conditional, each from
     ``math.log`` (``np.log`` may differ in the last bit); every other slot
     holds ``0.0``.
     """
-    weights = np.zeros(len(corpus.vocabulary) + 1)
+    weights = np.zeros((2, len(corpus.vocabulary) + 1))
     slots = np.fromiter(map(corpus.slot, model.features), dtype=np.int64, count=len(model.features))
     found = slots > 0
-    weights[slots[found]] = list(map(math.log, cond_probs(positive, model, hp)[found].tolist()))
-    weights[0] = math.log(class_prior(positive, model, hp))
+    for row, positive in zip(weights, (True, False)):
+        row[slots[found]] = list(map(math.log, cond_probs(positive, model, hp)[found].tolist()))
+        row[0] = math.log(class_prior(positive, model, hp))
     return weights
 
 
@@ -205,7 +206,7 @@ def rank_corpus(
     :func:`~priorlearn.model.positive_posteriors` on the sorted log odds)
     to normalizing each document's two log scores by max-subtraction.
     """
-    weights = [_log_weights(positive, model, hp, corpus) for positive in (True, False)]
+    weights = _log_weights(model, hp, corpus)
     log_pos, log_neg = sums = np.empty((2, len(corpus.doc_ids)))
     for a, b in corpus.row_blocks():
         # bincount adds each row's weights in order, so a block's sums are the whole array's

@@ -22,6 +22,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .corpus import take_rows
 from .metrics import ppv_of, sensitivity_of
 from .model import CountModel
 
@@ -148,9 +149,7 @@ class ClassHalves:
 
     def __init__(self, model: CountModel, positive: bool, columns: np.ndarray):
         n_tokens = np.diff(model.fold_offsets)[columns]
-        offsets = np.concatenate(([0], np.cumsum(n_tokens)))  # of the folds' rows, one after another
-        shift = np.repeat(model.fold_offsets[columns] - offsets[:-1], n_tokens)  # from those rows to model's
-        features = model.fold_features[np.arange(offsets[-1]) + shift]
+        features, offsets = take_rows(model.fold_features, model.fold_offsets[columns], n_tokens)
         own = (columns < model.n_pos) == positive  # positives come first
         own_tokens = np.repeat(own, n_tokens)
         counts = np.bincount(features[own_tokens], minlength=len(model.features)).astype(np.int32)

@@ -36,9 +36,9 @@ from priorlearn.corpus import (
     CorpusFormatError,
     Document,
     IngestError,
-    extract_categories,
     ingest_wiki_dump,
     load_corpus,
+    render,
     store_corpus,
     tokenize,
     truncate_at_references,
@@ -150,34 +150,38 @@ class TestReferencesTruncation:
         assert truncate_at_references(text) == splitlines_truncate_at_references(text)
 
 
-class TestExtractCategories:
+class TestRender:
     def test_basic_and_sortkey_forms(self):
         text = "x [[Category:Machine learning]] y [[Category:Software|sort key]] z"
-        assert extract_categories(text) == ["Machine learning", "Software"]
+        assert render(text) == ("x  y  z", ["Machine learning", "Software"])
 
     def test_underscores_and_case(self):
-        assert extract_categories("[[category:Windows_games]]") == ["Windows games"]
+        assert render("[[category:Windows_games]]") == ("", ["Windows games"])
 
     def test_deduplicated(self):
-        assert extract_categories("[[Category:A]] [[Category:A]]") == ["A"]
+        assert render("[[Category:A]] [[Category:A]]") == (" ", ["A"])
 
     def test_a_link_in_a_nowiki_span_is_none(self):
         text = "<nowiki>[[Category:Nowiki]]</nowiki> <NoWiki>[[Category:Upper]]</NOWIKI> [[Category:Kept]]"
-        assert extract_categories(text) == ["Kept"]
+        assert render(text) == ("  ", ["Kept"])
 
     def test_only_a_closed_nowiki_span_is_cut(self):
-        assert extract_categories("<nowiki>[[Category:Open]]") == ["Open"]
+        assert render("<nowiki>[[Category:Open]]") == ("<nowiki>", ["Open"])
 
     def test_an_empty_nowiki_tag_breaks_a_link(self):
-        assert extract_categories("[[<nowiki/>Category:Broken]] [[<nowiki />Category:Spaced]]") == []
+        # the tags go in the same pass, so the text they leave is no link
+        text = "[[<nowiki/>Category:Broken]] [[<nowiki />Category:Spaced]]"
+        assert render(text) == ("[[Category:Broken]] [[Category:Spaced]]", [])
 
     def test_a_link_to_a_category_page_is_no_membership(self):
-        assert extract_categories("see [[:Category:Foo]] and [[ :Category:Bar|bar]]") == []
+        text = "see [[:Category:Foo]] and [[ :Category:Bar|bar]]"
+        assert render(text) == (text, [])
 
     def test_a_link_ends_at_its_line(self):
         text = "intro [[Category:Foo\nmore body text here\nand [[Link]] end"
-        assert extract_categories(text) == ["Foo"]
-        assert extract_categories("intro [[Category:\nnext line\n[[\nCategory:X]]") == []
+        assert render(text) == ("intro \nmore body text here\nand [[Link]] end", ["Foo"])
+        text = "intro [[Category:\nnext line\n[[\nCategory:X]]"
+        assert render(text) == (text, [])
 
 
 def _wrap_pages(*pages: str) -> io.BytesIO:
@@ -258,6 +262,24 @@ class TestIngest:
         corpus, _ = ingest_wiki_dump(pages, skipped=skipped)
         assert corpus.doc_ids.tolist() == [1] and skipped == Counter()
         assert document(corpus, 1).tokens == {"alpha", "beta", "gamma", "delta"}
+
+    def test_a_nowiki_disambiguation_template_skips_nothing(self):
+        pages = _wrap_pages(_page(1, "Mercury", escape(LONG_BODY + "<nowiki>{{disambiguation}}</nowiki>")))
+        skipped = Counter()
+        corpus, _ = ingest_wiki_dump(pages, skipped=skipped)
+        assert corpus.doc_ids.tolist() == [1] and skipped == Counter()
+        assert document(corpus, 1).tokens == {"alpha", "beta", "gamma", "delta"}
+
+    def test_a_link_on_the_heading_line_hides_no_heading(self):
+        body = LONG_BODY + "\n== References ==[[Category:Heading line]]\nrefword"
+        corpus, cats = ingest_wiki_dump(_wrap_pages(_page(1, "T", body)))
+        assert document(corpus, 1).tokens == {"alpha", "beta", "gamma", "delta"}
+        assert category_items(cats) == [("Heading line", frozenset({1}))]
+
+    def test_a_heading_in_a_nowiki_span_is_no_heading(self):
+        body = LONG_BODY + "<nowiki>\n== References ==\n</nowiki>\nzebra"
+        corpus, _ = ingest_wiki_dump(_wrap_pages(_page(1, "T", escape(body))))
+        assert document(corpus, 1).tokens == {"alpha", "beta", "gamma", "delta", "zebra"}
 
     def test_min_bytes_measured_after_truncation(self):
         # body clears the threshold only if the references tail is counted

@@ -103,12 +103,12 @@ def test_log_weights_are_math_log_of_the_oracle_ratios():
     slot = {token: s for s, token in enumerate(corpus.vocabulary, 1)}
     for lam_neg, lam_pos in zip(DEFAULT_GRID, reversed(DEFAULT_GRID)):
         hp = Hyperparameters(lam_neg, lam_pos)
-        for positive in (True, False):
-            expected = np.zeros(len(corpus.vocabulary) + 1)
-            expected[0] = math.log(class_prior(positive, oracle, hp))
+        expected = np.zeros((2, len(corpus.vocabulary) + 1))
+        for row, positive in zip(expected, (True, False)):
+            row[0] = math.log(class_prior(positive, oracle, hp))
             for token in oracle.features:
-                expected[slot[token]] = math.log(cond_prob(token, positive, oracle, hp))
-            assert np.array_equal(_log_weights(positive, model, hp, corpus), expected), (hp, positive)
+                row[slot[token]] = math.log(cond_prob(token, positive, oracle, hp))
+        assert np.array_equal(_log_weights(model, hp, corpus), expected), hp
 
 
 def test_document_without_model_features_scores_its_priors():
