@@ -17,12 +17,10 @@ from pathlib import Path
 from priorlearn.experiment import (
     PRNG_NAME,
     ExperimentSpec,
+    classify_corpus,
     export_review_list,
     learn_priors,
-    make_training_set,
     predictions_to_csv,
-    rank_corpus,
-    training_model,
 )
 from priorlearn.metrics import ppv_at_k
 from priorlearn.model import BAYES_LAPLACE
@@ -51,12 +49,9 @@ print(f"learned (lambda_neg, lambda_pos) = ({lam.lambda_neg}, {lam.lambda_pos}) 
 (out / "memo_mean.csv").write_text(memo_to_csv(result.mean_scores))
 
 print("\n-- classifying the pool under both branches --")
-training = make_training_set(syn.corpus, syn.categories, CATEGORY, spec.seeds[0])
-model = training_model(syn.corpus, training)
-exclude = frozenset(training.positive_ids)
-baseline = rank_corpus(syn.corpus, model, BAYES_LAPLACE, exclude)
-study = rank_corpus(syn.corpus, model, lam, exclude)
-titles = {doc.id: doc.title for doc in syn.corpus}
+_, baseline = classify_corpus(spec, BAYES_LAPLACE)
+_, study = classify_corpus(spec, lam)
+titles = dict(zip(syn.corpus.doc_ids.tolist(), syn.corpus.titles))
 (out / "baseline_predictions.csv").write_text(predictions_to_csv(baseline, titles))
 (out / "study_predictions.csv").write_text(predictions_to_csv(study, titles))
 

@@ -29,7 +29,7 @@ from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-#: Slots per block of rows (:meth:`Corpus.row_blocks`): iteration, ranking and the store's checks go a block at a time.
+#: Slots per block of rows (:meth:`Corpus.row_blocks`) for the vectorized passes: ranking and the store's checks.
 _BLOCK_SLOTS = 1 << 16
 
 __all__ = [
@@ -149,9 +149,8 @@ class Corpus:
     vocabulary follows Python ``str`` order, the order :func:`sorted` gives
     a token set. Every producer builds the corpus through
     :meth:`from_rows`; a :class:`Document` is built only for iteration,
-    on each pass, a block of rows at a time, and kept by nobody but the
-    caller. The corpus is safe to share read-only across any number of
-    workers.
+    on each pass, one row at a time, and kept by nobody but the caller.
+    The corpus is safe to share read-only across any number of workers.
     """
 
     titles: tuple[str, ...] = field(repr=False)
@@ -207,15 +206,12 @@ class Corpus:
         return _index(self.doc_ids, doc_id) >= 0
 
     def __iter__(self) -> Iterator[Document]:
-        """Iterate documents in ascending id order, built a block of rows (:meth:`row_blocks`) at a time."""
-        for a, b in self.row_blocks():
-            slots = self.slots[self.offsets[a] : self.offsets[b]]
-            # row a + i is tokens[bounds[i]:bounds[i + 1]]: tokens drops the slot 0 that begins each row
-            bounds = (self.offsets[a : b + 1] - self.offsets[a] - np.arange(b - a + 1)).tolist()
-            tokens = list(map(self.vocabulary.__getitem__, (slots[slots > 0] - 1).tolist()))
-            for doc_id, title, start, end in zip(self.doc_ids[a:b].tolist(), self.titles[a:b], bounds, bounds[1:]):
-                # from a set: a frozenset built from a list can size its hash table larger
-                yield Document(id=doc_id, title=title, tokens=frozenset(set(tokens[start:end])))
+        """Iterate documents in ascending id order, each built from its own row as it is reached."""
+        offsets, slots, vocabulary = self.offsets, self.slots, self.vocabulary
+        for i, title in enumerate(self.titles):
+            row = slots[offsets.item(i) + 1 : offsets.item(i + 1)].tolist()  # without the row's slot 0
+            # from a set: a frozenset built from a list can size its hash table larger
+            yield Document(id=self.doc_ids.item(i), title=title, tokens=frozenset({vocabulary[s - 1] for s in row}))
 
     def slot(self, token: str) -> int:
         """The slot of ``token``, or 0 if no document holds it."""
@@ -317,14 +313,16 @@ def _normalize_title(raw: str) -> str:
 
 
 def _normalize_category(raw: str) -> str:
-    return " ".join(raw.replace("_", " ").split())
+    name = " ".join(raw.replace("_", " ").split())
+    return name[:1].upper() + name[1:] if len(name[:1].upper()) == 1 else name
 
 
 def render(text: str) -> tuple[str, list[str]]:
     """Wikitext as MediaWiki renders it for ingest's rules, and its category names, normalized, each once, in order.
 
     HTML comments are cut first, in one pass from the left as MediaWiki's; then, in one more pass, closed
-    ``<nowiki>`` spans, ``<nowiki/>`` tags and category links (a link left in would leak its label).
+    ``<nowiki>`` spans, ``<nowiki/>`` tags and category links (a link left in would leak its label). A name
+    takes MediaWiki's first-letter capital where ``str.upper`` gives one character ("foo" is "Foo", "ß" stays).
     """
     text = _COMMENT_RE.sub("", text) if "<!--" in text else text
     names = []
@@ -378,14 +376,14 @@ def ingest_wiki_dump(
     other namespace is not read. Only article pages (namespace 0) are kept,
     each at its last revision. A redirect, read in the source, is skipped;
     the rest is rendered once (:func:`render`: comments, ``<nowiki>`` spans
-    and category links cut, the links' names its categories), and every
-    later rule reads that text, in order: a page carrying a disambiguation
-    template is skipped, the body is cut at its "References" heading, one
-    so cut shorter than ``min_bytes`` (UTF-8 bytes) is excluded, and a kept
-    body is tokenized as by :func:`tokenize`, each distinct whitespace piece
-    of the dump once. Each page is dropped once
-    processed, and only its id, title and token ids are kept, as one row
-    of the corpus; no :class:`Document` is built.
+    and category links cut, the links' names, first letter a capital, its
+    categories), and every later rule reads that text, in order: a page
+    carrying a disambiguation template is skipped, the body is cut at its
+    "References" heading, one so cut shorter than ``min_bytes`` (UTF-8
+    bytes) is excluded, and a kept body is tokenized as by
+    :func:`tokenize`, each distinct whitespace piece of the dump once. Each
+    page is dropped once processed, and only its id, title and token ids
+    are kept, as one row of the corpus; no :class:`Document` is built.
 
     The bodies are tokenized in one worker process, forked (so this needs
     Linux or macOS), in dump order while this process reads on; the

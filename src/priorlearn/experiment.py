@@ -255,7 +255,7 @@ def learn_priors(spec: ExperimentSpec) -> PriorSearchResult:
 
     Every seed's training set is drawn first. The positives are the same
     under every seed, so one model over them and the union of all seeds'
-    negatives holds every seed's folds, and each seed's evaluator is its
+    negatives holds every seed's folds, and each seed's evaluator reads its
     columns of it. One positive class over the union serves every seed,
     each half computed once per grid value. Each seed gets its own
     negative class and memo, which its nine searches share. The aggregate
@@ -267,10 +267,9 @@ def learn_priors(spec: ExperimentSpec) -> PriorSearchResult:
     positives, union = trainings[0].positive_ids, np.array(sorted(set().union(*(t.negative_ids for t in trainings))))
     model = build_counts(spec.corpus, positives, union.tolist())
     positive = ClassHalves(model, True, np.arange(model.n_folds))
-    # a seed's folds are its positives, then its negatives in id order, as are the union's
-    head = np.arange(len(positives))
-    columns = [np.append(head, len(head) + np.searchsorted(union, t.negative_ids)) for t in trainings]
-    evaluators = [LooEvaluator(model, seed_columns, positive) for seed_columns in columns]
+    # a seed's negatives are in id order, as are the union's, whose folds follow the positives'
+    negatives = [len(positives) + np.searchsorted(union, t.negative_ids) for t in trainings]
+    evaluators = [LooEvaluator(model, seed_negatives, positive) for seed_negatives in negatives]
     del model  # the evaluators hold all the search needs
     memos, move_logs = [{} for _ in evaluators], [[] for _ in evaluators]
     for evaluator, memo, moves in zip(evaluators, memos, move_logs):

@@ -54,6 +54,8 @@ class Hyperparameters:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not math.isfinite(self.lambda_neg + self.lambda_pos):  # class_prior's denominator would overflow
+            raise ValueError(f"lambda_neg + lambda_pos must be finite, got {self.lambda_neg} + {self.lambda_pos}")
 
 
 BAYES_LAPLACE = Hyperparameters(lambda_neg=1.0, lambda_pos=1.0)

@@ -181,19 +181,20 @@ class ClassHalves:
 
 
 class LooEvaluator:
-    """Leave-one-out cell scorer for the folds of ``model`` at ``columns``.
+    """Leave-one-out cell scorer for all of ``model``'s positives, then its folds at ``negatives``.
 
-    Those are all of its positives, then some negatives. Per fold, log
+    It lays out those folds itself, every positive first. Per fold, log
     odds = ``half(pos, lambda_pos) - half(neg, lambda_neg)``: the
     class-prior denominators cancel, and a half depends on its class's
     counts and pseudo-count alone (:class:`ClassHalves`). ``positive`` is
-    the positive class over all of ``model``'s folds, read at ``columns``,
-    so training sets with the same positives share it.
+    the positive class over all of ``model``'s folds, read at these, so
+    training sets with the same positives share it.
     """
 
-    def __init__(self, model: CountModel, columns: np.ndarray, positive: ClassHalves):
-        self._n_pos, self._negative, self._taken = model.n_pos, ClassHalves(model, False, columns), {}
-        self._positive, self._columns = positive, columns  # columns of the positive class's folds
+    def __init__(self, model: CountModel, negatives: np.ndarray, positive: ClassHalves):
+        self._columns = np.append(np.arange(model.n_pos), negatives)  # this evaluator's folds in ``model``
+        self._n_pos, self._negative, self._taken = model.n_pos, ClassHalves(model, False, self._columns), {}
+        self._positive = positive  # over all of ``model``'s folds, read at ``self._columns``
 
     def _halves(self, cell: Cell) -> tuple[np.ndarray, np.ndarray]:
         if cell.y not in self._taken:  # this model's columns of the half, gathered once per grid index
@@ -206,7 +207,7 @@ class LooEvaluator:
 
     def __call__(self, cell: Cell) -> CellScore:
         predicted = np.greater(*self._halves(cell))  # log odds > 0.0, for finite halves
-        tp = int(np.count_nonzero(predicted[: self._n_pos]))  # positives come first
+        tp = int(np.count_nonzero(predicted[: self._n_pos]))  # the positives' folds come first
         fp = int(np.count_nonzero(predicted)) - tp
         return CellScore(ppv=ppv_of(tp, fp), sensitivity=sensitivity_of(tp, self._n_pos - tp))
 

@@ -340,16 +340,26 @@ def per_cell_log_odds(model, cell):
     return log_pos - log_neg
 
 
-def scalar_ranking(corpus, model, hp, exclude_ids=frozenset()):
-    """Rank a corpus one ``score`` call per document over a :class:`DictModel`.
+def scalar_ranking(documents, model, hp, exclude_ids=frozenset()):
+    """Rank documents (a corpus, or a list of its documents) as one ``score`` call each, over a :class:`DictModel`.
 
-    Returns ``(doc_id, p_pos, log_odds)`` triples sorted on
-    ``(-log_odds, doc_id)``: descending log odds, ties by ascending id.
+    Each feature's two ``math.log(cond_prob(...))`` terms are taken once per
+    call; a document's are added after the log priors, in sorted token
+    order: the float operations of ``score``, in its order. Returns
+    ``(doc_id, p_pos, log_odds)`` triples sorted on ``(-log_odds,
+    doc_id)``: descending log odds, ties by ascending id.
     """
+    priors = math.log(class_prior(True, model, hp)), math.log(class_prior(False, model, hp))
+    logs = {t: (math.log(cond_prob(t, True, model, hp)), math.log(cond_prob(t, False, model, hp))) for t in model.features}
     rows = []
-    for doc in corpus:
+    for doc in documents:
         if doc.id not in exclude_ids:
-            posterior = score(doc.tokens, model, hp)
+            log_pos, log_neg = priors
+            for t in sorted(doc.tokens & model.features):
+                t_pos, t_neg = logs[t]
+                log_pos += t_pos
+                log_neg += t_neg
+            posterior = _posterior_from_logs(log_pos, log_neg)
             rows.append((doc.id, posterior.p_pos, posterior.log_odds))
     rows.sort(key=lambda row: (-row[2], row[0]))
     return tuple(rows)
@@ -717,7 +727,7 @@ def class_halves(model, positive):
 
 def loo_evaluator(model):
     """The ``LooEvaluator`` of every fold of ``model``, over a positive class of its own."""
-    return LooEvaluator(model, np.arange(model.n_folds), class_halves(model, True))
+    return LooEvaluator(model, np.arange(model.n_pos, model.n_folds), class_halves(model, True))
 
 
 def seeded_rows_corpus(n_docs, row_length=100, vocab_size=2_000_000, seed=0):

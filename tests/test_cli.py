@@ -233,6 +233,16 @@ class TestArgumentHandling:
         assert "lambda_neg must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_priors_whose_sum_overflows_are_a_data_error_naming_both(self, tmp_path, capsys):
+        assert main(["ingest", str(DATA / "e2e_dump.xml"), "--out", str(tmp_path / "s")]) == 0
+        capsys.readouterr()
+        code = main(["classify", "--corpus", str(tmp_path / "s"), "--category", "Toy solvers",
+                     "--lambda-neg", "1e308", "--lambda-pos", "1e308", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: lambda_neg + lambda_pos must be finite, got 1e+308 + 1e+308")
+        assert not (tmp_path / "o").exists()
+
     def test_repeated_seed_is_data_error(self, tmp_path, capsys):
         assert main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s")]) == 0
         capsys.readouterr()

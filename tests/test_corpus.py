@@ -161,6 +161,10 @@ class TestRender:
     def test_deduplicated(self):
         assert render("[[Category:A]] [[Category:A]]") == (" ", ["A"])
 
+    def test_the_first_letter_is_a_capital_where_it_upper_cases_to_one_letter(self):
+        text = "[[Category:machine learning]][[Category:foo]] [[Category:Foo]][[Category:ßx]][[Category: éclair]]"
+        assert render(text) == (" ", ["Machine learning", "Foo", "ßx", "Éclair"])
+
     def test_a_link_in_a_nowiki_span_is_none(self):
         text = "<nowiki>[[Category:Nowiki]]</nowiki> <NoWiki>[[Category:Upper]]</NOWIKI> [[Category:Kept]]"
         assert render(text) == ("  ", ["Kept"])
@@ -348,6 +352,14 @@ class TestIngest:
         skipped = Counter()
         corpus, _ = ingest_wiki_dump(_wrap_pages(_page(1, "T", escape(body))), skipped=skipped)
         assert corpus.doc_count == 0 and skipped["below_min_bytes"] == 1
+
+    def test_a_category_is_one_whatever_the_case_of_its_first_letter(self):
+        pages = _wrap_pages(
+            _page(1, "A", LONG_BODY + "[[Category:machine_learning]]"),
+            _page(2, "B", LONG_BODY + "[[Category:Machine learning]] [[Category:machine learning]]"),
+        )
+        _, cats = ingest_wiki_dump(pages)
+        assert category_items(cats) == [("Machine learning", frozenset({1, 2}))]
 
     def test_the_last_revision_is_read(self):
         # a history export lists a page's revisions oldest first
@@ -1023,7 +1035,7 @@ def _one_pass(corpus):
 
 
 class TestIteration:
-    def test_every_pass_is_the_row_documents_at_every_block_budget(self, monkeypatch):
+    def test_every_pass_is_the_row_documents(self):
         rng = np.random.default_rng(0)
         corpora = [
             _toy_corpus()[0],
@@ -1031,18 +1043,10 @@ class TestIteration:
             from_documents([Document(1, "x", frozenset()), Document(4, "y", frozenset({"b", "a"}))]),
             *(_random_rows_corpus(rng) for _ in range(30)),
         ]
-        expected = [row_documents(corpus) for corpus in corpora]
-        longer_rows = multi_row_blocks = 0
-        for budget in range(1, 13):
-            monkeypatch.setattr(corpus_module, "_BLOCK_SLOTS", budget)
-            for corpus, docs in zip(corpora, expected):
-                blocks = list(corpus.row_blocks())
-                longer_rows += any(corpus.offsets[b] - corpus.offsets[a] > budget for a, b in blocks)
-                multi_row_blocks += any(b - a > 1 for a, b in blocks)
-                passed = list(corpus)
-                assert passed == docs
-                assert [sys.getsizeof(doc.tokens) for doc in passed] == [sys.getsizeof(doc.tokens) for doc in docs]
-        assert longer_rows and multi_row_blocks
+        for corpus in corpora:
+            passed, docs = list(corpus), row_documents(corpus)
+            assert passed == docs
+            assert [sys.getsizeof(doc.tokens) for doc in passed] == [sys.getsizeof(doc.tokens) for doc in docs]
 
     def test_a_pass_keeps_no_document(self):
         _one_pass(seeded_rows_corpus(10, 50)[0])  # first-call allocations out of the way
@@ -1058,6 +1062,7 @@ class TestIteration:
         pass_peak(10)
         small, large = pass_peak(4000), pass_peak(16_000)
         assert large < small + 500_000
+        assert large < 100_000  # one row's temporaries, not a block's (~3.7 MB at 1 << 16 slots)
 
 
 class TestCorpusValidation:

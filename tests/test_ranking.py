@@ -4,7 +4,9 @@ The vectorized ranking over the integer count model must give exactly
 the floats that one scalar ``score`` call per document over the
 string-token ``dict`` model gives: its int64 and float64 columns equal
 the oracle's under ``np.array_equal`` and in the ``repr`` of their
-``tolist()`` values (the bytes the predictions CSV writes).
+``tolist()`` values (the bytes the predictions CSV writes). The oracle,
+``scalar_ranking``, takes each feature's log terms once per ranking and
+adds them as ``score`` does; one test pins it to ``score`` itself.
 """
 
 import math
@@ -22,6 +24,7 @@ from oracles import (
     from_documents,
     peak_bytes,
     scalar_ranking,
+    score,
     seeded_rows_corpus,
 )
 from priorlearn.corpus import Document, load_corpus, store_corpus
@@ -85,11 +88,22 @@ def test_acceptance_corpus_matches_oracle(acceptance, seed):
     oracle = dict_model(
         [document(corpus, i) for i in training.positive_ids], [document(corpus, i) for i in training.negative_ids]
     )
-    exclude = frozenset(training.positive_ids)
+    exclude, documents = frozenset(training.positive_ids), list(corpus)
     for hp in PRIORS:
         assert_bit_identical(
-            rank_corpus(corpus, model, hp, exclude), scalar_ranking(corpus, oracle, hp, exclude)
+            rank_corpus(corpus, model, hp, exclude), scalar_ranking(documents, oracle, hp, exclude)
         )
+
+
+def test_the_scalar_ranking_is_one_score_call_per_document():
+    rng = np.random.default_rng(3)
+    vocab = [f"t{i:02d}" for i in range(30)]
+    corpus = _corpus([_draw(rng, vocab, int(rng.integers(0, 25))) for _ in range(60)])
+    _, oracle = _models(corpus, range(1, 16), range(16, 41))
+    for hp in (*PRIORS, Hyperparameters(DEFAULT_GRID[0], DEFAULT_GRID[-1])):
+        scored = [(doc.id, *score(doc.tokens, oracle, hp)) for doc in corpus if doc.id % 7]
+        expected = tuple(sorted(scored, key=lambda row: (-row[2], row[0])))
+        assert repr(scalar_ranking(corpus, oracle, hp, frozenset(range(0, 61, 7)))) == repr(expected)
 
 
 def test_log_weights_are_math_log_of_the_oracle_ratios():

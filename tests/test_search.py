@@ -305,7 +305,7 @@ class TestClassHalvesColumns:
             alone = build_counts(corpus, [d.id for d in positives], [negatives[i].id for i in chosen.tolist()])
             for positive in (True, False):
                 _assert_same_class(ClassHalves(model, positive, columns), class_halves(alone, positive))
-            evaluator = LooEvaluator(model, columns, class_halves(model, True))
+            evaluator = LooEvaluator(model, model.n_pos + chosen, class_halves(model, True))
             oracle = dict_model(positives, [negatives[i] for i in chosen.tolist()])
             for cell in (Cell(0, 202), Cell(3, 3), Cell(120, 40)):
                 assert np.array_equal(evaluator.log_odds(cell), per_cell_log_odds(oracle, cell)), cell
