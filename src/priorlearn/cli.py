@@ -41,38 +41,35 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="priorlearn", description=__doc__)
     sub = parser.add_subparsers(dest="command")
+    store = argparse.ArgumentParser(add_help=False)  # the flags of the commands that read a store
+    store.add_argument("--corpus", required=True, help="corpus store directory")
+    store.add_argument("--category", required=True)
 
     p = sub.add_parser("ingest", help="ingest a MediaWiki XML export into a corpus store")
+    p.set_defaults(run=_cmd_ingest)
     p.add_argument("dump", help="path to the pages XML export (decompressed)")
     p.add_argument("--out", required=True, help="corpus store directory")
     p.add_argument("--min-bytes", type=int, default=300, help="minimum retained body size")
 
-    p = sub.add_parser("search", help="learn (lambda_neg, lambda_pos) for a category")
-    p.add_argument("--corpus", required=True, help="corpus store directory")
-    p.add_argument("--category", required=True)
+    p = sub.add_parser("search", parents=[store], help="learn (lambda_neg, lambda_pos) for a category")
+    p.set_defaults(run=_cmd_search)
     p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])
-    p.add_argument(
-        "--starts",
-        default=None,
-        help="comma-separated lambda_neg:lambda_pos start pairs, e.g. 1:1,8:8,15:15",
-    )
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--starts", help="comma-separated lambda_neg:lambda_pos start pairs, e.g. 1:1,8:8,15:15")
 
-    p = sub.add_parser("classify", help="rank the whole corpus under given priors")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--category", required=True)
+    p = sub.add_parser("classify", parents=[store], help="rank the whole corpus under given priors")
+    p.set_defaults(run=_cmd_classify)
     p.add_argument("--seeds", type=int, nargs="+", default=[0], help="first seed is the reporting seed")
     p.add_argument("--lambda-neg", type=float, required=True)
     p.add_argument("--lambda-pos", type=float, required=True)
-    p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("evaluate", help="PPV@k and cumulative profile of a predictions file")
+    p.set_defaults(run=_cmd_evaluate)
     p.add_argument("--predictions", required=True, help="predictions CSV from classify")
     p.add_argument("--truth", required=True, help="file of true-positive doc ids, one per line")
     p.add_argument("--eval-k", type=int, default=250)
-    p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("report", help="compare two prediction lists: CIs, t-test, review page")
+    p.set_defaults(run=_cmd_report)
     p.add_argument("--baseline", required=True, help="baseline predictions CSV")
     p.add_argument("--study", required=True, help="study predictions CSV")
     p.add_argument("--truth", required=True, help="file of true-positive doc ids, one per line")
@@ -82,8 +79,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--bootstrap-seed", type=int, default=0)
     p.add_argument("--link-template", default=experiment.DEFAULT_LINK_TEMPLATE)
-    p.add_argument("--out", required=True, help="output directory")
 
+    for name in ("search", "classify", "evaluate", "report"):  # each one's last flag
+        sub.choices[name].add_argument("--out", required=True, help="output directory")
     return parser
 
 
@@ -287,15 +285,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "ingest": _cmd_ingest,
-    "search": _cmd_search,
-    "classify": _cmd_classify,
-    "evaluate": _cmd_evaluate,
-    "report": _cmd_report,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -303,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command is None:
             parser.print_help(sys.stderr)
             return EXIT_USAGE
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

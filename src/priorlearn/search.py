@@ -32,7 +32,6 @@ __all__ = [
     "CellScore",
     "SearchOutcome",
     "MoveRecord",
-    "DEFAULT_START_LAMBDAS",
     "default_starts",
     "ClassHalves",
     "LooEvaluator",
@@ -74,16 +73,11 @@ class MoveRecord(NamedTuple):
 
 _WINDOW = tuple((i, j) for i in range(-2, 3) for j in range(-2, 3) if (i, j) != (0, 0))  # 5x5 less the center
 
-#: The nine (lambda_neg, lambda_pos) start values for multi-start search.
-DEFAULT_START_LAMBDAS: tuple[tuple[float, float], ...] = (
-    (1, 1), (1, 8), (1, 15),
-    (8, 1), (8, 8), (8, 15),
-    (15, 1), (15, 8), (15, 15),
-)
-
 
 def default_starts() -> tuple[Cell, ...]:
-    return tuple(Cell(DEFAULT_GRID.index(float(ln)), DEFAULT_GRID.index(float(lp))) for ln, lp in DEFAULT_START_LAMBDAS)
+    """The nine start cells of multi-start search: every (lambda_neg, lambda_pos) from 1, 8 and 15, lambda_neg outer."""
+    starts = [DEFAULT_GRID.index(value) for value in (1.0, 8.0, 15.0)]
+    return tuple(Cell(x, y) for x in starts for y in starts)
 
 
 class SearchOutcome(NamedTuple):

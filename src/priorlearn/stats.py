@@ -14,8 +14,6 @@ computes a p-value.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,13 +50,16 @@ def bootstrap_ci(
     Draws ``B`` resamples of the full vector size with replacement and
     takes the empirical alpha/2 and 1-alpha/2 quantiles of the resample
     means. A resample mean is its exact count of ones divided by the
-    size. Deterministic given ``seed``. The indices are drawn in blocks of
+    size. Deterministic given ``seed``, which must be >= 0; a negative one
+    raises ``ValueError`` naming it. The indices are drawn in blocks of
     about 64k, one generator's stream: the same as one ``(B, size)`` draw.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
+    if seed < 0:  # numpy's own message would name no value
+        raise ValueError(f"seed must be >= 0, got {seed}")
     v = np.asarray(outcomes)
     if v.size == 0:
         raise ValueError("outcome vector must be nonempty")
@@ -100,13 +101,11 @@ def _sample_var(v: np.ndarray) -> np.float64:
     return np.mean((v - v.mean()) ** 2) * (v.size / (v.size - 1))
 
 
-def report_to_csv(
-    rows: Sequence[tuple[str, int, float, BootstrapCI]], p_value: float
-) -> str:
-    """Comparison report: model, k, ppv, ci_lo, ci_hi, p_value per row."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["model", "k", "ppv", "ci_lo", "ci_hi", "p_value"])
-    for model, k, value, ci in rows:
-        writer.writerow([model, k, repr(value), repr(ci.lo), repr(ci.hi), repr(p_value)])
-    return out.getvalue()
+def report_to_csv(rows: Sequence[tuple[str, int, float, BootstrapCI]], p_value: float) -> str:
+    """Comparison report: model, k, ppv, ci_lo, ci_hi, p_value per row, the floats as their ``repr``.
+
+    Labels are written as given: every caller's are ``baseline`` and ``study``, which need no quoting.
+    """
+    return "model,k,ppv,ci_lo,ci_hi,p_value\n" + "".join(
+        f"{model},{k},{value!r},{ci.lo!r},{ci.hi!r},{p_value!r}\n" for model, k, value, ci in rows
+    )

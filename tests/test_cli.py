@@ -212,6 +212,15 @@ class TestArgumentHandling:
             assert err.startswith("data error:") and "category 'Nope'" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", [["search"], ["classify", "--lambda-neg", "1", "--lambda-pos", "1"]])
+    def test_empty_category_is_data_error(self, tmp_path, capsys, command):
+        docs = [Document(1, "One", frozenset({"a"})), Document(2, "Two", frozenset({"b"}))]
+        store_corpus(from_documents(docs), CategoryIndex.from_mapping({"Cat": [1], "Empty": []}), tmp_path / "s")
+        code = main([*command, "--corpus", str(tmp_path / "s"), "--category", "Empty", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == "data error: category 'Empty' has no members\n"
+        assert not (tmp_path / "o").exists()
+
     def test_damaged_category_members_is_data_error_naming_the_file(self, tmp_path, capsys):
         assert main(["ingest", str(DATA / "mini_dump.xml"), "--out", str(tmp_path / "s")]) == 0
         capsys.readouterr()
@@ -607,7 +616,8 @@ class TestEndToEndGolden:
         assert "top_n must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "report").exists()
 
-    @pytest.mark.parametrize("template", ["https://x/{0}", "https://x/{title.upper}"])
+    # a field other than {title}, then templates that cannot be formatted
+    @pytest.mark.parametrize("template", ["https://x/{0}", "https://x/{title.upper}", "{title", "x}", "https://x/{title:x}"])
     def test_report_rejects_a_link_template_field_other_than_title(self, run_dir, tmp_path, capsys, template):
         code = main(
             ["report", "--baseline", str(run_dir / "baseline" / "predictions.csv"),
@@ -617,6 +627,17 @@ class TestEndToEndGolden:
         )
         assert code == 2
         assert f"link template {template!r}" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
+
+    def test_report_names_a_negative_bootstrap_seed(self, run_dir, tmp_path, capsys):
+        code = main(
+            ["report", "--baseline", str(run_dir / "baseline" / "predictions.csv"),
+             "--study", str(run_dir / "study" / "predictions.csv"),
+             "--truth", str(DATA / "e2e_truth.txt"), "--eval-k", "5", "--bootstrap-seed", "-1",
+             "--out", str(tmp_path / "report")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "data error: seed must be >= 0, got -1\n"
         assert not (tmp_path / "report").exists()
 
     def test_rerun_of_report_is_idempotent(self, run_dir):

@@ -1083,6 +1083,11 @@ class TestCorpusValidation:
         with pytest.raises(ValueError, match="42"):
             bad.validate_against(corpus)
 
+    def test_row_of_an_unknown_category_is_a_key_error_naming_it(self):
+        cats = CategoryIndex.from_mapping({"A": [1], "C": [2]})
+        with pytest.raises(KeyError, match="unknown category 'B'"):
+            cats.row("B")
+
     def test_unknown_id_is_named_with_its_category(self):
         corpus, _ = _toy_corpus()
         # 42 is the first entry of B's row, which starts where the empty row before it does

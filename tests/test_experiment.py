@@ -152,6 +152,10 @@ class TestExperimentSpec:
                 corpus=separable.corpus, categories=separable.categories, category=CATEGORY, seeds=seeds
             )
 
+    def test_no_seed_rejected(self, separable):
+        with pytest.raises(ValueError, match="need at least one seed"):
+            ExperimentSpec(corpus=separable.corpus, categories=separable.categories, category=CATEGORY, seeds=())
+
 
 class TestRankCorpus:
     def test_total_order_and_exclusion(self, separable):

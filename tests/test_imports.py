@@ -62,7 +62,6 @@ def test_each_allowed_import_is_still_unused(module, name):
 #: (module, function, imported module) of each import inside a function, each with its reason.
 DEFERRED = {
     ("corpus", "ingest_wiki_dump", "multiprocessing"): "~25 ms to import: only a process that ingests a dump loads it",
-    ("experiment", "export_review_list", "html"): "its entity table: only a process writing a review page loads it",
     ("stats", "significance_test", "scipy.special"): "scipy: only a caller who asks for a p-value loads it",
 }
 

@@ -95,12 +95,12 @@ class TestGrid:
 
 
 class TestDefaultStarts:
-    def test_nine_cells_mapped_from_lambdas(self):
-        assert set(default_starts()) == {
+    def test_nine_cells_mapped_from_lambdas(self):  # in order: lambda_neg is the outer loop
+        assert default_starts() == (
             Cell(3, 3), Cell(3, 10), Cell(3, 17),
             Cell(10, 3), Cell(10, 10), Cell(10, 17),
             Cell(17, 3), Cell(17, 10), Cell(17, 17),
-        }
+        )
 
 
 class TestEvaluatePriors:
@@ -643,6 +643,15 @@ class TestAggregateOverSeeds:
         assert Cell(7, 9) in memo_a and Cell(1, 1) in memo_b
         expected = (eval_a(Cell(7, 9)).ppv + eval_b(Cell(7, 9)).ppv) / 2
         assert means[Cell(7, 9)].ppv == expected
+
+    def test_unequal_memo_and_evaluator_counts_rejected(self):
+        def evaluate(cell):
+            return CellScore(0.5, 0.5)
+
+        memos = [{Cell(1, 1): evaluate(Cell(1, 1))}, {}]
+        with pytest.raises(ValueError, match="2 memos but 1 evaluators"):
+            cross_seed_mean_scores(memos, [evaluate])
+        assert memos[1] == {}  # nothing back-filled
 
     def test_seed_noise_averages_out(self):
         size = 203

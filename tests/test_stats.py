@@ -79,6 +79,8 @@ class TestBootstrapCi:
             bootstrap_ci(_bits(1, 2), alpha=1.5)
         with pytest.raises(ValueError):
             bootstrap_ci([])
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            bootstrap_ci(_bits(1, 2), seed=-1)
 
     @pytest.mark.parametrize("bad", [[0, 1, 2], [0.5, 1.0], [-1, 0], [1, float("nan")]])
     def test_rejects_values_other_than_zero_and_one(self, bad):
