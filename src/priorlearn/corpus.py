@@ -29,7 +29,7 @@ from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-#: Slots per block of rows (:meth:`Corpus.row_blocks`) for the vectorized passes: ranking and the store's checks.
+#: Slots per block of rows (:func:`_row_blocks`) for the vectorized passes: ranking, the store's checks and row gathers.
 _BLOCK_SLOTS = 1 << 16
 
 __all__ = [
@@ -107,12 +107,36 @@ def _index(ordered: Sequence[Any], item: Any) -> int:
     return i if i < len(ordered) and ordered[i] == item else -1
 
 
+def _row_blocks(offsets: np.ndarray) -> Iterator[tuple[int, int]]:
+    """The rows of compressed ``offsets`` in blocks ``[a, b)``, in order.
+
+    A block is the most whole rows from ``a`` whose slots fit
+    ``_BLOCK_SLOTS``; a row longer than the budget is a block of its own. A pass one block
+    at a time holds temporaries of one block, not of every row.
+    """
+    a, rows = 0, len(offsets) - 1
+    while a < rows:
+        # the last row end at most the budget past row a's start, or else a's own end
+        b = max(a + 1, int(np.searchsorted(offsets, offsets[a] + _BLOCK_SLOTS, side="right")) - 1)
+        yield a, b
+        a = b
+
+
 def take_rows(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(rows, offsets)``: row ``i``, ``rows[offsets[i]:offsets[i + 1]]``, is ``values[starts[i]:][:lengths[i]]``."""
+    """``(rows, offsets)``: row ``i``, ``rows[offsets[i]:offsets[i + 1]]``, is ``values[starts[i]:][:lengths[i]]``.
+
+    ``rows`` has the type of ``values``. The rows are gathered into it a
+    block at a time (:func:`_row_blocks`), so the gather's index
+    temporaries are one block's, not one per slot of the output.
+    """
     offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
-    take = np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
-    return values[take], offsets
+    rows = np.empty(offsets[-1], dtype=values.dtype)
+    for a, b in _row_blocks(offsets):
+        take = np.repeat(starts[a:b] - offsets[a:b], lengths[a:b])
+        take += np.arange(offsets[a], offsets[b])
+        rows[offsets[a] : offsets[b]] = values[take]
+    return rows, offsets
 
 
 def tokenize(text: str) -> frozenset[str]:
@@ -218,18 +242,12 @@ class Corpus:
         return _index(self.vocabulary, token) + 1
 
     def row_blocks(self) -> Iterator[tuple[int, int]]:
-        """The rows in blocks ``[a, b)``, in order: the most whole rows from ``a`` whose slots fit ``_BLOCK_SLOTS``.
+        """The rows in blocks ``[a, b)``, in order, as :func:`_row_blocks` cuts ``offsets``.
 
-        A row longer than the budget is a block of its own. A pass over
-        ``slots`` one block at a time holds temporaries of one block, not of
-        the whole array.
+        A pass over ``slots`` one block at a time holds temporaries of one
+        block, not of the whole array.
         """
-        a, rows = 0, len(self.offsets) - 1
-        while a < rows:
-            # the last row end at most the budget past row a's start, or else a's own end
-            b = max(a + 1, int(np.searchsorted(self.offsets, self.offsets[a] + _BLOCK_SLOTS, side="right")) - 1)
-            yield a, b
-            a = b
+        return _row_blocks(self.offsets)
 
     def token_rows(self, doc_ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """The token slots of the given documents, without slot 0, as compressed rows.

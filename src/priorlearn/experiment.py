@@ -299,20 +299,21 @@ def export_review_list(
     Titles from both lists are pooled, deduplicated, and sorted, so the
     page carries no trace of which model proposed which article, nor any
     scores. ``link_template`` names no replacement field but ``{title}``,
-    which may take a conversion and a format spec; raises ``ValueError``
-    naming a template with any other field, in a spec too, or one that
-    cannot format a title. Titles are escaped as ``html.escape(title, quote=False)`` does.
+    which may take a conversion and a format spec with no field in it;
+    raises ``ValueError`` naming a template with any other field, a field
+    in a spec, or one that cannot format a title. Titles are escaped as ``html.escape(title, quote=False)`` does.
     """
     if top_n < 1:
         raise ValueError(f"top_n must be >= 1, got {top_n}")
     formatter = Formatter()
     try:
         for _, name, spec, _ in formatter.parse(link_template):
-            # {0} or {other} has no value and {title.upper} would link a method's repr;
-            # a spec may hold fields of its own, as in {title:{0}}
-            inner = [field for _, field, _, _ in formatter.parse(spec or "")]
-            if {name, *inner} - {"title", None}:
+            # {0} or {other} has no value and {title.upper} would link a method's repr
+            if name not in ("title", None):
                 raise ValueError("it has a replacement field other than {title}")
+            # a field in a spec, as in {title:{title}}, would make each title a spec
+            if any(field is not None for _, field, _, _ in formatter.parse(spec or "")):
+                raise ValueError("it has a replacement field in a format spec")
         link_template.format(title="")  # a conversion or spec that no title takes
     except ValueError as exc:
         raise ValueError(f"link template {link_template!r}: {exc}") from None

@@ -68,7 +68,7 @@ class CountModel:
     ``features`` holds the feature tokens in ascending ``str`` order;
     ``pos_count`` and ``neg_count`` are integer arrays aligned with it.
     The training folds, positives first, then negatives, are compressed
-    rows of feature positions: fold ``i`` is
+    rows of ``int32`` feature positions: fold ``i`` is
     ``fold_features[fold_offsets[i]:fold_offsets[i + 1]]``, its document's
     tokens intersected with ``features``, ascending. Leave-one-out scoring
     decrements counts through them instead of retraining. The model is
@@ -96,7 +96,11 @@ def build_counts(
 
     The documents are rows of ``corpus``, folds in the order given. The
     feature set is the union of the positive documents' tokens; negative
-    documents contribute counts only for tokens in that set. Raises
+    documents contribute counts only for tokens in that set. The rows
+    are gathered a block at a time (:func:`~priorlearn.corpus.take_rows`)
+    and mapped to ``int32`` feature positions, and the folds' offsets come
+    from an ``int32`` running count of the kept slots, so no array of an
+    ``int64`` per slot is made. Raises
     ``ValueError`` if ``positive_ids`` is empty (the feature set would be
     empty), if an id appears on both sides, or if an id is not in
     ``corpus``.
@@ -111,18 +115,26 @@ def build_counts(
     width = len(corpus.vocabulary) + 1
     pos_count = np.bincount(slots[: row_offsets[n_pos]], minlength=width)
     feature_slots = np.flatnonzero(pos_count)
-    position = np.full(width, -1, dtype=np.int64)
+    position = np.full(width, -1, dtype=np.int32)
     position[feature_slots] = np.arange(len(feature_slots))
     positions = position[slots]
+    del slots
     kept = positions >= 0
-    fold_offsets = np.concatenate(([0], np.cumsum(kept)))[row_offsets]
+    kept_before = np.zeros(len(kept) + 1, dtype=np.int32 if len(kept) < 2**31 else np.int64)
+    kept_before[1:] = kept
+    np.cumsum(kept_before[1:], out=kept_before[1:])  # in place: a cumsum of the bools would copy them cast
+    fold_offsets = kept_before[row_offsets].astype(np.int64)
+    del kept_before
     fold_features = positions[kept]
+    del positions, kept
+    neg_count = np.zeros(len(feature_slots), dtype=np.int64)
+    np.add.at(neg_count, fold_features[fold_offsets[n_pos] :], 1)  # where bincount would copy them to intp
     return CountModel(
         n_pos=n_pos,
         n_neg=len(negative_ids),
         features=tuple(corpus.vocabulary[slot - 1] for slot in feature_slots.tolist()),
         pos_count=pos_count[feature_slots],
-        neg_count=np.bincount(fold_features[fold_offsets[n_pos]:], minlength=len(feature_slots)),
+        neg_count=neg_count,
         fold_offsets=fold_offsets,
         fold_features=fold_features,
     )

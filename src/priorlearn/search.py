@@ -6,10 +6,12 @@ cell is scored by leave-one-out cross-validation over the training folds:
 positive predictive value, with sensitivity as tie-breaker. A fold's LOO
 log odds are a positive half in lambda_pos alone minus a negative half in
 lambda_neg alone, each computed once per grid value: a log table over the
-counts, taken through padded tables of like-length folds' counts and
-summed per fold. The folds are split into tables where a table's fixed
-cost buys back more than its padding. Each seed of an experiment is its
-columns of one union model, whose positive halves all seeds share.
+counts, taken through padded tables of like-length folds' counts, each
+table in the narrowest unsigned type that holds its counts, and summed
+per fold. The folds are split into tables where a table's fixed cost buys
+back more than its padding. Each seed of an experiment is its columns of
+one union model, whose positive halves all seeds share: a seed reads
+their positives' part as a view and gathers only its own negatives' part.
 A radial hill climber sweeps the 5x5 window around the current best cell,
 recentering on improvement and stopping when a full sweep yields no
 replacement. Cell scores are memoized in a plain ``dict`` from cell to
@@ -22,7 +24,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import take_rows
+from .corpus import _row_blocks, take_rows
 from .metrics import ppv_of, sensitivity_of
 from .model import CountModel
 
@@ -131,14 +133,17 @@ class ClassHalves:
     taken out of the class. Folds, longest first, are split into the
     contiguous groups that are cheapest to sum, a table's fixed cost
     weighed against its padded cells (:func:`_fold_groups`).
-    Per group an ``int32`` table holds a column per fold, its counts
-    padded with ``top`` (one past the largest count), and a spare all-pad
-    column. A half, computed once per grid index and kept, sums
+    Per group a table holds a column per fold, its counts padded with
+    ``top`` (one past the largest count), and a spare all-pad column, as
+    ``uint16`` while ``top`` fits it, else ``uint32``. The folds' rows are
+    gathered, and their counts looked up, a block of rows at a time, so
+    building the class holds no index per slot beyond one block's. A
+    half, computed once per grid index and kept, sums
     ``log(lam + arange(top))`` (``0.0`` at ``top``) down each column row
     by row, bit for bit as ``bincount`` adds a fold's tokens: numpy 2.4
     reduces axis 0 of a C-order array that way when it has two or more
     columns, one column pairwise. So a fold's half depends on its own
-    column alone, not on the other folds or on ``top``.
+    column alone, not on the other folds, on ``top`` or on the table's type.
     """
 
     def __init__(self, model: CountModel, positive: bool, columns: np.ndarray):
@@ -146,13 +151,19 @@ class ClassHalves:
         features, offsets = take_rows(model.fold_features, model.fold_offsets[columns], n_tokens)
         own = (columns < model.n_pos) == positive  # positives come first
         own_tokens = np.repeat(own, n_tokens)
-        counts = np.bincount(features[own_tokens], minlength=len(model.features)).astype(np.int32)
-        fold_counts = counts[features] - own_tokens  # int32, as the tables are
+        counts = np.bincount(features[own_tokens], minlength=len(model.features)).astype(np.uint32)
+        fold_counts = np.empty(len(features), dtype=np.uint32)  # a count of folds fits
+        for a, b in _row_blocks(offsets):  # an intp index is numpy's fast path, int32 its slow one
+            block = slice(offsets[a], offsets[b])
+            np.subtract(counts[features[block].astype(np.intp)], own_tokens[block], out=fold_counts[block])
+        del features
         self._top = int(fold_counts.max(initial=0)) + 1
-        padded = np.append(fold_counts, np.int32(self._top))
+        padded = np.empty(len(fold_counts) + 1, dtype=np.uint16 if self._top < 1 << 16 else np.uint32)
+        padded[:-1], padded[-1] = fold_counts, self._top
+        del fold_counts
         self._size, self._n_tokens = np.count_nonzero(own) - own.astype(np.float64), n_tokens.astype(np.float64)
         self._order = np.argsort(-n_tokens, kind="stable")  # longest fold first
-        self._tables, start, pad = [], 0, len(fold_counts)  # per group: each table cell's count or pad
+        self._tables, start, pad = [], 0, len(padded) - 1  # per group: each table cell's count or pad
         for end in _fold_groups(n_tokens[self._order]):
             folds, start = self._order[start:end], end
             rows = np.arange(n_tokens[folds[0]])[:, None]
@@ -182,27 +193,39 @@ class LooEvaluator:
     class-prior denominators cancel, and a half depends on its class's
     counts and pseudo-count alone (:class:`ClassHalves`). ``positive`` is
     the positive class over all of ``model``'s folds, read at these, so
-    training sets with the same positives share it.
+    training sets with the same positives share it. Once per grid index,
+    a positive half is read as a view of its positives' part and a gather
+    of this evaluator's negatives', and a negative half as two views of
+    its own, so a cell's true and false positives are one comparison each.
     """
 
     def __init__(self, model: CountModel, negatives: np.ndarray, positive: ClassHalves):
-        self._columns = np.append(np.arange(model.n_pos), negatives)  # this evaluator's folds in ``model``
-        self._n_pos, self._negative, self._taken = model.n_pos, ClassHalves(model, False, self._columns), {}
-        self._positive = positive  # over all of ``model``'s folds, read at ``self._columns``
+        self._negatives, self._n_pos = negatives, model.n_pos  # this evaluator's negative folds in ``model``
+        self._negative = ClassHalves(model, False, np.append(np.arange(model.n_pos), negatives))
+        self._positive = positive  # over all of ``model``'s folds, read at the positives and ``negatives``
+        self._positive_at, self._negative_at = {}, {}  # per grid index: a half's positives' part and negatives'
 
-    def _halves(self, cell: Cell) -> tuple[np.ndarray, np.ndarray]:
-        if cell.y not in self._taken:  # this model's columns of the half, gathered once per grid index
-            self._taken[cell.y] = self._positive(cell.y)[self._columns]
-        return self._taken[cell.y], self._negative(cell.x)
+    def _halves(self, cell: Cell) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """The positive and the negative half under ``cell``, each as its positives' folds and its negatives'."""
+        positive = self._positive_at.get(cell.y)
+        if positive is None:  # a view of the positives' folds and a gather of this seed's negatives'
+            half = self._positive(cell.y)
+            positive = self._positive_at[cell.y] = half[: self._n_pos], half[self._negatives]
+        negative = self._negative_at.get(cell.x)
+        if negative is None:
+            half = self._negative(cell.x)
+            negative = self._negative_at[cell.x] = half[: self._n_pos], half[self._n_pos :]
+        return positive, negative
 
     def log_odds(self, cell: Cell) -> np.ndarray:
-        """Per-fold LOO posterior log odds under the cell's priors."""
-        return np.subtract(*self._halves(cell))
+        """Per-fold LOO posterior log odds under the cell's priors, the positives' folds first."""
+        (pos_positives, pos_negatives), (neg_positives, neg_negatives) = self._halves(cell)
+        return np.concatenate((pos_positives - neg_positives, pos_negatives - neg_negatives))
 
     def __call__(self, cell: Cell) -> CellScore:
-        predicted = np.greater(*self._halves(cell))  # log odds > 0.0, for finite halves
-        tp = int(np.count_nonzero(predicted[: self._n_pos]))  # the positives' folds come first
-        fp = int(np.count_nonzero(predicted)) - tp
+        (pos_positives, pos_negatives), (neg_positives, neg_negatives) = self._halves(cell)
+        tp = int(np.count_nonzero(np.greater(pos_positives, neg_positives)))  # log odds > 0.0, for finite halves
+        fp = int(np.count_nonzero(np.greater(pos_negatives, neg_negatives)))
         return CellScore(ppv=ppv_of(tp, fp), sensitivity=sensitivity_of(tp, self._n_pos - tp))
 
 

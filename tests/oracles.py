@@ -13,7 +13,8 @@ punctuation stripping, ``scipy.stats`` for the Welch t-test, one rank
 at a time for the top-k counts, one ``csv`` module row per document for
 the predictions CSV, one ``Generator.choice`` call per document for the
 synthetic corpus, a ``Cell`` built for every neighbour the hill climber
-looks up, the fixed twice-the-tokens rule for the LOO fold tables, one
+looks up, the fixed twice-the-tokens rule for the LOO fold tables, every slot's
+index built at once for a gather of rows, one
 ``members`` call per name for a category index's entries, one row of
 the columns at a time for a corpus's documents (its row found by one
 ``searchsorted`` for a document by id), and one ``str.splitlines`` line
@@ -26,6 +27,7 @@ The test tools sit at the end: :func:`from_documents`, the corpus of
 given documents through ``Corpus.from_rows``, :func:`class_halves` and
 :func:`loo_evaluator`, LOO evaluation over every fold of a model,
 :func:`seeded_rows_corpus`, the seeded rows of the scale probe,
+:func:`article_rows_corpus`, the rows of the article-length probe,
 :func:`peak_bytes`, one call's tracemalloc peak, and
 :func:`retained_bytes`, what one call leaves allocated.
 """
@@ -720,6 +722,14 @@ def from_documents(documents):
     return Corpus.from_rows(tokens, [doc.id for doc in documents], [doc.title for doc in documents], lengths, ids)
 
 
+def one_shot_take_rows(values, starts, lengths):
+    """``corpus.take_rows`` as one gather: every slot's index into ``values`` built at once."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    take = np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
+    return values[take], offsets
+
+
 def class_halves(model, positive):
     """The ``ClassHalves`` of one class over every fold of ``model``."""
     return ClassHalves(model, positive, np.arange(model.n_folds))
@@ -749,6 +759,42 @@ def seeded_rows_corpus(n_docs, row_length=100, vocab_size=2_000_000, seed=0):
         np.full(n_docs, row_length),
         ids.ravel(),
     )
+    return corpus, CategoryIndex.from_mapping({"Members": doc_ids[:1000].tolist()})
+
+
+def article_rows_corpus(n_docs, seed=0):
+    """The article-length probe's corpus of ``n_docs`` rows, through ``Corpus.from_rows``.
+
+    Row lengths, distinct token counts, are lognormal (sigma 1, median
+    290) clipped to 5-20,000. A row's ids are drawn with replacement from
+    a Zipf law over 300,000 ids (weight ``1 / (rank + 1)``) until it holds
+    that many. Documents 1 to 1,000, the one category ``Members``, and the
+    500 hidden positives after them first draw a quarter of their ids
+    uniformly from the 5,000-id topic block starting at id 2,000. Only
+    the ids some row holds become tokens. Document ``i`` is titled ``Doc i``.
+    """
+    rng = np.random.default_rng(seed)
+    cdf = np.cumsum(1.0 / np.arange(1, 300_001))
+    cdf /= cdf[-1]
+    lengths = np.clip(np.rint(rng.lognormal(math.log(290), 1.0, n_docs)), 5, 20_000).astype(np.int64)
+    rows = []
+    for i, n in enumerate(lengths.tolist()):
+        row = rng.integers(2_000, 7_000, n // 4 if i < 1_500 else 0)
+        while True:  # sorted, the repeats dropped
+            row.sort()
+            row = row[np.diff(row, prepend=-1) != 0]
+            if len(row) == n:
+                break
+            row = np.append(row, np.searchsorted(cdf, rng.random(n - len(row)), side="right"))
+        rows.append(row.astype(np.int32))
+    ids = np.concatenate(rows)
+    del rows
+    held = np.flatnonzero(np.bincount(ids, minlength=len(cdf)))
+    token_of = np.zeros(len(cdf), np.int32)
+    token_of[held] = np.arange(len(held))
+    doc_ids = np.arange(1, n_docs + 1)
+    tokens, titles = [f"t{token}" for token in held.tolist()], [f"Doc {i}" for i in doc_ids.tolist()]
+    corpus = Corpus.from_rows(tokens, doc_ids, titles, lengths, token_of[ids])
     return corpus, CategoryIndex.from_mapping({"Members": doc_ids[:1000].tolist()})
 
 

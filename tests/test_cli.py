@@ -616,8 +616,12 @@ class TestEndToEndGolden:
         assert "top_n must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "report").exists()
 
-    # a field other than {title}, then templates that cannot be formatted
-    @pytest.mark.parametrize("template", ["https://x/{0}", "https://x/{title.upper}", "{title", "x}", "https://x/{title:x}"])
+    # a field other than {title}, a field in a spec, then templates that cannot be formatted
+    @pytest.mark.parametrize(
+        "template",
+        ["https://x/{0}", "https://x/{title.upper}", "https://x/{title:{title}}",
+         "{title", "x}", "https://x/{title:x}"],
+    )
     def test_report_rejects_a_link_template_field_other_than_title(self, run_dir, tmp_path, capsys, template):
         code = main(
             ["report", "--baseline", str(run_dir / "baseline" / "predictions.csv"),

@@ -23,6 +23,7 @@ from oracles import (
     category_items,
     document,
     from_documents,
+    one_shot_take_rows,
     peak_bytes,
     per_character_tokenize,
     retained_bytes,
@@ -40,6 +41,7 @@ from priorlearn.corpus import (
     load_corpus,
     render,
     store_corpus,
+    take_rows,
     tokenize,
     truncate_at_references,
 )
@@ -1018,6 +1020,33 @@ class TestRowBlocks:
 
     def test_an_empty_corpus_has_no_block(self):
         assert list(from_documents([]).row_blocks()) == []
+
+
+class TestTakeRows:
+    @pytest.mark.parametrize("budget", range(1, 13))
+    def test_equals_the_one_shot_gather(self, monkeypatch, budget):
+        monkeypatch.setattr(corpus_module, "_BLOCK_SLOTS", budget)
+        rng = np.random.default_rng(budget)
+        values = rng.integers(0, 1000, 40).astype(np.int32)
+        lengths = np.array([3, 0, 13, 1, 5, 0, 2, 7, 4, 1])  # 13 slots is past every budget
+        starts = rng.integers(0, len(values) - lengths + 1)  # in any order, overlapping
+        for got, want in zip(take_rows(values, starts, lengths), one_shot_take_rows(values, starts, lengths)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        rows, offsets = take_rows(values, starts[:0], lengths[:0])
+        assert rows.dtype == np.int32 and len(rows) == 0 and offsets.tolist() == [0]
+
+    def test_the_peak_beyond_the_output_is_flat_in_the_rows(self):
+        def peak_beyond_output(n_docs):
+            corpus, _ = seeded_rows_corpus(n_docs, 50)
+            starts = corpus.offsets[:-1] + 1  # every row without its slot 0
+            lengths = np.diff(corpus.offsets) - 1
+            output = int(lengths.sum()) * corpus.slots.itemsize + (n_docs + 1) * 8
+            return peak_bytes(take_rows, corpus.slots, starts, lengths) - output
+
+        peak_beyond_output(10)
+        small, large = peak_beyond_output(4000), peak_beyond_output(16_000)
+        assert large < small + 200_000
+        assert large < 2_000_000  # one block's indices (~1.3 MB at 1 << 16 slots), not one per slot (~19 MB)
 
 
 def _random_rows_corpus(rng):

@@ -305,7 +305,9 @@ class TestReviewList:
         html = export_review_list(ranked, ranked, titles, top_n=1, link_template="{{x}}/{title!s:>15}")
         assert 'href="{x}/  Hill_climbing"' in html
 
-    @pytest.mark.parametrize("template", ["{0}", "{}", "{title.upper}", "{title[0]}", "{other}", "{title:{0}}"])
+    @pytest.mark.parametrize(
+        "template", ["{0}", "{}", "{title.upper}", "{title[0]}", "{other}", "{title:{0}}", "{title:{title}}"]
+    )
     def test_link_template_names_no_field_but_title(self, template):
         ranked = self._ranked([0])
         with pytest.raises(ValueError, match=re.escape(f"link template 'https://x/{template}'")):

@@ -7,6 +7,7 @@ from conftest import random_training_docs, train
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    article_rows_corpus,
     brute_force_argmax,
     cell_per_neighbor_radial_search,
     class_halves,
@@ -19,6 +20,7 @@ from oracles import (
     loo_evaluator,
     loo_score,
     loop_cross_seed_mean_scores,
+    peak_bytes,
     per_cell_log_odds,
     surface_evaluator,
     twice_the_tokens_fold_groups,
@@ -28,7 +30,7 @@ from oracles import (
 import priorlearn.experiment as experiment
 from priorlearn.corpus import CategoryIndex, Document
 from priorlearn.experiment import ExperimentSpec, learn_priors, make_training_set, training_model
-from priorlearn.model import Hyperparameters, build_counts
+from priorlearn.model import CountModel, Hyperparameters, build_counts
 from priorlearn.search import (
     DEFAULT_GRID,
     Cell,
@@ -275,11 +277,11 @@ def _recorded_evaluators(monkeypatch):
 
 
 def _positive_half(evaluator, index):
-    return evaluator._halves(Cell(0, index))[0]
+    return np.concatenate(evaluator._halves(Cell(0, index))[0])  # its positives' folds, then its negatives'
 
 
 def _negative_half(evaluator, index):
-    return evaluator._halves(Cell(index, 0))[1]
+    return np.concatenate(evaluator._halves(Cell(index, 0))[1])
 
 
 def _assert_same_class(got, want):
@@ -289,7 +291,25 @@ def _assert_same_class(got, want):
     assert np.array_equal(got._n_tokens.view(np.int64), want._n_tokens.view(np.int64))
     assert len(got._tables) == len(want._tables)
     for a, b in zip(got._tables, want._tables):
-        assert a.dtype == b.dtype == np.int32 and np.array_equal(a, b)
+        assert a.dtype == b.dtype == np.uint16 and np.array_equal(a, b)
+
+
+class TestTableTypes:
+    @pytest.mark.parametrize(("n_neg", "top", "dtype"), [(0, 2**16 - 1, np.uint16), (1, 2**16, np.uint32)])
+    def test_tables_widen_exactly_where_the_pad_outgrows_uint16(self, n_neg, top, dtype):
+        # every fold is the one feature: a positive counts it n_pos - 1 times, a negative n_pos times
+        n_pos = 2**16 - 1
+        n_folds = n_pos + n_neg
+        model = CountModel(
+            n_pos=n_pos, n_neg=n_neg, features=("a",), pos_count=np.array([n_pos]), neg_count=np.array([n_neg]),
+            fold_offsets=np.arange(n_folds + 1), fold_features=np.zeros(n_folds, dtype=np.int32),
+        )
+        positive = class_halves(model, True)
+        assert positive._top == top and {table.dtype for table in positive._tables} == {np.dtype(dtype)}
+        oracle = dict_model([_doc(i, {"a"}) for i in range(n_pos)], [_doc(n_pos + i, {"a"}) for i in range(n_neg)])
+        evaluator = LooEvaluator(model, np.arange(n_pos, n_folds), positive)
+        for i in (*range(0, len(DEFAULT_GRID), 25), len(DEFAULT_GRID) - 1):  # both classes' halves at each
+            assert np.array_equal(evaluator.log_odds(Cell(i, i)), per_cell_log_odds(oracle, Cell(i, i))), i
 
 
 class TestClassHalvesColumns:
@@ -416,6 +436,15 @@ class TestSharedPositiveClass:
         per_seed = [{cell.y for cell in memo} for memo in result.memos]
         assert sorted(index for halves, index in computed if halves is shared) == sorted(set().union(*per_seed))
         assert sum(map(len, per_seed)) > len(set().union(*per_seed))  # seeds do share grid indexes
+
+
+def test_learn_priors_at_article_lengths_holds_each_fold_number_once():
+    # 3,000 documents of median ~275 distinct tokens (1.37M slots), 5 seeds. Under numpy 2.4 the
+    # search peaked at 51.6 MB with int64 fold columns, one index per gathered slot, int32 tables
+    # and each seed's copy of the positive halves; it peaks at 27.6 MB without them
+    corpus, categories = article_rows_corpus(3000)
+    spec = ExperimentSpec(corpus=corpus, categories=categories, category="Members", seeds=tuple(range(5)))
+    assert peak_bytes(learn_priors, spec) < 36_000_000
 
 
 class TestRadialGradientSearch:
